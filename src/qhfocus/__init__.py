@@ -11,8 +11,8 @@ from .fields import (
     parse_system,
     load_system,
 )
-from .jets import Jet, jet_add, jet_mul, jet_div, jet_compose
-from .polar import PolarRHS, homog_component, rq, polar_rhs
+from .jets import Jet
+from .polar import PolarRHS, homog_component
 from .flow import (
     JetTrajectory,
     SectionCrossing,
@@ -31,7 +31,7 @@ from .focal import (
     structural_center,
 )
 from .cycles import CycleSet, displacement, find_cycles, alternation_search
-from .quadrature import QuadResult, quad_periodic
+from .quadrature import QuadResult
 from . import casestudy
 
 __version__ = "0.1.0"
@@ -46,14 +46,8 @@ __all__ = [
     "parse_system",
     "load_system",
     "Jet",
-    "jet_add",
-    "jet_mul",
-    "jet_div",
-    "jet_compose",
     "PolarRHS",
     "homog_component",
-    "rq",
-    "polar_rhs",
     "JetTrajectory",
     "SectionCrossing",
     "integrate_jet",
@@ -72,6 +66,5 @@ __all__ = [
     "find_cycles",
     "alternation_search",
     "QuadResult",
-    "quad_periodic",
     "casestudy",
 ]

@@ -15,7 +15,7 @@ import functools
 import json
 from dataclasses import dataclass
 from importlib import resources
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -103,8 +103,8 @@ def _f2_fourier(n: int = 2048) -> FourierAntiderivative:
 
 
 @functools.lru_cache(maxsize=None)
-def _f2_ode(tol: float = 1e-13) -> OdeAntiderivative:
-    return OdeAntiderivative(lambda t: float(f2_integrand(t)), TWO_PI, tol)
+def _f2_ode() -> OdeAntiderivative:
+    return OdeAntiderivative(lambda t: float(f2_integrand(t)), TWO_PI, 1e-13)
 
 
 @functools.lru_cache(maxsize=None)
@@ -112,13 +112,9 @@ def _g2_fourier(n: int = 2048) -> FourierAntiderivative:
     return FourierAntiderivative(g2_integrand, n)
 
 
-def nested_f2(theta, tol: float = 1e-12, method: str = "fourier"):
+def nested_f2(theta):
     """Cumulative integral f_2(theta) of the mixed-power integrand."""
-    if method == "fourier":
-        return _f2_fourier()(theta)
-    if method == "ode":
-        return _f2_ode(min(tol, 1e-13))(theta)
-    raise ValueError(f"unknown method {method!r}")
+    return _f2_fourier()(theta)
 
 
 def nested_g2(theta):
@@ -128,23 +124,28 @@ def nested_g2(theta):
 # -- frozen reference constants ---------------------------------------------------
 
 
+def _ib_cross_checked(tol: float) -> QuadResult:
+    """The B integral by two schemes, each paired with a different f2 backend."""
+    ib_t = trapezoid_periodic(b_integrand_factory(_f2_fourier()), tol)
+    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), 0.0, TWO_PI, tol)
+    ib_diff = abs(ib_t.value - ib_g.value) / max(1.0, abs(ib_t.value))
+    if ib_diff > 1e-10:
+        raise ReproductionError(
+            f"B-integral schemes disagree beyond 1e-10: {ib_t.value!r} vs {ib_g.value!r}"
+        )
+    return QuadResult(ib_t.value, max(ib_t.error_estimate, ib_diff), ib_t.nodes_used + ib_g.nodes_used)
+
+
 def compute_reference_constants(tol: float = 1e-12) -> dict[str, float]:
     """The four independent integral constants, each cross-checked twice."""
     i2 = cross_checked(g2_integrand, tol)
     i4 = cross_checked(nu4_integrand, tol)
     ia = cross_checked(a_integrand, tol)
-    # B uses f2 internally; pair each scheme with a different f2 backend
-    ib_t = trapezoid_periodic(b_integrand_factory(_f2_fourier()), tol)
-    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), 0.0, TWO_PI, tol)
-    if abs(ib_t.value - ib_g.value) > 1e-10 * max(1.0, abs(ib_t.value)):
-        raise ReproductionError(
-            f"B-integral schemes disagree: {ib_t.value!r} vs {ib_g.value!r}"
-        )
     return {
         "I2": i2.value,
         "I4": i4.value,
         "IA": ia.value,
-        "IB": ib_t.value,
+        "IB": _ib_cross_checked(tol).value,
     }
 
 
@@ -185,14 +186,7 @@ def verify_322(tol: float = 1e-12) -> Verify322:
     comes within 1e-2 relative.
     """
     ia = cross_checked(a_integrand, tol)
-    ib_t = trapezoid_periodic(b_integrand_factory(_f2_fourier()), tol)
-    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), 0.0, TWO_PI, tol)
-    ib_diff = abs(ib_t.value - ib_g.value) / max(1.0, abs(ib_t.value))
-    if ib_diff > 1e-10:
-        raise ReproductionError(
-            f"B-integral schemes disagree beyond 1e-10: {ib_t.value!r} vs {ib_g.value!r}"
-        )
-    ib = QuadResult(ib_t.value, max(ib_t.error_estimate, ib_diff), ib_t.nodes_used + ib_g.nodes_used)
+    ib = _ib_cross_checked(tol)
     once = PREFACTOR_A * ia.value - PREFACTOR_B * ib.value
     as_printed = PREFACTOR_A**2 * ia.value - PREFACTOR_B**2 * ib.value
     mis_once = abs(once - EQ322_TARGET) / EQ322_TARGET
@@ -328,6 +322,62 @@ def eq329_cartesian(
         return u, v
 
     return rhs
+
+
+@dataclass(frozen=True)
+class Family:
+    """A named parameter family: parameter defaults and its field builders.
+
+    ``weighted`` takes every parameter except ``damping``; ``cartesian``, when
+    present, takes them all and builds the damped Cartesian system.
+    """
+
+    name: str
+    defaults: dict[str, float]
+    weighted: Callable[..., WeightedField]
+    jacobian_params: tuple[str, ...]
+    jacobian_indices: tuple[int, ...]
+    cartesian: Callable | None = None
+    damping: str | None = None
+
+    def values(self, given: dict[str, float]) -> dict[str, float]:
+        """Defaults overridden by ``given``; raises on parameter names not defined."""
+        unknown = sorted(set(given) - set(self.defaults))
+        if unknown:
+            raise ValueError(
+                f"family {self.name} has no parameter {', '.join(unknown)}; "
+                f"known: {', '.join(self.defaults)}"
+            )
+        return {**self.defaults, **given}
+
+    def damped(self, values: dict[str, float]) -> bool:
+        return self.damping is not None and values[self.damping] != 0.0
+
+    def field(self, values: dict[str, float]) -> WeightedField:
+        if self.damped(values):
+            raise ValueError(
+                f"family {self.name} with {self.damping} != 0 has linear damping; "
+                "only the cycles command accepts it"
+            )
+        return self.weighted(**{k: v for k, v in values.items() if k != self.damping})
+
+
+FAMILIES = {
+    f.name: f
+    for f in (
+        Family("eq325", {"eps1": 0.0, "eps2": 0.0}, eq325_field, ("eps1", "eps2"), (2, 4, 6)),
+        Family(
+            "eq327",
+            {"a50": 0.0, "b41": 1.0, "a22": 0.0, "b13": 0.0, "sigma": 0.1,
+             "delta0": 0.0, "delta1": 0.0, "delta2": 0.0},
+            eq329_weighted,
+            ("delta1", "delta2"),
+            (3, 5, 7),
+            cartesian=eq329_cartesian,
+            damping="delta0",
+        ),
+    )
+}
 
 
 @dataclass(frozen=True)

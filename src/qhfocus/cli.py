@@ -24,10 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import casestudy, flow, focal
+from . import casestudy, focal
 from .cycles import find_cycles, closure_error
 from .errors import QhfocusError, ReproductionError
-from .fields import WeightedField, load_system, format_system
+from .fields import WeightedField, load_system, format_system, normalize
+from .polar import PolarRHS, rq_table
 from .quadrature import trapezoid_periodic, gauss_panels
 
 EXIT_OK = 0
@@ -47,34 +48,17 @@ def _parse_params(text: str | None) -> dict[str, float]:
     return out
 
 
-def _family_field(name: str, params: dict[str, float]) -> WeightedField:
-    if name == "eq325":
-        return casestudy.eq325_field(
-            params.get("eps1", 0.0), params.get("eps2", 0.0)
-        )
-    if name == "eq327":
-        if params.get("delta0", 0.0) != 0.0:
-            raise ValueError(
-                "family eq327 with delta0 != 0 has linear damping; "
-                "only the cycles command accepts it"
-            )
-        return casestudy.eq329_weighted(
-            a50=params.get("a50", 0.0),
-            b41=params.get("b41", 1.0),
-            a22=params.get("a22", 0.0),
-            b13=params.get("b13", 0.0),
-            sigma=params.get("sigma", 0.1),
-            delta1=params.get("delta1", 0.0),
-            delta2=params.get("delta2", 0.0),
-        )
-    raise ValueError(f"unknown family {name!r}")
+def _family_values(args) -> tuple[casestudy.Family, dict[str, float]]:
+    family = casestudy.FAMILIES[args.family]
+    return family, family.values(_parse_params(args.params))
 
 
 def _load_field(args) -> WeightedField:
     if args.system:
         return load_system(args.system)
     if args.family:
-        return _family_field(args.family, _parse_params(args.params))
+        family, values = _family_values(args)
+        return family.field(values)
     raise ValueError("provide --system <path> or --family <name>")
 
 
@@ -124,10 +108,6 @@ def cmd_analyze(args) -> int:
     rows = [["k", "nu_k", "tol"]]
     rows += [[k, report.nu(k), args.tol] for k in range(2, report.order + 1)]
     if args.rq_table:
-        from .polar import rq_table
-
-        from .polar import PolarRHS
-
         table = rq_table(PolarRHS(field), np.linspace(0.0, 2 * np.pi, 181))
         with Path(args.rq_table).open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(table.tolist())
@@ -156,24 +136,17 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    params = _parse_params(args.params)
-    if args.family == "eq327" and params.get("delta0", 0.0) != 0.0:
-        backend = "cartesian"
-        system = casestudy.eq329_cartesian(
-            a50=params.get("a50", 0.0),
-            b41=params.get("b41", 1.0),
-            a22=params.get("a22", 0.0),
-            b13=params.get("b13", 0.0),
-            sigma=params.get("sigma", 0.1),
-            delta0=params.get("delta0", 0.0),
-            delta1=params.get("delta1", 0.0),
-            delta2=params.get("delta2", 0.0),
-        )
-        field = None
+    if args.family and not args.system:
+        family, values = _family_values(args)
+        system = family.cartesian(**values) if family.damped(values) else family.field(values)
     else:
-        backend = "polar"
-        field = _load_field(args)
-        system = field
+        system = _load_field(args)
+    polar = isinstance(system, WeightedField)
+    if polar:
+        # the scan and the closure check both run in normalized coordinates
+        system = normalize(system).field
+    backend = "polar" if polar else "cartesian"
+    coordinates = "normalized (lambda1=p, lambda2=q)" if polar else "section x (system coordinates)"
     result = find_cycles(
         backend,
         system,
@@ -186,14 +159,15 @@ def cmd_cycles(args) -> int:
     lines = [
         "cycle search",
         f"  backend        {backend}",
+        f"  h* coordinates {coordinates}",
         f"  h range        [{args.h_min:g}, {args.h_max:g}] on {args.grid} points",
         f"  integrator tol {args.tol:g}",
         f"  cycles found   {len(result.cycles)}",
     ]
     for c in result.cycles:
         closure = ""
-        if field is not None:
-            err = closure_error(field, c.h_star, field.p, tol=args.tol)
+        if polar:
+            err = closure_error(system, c.h_star, system.p, tol=args.tol)
             closure = f"  cartesian closure {err:.3e}"
         lines.append(
             f"  h* = {c.h_star:.12f}  {c.stability:8s} residual {c.residual:.3e}"
@@ -205,6 +179,7 @@ def cmd_cycles(args) -> int:
     doc = {
         "command": "cycles",
         "backend": backend,
+        "h_star_coordinates": coordinates,
         "h_min": args.h_min,
         "h_max": args.h_max,
         "grid": args.grid,
@@ -371,24 +346,17 @@ def cmd_quad(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    params = _parse_params(args.params)
-    if args.family == "eq325":
-        names = ["eps1", "eps2"]
-        family = lambda e: casestudy.eq325_field(e[0], e[1])
-        indices = (2, 4, 6)
-    elif args.family == "eq327":
-        sigma = params.get("sigma", 0.1)
-        a50 = params.get("a50", 0.0)
-        b41 = params.get("b41", 1.0)
-        names = ["delta1", "delta2"]
-        family = lambda e: casestudy.eq329_weighted(
-            a50=a50, b41=b41, sigma=sigma, delta1=e[0], delta2=e[1]
-        )
-        indices = (3, 5, 7)
-    else:
-        raise ValueError("jacobian needs --family eq325 or eq327")
-    eps0 = np.array([params.get(n, 0.0) for n in names])
-    res = focal.focal_jacobian(family, eps0, indices, K=args.order, integ_tol=args.tol)
+    if not args.family:
+        raise ValueError(f"jacobian needs --family ({'|'.join(casestudy.FAMILIES)})")
+    family, values = _family_values(args)
+    names = list(family.jacobian_params)
+    indices = family.jacobian_indices
+    eps0 = np.array([values[n] for n in names])
+
+    def at(eps):
+        return family.field({**values, **dict(zip(names, eps))})
+
+    res = focal.focal_jacobian(at, eps0, indices, K=args.order, integ_tol=args.tol)
     lines = [
         "focal-value jacobian",
         f"  family      {args.family}",
@@ -470,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol_default=1e-12):
         p.add_argument("--system", help="system description file")
-        p.add_argument("--family", choices=["eq325", "eq327"], help="named parameter family")
+        p.add_argument("--family", choices=sorted(casestudy.FAMILIES), help="named parameter family")
         p.add_argument("--params", help="family parameters, k=v,...")
         p.add_argument("--tol", type=float, default=tol_default, help="integrator tolerance")
         p.add_argument("--out", help="write report text here, plus .json and .csv siblings")

@@ -52,8 +52,8 @@ class WeightedField:
 
     p: int
     q: int
-    lambda1: float = 0.0  # 0.0 sentinel: default to p / q below
-    lambda2: float = 0.0
+    lambda1: float | None = None  # None: default to p / q below
+    lambda2: float | None = None
     x_terms: tuple[Monomial, ...] = ()
     y_terms: tuple[Monomial, ...] = ()
     degree_cap: int = DEFAULT_DEGREE_CAP
@@ -63,8 +63,10 @@ class WeightedField:
             raise ValueError("weights p, q must be positive integers")
         if self.degree_cap < 1:
             raise ValueError("degree_cap must be positive")
-        object.__setattr__(self, "lambda1", self.lambda1 or float(self.p))
-        object.__setattr__(self, "lambda2", self.lambda2 or float(self.q))
+        if self.lambda1 is None:
+            object.__setattr__(self, "lambda1", float(self.p))
+        if self.lambda2 is None:
+            object.__setattr__(self, "lambda2", float(self.q))
         object.__setattr__(self, "x_terms", _dedupe(self.x_terms))
         object.__setattr__(self, "y_terms", _dedupe(self.y_terms))
 
@@ -250,8 +252,8 @@ def parse_system(text: str) -> WeightedField:
     return WeightedField(
         p=p,
         q=q,
-        lambda1=lam1 if lam1 is not None else float(p),
-        lambda2=lam2 if lam2 is not None else float(q),
+        lambda1=lam1,
+        lambda2=lam2,
         x_terms=tuple(x_terms),
         y_terms=tuple(y_terms),
         degree_cap=cap,

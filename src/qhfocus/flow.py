@@ -21,7 +21,7 @@ from . import jets
 from .errors import NoReturnError, StiffnessError
 from .fields import WeightedField
 from .jets import Jet
-from .polar import DENOM_FLOOR, PolarRHS
+from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
 MAX_THETA_SPAN = 4 * np.pi
@@ -38,9 +38,9 @@ def nu1_closed_form(p: int, q: int, theta):
     return (c ** (2 * q) + s ** (2 * p)) ** (-1.0 / (2 * p * q))
 
 
-def _jet_rhs_coeffs(rhs: PolarRHS, K: int, theta: float, nu: Sequence) -> list:
-    """d(nu)/dtheta for the c_1..c_K coefficient vector of the radius jet."""
-    R, Q = rhs.components(np.cos(theta), np.sin(theta))
+def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
+    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients; float or mpf."""
+    R, Q = rhs.components(cos_t, sin_t)
     n = K + 1
     zero = 0 * nu[0]
     r = [zero, *nu]
@@ -85,10 +85,6 @@ class JetTrajectory:
     def nu(self, k: int, theta: float) -> float:
         return float(self._sol(theta)[k - 1])
 
-    def sample(self, thetas) -> np.ndarray:
-        """Rows (theta, nu_1..nu_K); CSV-ready."""
-        return np.column_stack([thetas, np.asarray([self._sol(t) for t in thetas])])
-
 
 def integrate_jet(
     rhs: PolarRHS,
@@ -113,7 +109,7 @@ def integrate_jet(
         raise ValueError(f"initial jet order {y0.size} != requested order {K}")
 
     def f(theta, y):
-        return _jet_rhs_coeffs(rhs, K, theta, y)
+        return _jet_rhs_coeffs(rhs, K, np.cos(theta), np.sin(theta), y)
 
     sol = solve_ivp(
         f,
@@ -180,44 +176,21 @@ def identity_residuals(
     (-1)**q to land on the matching trigonometric signs.
     """
     p, q = rhs.field.p, rhs.field.q
-    r2pi = integrate_scalar(rhs, h, 0.0, 2 * np.pi, tol)
-    rpi = integrate_scalar(rhs, h, 0.0, np.pi, tol)
-    out: dict[str, list[float]] = {"composition": []}
-    for th in theta_samples:
-        lhs = integrate_scalar(rhs, h, 0.0, th + 2 * np.pi, tol)
-        rv = integrate_scalar(rhs, r2pi, 0.0, th, tol)
-        out["composition"].append(abs(lhs - rv))
+
+    def r(h0: float, theta: float) -> float:
+        return integrate_scalar(rhs, h0, 0.0, theta, tol)
+
+    r2pi, rpi = r(h, 2 * np.pi), r(h, np.pi)
+    out = {"composition": [abs(r(h, th + 2 * np.pi) - r(r2pi, th)) for th in theta_samples]}
     if p % 2 == 1 and q % 2 == 1:
-        out["half-turn"] = [
-            abs(
-                -integrate_scalar(rhs, h, 0.0, th + np.pi, tol)
-                - integrate_scalar(rhs, -rpi, 0.0, th, tol)
-            )
-            for th in theta_samples
-        ]
+        out["half-turn"] = [abs(-r(h, th + np.pi) - r(-rpi, th)) for th in theta_samples]
     if p % 2 == 0 and q % 2 == 0:
-        out["oddness"] = [
-            abs(
-                integrate_scalar(rhs, h, 0.0, th, tol)
-                + integrate_scalar(rhs, -h, 0.0, th, tol)
-            )
-            for th in theta_samples
-        ]
+        out["oddness"] = [abs(r(h, th) + r(-h, th)) for th in theta_samples]
     if p % 2 == 1 and q % 2 == 0:
-        out["reflection-pi"] = [
-            abs(
-                -integrate_scalar(rhs, h, 0.0, np.pi - th, tol)
-                - integrate_scalar(rhs, -rpi, 0.0, th, tol)
-            )
-            for th in theta_samples
-        ]
+        out["reflection-pi"] = [abs(-r(h, np.pi - th) - r(-rpi, th)) for th in theta_samples]
     if p % 2 == 0 and q % 2 == 1:
         out["reflection-2pi"] = [
-            abs(
-                -integrate_scalar(rhs, h, 0.0, 2 * np.pi - th, tol)
-                - integrate_scalar(rhs, -r2pi, 0.0, th, tol)
-            )
-            for th in theta_samples
+            abs(-r(h, 2 * np.pi - th) - r(-r2pi, th)) for th in theta_samples
         ]
     return out
 
@@ -310,30 +283,6 @@ def section_return(
     )
 
 
-def orbit_trace(
-    cartesian_field: Callable[[float, float], tuple[float, float]],
-    x0: float,
-    y0: float,
-    t_final: float,
-    n_samples: int = 400,
-    tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Rows (t, x, y) of the Cartesian orbit; CSV-ready."""
-    sol = solve_ivp(
-        lambda t, z: cartesian_field(z[0], z[1]),
-        (0.0, t_final),
-        [x0, y0],
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=tol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StiffnessError(f"Cartesian integration failed: {sol.message}")
-    ts = np.linspace(0.0, t_final, n_samples)
-    return np.column_stack([ts, sol.sol(ts).T])
-
-
 # -- extended precision --------------------------------------------------------
 
 
@@ -359,22 +308,7 @@ def integrate_jet_extended(
         y0 = [mp.mpf(repr(float(c))) for c in init.radius_coeffs]
 
         def f(theta, nu):
-            R, Q = rhs.components(mp.cos(theta), mp.sin(theta))
-            n = K + 1
-            zero = mp.mpf(0)
-            r = [zero, *nu]
-            num = [zero] * n
-            den = [zero] * n
-            rk = [zero] * n
-            rk[0] = mp.mpf(1)
-            for Rk, Qk in zip(R, Q):
-                for i in range(n):
-                    if rk[i]:
-                        num[i] += Rk * rk[i]
-                        den[i] += Qk * rk[i]
-                rk = jets.mul_trunc(rk, r, n)
-            quot = jets.div_trunc(num, den, n)
-            return jets.mul_trunc(r, quot, n)[1:]
+            return _jet_rhs_coeffs(rhs, K, mp.cos(theta), mp.sin(theta), nu)
 
         sol = mp.odefun(f, 0, y0, tol=mp.mpf(10) ** (-(dps - 5)), degree=20)
         return sol(mp.mpf(theta1))

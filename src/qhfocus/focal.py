@@ -9,14 +9,7 @@ import numpy as np
 
 from . import flow
 from .errors import QhfocusError
-from .fields import (
-    Monomial,
-    WeightedField,
-    normalize,
-    reduce_weights,
-    require_valid,
-    validate,
-)
+from .fields import Monomial, WeightedField, normalize, require_valid
 from .jets import Jet
 from .polar import PolarRHS
 
@@ -55,10 +48,6 @@ class FocalReport:
         if self.parity_class == EVEN_SUM:
             return tuple(range(3, K + 1, 2))
         return tuple(range(2, K + 1, 2))
-
-    @property
-    def focal_sequence(self) -> tuple[float, ...]:
-        return tuple(self.nu(k) for k in self.focal_indices)
 
 
 def _prepare(field: WeightedField) -> tuple[PolarRHS, int]:
@@ -173,10 +162,7 @@ def shifted_focal_check(
     net = tuple(
         float(a - b) for a, b in zip(shifted.radius_coeffs[1:], g.radius_coeffs[1:])
     )
-    scale = max(1.0, max((abs(v) for v in net), default=0.0))
-    first = next(
-        (k for k, v in zip(range(2, K + 1), net) if abs(v) > tol * scale), None
-    )
+    first = classify(net, field.p, field.q, zero_tol=tol).first_nonzero_index
     residual = None
     if first is not None and first == standard.first_nonzero_index:
         ref = standard.nu(first)
@@ -296,19 +282,13 @@ def random_field(
                     pool.append((k, j))
         return pool
 
-    x_pool = admissible((2 * p - 1) * q, (0, 2 * p - 1))
-    y_pool = admissible((2 * q - 1) * p, (2 * q - 1, 0))
-    x_terms = [
-        Monomial(k, j, amplitude * rng.uniform(-1, 1))
-        for k, j in (x_pool[i] for i in rng.choice(len(x_pool), size=min(n_terms, len(x_pool)), replace=False))
-    ]
-    y_terms = [
-        Monomial(k, j, amplitude * rng.uniform(-1, 1))
-        for k, j in (y_pool[i] for i in rng.choice(len(y_pool), size=min(n_terms, len(y_pool)), replace=False))
-    ]
-    return WeightedField(
-        p=p, q=q, x_terms=tuple(x_terms), y_terms=tuple(y_terms), degree_cap=cap
-    )
+    def pick(pool) -> tuple[Monomial, ...]:
+        chosen = rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False)
+        return tuple(Monomial(*pool[i], amplitude * rng.uniform(-1, 1)) for i in chosen)
+
+    x_terms = pick(admissible((2 * p - 1) * q, (0, 2 * p - 1)))
+    y_terms = pick(admissible((2 * q - 1) * p, (2 * q - 1, 0)))
+    return WeightedField(p=p, q=q, x_terms=x_terms, y_terms=y_terms, degree_cap=cap)
 
 
 @dataclass

@@ -47,10 +47,6 @@ class Jet:
     coeffs: tuple
 
     @classmethod
-    def from_list(cls, coeffs) -> "Jet":
-        return cls(tuple(coeffs))
-
-    @classmethod
     def radius(cls, radius_coeffs) -> "Jet":
         """Jet with zero constant term from the c_1..c_K list."""
         return cls((0.0,) + tuple(radius_coeffs))
@@ -141,18 +137,3 @@ class Jet:
             acc = acc * h + c
         return acc
 
-
-def jet_add(a: Jet, b: Jet) -> Jet:
-    return a + b
-
-
-def jet_mul(a: Jet, b: Jet) -> Jet:
-    return a * b
-
-
-def jet_div(a: Jet, b: Jet) -> Jet:
-    return a / b
-
-
-def jet_compose(outer: Jet, inner: Jet) -> Jet:
-    return outer.compose(inner)

@@ -28,13 +28,6 @@ def homog_component(field: WeightedField, m: int, theta: float) -> tuple[float, 
     return float(xm), float(ym)
 
 
-def homog_component_xy(field: WeightedField, m: int, x: float, y: float) -> tuple[float, float]:
-    """(X_m, Y_m) at a Cartesian point; used by the scaling-identity tests."""
-    xm = sum(t.c * x**t.k * y**t.j for t in field.x_terms if t.weight(field.p, field.q) == m)
-    ym = sum(t.c * x**t.k * y**t.j for t in field.y_terms if t.weight(field.p, field.q) == m)
-    return float(xm), float(ym)
-
-
 class PolarRHS:
     """Cached polar components of a validated, normalized field."""
 
@@ -77,13 +70,6 @@ class PolarRHS:
             R.append(c * xm + s * ym)
             Q.append(-q * s * xm + p * c * ym)
         return R, Q
-
-    def rq(self, k: int, theta: float) -> tuple[float, float]:
-        """(R_k(theta), Q_k(theta)); zero for k beyond k_max."""
-        if k > self.k_max:
-            return 0.0, 0.0
-        R, Q = self.components(np.cos(theta), np.sin(theta))
-        return float(R[k]), float(Q[k])
 
     def __call__(self, theta: float, r: float) -> float:
         """dr/dtheta at (theta, r)."""
@@ -139,15 +125,6 @@ class PolarRHS:
                 f"radius {r!r} outside the valid polar neighborhood "
                 f"(limit {self.safe_radius()!r})"
             )
-
-
-def rq(field: WeightedField, k: int, theta: float) -> tuple[float, float]:
-    """(R_k, Q_k) for a normalized field; convenience wrapper over PolarRHS."""
-    return PolarRHS(field).rq(k, theta)
-
-
-def polar_rhs(rhs: PolarRHS, theta: float, r: float) -> float:
-    return rhs(theta, r)
 
 
 def rq_table(rhs: PolarRHS, thetas) -> np.ndarray:

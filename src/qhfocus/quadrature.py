@@ -3,8 +3,8 @@
 Two deliberately independent schemes are provided for every task:
 
 * full-period integrals: uniform trapezoidal sums with node doubling
-  (spectrally accurate for smooth periodic integrands) vs. adaptive
-  Gauss-Kronrod (scipy.integrate.quad);
+  (spectrally accurate for smooth periodic integrands) vs. composite
+  Gauss-Legendre panels with panel doubling;
 * cumulative integrals: a Fourier antiderivative built from one FFT of the
   integrand vs. an error-controlled ODE solve of F' = g.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad, solve_ivp
+from scipy.integrate import solve_ivp
 
 from .errors import QuadratureError, StiffnessError
 
@@ -28,6 +28,22 @@ class QuadResult:
     nodes_used: int
 
 
+def _doubling(
+    estimate: Callable[[int], float], n: int, n_max: int, tol: float, what: str
+) -> QuadResult:
+    """Double n until two successive estimates agree to tol (relative above 1)."""
+    prev = None
+    while n <= n_max:
+        val = estimate(n)
+        if prev is not None:
+            err = abs(val - prev)
+            if err <= tol * max(1.0, abs(val)):
+                return QuadResult(val, err, n)
+        prev = val
+        n *= 2
+    raise QuadratureError(f"{what} did not reach tol={tol!r} within {n_max} nodes")
+
+
 def trapezoid_periodic(
     f: Callable[[np.ndarray], np.ndarray],
     tol: float = 1e-12,
@@ -35,20 +51,11 @@ def trapezoid_periodic(
     max_nodes: int = 1 << 20,
 ) -> QuadResult:
     """Integral of f over one full period [0, 2*pi] by trapezoid doubling."""
-    n = n0
-    prev = None
-    while n <= max_nodes:
-        xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
-        val = float(np.mean(f(xs)) * TWO_PI)
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= tol * max(1.0, abs(val)):
-                return QuadResult(val, err, n)
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"trapezoid did not reach tol={tol!r} within {max_nodes} nodes"
-    )
+
+    def estimate(n: int) -> float:
+        return float(np.mean(f(np.linspace(0.0, TWO_PI, n, endpoint=False))) * TWO_PI)
+
+    return _doubling(estimate, n0, max_nodes, tol, "trapezoid")
 
 
 def gauss_panels(
@@ -60,57 +67,19 @@ def gauss_panels(
     nodes_per_panel: int = 20,
     max_panels: int = 4096,
 ) -> QuadResult:
-    """Composite Gauss-Legendre with panel doubling; scheme independent of quad."""
+    """Composite Gauss-Legendre with panel doubling; scheme independent of the trapezoid."""
     xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
-    n = n_panels0
-    prev = None
-    while n <= max_panels:
-        edges = np.linspace(a, b, n + 1)
+
+    def estimate(nodes: int) -> float:
+        edges = np.linspace(a, b, nodes // nodes_per_panel + 1)
         half = np.diff(edges) / 2.0
         mid = (edges[:-1] + edges[1:]) / 2.0
         xs = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         ws = (half[:, None] * wg[None, :]).ravel()
-        val = float(np.dot(ws, f(xs)))
-        if prev is not None:
-            err = abs(val - prev)
-            if err <= tol * max(1.0, abs(val)):
-                return QuadResult(val, err, n * nodes_per_panel)
-        prev = val
-        n *= 2
-    raise QuadratureError(
-        f"Gauss panels did not reach tol={tol!r} within {max_panels} panels"
-    )
+        return float(np.dot(ws, f(xs)))
 
-
-def quad_periodic(
-    f: Callable,
-    a: float = 0.0,
-    b: float = TWO_PI,
-    tol: float = 1e-12,
-) -> QuadResult:
-    """Adaptive integral of a smooth integrand over [a, b].
-
-    The full-period case goes through the spectrally convergent trapezoid
-    rule; partial ranges use adaptive Gauss-Kronrod.
-    """
-    if a == 0.0 and abs(b - TWO_PI) < 1e-15:
-        return trapezoid_periodic(np.vectorize(f) if not _vectorized(f) else f, tol)
-    val, err, info = quad(
-        f, a, b, epsabs=tol, epsrel=tol, limit=500, full_output=True
-    )[:3]
-    if err > 10 * tol * max(1.0, abs(val)):
-        raise QuadratureError(
-            f"adaptive quadrature error {err!r} above tolerance {tol!r}"
-        )
-    return QuadResult(float(val), float(err), int(info["neval"]))
-
-
-def _vectorized(f) -> bool:
-    try:
-        out = f(np.array([0.1, 0.2]))
-    except Exception:
-        return False
-    return np.shape(out) == (2,)
+    m = nodes_per_panel
+    return _doubling(estimate, n_panels0 * m, max_panels * m, tol, "Gauss panels")
 
 
 class FourierAntiderivative:

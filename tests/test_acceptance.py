@@ -18,7 +18,6 @@ from qhfocus import (
     integrate_jet,
     nu1_closed_form,
     parity_survey,
-    quad_periodic,
     return_map,
 )
 from qhfocus.casestudy import (
@@ -35,6 +34,7 @@ from qhfocus.cycles import closure_error
 from qhfocus.flow import identity_residuals, integrate_scalar
 from qhfocus.focal import random_field, structural_center
 from qhfocus.polar import PolarRHS
+from qhfocus.quadrature import trapezoid_periodic
 
 RNG_SEED = 42
 
@@ -91,7 +91,7 @@ def test_criterion_1_quadrature_reproduction():
 
 
 def test_criterion_2_first_focal_value_proportionality():
-    i2 = quad_periodic(g2_integrand, 0.0, 2 * np.pi).value
+    i2 = trapezoid_periodic(g2_integrand).value
     rng = np.random.default_rng(RNG_SEED)
     ratios = []
     while len(ratios) < 5:
@@ -292,8 +292,12 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
     )
     fourth_level_resolved = abs(ext.nu(7)) > 1e-12 and abs(ext.nu(7)) < abs(ext.nu(6))
 
+    stabilities = [c.stability for c in inner.cycles]
+    closures = [closure_error(rhs, c.h_star, 1, tol=1e-13) for c in inner.cycles]
     ok = (
-        len(inner.cycles) >= 1
+        len(inner.cycles) == 3
+        and stabilities == ["unstable", "stable", "unstable"]
+        and max(closures, default=np.inf) <= 1e-8
         and len(outer.cycles) == 2
         and ext_consistent
     )
@@ -301,7 +305,10 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
         10,
         ok,
         f"deltas=({deltas[0]:.2e}, {deltas[1]:.2e}, {deltas[2]:.2e}) realize"
-        f" (-,+,-,+); damped family cycles={len(inner.cycles)} (>=1 inner),"
+        f" (-,+,-,+); damped family cycles={len(inner.cycles)} (=3) at"
+        f" {[round(c.h_star, 4) for c in inner.cycles]}, stability {stabilities}"
+        f" (unstable, stable, unstable), max Cartesian closure={max(closures, default=np.inf):.2e}"
+        f" (<=1e-8),"
         f" outer cycles={len(outer.cycles)} (=2); extended precision (dps=30)"
         f" confirms the outer chain to 1e-10 ({ext_consistent}) and a 4th"
         f" alternation level is {'resolved' if fourth_level_resolved else 'not resolvable'}"

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qhfocus.casestudy import eq325_field
 from qhfocus.cli import main
 
 SYSTEM_31 = """\
@@ -106,3 +107,45 @@ def test_survey_seed_determinism(capsys):
 
 def test_missing_input_source_exits_1(capsys):
     assert main(["analyze"]) == 1
+
+
+def test_unknown_family_parameter_exits_1(capsys):
+    assert main(["analyze", "--family", "eq325", "--params", "eps=5"]) == 1
+    assert "no parameter eps" in capsys.readouterr().err
+
+
+def test_jacobian_eq327_rejects_damping(capsys):
+    code = main(["jacobian", "--family", "eq327", "--params", "delta0=0.01"])
+    assert code == 1
+    assert "linear damping" in capsys.readouterr().err
+
+
+def test_cycles_on_unnormalized_system(tmp_path, capsys):
+    # the criterion-8 field of the eq325 family, written with lambda != (p, q)
+    # so that normalizing the file gives back the family field
+    field = eq325_field(1.22e-08, 2.41e-04)
+    lam1, lam2 = 0.788, 13.92
+    sx, sy = (3 / lam2) ** (1 / 6), (2 / lam1) ** (1 / 4)
+    lines = [f"p 2\nq 3\nlambda1 {lam1!r}\nlambda2 {lam2!r}"]
+    for side, terms, own in (("x", field.x_terms, sx), ("y", field.y_terms, sy)):
+        for t in terms:
+            c = t.c * own / (sx**t.k * sy**t.j * sx * sy)
+            lines.append(f"{side} {t.k} {t.j} {c!r}")
+    path = tmp_path / "scaled.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "cycles.txt"
+    code = main(
+        [
+            "cycles", "--system", str(path),
+            "--h-min", "0.03", "--h-max", "0.45", "--grid", "48",
+            "--noise-floor", "1e-12", "--out", str(out),
+        ]
+    )
+    text = capsys.readouterr().out
+    assert code == 0
+    assert "cycles found   2" in text
+    assert "h* coordinates normalized" in text
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["h_star_coordinates"].startswith("normalized")
+    closures = [float(l.split("closure")[1]) for l in text.splitlines() if "closure" in l]
+    assert len(closures) == 2 and max(closures) <= 1e-8

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qhfocus import Monomial, WeightedField, normalize, parse_system, reduce_weights, validate
 from qhfocus.errors import InvalidFieldError, NormalizationError
@@ -73,6 +74,17 @@ def test_validate_flags_nonpositive_lambda():
     assert any(rule == RULE_POSITIVE_LAMBDA for _, rule in rep.violations)
 
 
+@pytest.mark.parametrize(
+    "line", ["lambda1 0", "lambda1 -0.0", "lambda2 0", "lambda2 -0.0"]
+)
+def test_explicit_zero_lambda_is_kept_and_rejected(line):
+    f = parse_system(f"p 2\nq 3\n{line}\n")
+    assert 0.0 in (f.lambda1, f.lambda2)
+    rep = validate(f)
+    assert not rep.ok
+    assert (None, RULE_POSITIVE_LAMBDA) in rep.violations
+
+
 def test_normalize_sets_leading_coefficients():
     f = field23(lambda1=5.0, lambda2=0.7)
     res = normalize(f)
@@ -117,6 +129,32 @@ def test_parse_format_round_trip():
     f = field23(a50=0.25, b13=-1.5)
     g = parse_system(format_system(f))
     assert g == f
+
+
+MONOMIALS = st.builds(
+    Monomial,
+    st.integers(0, 8),
+    st.integers(0, 8),
+    st.floats(-1e6, 1e6),  # bounded: duplicate (k, j) terms are summed
+)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 5),
+    st.integers(1, 5),
+    st.none() | st.floats(allow_nan=False),
+    st.none() | st.floats(allow_nan=False),
+    st.lists(MONOMIALS, max_size=6),
+    st.lists(MONOMIALS, max_size=6),
+    st.integers(1, 20),
+)
+def test_parse_format_round_trip_property(p, q, lam1, lam2, xs, ys, cap):
+    f = WeightedField(
+        p=p, q=q, lambda1=lam1, lambda2=lam2,
+        x_terms=tuple(xs), y_terms=tuple(ys), degree_cap=cap,
+    )
+    assert parse_system(format_system(f)) == f
 
 
 def test_parse_reports_line_numbers():

@@ -1,60 +1,63 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhfocus import Jet, jet_add, jet_compose, jet_div, jet_mul
+from qhfocus import Jet
 from qhfocus.errors import SingularDivisionError
 from qhfocus.jets import div_trunc, mul_trunc
 
-RNG = np.random.default_rng(7)
+ORDER = 6
+COEFF = st.floats(-2.0, 2.0)
 
 
-def random_jet(order, nonzero_const=False):
-    c = RNG.uniform(-2.0, 2.0, size=order + 1)
-    if nonzero_const and abs(c[0]) < 0.5:
-        c[0] = 1.0 + abs(c[0])
-    return Jet(tuple(c))
+def jets(const=COEFF, order=ORDER):
+    """Jets of the given order with coefficients in [-2, 2]."""
+    return st.tuples(const, *[COEFF] * order).map(Jet)
 
 
-def test_addition_and_multiplication_ring_axioms():
-    for _ in range(25):
-        a, b, c = (random_jet(6) for _ in range(3))
-        assert jet_add(a, b) == jet_add(b, a)
-        # multiplication commutes up to summation order
-        assert np.allclose(jet_mul(a, b).coeffs, jet_mul(b, a).coeffs, atol=1e-13)
-        lhs = jet_mul(a, jet_add(b, c))
-        rhs = jet_add(jet_mul(a, b), jet_mul(a, c))
-        assert np.allclose(lhs.coeffs, rhs.coeffs, atol=1e-13)
-        assert np.allclose(
-            jet_mul(jet_mul(a, b), c).coeffs, jet_mul(a, jet_mul(b, c)).coeffs, atol=1e-12
-        )
+def close(a: Jet, b: Jet, atol: float) -> bool:
+    return np.allclose(a.coeffs, b.coeffs, rtol=0.0, atol=atol)
 
 
-def test_multiplicative_identity_and_neg():
-    one = Jet((1.0,) + (0.0,) * 6)
-    a = random_jet(6)
-    assert jet_mul(a, one) == a
-    assert jet_add(a, -a) == Jet((0.0,) * 7)
+# coefficients of a triple product are sums of at most 28 terms of size <= 8,
+# so rounding stays far below 1e-12
+@settings(deadline=None)
+@given(jets(), jets(), jets())
+def test_addition_and_multiplication_ring_axioms(a, b, c):
+    assert a + b == b + a
+    # multiplication commutes up to summation order
+    assert close(a * b, b * a, 1e-13)
+    assert close(a * (b + c), a * b + a * c, 1e-12)
+    assert close((a * b) * c, a * (b * c), 1e-12)
 
 
-def test_division_inverts_multiplication():
-    for _ in range(25):
-        a = random_jet(6)
-        b = random_jet(6, nonzero_const=True)
-        q = jet_div(jet_mul(a, b), b)
-        assert np.allclose(q.coeffs, a.coeffs, atol=1e-11)
+@settings(deadline=None)
+@given(jets())
+def test_multiplicative_identity_and_neg(a):
+    one = Jet((1.0,) + (0.0,) * ORDER)
+    assert a * one == a
+    assert a + (-a) == Jet((0.0,) * (ORDER + 1))
+
+
+# with |b_0| >= 1 and |b_i| <= 2 the back-substitution amplifies rounding by at
+# most 3**ORDER, which keeps the forward error near 1e-11
+@settings(deadline=None)
+@given(jets(), jets(const=st.floats(1.0, 2.0) | st.floats(-2.0, -1.0)))
+def test_division_inverts_multiplication(a, b):
+    assert close((a * b) / b, a, 1e-10)
 
 
 def test_division_with_valuation_shift():
     # (h**2 + h**3) / (h + h**2) = h
     num = Jet((0.0, 0.0, 1.0, 1.0))
     den = Jet((0.0, 1.0, 1.0, 0.0))
-    q = jet_div(num, den)
+    q = num / den
     assert np.allclose(q.coeffs[:3], (0.0, 1.0, 0.0), atol=1e-14)
 
 
 def test_division_by_zero_series_raises():
     with pytest.raises(SingularDivisionError):
-        jet_div(random_jet(4), Jet((0.0,) * 5))
+        Jet((1.0, 0.5, -0.3, 2.0, 1.0)) / Jet((0.0,) * 5)
 
 
 def test_mul_div_trunc_generic_lists():
@@ -70,23 +73,22 @@ def test_compose_known_example():
     # outer(h) = h + h**2, inner(h) = h + h**3; composition to O(h**3): h + h**2 + h**3
     outer = Jet((0.0, 1.0, 1.0, 0.0))
     inner = Jet((0.0, 1.0, 0.0, 1.0))
-    comp = jet_compose(outer, inner)
+    comp = outer.compose(inner)
     assert np.allclose(comp.coeffs, (0.0, 1.0, 1.0, 1.0), atol=1e-14)
 
 
 def test_compose_requires_constant_free_inner():
     with pytest.raises(ValueError):
-        jet_compose(random_jet(3), Jet((1.0, 1.0, 0.0, 0.0)))
+        Jet((0.5, 1.0, 2.0, -1.0)).compose(Jet((1.0, 1.0, 0.0, 0.0)))
 
 
-def test_compose_matches_numeric_evaluation():
-    for _ in range(10):
-        outer, inner = random_jet(5), random_jet(5)
-        inner = Jet((0.0,) + inner.coeffs[1:])
-        comp = jet_compose(outer, inner)
-        # truncation error is O(h**6), so evaluate well inside the radius
-        h = 1e-3
-        assert comp(h) == pytest.approx(outer(inner(h)), abs=1e-14)
+# the truncation error of the composed series is O(h**(ORDER + 1)), about
+# 1e-18 at h = 1e-3 for coefficients in [-2, 2]
+@settings(deadline=None)
+@given(jets(), jets(const=st.just(0.0)))
+def test_compose_matches_numeric_evaluation(outer, inner):
+    h = 1e-3
+    assert outer.compose(inner)(h) == pytest.approx(outer(inner(h)), abs=1e-14)
 
 
 def test_radius_constructor_prepends_zero():

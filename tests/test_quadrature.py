@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from qhfocus import quad_periodic
 from qhfocus.errors import QuadratureError
 from qhfocus.quadrature import (
     FourierAntiderivative,
@@ -22,13 +21,6 @@ def test_trapezoid_simple_integrals():
 def test_gauss_panels_simple_integrals():
     res = gauss_panels(lambda t: np.cos(t) ** 2, 0.0, TWO_PI)
     assert res.value == pytest.approx(np.pi, abs=1e-13)
-
-
-def test_quad_periodic_full_and_partial_period():
-    full = quad_periodic(lambda t: np.sin(t) ** 2, 0.0, TWO_PI)
-    part = quad_periodic(np.sin, 0.0, np.pi / 2)
-    assert full.value == pytest.approx(np.pi, abs=1e-12)
-    assert part.value == pytest.approx(1.0, abs=1e-12)
 
 
 def test_trapezoid_spectral_convergence():
