@@ -11,7 +11,7 @@ quadrature layer.
 
 from qhfocus.casestudy import compute_reference_constants, reference_constants, verify_322
 
-frozen = reference_constants(frozen=True)
+frozen = reference_constants()
 live = compute_reference_constants(tol=1e-12)
 
 print(f"{'constant':<8} {'frozen':>22} {'recomputed':>22} {'abs diff':>10}")

@@ -32,8 +32,6 @@ from .quadrature import (
     trapezoid_periodic,
 )
 
-TWO_PI = 2 * np.pi
-
 # printed digits of the reference combination for the third focal value
 EQ322_TARGET = 814653.251446
 V6_DENOMINATOR = 412356420000.0
@@ -98,18 +96,18 @@ def b_integrand_factory(f2):
 
 
 @functools.lru_cache(maxsize=None)
-def _f2_fourier(n: int = 2048) -> FourierAntiderivative:
-    return FourierAntiderivative(f2_integrand, n)
+def _f2_fourier() -> FourierAntiderivative:
+    return FourierAntiderivative(f2_integrand, 2048)
 
 
 @functools.lru_cache(maxsize=None)
 def _f2_ode() -> OdeAntiderivative:
-    return OdeAntiderivative(lambda t: float(f2_integrand(t)), TWO_PI, 1e-13)
+    return OdeAntiderivative(lambda t: float(f2_integrand(t)))
 
 
 @functools.lru_cache(maxsize=None)
-def _g2_fourier(n: int = 2048) -> FourierAntiderivative:
-    return FourierAntiderivative(g2_integrand, n)
+def _g2_fourier() -> FourierAntiderivative:
+    return FourierAntiderivative(g2_integrand, 2048)
 
 
 def nested_f2(theta):
@@ -127,7 +125,7 @@ def nested_g2(theta):
 def _ib_cross_checked(tol: float) -> QuadResult:
     """The B integral by two schemes, each paired with a different f2 backend."""
     ib_t = trapezoid_periodic(b_integrand_factory(_f2_fourier()), tol)
-    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), 0.0, TWO_PI, tol)
+    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), tol)
     ib_diff = abs(ib_t.value - ib_g.value) / max(1.0, abs(ib_t.value))
     if ib_diff > 1e-10:
         raise ReproductionError(
@@ -150,13 +148,11 @@ def compute_reference_constants(tol: float = 1e-12) -> dict[str, float]:
 
 
 @functools.lru_cache(maxsize=None)
-def reference_constants(frozen: bool = True) -> dict[str, float]:
-    """Constants from the frozen file; recomputed live when frozen=False."""
-    if frozen:
-        ref = resources.files("qhfocus").joinpath("_reference_constants.json")
-        data = json.loads(ref.read_text())
-        return {k: float(v) for k, v in data["constants"].items()}
-    return compute_reference_constants()
+def reference_constants() -> dict[str, float]:
+    """The four constants as frozen in the package data file."""
+    ref = resources.files("qhfocus").joinpath("_reference_constants.json")
+    data = json.loads(ref.read_text())
+    return {k: float(v) for k, v in data["constants"].items()}
 
 
 # -- Eq-level verification ops -----------------------------------------------------
@@ -212,9 +208,9 @@ def predicted_V(field: WeightedField) -> tuple[float, float, float]:
     return v2, v4, v6
 
 
-def focal_ratio_constants(frozen: bool = True) -> dict[str, float]:
+def focal_ratio_constants() -> dict[str, float]:
     """Positive constants linking (V2, V4, V6) to (nu_2, nu_4, nu_6)."""
-    c = reference_constants(frozen)
+    c = reference_constants()
     combo = PREFACTOR_A * c["IA"] - PREFACTOR_B * c["IB"]
     return {
         "nu2_over_V2": c["I2"] / 60.0,
@@ -238,14 +234,10 @@ def u2_closed_form(theta, field: WeightedField):
     )
 
 
-def verify_u2(
-    theta_samples: Sequence[float],
-    field: WeightedField,
-    integ_tol: float = 1e-12,
-) -> list[float]:
+def verify_u2(theta_samples: Sequence[float], field: WeightedField) -> list[float]:
     """Residual |nu_2/nu_1 - u_2(theta)| at each sample from jet transport."""
     rhs = PolarRHS(field)
-    traj = flow.integrate_jet(rhs, tol=integ_tol, order=3)
+    traj = flow.integrate_jet(rhs, order=3)
     out = []
     for theta in theta_samples:
         jet = traj.at(theta)
@@ -404,19 +396,13 @@ class Thm34Report:
         return abs(self.ratio_over_documented - np.pi) <= 1e-6
 
 
-def verify_thm34(
-    sigma: float,
-    samples: Sequence[tuple[float, float]],
-    a22: float = 0.0,
-    b13: float = 0.0,
-    K: int = 8,
-    integ_tol: float = 1e-13,
-) -> Thm34Report:
+def verify_thm34(sigma: float, samples: Sequence[tuple[float, float]]) -> Thm34Report:
     """Focal values of the undamped Hopf-regularized system across samples.
 
     Checks the first two focal values vanish, the third is proportional to
     (5*a50 + b41)*sigma with a sample-independent ratio, and doubles with
-    sigma; the ratio is reported next to the documented 47/128.
+    sigma; the ratio is reported next to the documented 47/128.  The
+    transport runs at K=8 and tolerance 1e-13 with a22 = b13 = 0.
     """
     if not 0 < sigma <= 0.2:
         raise ValueError("sigma must lie in (0, 0.2]")
@@ -425,17 +411,13 @@ def verify_thm34(
     for a50, b41 in samples:
         if 5 * a50 + b41 == 0:
             raise ValueError("samples need 5*a50 + b41 != 0 for the ratio")
-        rep = focal.focal_values(
-            eq329_weighted(a50, b41, a22, b13, sigma), K=K, integ_tol=integ_tol
-        )
+        rep = focal.focal_values(eq329_weighted(a50, b41, sigma=sigma), K=8, integ_tol=1e-13)
         lam12 = max(lam12, abs(rep.nu(3)), abs(rep.nu(5)))
         ratios.append(rep.nu(7) / ((5 * a50 + b41) * sigma))
     mean = float(np.mean(ratios))
     spread = float((np.max(ratios) - np.min(ratios)) / abs(mean))
     a50, b41 = samples[0]
-    rep2 = focal.focal_values(
-        eq329_weighted(a50, b41, a22, b13, 2 * sigma), K=K, integ_tol=integ_tol
-    )
+    rep2 = focal.focal_values(eq329_weighted(a50, b41, sigma=2 * sigma), K=8, integ_tol=1e-13)
     lin = abs(rep2.nu(7) / (2 * (5 * a50 + b41) * sigma) - ratios[0]) / abs(ratios[0])
     return Thm34Report(
         lambda12_max=lam12,

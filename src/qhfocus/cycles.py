@@ -32,11 +32,6 @@ def _displacement_fn(backend: str, system, tol: float) -> Callable[[float], floa
     raise ValueError(f"unknown backend {backend!r}")
 
 
-def displacement(backend: str, system, h: float, tol: float = flow.DEFAULT_TOL) -> float:
-    """One displacement evaluation Delta(h)."""
-    return _displacement_fn(backend, system, tol)(h)
-
-
 @dataclass(frozen=True)
 class Cycle:
     h_star: float
@@ -57,9 +52,6 @@ class CycleSet:
 
     def __len__(self) -> int:
         return len(self.cycles)
-
-    def scan_array(self) -> np.ndarray:
-        return np.asarray(self.scan)
 
 
 def find_cycles(
@@ -95,6 +87,8 @@ def find_cycles(
         lo, hi, flo = a, b, fa
         while hi - lo > tol * max(1.0, hi):
             mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):  # adjacent floats: tol is below the spacing here
+                break
             fm = delta(mid)
             if fm == 0.0:
                 lo = hi = mid
@@ -141,20 +135,18 @@ def alternation_search(
     box: Sequence[tuple[float, float]],
     gap: float | Sequence[float] = 10.0,
     scan_n: int = 24,
-    fixed_tail: Sequence[float] | None = None,
-    floor: float = 1e-10,
 ) -> np.ndarray:
     """Find a parameter point realizing a sign chain with growing magnitudes.
 
     ``chain_fn`` maps an n-parameter vector to the chain of focal-like values
     (last entries controlled by outer structure).  Parameter i is assumed to
     steer chain entry i while leaving later entries essentially unchanged, so
-    parameters are tuned one at a time from the last down to the first, each
-    scanned geometrically inside its box until its chain entry has the target
-    sign and magnitude at most ``1/gap[i]`` of the next entry.  Passing one
-    gap per entry (never below 10) keeps the displacement roots separated:
-    the roots sit near the successive magnitude ratios, so uniform gaps would
-    let adjacent roots collide.
+    parameters start at zero and are tuned one at a time from the last down to
+    the first, each scanned geometrically inside its box until its chain entry
+    has the target sign and magnitude between 1e-10 and ``1/gap[i]`` of the
+    next entry.  Passing one gap per entry (never below 10) keeps the
+    displacement roots separated: the roots sit near the successive magnitude
+    ratios, so uniform gaps would let adjacent roots collide.
     """
     target_signs = list(target_signs)
     gaps = (
@@ -166,8 +158,7 @@ def alternation_search(
         raise ValueError("need one gap per tunable chain entry")
     if any(g < 10 for g in gaps):
         raise ValueError("magnitude gaps below 10 do not separate cycle roots")
-    n = len(box)
-    eps = np.zeros(n) if fixed_tail is None else np.asarray(fixed_tail, dtype=float)
+    eps = np.zeros(len(box))
     chain = list(chain_fn(eps))
     if len(chain) < len(target_signs):
         raise ValueError("chain shorter than the requested sign pattern")
@@ -192,7 +183,7 @@ def alternation_search(
                     continue
                 if (
                     np.sign(cand[i]) == target_signs[i]
-                    and floor <= abs(cand[i]) <= next_mag / gaps[i]
+                    and 1e-10 <= abs(cand[i]) <= next_mag / gaps[i]
                 ):
                     eps, chain, found = trial, cand, True
                     break

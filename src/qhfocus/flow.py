@@ -19,12 +19,11 @@ from scipy.integrate import solve_ivp
 
 from . import jets
 from .errors import NoReturnError, StiffnessError
-from .fields import WeightedField
+from .fields import WeightedField, normalize
 from .jets import Jet
 from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
-MAX_THETA_SPAN = 4 * np.pi
 
 
 def default_order(p: int, q: int) -> int:
@@ -67,10 +66,8 @@ class IntegratorStats:
 
 @dataclass
 class JetTrajectory:
-    """Dense jet solution nu_1(theta)..nu_K(theta) over [theta0, theta1]."""
+    """Dense jet solution nu_1(theta)..nu_K(theta) over one turn [0, 2*pi]."""
 
-    theta0: float
-    theta1: float
     order: int
     stats: IntegratorStats
     _sol: object
@@ -80,27 +77,29 @@ class JetTrajectory:
 
     @property
     def final(self) -> Jet:
-        return self.at(self.theta1)
+        return self.at(2 * np.pi)
 
     def nu(self, k: int, theta: float) -> float:
         return float(self._sol(theta)[k - 1])
 
 
+def _check_tol(tol: float) -> None:
+    if not (np.isfinite(tol) and tol > 0):
+        raise ValueError(f"integrator tolerance must be positive and finite, got {tol!r}")
+
+
 def integrate_jet(
     rhs: PolarRHS,
-    theta0: float = 0.0,
-    theta1: float = 2 * np.pi,
     init: Jet | None = None,
     tol: float = DEFAULT_TOL,
     order: int | None = None,
 ) -> JetTrajectory:
-    """Transport the radius jet from theta0 to theta1.
+    """Transport the radius jet over one turn, theta from 0 to 2*pi.
 
     ``init`` defaults to the identity jet (nu_1 = 1, nu_k = 0), matching the
     standard initial condition; a shifted series g(h) may be supplied instead.
     """
-    if abs(theta1 - theta0) >= MAX_THETA_SPAN:
-        raise ValueError("theta span must stay below 4*pi")
+    _check_tol(tol)
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
     if init is None:
         init = Jet.identity(K)
@@ -113,7 +112,7 @@ def integrate_jet(
 
     sol = solve_ivp(
         f,
-        (theta0, theta1),
+        (0.0, 2 * np.pi),
         y0,
         method="DOP853",
         rtol=max(tol, 1e-13),
@@ -123,7 +122,7 @@ def integrate_jet(
     if not sol.success:
         raise StiffnessError(f"jet integration failed: {sol.message}")
     stats = IntegratorStats(sol.nfev, len(sol.t) - 1, tol)
-    return JetTrajectory(theta0, theta1, K, stats, sol.sol)
+    return JetTrajectory(K, stats, sol.sol)
 
 
 def integrate_scalar(
@@ -134,8 +133,9 @@ def integrate_scalar(
     tol: float = DEFAULT_TOL,
 ) -> float:
     """r at theta1 for the scalar radius ODE started at (theta0, h)."""
-    if abs(theta1 - theta0) >= MAX_THETA_SPAN:
+    if abs(theta1 - theta0) >= 4 * np.pi:
         raise ValueError("theta span must stay below 4*pi")
+    _check_tol(tol)
     rhs.check_radius(h)
     if theta0 == theta1:
         return h
@@ -206,14 +206,15 @@ class SectionCrossing:
     direction: int
 
 
-def estimate_period(field: WeightedField, h: float, n: int = 256) -> float:
+def estimate_period(field: WeightedField, h: float) -> float:
     """Cartesian period of one polar revolution at radius ~ h via quadrature.
 
     Uses dtheta/dt = r**(2pq-p-q) * sum Q_k r**k / (p cos^2 + q sin^2) along
-    the leading-order orbit r = h * nu_1(theta).
+    the leading-order orbit r = h * nu_1(theta), on 256 angles.
     """
     rhs = PolarRHS(field)
     p, q = field.p, field.q
+    n = 256
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     acc = 0.0
     for theta in thetas:
@@ -229,18 +230,21 @@ def section_return(
     cartesian_field: Callable[[float, float], tuple[float, float]],
     x0: float,
     tol: float = DEFAULT_TOL,
-    t_max: float | None = None,
 ) -> SectionCrossing:
-    """Next same-direction crossing of {y = 0, x > 0} starting from (x0, 0)."""
+    """Next same-direction crossing of {y = 0, x > 0} starting from (x0, 0).
+
+    The time cap is 20 estimated periods for a weighted field, else 1e6.
+    """
     if x0 <= 0:
         raise ValueError("section_return starts on the positive x-axis")
-    if t_max is None:
-        if isinstance(cartesian_field, WeightedField):
-            t_max = 20.0 * estimate_period(
-                cartesian_field, x0 ** (1.0 / cartesian_field.p)
-            )
-        else:
-            t_max = 1e6
+    _check_tol(tol)
+    if isinstance(cartesian_field, WeightedField):
+        # the period is estimated in normalized coordinates and mapped back
+        n = normalize(cartesian_field)
+        h = (x0 / n.scale_x) ** (1.0 / cartesian_field.p)
+        t_max = 20.0 * n.time_scale * estimate_period(n.field, h)
+    else:
+        t_max = 1e6
     _, v0 = cartesian_field(x0, 0.0)
     if v0 == 0.0:
         raise NoReturnError("orbit starts at an equilibrium of the section")
@@ -289,23 +293,21 @@ def section_return(
 def integrate_jet_extended(
     rhs: PolarRHS,
     theta1: float = 2 * np.pi,
-    init: Jet | None = None,
     order: int | None = None,
     dps: int = 30,
 ):
     """Jet transport in arbitrary precision (mpmath Taylor method).
 
-    Returns the list [nu_1(theta1), ..., nu_K(theta1)] as mpf numbers.
+    Starts from the identity jet and returns the list
+    [nu_1(theta1), ..., nu_K(theta1)] as mpf numbers.
     Roughly three orders of magnitude slower than the double-precision path;
     meant for hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp
 
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    if init is None:
-        init = Jet.identity(K)
     with mp.workdps(dps):
-        y0 = [mp.mpf(repr(float(c))) for c in init.radius_coeffs]
+        y0 = [mp.mpf(1)] + [mp.mpf(0)] * (K - 1)
 
         def f(theta, nu):
             return _jet_rhs_coeffs(rhs, K, mp.cos(theta), mp.sin(theta), nu)

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import flow
 from .errors import QhfocusError
-from .fields import Monomial, WeightedField, normalize, require_valid
+from .fields import Monomial, WeightedField, normalize, reduce_weights, require_valid
 from .jets import Jet
 from .polar import PolarRHS
 
@@ -142,8 +142,6 @@ def shifted_focal_check(
     field: WeightedField,
     g: Jet,
     K: int | None = None,
-    tol: float = DEFAULT_ZERO_TOL,
-    integ_tol: float = flow.DEFAULT_TOL,
 ) -> ShiftedCheck:
     """Integrate with initial series g(h) = h + c_2 h^2 + ... and compare.
 
@@ -157,12 +155,12 @@ def shifted_focal_check(
     K = K if K is not None else flow.default_order(field.p, field.q)
     if g.order != K:
         g = Jet.radius((g.coeffs[1:] + (0.0,) * K)[:K])
-    standard = focal_values(field, K=K, tol=tol, integ_tol=integ_tol)
-    shifted = flow.integrate_jet(rhs, init=g, tol=integ_tol, order=K).final
+    standard = focal_values(field, K=K)
+    shifted = flow.integrate_jet(rhs, init=g, order=K).final
     net = tuple(
         float(a - b) for a, b in zip(shifted.radius_coeffs[1:], g.radius_coeffs[1:])
     )
-    first = classify(net, field.p, field.q, zero_tol=tol).first_nonzero_index
+    first = classify(net, field.p, field.q).first_nonzero_index
     residual = None
     if first is not None and first == standard.first_nonzero_index:
         ref = standard.nu(first)
@@ -187,10 +185,12 @@ def focal_jacobian(
     eps0: Sequence[float],
     indices: Sequence[int],
     K: int | None = None,
-    step: float | None = None,
     integ_tol: float = flow.DEFAULT_TOL,
 ) -> JacobianResult:
-    """Central-difference Jacobian of nu_k(2*pi, eps) at eps0."""
+    """Central-difference Jacobian of nu_k(2*pi, eps) at eps0.
+
+    The step for parameter i is 1e-5 * max(1, |eps0[i]|).
+    """
     eps0 = np.asarray(eps0, dtype=float)
     indices = tuple(indices)
     Kmin = max(indices)
@@ -202,7 +202,7 @@ def focal_jacobian(
 
     cols = []
     for i in range(eps0.size):
-        h = step if step is not None else 1e-5 * max(1.0, abs(eps0[i]))
+        h = 1e-5 * max(1.0, abs(eps0[i]))
         e = np.zeros_like(eps0)
         e[i] = h
         cols.append((values_at(eps0 + e) - values_at(eps0 - e)) / (2 * h))
@@ -221,25 +221,26 @@ def focal_jacobian(
 # -- structural center certificates ---------------------------------------------
 
 
-def is_hamiltonian(field: WeightedField, tol: float = 1e-13) -> bool:
-    """True when div F vanishes coefficientwise (exact-Hamiltonian test)."""
+def is_hamiltonian(field: WeightedField) -> bool:
+    """True when div F vanishes coefficientwise, to 1e-13 of the largest coefficient."""
     scale = max(
         [abs(t.c) for t in field.x_terms + field.y_terms] or [1.0]
     )
-    return all(abs(c) <= tol * scale for c in field.divergence_terms().values())
+    return all(abs(c) <= 1e-13 * scale for c in field.divergence_terms().values())
 
 
-def reversibility(field: WeightedField, tol: float = 1e-13) -> dict[str, bool]:
+def reversibility(field: WeightedField) -> dict[str, bool]:
     """Time-reversal symmetries across the two axes.
 
     x-axis: (x, y, t) -> (x, -y, -t) invariance needs X odd and Y even in y;
     y-axis: (x, y, t) -> (-x, y, -t) invariance needs X even and Y odd in x.
-    The leading part satisfies both.
+    The leading part satisfies both.  A coefficient counts as zero below 1e-13
+    of the largest one.
     """
     scale = max([abs(t.c) for t in field.x_terms + field.y_terms] or [1.0])
 
     def small(c):
-        return abs(c) <= tol * scale
+        return abs(c) <= 1e-13 * scale
 
     x_axis = all(small(t.c) for t in field.x_terms if t.j % 2 == 0) and all(
         small(t.c) for t in field.y_terms if t.j % 2 == 1
@@ -261,16 +262,13 @@ def structural_center(field: WeightedField) -> dict[str, bool]:
 # -- random fields and parity surveys --------------------------------------------
 
 
-def random_field(
-    p: int,
-    q: int,
-    rng: np.random.Generator,
-    n_terms: int = 3,
-    max_extra_weight: int | None = None,
-    amplitude: float = 1.0,
-) -> WeightedField:
-    """A random valid field: leading part plus a few admissible monomials."""
-    max_extra = max_extra_weight if max_extra_weight is not None else max(p, q) + 2
+def random_field(p: int, q: int, rng: np.random.Generator) -> WeightedField:
+    """A random valid field: leading part plus three admissible monomials per side.
+
+    Each monomial has weight at most max(p, q) + 2 above its leading term and a
+    coefficient uniform in [-1, 1].
+    """
+    max_extra = max(p, q) + 2
     cap = (2 * p - 1) + (2 * q - 1) + 4
 
     def admissible(lead_weight: int, forbidden: tuple[int, int]):
@@ -283,8 +281,8 @@ def random_field(
         return pool
 
     def pick(pool) -> tuple[Monomial, ...]:
-        chosen = rng.choice(len(pool), size=min(n_terms, len(pool)), replace=False)
-        return tuple(Monomial(*pool[i], amplitude * rng.uniform(-1, 1)) for i in chosen)
+        chosen = rng.choice(len(pool), size=min(3, len(pool)), replace=False)
+        return tuple(Monomial(*pool[i], rng.uniform(-1, 1)) for i in chosen)
 
     x_terms = pick(admissible((2 * p - 1) * q, (0, 2 * p - 1)))
     y_terms = pick(admissible((2 * q - 1) * p, (2 * q - 1, 0)))
@@ -311,9 +309,7 @@ def parity_survey(
     p: int,
     q: int,
     n_samples: int = 20,
-    K: int | None = None,
     seed: int = 42,
-    tol: float = DEFAULT_ZERO_TOL,
     integ_tol: float = flow.DEFAULT_TOL,
 ) -> SurveyResult:
     """First-nonzero-index distribution over random fields at weights (p, q).
@@ -321,16 +317,15 @@ def parity_survey(
     Non-coprime weights are reduced first; sampling happens at the reduced
     weights, where the parity theorems speak.
     """
-    d = math.gcd(p, q)
-    p, q = p // d, q // d
-    K = K if K is not None else flow.default_order(p, q)
+    reduced, d = reduce_weights(WeightedField(p=p, q=q))
+    p, q = reduced.p, reduced.q
     rng = np.random.default_rng(seed)
     res = SurveyResult(p, q, d, n_samples, 0, 0)
     want_odd = (p + q) % 2 == 0
     for _ in range(n_samples):
         f = random_field(p, q, rng)
         try:
-            rep = focal_values(f, K=K, tol=tol, integ_tol=integ_tol)
+            rep = focal_values(f, integ_tol=integ_tol)
         except QhfocusError:
             res.n_skipped += 1
             continue

@@ -17,17 +17,6 @@ from .fields import Monomial, WeightedField, require_valid
 DENOM_FLOOR = 1e-12
 
 
-def homog_component(field: WeightedField, m: int, theta: float) -> tuple[float, float]:
-    """(X_m, Y_m) evaluated at (cos theta, sin theta).
-
-    Only the perturbation terms contribute; the leading part is kept separate.
-    """
-    c, s = np.cos(theta), np.sin(theta)
-    xm = sum(t.c * c**t.k * s**t.j for t in field.x_terms if t.weight(field.p, field.q) == m)
-    ym = sum(t.c * c**t.k * s**t.j for t in field.y_terms if t.weight(field.p, field.q) == m)
-    return float(xm), float(ym)
-
-
 class PolarRHS:
     """Cached polar components of a validated, normalized field."""
 
@@ -88,16 +77,16 @@ class PolarRHS:
 
     # -- validity neighborhood ------------------------------------------------
 
-    def safe_radius(self, n_theta: int = 720) -> float:
+    def safe_radius(self) -> float:
         """Half the smallest positive radius where the denominator could vanish.
 
         Infinite when the denominator polynomial has no positive real root on
-        the theta grid.
+        a grid of 720 angles.
         """
         if self._safe_radius is not None:
             return self._safe_radius
         best = np.inf
-        for theta in np.linspace(0.0, 2 * np.pi, n_theta, endpoint=False):
+        for theta in np.linspace(0.0, 2 * np.pi, 720, endpoint=False):
             R, Q = self.components(np.cos(theta), np.sin(theta))
             coeffs = np.array(Q[::-1], dtype=float)  # highest power first
             # negligible high-order coefficients poison the companion matrix

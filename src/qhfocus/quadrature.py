@@ -44,42 +44,29 @@ def _doubling(
     raise QuadratureError(f"{what} did not reach tol={tol!r} within {n_max} nodes")
 
 
-def trapezoid_periodic(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-12,
-    n0: int = 32,
-    max_nodes: int = 1 << 20,
-) -> QuadResult:
+def trapezoid_periodic(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> QuadResult:
     """Integral of f over one full period [0, 2*pi] by trapezoid doubling."""
 
     def estimate(n: int) -> float:
         return float(np.mean(f(np.linspace(0.0, TWO_PI, n, endpoint=False))) * TWO_PI)
 
-    return _doubling(estimate, n0, max_nodes, tol, "trapezoid")
+    return _doubling(estimate, 32, 1 << 20, tol, "trapezoid")
 
 
-def gauss_panels(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
-    tol: float = 1e-12,
-    n_panels0: int = 8,
-    nodes_per_panel: int = 20,
-    max_panels: int = 4096,
-) -> QuadResult:
-    """Composite Gauss-Legendre with panel doubling; scheme independent of the trapezoid."""
-    xg, wg = np.polynomial.legendre.leggauss(nodes_per_panel)
+def gauss_panels(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> QuadResult:
+    """Integral of f over [0, 2*pi] by 20-node Gauss-Legendre panels, 8 to 4096 of them."""
+    m = 20
+    xg, wg = np.polynomial.legendre.leggauss(m)
 
     def estimate(nodes: int) -> float:
-        edges = np.linspace(a, b, nodes // nodes_per_panel + 1)
+        edges = np.linspace(0.0, TWO_PI, nodes // m + 1)
         half = np.diff(edges) / 2.0
         mid = (edges[:-1] + edges[1:]) / 2.0
         xs = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         ws = (half[:, None] * wg[None, :]).ravel()
         return float(np.dot(ws, f(xs)))
 
-    m = nodes_per_panel
-    return _doubling(estimate, n_panels0 * m, max_panels * m, tol, "Gauss panels")
+    return _doubling(estimate, 8 * m, 4096 * m, tol, "Gauss panels")
 
 
 class FourierAntiderivative:
@@ -108,27 +95,21 @@ class FourierAntiderivative:
 
 
 class OdeAntiderivative:
-    """F(theta) = int_0^theta g by an error-controlled ODE solve with dense output."""
+    """F(theta) = int_0^theta g on [0, 2*pi] by a DOP853 solve at tolerance 1e-13."""
 
-    def __init__(
-        self,
-        g: Callable[[float], float],
-        theta_max: float = TWO_PI,
-        tol: float = 1e-13,
-    ):
+    def __init__(self, g: Callable[[float], float]):
         sol = solve_ivp(
             lambda t, y: [g(t)],
-            (0.0, theta_max),
+            (0.0, TWO_PI),
             [0.0],
             method="DOP853",
-            rtol=max(tol, 1e-13),
-            atol=tol,
+            rtol=1e-13,
+            atol=1e-13,
             dense_output=True,
         )
         if not sol.success:
             raise StiffnessError(f"antiderivative solve failed: {sol.message}")
         self._sol = sol.sol
-        self.theta_max = theta_max
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
@@ -136,16 +117,12 @@ class OdeAntiderivative:
         return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 
-def cross_checked(
-    f: Callable[[np.ndarray], np.ndarray],
-    tol: float = 1e-12,
-    agreement: float = 1e-10,
-) -> QuadResult:
-    """Full-period integral by two independent schemes; raises on disagreement."""
+def cross_checked(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> QuadResult:
+    """Full-period integral by two independent schemes; raises on a relative gap above 1e-10."""
     t = trapezoid_periodic(f, tol)
-    g = gauss_panels(f, 0.0, TWO_PI, tol)
+    g = gauss_panels(f, tol)
     diff = abs(t.value - g.value) / max(1.0, abs(t.value))
-    if diff > agreement:
+    if diff > 1e-10:
         raise QuadratureError(
             f"independent schemes disagree: {t.value!r} vs {g.value!r}"
         )

@@ -15,8 +15,6 @@ from qhfocus import (
     alternation_search,
     find_cycles,
     focal_values,
-    integrate_jet,
-    nu1_closed_form,
     parity_survey,
     return_map,
 )
@@ -31,7 +29,7 @@ from qhfocus.casestudy import (
     verify_thm34,
 )
 from qhfocus.cycles import closure_error
-from qhfocus.flow import identity_residuals, integrate_scalar
+from qhfocus.flow import identity_residuals, integrate_jet, integrate_scalar, nu1_closed_form
 from qhfocus.focal import random_field, structural_center
 from qhfocus.polar import PolarRHS
 from qhfocus.quadrature import trapezoid_periodic

@@ -6,7 +6,7 @@ from qhfocus import casestudy, focal_values
 
 def test_frozen_constants_match_fresh_computation():
     fresh = casestudy.compute_reference_constants(tol=1e-12)
-    frozen = casestudy.reference_constants(frozen=True)
+    frozen = casestudy.reference_constants()
     for key, value in frozen.items():
         assert fresh[key] == pytest.approx(value, rel=1e-12)
 

@@ -1,9 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
 from qhfocus.casestudy import eq325_field
 from qhfocus.cli import main
+from qhfocus.fields import load_system, normalize
+from qhfocus.polar import PolarRHS, rq_table
 
 SYSTEM_31 = """\
 # 2:3 weighted system
@@ -149,3 +152,21 @@ def test_cycles_on_unnormalized_system(tmp_path, capsys):
     assert doc["h_star_coordinates"].startswith("normalized")
     closures = [float(l.split("closure")[1]) for l in text.splitlines() if "closure" in l]
     assert len(closures) == 2 and max(closures) <= 1e-8
+
+
+def test_analyze_zero_tolerance_exits_1(system_file, capsys):
+    assert main(["analyze", "--system", str(system_file), "--tol", "0"]) == 1
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
+def test_analyze_rq_table_on_unnormalized_system(tmp_path, capsys):
+    path = tmp_path / "scaled.txt"
+    path.write_text(SYSTEM_31 + "lambda1 0.5\nlambda2 7.0\n", encoding="utf-8")
+    table = tmp_path / "rq.csv"
+    code = main(["analyze", "--system", str(path), "--rq-table", str(table)])
+    assert code == 0
+    assert "R/Q table of the normalized field" in capsys.readouterr().out
+    rows = np.loadtxt(table, delimiter=",")
+    assert rows.shape[0] == 181
+    expected = rq_table(PolarRHS(normalize(load_system(path)).field), rows[:, 0])
+    assert rows == pytest.approx(expected, rel=1e-15)

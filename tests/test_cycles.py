@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qhfocus import alternation_search, displacement, find_cycles
-from qhfocus.casestudy import eq325_field, field23
+from qhfocus import alternation_search, find_cycles
+from qhfocus.casestudy import eq329_cartesian, field23
+from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError
+from qhfocus.flow import section_return
 
 
 def test_center_yields_no_cycles():
@@ -36,15 +38,35 @@ def test_displacement_sign_flips_across_cycle():
         -y + 0.01 * x - x * (x * x + y * y),
         x + 0.01 * y - y * (x * x + y * y),
     )
-    inner = displacement("cartesian", rhs, 0.05, tol=1e-12)
-    outer = displacement("cartesian", rhs, 0.3, tol=1e-12)
+    inner = section_return(rhs, 0.05, tol=1e-12).x - 0.05
+    outer = section_return(rhs, 0.3, tol=1e-12).x - 0.3
     assert inner > 0 > outer
 
 
 def test_cycle_scan_is_recorded():
     f = field23(0.5, 1.0, -0.3, 1.0)
     result = find_cycles("polar", f, 0.05, 0.2, grid_n=16, tol=1e-12)
-    assert result.scan_array().shape == (16, 2)
+    assert np.shape(result.scan) == (16, 2)
+    assert [h for h, _ in result.scan] == pytest.approx(np.geomspace(0.05, 0.2, 16))
+
+
+def test_bisection_stops_at_float_spacing():
+    # tol * max(1, hi) = 1e-17 lies below the float spacing near the damped
+    # cycle at x ~ 0.1009, so bisection must stop on adjacent floats
+    damped = eq329_cartesian(
+        a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
+    )
+    result = find_cycles("cartesian", damped, 0.09, 0.11, grid_n=16, tol=1e-17)
+    assert len(result.cycles) == 1
+    assert result.cycles[0].h_star == pytest.approx(0.10086, abs=1e-4)
+
+
+def test_closure_error_on_unnormalized_center(unnormalized):
+    # a Hamiltonian center closes at every amplitude, in any coordinates
+    b41, b13 = 1.0, 0.4
+    center = unnormalized(field23(a22=-1.5 * b13, a50=-b41 / 5, b13=b13, b41=b41), 0.788, 13.92)
+    for h in (0.1, 0.3):
+        assert closure_error(center, h, center.p) <= 1e-10
 
 
 def test_alternation_search_realizes_sign_chain():

@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhfocus import Monomial, WeightedField, normalize, parse_system, reduce_weights, validate
+from qhfocus import Monomial, WeightedField
 from qhfocus.errors import InvalidFieldError, NormalizationError
 from qhfocus.fields import (
     RULE_LEADING_DEGENERACY,
@@ -11,6 +11,10 @@ from qhfocus.fields import (
     RULE_WEIGHT_BOUND,
     format_system,
     load_system,
+    normalize,
+    parse_system,
+    reduce_weights,
+    validate,
 )
 
 

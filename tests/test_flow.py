@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField, integrate_jet, nu1_closed_form, return_map
+from qhfocus import Monomial, WeightedField, return_map
 from qhfocus.errors import NoReturnError
+from qhfocus.fields import normalize
 from qhfocus.flow import (
     default_order,
     estimate_period,
     identity_residuals,
+    integrate_jet,
     integrate_scalar,
+    nu1_closed_form,
     section_return,
 )
 from qhfocus.polar import PolarRHS
@@ -118,3 +121,25 @@ def test_estimate_period_scales_with_amplitude():
     t2 = estimate_period(f, 0.2)
     # dtheta/dt ~ r**(2pq - p - q) so halving h multiplies the period by 2**7
     assert t1 / t2 == pytest.approx(2.0**7, rel=0.05)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
+def test_nonpositive_tolerance_rejected(tol):
+    # tol=0 used to hang the scalar and jet solves instead of failing
+    rhs = PolarRHS(field23())
+    with pytest.raises(ValueError, match="tolerance"):
+        return_map(rhs, 0.1, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        integrate_jet(rhs, tol=tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        section_return(field23(), 0.01, tol=tol)
+
+
+def test_section_return_unnormalized_field(unnormalized):
+    f = unnormalized(field23(), 0.788, 13.92)
+    n = normalize(f)
+    x0 = 0.3**2 * n.scale_x
+    crossing = section_return(f, x0, tol=1e-12)
+    # the same orbit in normalized coordinates, mapped back through scale_x
+    ref = section_return(n.field, x0 / n.scale_x, tol=1e-12)
+    assert crossing.x == pytest.approx(ref.x * n.scale_x, rel=1e-10)

@@ -1,18 +1,20 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qhfocus import (
-    Jet,
-    Monomial,
-    WeightedField,
+from qhfocus import focal_values, parity_survey
+from qhfocus.casestudy import eq325_field, field23
+from qhfocus.errors import QhfocusError
+from qhfocus.fields import validate
+from qhfocus.focal import (
     focal_jacobian,
-    focal_values,
-    parity_survey,
+    is_hamiltonian,
+    random_field,
+    reversibility,
     shifted_focal_check,
     structural_center,
 )
-from qhfocus.casestudy import eq325_field, field23
-from qhfocus.focal import is_hamiltonian, random_field, reversibility
+from qhfocus.jets import Jet
 
 
 def test_first_focal_value_sign_tracks_v2():
@@ -76,8 +78,6 @@ def test_random_field_admissibility():
     rng = np.random.default_rng(3)
     for p, q in ((1, 2), (2, 3)):
         f = random_field(p, q, rng)
-        from qhfocus import validate
-
         assert validate(f).ok
 
 
@@ -92,6 +92,34 @@ def test_parity_survey_reduces_weights():
     res = parity_survey(2, 4, n_samples=4, seed=5)
     assert (res.p, res.q) == (1, 2)
     assert res.weight_gcd == 2
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3), (3, 4)])
+@settings(max_examples=3, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    lam1=st.floats(0.1, 10.0),
+    lam2=st.floats(0.1, 10.0),
+)
+def test_focal_values_invariant_under_rescaling(p, q, seed, lam1, lam2, unnormalized):
+    field = random_field(p, q, np.random.default_rng(seed))
+    scaled = unnormalized(field, lam1, lam2)
+    try:
+        ref = focal_values(field)
+    except QhfocusError:
+        with pytest.raises(QhfocusError):
+            focal_values(scaled)
+        return
+    rep = focal_values(scaled)
+    # normalize(scaled) equals field up to a few ulps per coefficient, so the
+    # two runs differ by at most their integration errors: the local tolerance
+    # 1e-12 summed over the ~100 accepted steps of one turn (measured: 1e-14)
+    for a, b in zip(ref.values, rep.values):
+        assert b == pytest.approx(a, rel=1e-10, abs=1e-10)
+    first = ref.first_nonzero_index
+    if first is not None and abs(ref.nu(first)) > 10 * ref.zero_tol:
+        assert rep.first_nonzero_index == first
+        assert np.sign(rep.nu(first)) == np.sign(ref.nu(first))
 
 
 def test_extended_precision_agrees_with_double():

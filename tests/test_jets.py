@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qhfocus import Jet
 from qhfocus.errors import SingularDivisionError
-from qhfocus.jets import div_trunc, mul_trunc
+from qhfocus.jets import Jet, div_trunc, mul_trunc
 
 ORDER = 6
 COEFF = st.floats(-2.0, 2.0)

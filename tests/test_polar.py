@@ -3,7 +3,7 @@ import pytest
 
 from qhfocus import Monomial, WeightedField
 from qhfocus.errors import InvalidFieldError
-from qhfocus.polar import PolarRHS, homog_component, rq_table
+from qhfocus.polar import PolarRHS, rq_table
 
 
 def field23(a50=1.0, a22=0.5, b41=1.0, b13=-0.3):
@@ -47,25 +47,6 @@ def test_perturbation_enters_higher_orders_only():
     assert R[0] == pytest.approx(R0[0], abs=1e-15)
     assert Q[0] == pytest.approx(Q0[0], abs=1e-15)
     assert any(abs(v) > 0 for v in R[1:])
-
-
-def test_homog_component_reassembles_field():
-    f = field23()
-    theta = 1.3
-    c, s = np.cos(theta), np.sin(theta)
-    # summing r**m X_m over all weights must reproduce X at a Cartesian point
-    r = 0.8
-    x, y = r**2 * c, r**3 * s
-    u, v = f(x, y)
-    weights = range(9, 16)
-    u_sum = -2.0 * (s * r**3) ** 3
-    v_sum = 3.0 * (c * r**2) ** 5
-    for m in weights:
-        xm, ym = homog_component(f, m, theta)
-        u_sum += r**m * xm
-        v_sum += r**m * ym
-    assert u_sum == pytest.approx(u, rel=1e-12)
-    assert v_sum == pytest.approx(v, rel=1e-12)
 
 
 def test_polar_rhs_matches_cartesian_flow_direction():
