@@ -240,8 +240,7 @@ def verify_u2(theta_samples: Sequence[float], field: WeightedField) -> list[floa
     traj = flow.integrate_jet(rhs, order=3)
     out = []
     for theta in theta_samples:
-        jet = traj.at(theta)
-        nu1, nu2 = jet[1], jet[2]
+        nu1, nu2 = traj.at(theta)[:2]
         out.append(abs(nu2 / nu1 - float(u2_closed_form(theta, field))))
     return out
 

@@ -93,7 +93,7 @@ def cmd_analyze(args) -> int:
         "focal analysis",
         f"  weights           p={field.p} q={field.q} (gcd {report.weight_gcd})",
         f"  jet order         K={report.order}",
-        f"  integrator tol    {args.tol:g}",
+        f"  integrator tol    {report.integ_tol:g}",
         f"  zero tol          {args.zero_tol:g}",
         f"  parity class      {report.parity_class}",
         f"  verdict           {report.verdict}",
@@ -101,12 +101,12 @@ def cmd_analyze(args) -> int:
         f"  focus order       {report.focus_order}",
     ]
     for k in range(2, report.order + 1):
-        lines.append(f"  nu_{k:<2d} = {report.nu(k):+.15e}  (tol {args.tol:g})")
+        lines.append(f"  nu_{k:<2d} = {report.nu(k):+.15e}  (tol {report.integ_tol:g})")
     lines.append(f"  hamiltonian       {struct['hamiltonian']}")
     lines.append(f"  x-axis reversible {struct['x-axis']}")
     lines.append(f"  y-axis reversible {struct['y-axis']}")
     rows = [["k", "nu_k", "tol"]]
-    rows += [[k, report.nu(k), args.tol] for k in range(2, report.order + 1)]
+    rows += [[k, report.nu(k), report.integ_tol] for k in range(2, report.order + 1)]
     if args.rq_table:
         table = rq_table(PolarRHS(normalize(field).field), np.linspace(0.0, 2 * np.pi, 181))
         with Path(args.rq_table).open("w", newline="", encoding="utf-8") as fh:
@@ -117,7 +117,7 @@ def cmd_analyze(args) -> int:
         "p": field.p,
         "q": field.q,
         "order": report.order,
-        "tol": args.tol,
+        "tol": report.integ_tol,
         "zero_tol": args.zero_tol,
         "precision": args.precision,
         "parity_class": report.parity_class,

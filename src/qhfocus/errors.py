@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the tolerance check shared across the package."""
+import math
+
+
+def check_tol(tol: float) -> None:
+    """Reject a solver or quadrature tolerance that is not positive and finite."""
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
 
 
 class QhfocusError(Exception):

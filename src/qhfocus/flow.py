@@ -18,9 +18,8 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import jets
-from .errors import NoReturnError, StiffnessError
+from .errors import NoReturnError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
-from .jets import Jet
 from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
@@ -72,55 +71,45 @@ class JetTrajectory:
     stats: IntegratorStats
     _sol: object
 
-    def at(self, theta: float) -> Jet:
-        return Jet.radius(self._sol(theta))
+    def at(self, theta: float) -> np.ndarray:
+        """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)]."""
+        return self._sol(theta)
 
     @property
-    def final(self) -> Jet:
+    def final(self) -> np.ndarray:
         return self.at(2 * np.pi)
 
-    def nu(self, k: int, theta: float) -> float:
-        return float(self._sol(theta)[k - 1])
 
-
-def _check_tol(tol: float) -> None:
-    if not (np.isfinite(tol) and tol > 0):
-        raise ValueError(f"integrator tolerance must be positive and finite, got {tol!r}")
+def _dop853(fun, span, y0, tol: float, atol: float, what: str, **options):
+    """One DOP853 solve at rtol = max(tol, 1e-13); a failed solve raises StiffnessError."""
+    sol = solve_ivp(fun, span, y0, method="DOP853", rtol=max(tol, 1e-13), atol=atol, **options)
+    if not sol.success:
+        raise StiffnessError(f"{what} failed: {sol.message}")
+    return sol
 
 
 def integrate_jet(
     rhs: PolarRHS,
-    init: Jet | None = None,
+    init: Sequence[float] | None = None,
     tol: float = DEFAULT_TOL,
     order: int | None = None,
 ) -> JetTrajectory:
     """Transport the radius jet over one turn, theta from 0 to 2*pi.
 
-    ``init`` defaults to the identity jet (nu_1 = 1, nu_k = 0), matching the
-    standard initial condition; a shifted series g(h) may be supplied instead.
+    ``init`` holds the initial coefficients c_1..c_K and defaults to the
+    identity jet (nu_1 = 1, nu_k = 0), matching the standard initial
+    condition; a shifted series g(h) may be supplied instead.
     """
-    _check_tol(tol)
+    check_tol(tol)
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    if init is None:
-        init = Jet.identity(K)
-    y0 = np.asarray(init.radius_coeffs, dtype=float)
+    y0 = np.asarray(init if init is not None else [1.0] + [0.0] * (K - 1), dtype=float)
     if y0.size != K:
         raise ValueError(f"initial jet order {y0.size} != requested order {K}")
 
     def f(theta, y):
         return _jet_rhs_coeffs(rhs, K, np.cos(theta), np.sin(theta), y)
 
-    sol = solve_ivp(
-        f,
-        (0.0, 2 * np.pi),
-        y0,
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=tol,
-        dense_output=True,
-    )
-    if not sol.success:
-        raise StiffnessError(f"jet integration failed: {sol.message}")
+    sol = _dop853(f, (0.0, 2 * np.pi), y0, tol, tol, "jet integration", dense_output=True)
     stats = IntegratorStats(sol.nfev, len(sol.t) - 1, tol)
     return JetTrajectory(K, stats, sol.sol)
 
@@ -135,20 +124,13 @@ def integrate_scalar(
     """r at theta1 for the scalar radius ODE started at (theta0, h)."""
     if abs(theta1 - theta0) >= 4 * np.pi:
         raise ValueError("theta span must stay below 4*pi")
-    _check_tol(tol)
+    check_tol(tol)
     rhs.check_radius(h)
     if theta0 == theta1:
         return h
-    sol = solve_ivp(
-        lambda t, y: [rhs(t, y[0])],
-        (theta0, theta1),
-        [h],
-        method="DOP853",
-        rtol=max(tol, 1e-13),
-        atol=tol,
+    sol = _dop853(
+        lambda t, y: [rhs(t, y[0])], (theta0, theta1), [h], tol, tol, "scalar integration"
     )
-    if not sol.success:
-        raise StiffnessError(f"scalar integration failed: {sol.message}")
     return float(sol.y[0, -1])
 
 
@@ -237,7 +219,7 @@ def section_return(
     """
     if x0 <= 0:
         raise ValueError("section_return starts on the positive x-axis")
-    _check_tol(tol)
+    check_tol(tol)
     if isinstance(cartesian_field, WeightedField):
         # the period is estimated in normalized coordinates and mapped back
         n = normalize(cartesian_field)
@@ -256,25 +238,18 @@ def section_return(
     event.direction = float(direction)
     event.terminal = True
     fun = lambda t, z: cartesian_field(z[0], z[1])
-    rtol, atol = max(tol, 1e-13), tol * min(1.0, x0)
+    atol = tol * min(1.0, x0)
     # a start (or restart) point lies exactly on the section and would fire
     # the terminal event at time zero; a short event-free pre-step moves off
     # the section first, then the solver stops at the next true crossing
     dt_pre = 1e-6 * abs(x0 / v0)
     t_start, state = 0.0, [x0, 0.0]
     while t_start < t_max:
-        pre = solve_ivp(
-            fun, (t_start, t_start + dt_pre), state,
-            method="DOP853", rtol=rtol, atol=atol,
+        pre = _dop853(fun, (t_start, t_start + dt_pre), state, tol, atol, "Cartesian integration")
+        sol = _dop853(
+            fun, (pre.t[-1], t_max), pre.y[:, -1], tol, atol, "Cartesian integration",
+            events=event,
         )
-        if not pre.success:
-            raise StiffnessError(f"Cartesian integration failed: {pre.message}")
-        sol = solve_ivp(
-            fun, (pre.t[-1], t_max), pre.y[:, -1],
-            method="DOP853", rtol=rtol, atol=atol, events=event,
-        )
-        if not sol.success:
-            raise StiffnessError(f"Cartesian integration failed: {sol.message}")
         if len(sol.t_events[0]) == 0:
             break
         t_ev, z_ev = sol.t_events[0][0], sol.y_events[0][0]
@@ -299,7 +274,8 @@ def integrate_jet_extended(
     """Jet transport in arbitrary precision (mpmath Taylor method).
 
     Starts from the identity jet and returns the list
-    [nu_1(theta1), ..., nu_K(theta1)] as mpf numbers.
+    [nu_1(theta1), ..., nu_K(theta1)] as mpf numbers, solved to the local
+    tolerance ``extended_tol(dps)``.
     Roughly three orders of magnitude slower than the double-precision path;
     meant for hierarchies that collapse below machine epsilon.
     """
@@ -312,5 +288,13 @@ def integrate_jet_extended(
         def f(theta, nu):
             return _jet_rhs_coeffs(rhs, K, mp.cos(theta), mp.sin(theta), nu)
 
-        sol = mp.odefun(f, 0, y0, tol=mp.mpf(10) ** (-(dps - 5)), degree=20)
+        sol = mp.odefun(f, 0, y0, tol=extended_tol(dps), degree=20)
         return sol(mp.mpf(theta1))
+
+
+def extended_tol(dps: int):
+    """Local tolerance 10**-(dps - 5) of the extended-precision solve, as an mpf at dps digits."""
+    from mpmath import mp
+
+    with mp.workdps(dps):
+        return mp.mpf(10) ** (-(dps - 5))

@@ -8,9 +8,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import flow
-from .errors import QhfocusError
+from .errors import QhfocusError, check_tol
 from .fields import Monomial, WeightedField, normalize, reduce_weights, require_valid
-from .jets import Jet
 from .polar import PolarRHS
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -33,6 +32,7 @@ class FocalReport:
     first_nonzero_index: int | None
     focus_order: int | None
     verdict: str
+    integ_tol: float  # local error tolerance the integrator solved to
     weight_gcd: int = 1
     order: int = 0
 
@@ -63,6 +63,7 @@ def classify(
     nu_tail: Sequence[float],
     p: int,
     q: int,
+    integ_tol: float,
     zero_tol: float = DEFAULT_ZERO_TOL,
     weight_gcd: int = 1,
 ) -> FocalReport:
@@ -91,6 +92,7 @@ def classify(
         first_nonzero_index=first,
         focus_order=order_m,
         verdict=verdict,
+        integ_tol=integ_tol,
         weight_gcd=weight_gcd,
         order=K,
     )
@@ -104,18 +106,25 @@ def focal_values(
     precision: str = "double",
     dps: int = 30,
 ) -> FocalReport:
-    """nu_2(2*pi)..nu_K(2*pi) by jet transport over one full turn."""
+    """nu_2(2*pi)..nu_K(2*pi) by jet transport over one full turn.
+
+    The extended-precision solve runs at its own tolerance
+    ``flow.extended_tol(dps)`` in place of ``integ_tol``; the report records
+    the tolerance used either way.
+    """
+    check_tol(integ_tol)
     rhs, d = _prepare(field)
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:
         raise ValueError("focal analysis needs jet order K >= 3")
     if precision == "extended":
         nu = [float(v) for v in flow.integrate_jet_extended(rhs, order=K, dps=dps)]
+        integ_tol = float(flow.extended_tol(dps))
     elif precision == "double":
-        nu = [float(v) for v in flow.integrate_jet(rhs, tol=integ_tol, order=K).final.radius_coeffs]
+        nu = [float(v) for v in flow.integrate_jet(rhs, tol=integ_tol, order=K).final]
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
-    return classify(nu[1:], field.p, field.q, zero_tol=tol, weight_gcd=d)
+    return classify(nu[1:], field.p, field.q, integ_tol, zero_tol=tol, weight_gcd=d)
 
 
 @dataclass(frozen=True)
@@ -140,27 +149,25 @@ class ShiftedCheck:
 
 def shifted_focal_check(
     field: WeightedField,
-    g: Jet,
+    g: Sequence[float],
     K: int | None = None,
 ) -> ShiftedCheck:
     """Integrate with initial series g(h) = h + c_2 h^2 + ... and compare.
 
+    ``g`` holds c_1..c_k with c_1 = 1, padded with zeros (or cut) to order K.
     The first index where nu*_k(2pi) - nu*_k(0) resolves must agree with the
     first nonzero focal index of the standard run, and the values there must
     match to 1e-8 relative.
     """
-    if g.coeffs[0] != 0 or abs(g.coeffs[1] - 1.0) > 1e-14:
+    if abs(g[0] - 1.0) > 1e-14:
         raise ValueError("shift series must be g(h) = h + c_2 h^2 + ...")
     rhs, _ = _prepare(field)
     K = K if K is not None else flow.default_order(field.p, field.q)
-    if g.order != K:
-        g = Jet.radius((g.coeffs[1:] + (0.0,) * K)[:K])
+    g = (tuple(g) + (0.0,) * K)[:K]
     standard = focal_values(field, K=K)
     shifted = flow.integrate_jet(rhs, init=g, order=K).final
-    net = tuple(
-        float(a - b) for a, b in zip(shifted.radius_coeffs[1:], g.radius_coeffs[1:])
-    )
-    first = classify(net, field.p, field.q).first_nonzero_index
+    net = tuple(float(a - b) for a, b in zip(shifted[1:], g[1:]))
+    first = classify(net, field.p, field.q, flow.DEFAULT_TOL).first_nonzero_index
     residual = None
     if first is not None and first == standard.first_nonzero_index:
         ref = standard.nu(first)

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import QuadratureError, StiffnessError
+from .errors import QuadratureError, StiffnessError, check_tol
 
 TWO_PI = 2 * np.pi
 
@@ -32,6 +32,7 @@ def _doubling(
     estimate: Callable[[int], float], n: int, n_max: int, tol: float, what: str
 ) -> QuadResult:
     """Double n until two successive estimates agree to tol (relative above 1)."""
+    check_tol(tol)
     prev = None
     while n <= n_max:
         val = estimate(n)

@@ -159,6 +159,19 @@ def test_analyze_zero_tolerance_exits_1(system_file, capsys):
     assert "tolerance must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("tol", ["0", "-1", "nan"])
+def test_quad_nonpositive_tolerance_exits_1(tol, capsys):
+    assert main(["quad", "--tol", tol]) == 1
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
+def test_analyze_extended_zero_tolerance_exits_1(system_file, capsys):
+    # the extended path used to ignore --tol and run its mpmath solve (~30 s)
+    argv = ["analyze", "--system", str(system_file), "--precision", "extended", "--order", "3"]
+    assert main(argv + ["--tol", "0"]) == 1
+    assert "tolerance must be positive" in capsys.readouterr().err
+
+
 def test_analyze_rq_table_on_unnormalized_system(tmp_path, capsys):
     path = tmp_path / "scaled.txt"
     path.write_text(SYSTEM_31 + "lambda1 0.5\nlambda2 7.0\n", encoding="utf-8")

@@ -14,7 +14,6 @@ from qhfocus.focal import (
     shifted_focal_check,
     structural_center,
 )
-from qhfocus.jets import Jet
 
 
 def test_first_focal_value_sign_tracks_v2():
@@ -56,7 +55,7 @@ def test_reversibility_detection():
 
 def test_shifted_series_preserves_first_focal_value():
     field = field23(0.5, 1.0, -0.3, 1.0)
-    check = shifted_focal_check(field, g=Jet.radius((1.0, 0.3, 0.0, 0.0, 0.0)), K=5)
+    check = shifted_focal_check(field, g=(1.0, 0.3, 0.0, 0.0, 0.0), K=5)
     assert check.ok
 
 
@@ -127,3 +126,5 @@ def test_extended_precision_agrees_with_double():
     dbl = focal_values(field, K=4, integ_tol=1e-13)
     ext = focal_values(field, K=4, precision="extended", dps=20)
     assert ext.nu(2) == pytest.approx(dbl.nu(2), rel=1e-10)
+    # the report records the tolerance each solve ran at: 10**-(dps - 5) for mpmath
+    assert (dbl.integ_tol, ext.integ_tol) == (1e-13, 1e-15)

@@ -32,6 +32,14 @@ def test_trapezoid_spectral_convergence():
     assert res.nodes_used <= 512
 
 
+@pytest.mark.parametrize("scheme", [trapezoid_periodic, gauss_panels])
+@pytest.mark.parametrize("tol", [0.0, -1.0, float("nan"), float("inf")])
+def test_nonpositive_tolerance_rejected(scheme, tol):
+    # tol=0 used to pass on two bit-equal estimates, tol=-1 to run to the node cap
+    with pytest.raises(ValueError, match="tolerance"):
+        scheme(np.cos, tol=tol)
+
+
 def test_cross_checked_agreement():
     res = cross_checked(lambda t: np.cos(2 * t) ** 4, 1e-12)
     assert res.value == pytest.approx(3 * np.pi / 4, abs=1e-12)
