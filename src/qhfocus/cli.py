@@ -127,6 +127,7 @@ def cmd_analyze(args) -> int:
         "values": {str(k): report.nu(k) for k in range(2, report.order + 1)},
         "structural": struct,
         "system": format_system(field),
+        "diagnostics": {"rhs_evals": report.rhs_evals, "steps": report.steps},
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK

@@ -163,10 +163,9 @@ def alternation_search(
     if len(chain) < len(target_signs):
         raise ValueError("chain shorter than the requested sign pattern")
     # the tail entry must already carry its sign at the base point
-    if np.sign(chain[len(target_signs) - 1]) != target_signs[-1]:
-        raise AlternationError(
-            f"chain tail has sign {np.sign(chain[-1])}, wanted {target_signs[-1]}"
-        )
+    tail_sign = np.sign(chain[len(target_signs) - 1])
+    if tail_sign != target_signs[-1]:
+        raise AlternationError(f"chain tail has sign {tail_sign}, wanted {target_signs[-1]}")
     for i in range(len(target_signs) - 2, -1, -1):
         lo, hi = box[i]
         if not 0 < lo < hi:

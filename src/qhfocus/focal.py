@@ -2,7 +2,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -35,6 +35,9 @@ class FocalReport:
     integ_tol: float  # local error tolerance the integrator solved to
     weight_gcd: int = 1
     order: int = 0
+    # integrator work of the double-precision solve; None under extended precision
+    rhs_evals: int | None = None
+    steps: int | None = None
 
     def nu(self, k: int) -> float:
         if k == 1:
@@ -117,14 +120,18 @@ def focal_values(
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:
         raise ValueError("focal analysis needs jet order K >= 3")
+    rhs_evals = steps = None
     if precision == "extended":
         nu = [float(v) for v in flow.integrate_jet_extended(rhs, order=K, dps=dps)]
         integ_tol = float(flow.extended_tol(dps))
     elif precision == "double":
-        nu = [float(v) for v in flow.integrate_jet(rhs, tol=integ_tol, order=K).final]
+        traj = flow.integrate_jet(rhs, tol=integ_tol, order=K)
+        nu = [float(v) for v in traj.final]
+        rhs_evals, steps = traj.stats.n_rhs_evals, traj.stats.n_steps
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
-    return classify(nu[1:], field.p, field.q, integ_tol, zero_tol=tol, weight_gcd=d)
+    report = classify(nu[1:], field.p, field.q, integ_tol, zero_tol=tol, weight_gcd=d)
+    return replace(report, rhs_evals=rhs_evals, steps=steps)
 
 
 @dataclass(frozen=True)

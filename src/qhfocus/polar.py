@@ -9,6 +9,8 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidFieldError, PolarChartError
@@ -41,7 +43,11 @@ class PolarRHS:
             by_k.setdefault(k, ([], []))[1].append(t)
             k_max = max(k_max, k)
         self.k_max = k_max
-        self._by_k = by_k
+        # (coefficient, power of cos, power of sin) per side and weight level 1..k_max
+        self._levels = tuple(
+            tuple(tuple((t.c, t.k, t.j) for t in side) for side in by_k.get(k, ((), ())))
+            for k in range(1, k_max + 1)
+        )
         self._safe_radius: float | None = None
 
     # -- component evaluation ------------------------------------------------
@@ -50,19 +56,22 @@ class PolarRHS:
         """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type."""
         p, q = self.field.p, self.field.q
         c, s = cos_t, sin_t
+        zero = 0 * c
         R = [c * s * (q * c ** (2 * q - 2) - p * s ** (2 * p - 2))]
         Q = [p * q * (c ** (2 * q) + s ** (2 * p))]
-        for k in range(1, self.k_max + 1):
-            xs, ys = self._by_k.get(k, ((), ()))
-            xm = sum((t.c * c**t.k * s**t.j for t in xs), 0 * c)
-            ym = sum((t.c * c**t.k * s**t.j for t in ys), 0 * c)
+        for xs, ys in self._levels:
+            xm = ym = zero
+            for a, k, j in xs:
+                xm = xm + a * c**k * s**j
+            for a, k, j in ys:
+                ym = ym + a * c**k * s**j
             R.append(c * xm + s * ym)
             Q.append(-q * s * xm + p * c * ym)
         return R, Q
 
     def __call__(self, theta: float, r: float) -> float:
         """dr/dtheta at (theta, r)."""
-        R, Q = self.components(np.cos(theta), np.sin(theta))
+        R, Q = self.components(math.cos(theta), math.sin(theta))
         num = den = 0.0
         rk = 1.0
         for Rk, Qk in zip(R, Q):

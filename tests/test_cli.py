@@ -6,6 +6,7 @@ import pytest
 from qhfocus.casestudy import eq325_field
 from qhfocus.cli import main
 from qhfocus.fields import load_system, normalize
+from qhfocus.focal import focal_values
 from qhfocus.polar import PolarRHS, rq_table
 
 SYSTEM_31 = """\
@@ -50,6 +51,16 @@ def test_analyze_writes_artifacts(system_file, tmp_path, capsys):
     doc = json.loads(out.with_suffix(".json").read_text())
     assert doc["focus_order"] == 1
     assert out.with_suffix(".csv").read_text().startswith("k,nu_k,tol")
+
+
+def test_analyze_json_records_integrator_work(system_file, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    assert main(["analyze", "--system", str(system_file), "--out", str(out)]) == 0
+    diag = json.loads(out.with_suffix(".json").read_text())["diagnostics"]
+    report = focal_values(load_system(system_file))
+    assert diag == {"rhs_evals": report.rhs_evals, "steps": report.steps}
+    # DOP853 makes 12 right-hand-side evaluations per step
+    assert diag["rhs_evals"] >= 12 * diag["steps"] > 0
 
 
 def test_analyze_rq_table(system_file, tmp_path, capsys):

@@ -1,11 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mp
+from scipy.integrate import solve_ivp
 
-from qhfocus import Monomial, WeightedField, return_map
+from qhfocus import Monomial, WeightedField, jets, return_map
 from qhfocus.errors import NoReturnError
 from qhfocus.fields import normalize
 from qhfocus.flow import (
+    _jet_rhs_coeffs,
     default_order,
     estimate_period,
     identity_residuals,
@@ -66,6 +71,112 @@ def test_energy_conservation_on_hamiltonian_core():
         r = integrate_scalar(rhs, h, 0.0, theta, tol=1e-13)
         drift.append(abs(energy(theta, r) - e0))
     assert max(drift) < 1e-10 * e0
+
+
+def test_jet_trajectory_reads_the_end_state_without_an_interpolant():
+    rhs = PolarRHS(field23())
+    traj = integrate_jet(rhs, tol=1e-12)
+    K = traj.order
+    assert traj.final.tobytes() == traj.at(2 * np.pi).tobytes()
+
+    def f(theta, y):
+        return _jet_rhs_coeffs(rhs, K, math.cos(theta), math.sin(theta), y.tolist())
+
+    y0 = [1.0] + [0.0] * (K - 1)
+    opts = dict(method="DOP853", rtol=1e-12, atol=1e-12)
+    plain = solve_ivp(f, (0.0, 2 * np.pi), y0, **opts)
+    dense = solve_ivp(f, (0.0, 2 * np.pi), y0, dense_output=True, **opts)
+    assert traj.stats.n_steps > 0
+    assert traj.stats.n_rhs_evals == plain.nfev
+    # the interpolant would cost DOP853 three more evaluations per step
+    assert dense.nfev == plain.nfev + 3 * traj.stats.n_steps
+
+
+def _parent_jet_rhs(rhs, K, cos_t, sin_t, nu):
+    """Oracle: every power r**0..r**k_max by jets.mul_trunc, skipping zero terms."""
+    R, Q = rhs.components(cos_t, sin_t)
+    n = K + 1
+    zero = 0 * nu[0]
+    r = [zero, *nu]
+    num, den, rk = [zero] * n, [zero] * n, [1 + zero] + [zero] * K
+    for Rk, Qk in zip(R, Q):
+        for i in range(n):
+            if rk[i]:
+                num[i] = num[i] + Rk * rk[i]
+                den[i] = den[i] + Qk * rk[i]
+        rk = jets.mul_trunc(rk, r, n)
+    quot = jets.div_trunc(num, den, n)
+    return jets.mul_trunc(r, quot, n)[1:]
+
+
+def _rounding_scale(rhs, K, c, s, nu):
+    """S with |kernel in double - exact kernel| <= C u S, to first order in u.
+
+    The kernel adds, multiplies and divides; every value it rounds is bounded
+    by the same computation on absolute values, with the denominator series
+    replaced by its comparison series |Q_0| - |Q_1| r - ... (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2nd ed., ch. 3 and 8).  The series
+    division feeds the errors of earlier quotient coefficients into later ones
+    through its own recurrence, hence the second division.
+    """
+    f = rhs.field
+    p, q = f.p, f.q
+    ac, as_ = abs(c), abs(s)
+    X, Y = [0.0] * (rhs.k_max + 1), [0.0] * (rhs.k_max + 1)
+    for t in f.x_terms:
+        X[t.weight(p, q) - f.x_lead_weight] += abs(t.c) * ac**t.k * as_**t.j
+    for t in f.y_terms:
+        Y[t.weight(p, q) - f.y_lead_weight] += abs(t.c) * ac**t.k * as_**t.j
+    R = [ac * as_ * (q * ac ** (2 * q - 2) + p * as_ ** (2 * p - 2))]
+    Q = [p * q * (c ** (2 * q) + s ** (2 * p))]
+    R += [ac * x + as_ * y for x, y in zip(X[1:], Y[1:])]
+    Q += [q * as_ * x + p * ac * y for x, y in zip(X[1:], Y[1:])]
+    n = K + 1
+    r = [0.0] + [abs(v) for v in nu]
+    num, den, rk = [0.0] * n, [0.0] * n, [1.0] + [0.0] * K
+    for Rk, Qk in zip(R, Q):
+        num = [a + Rk * x for a, x in zip(num, rk)]
+        den = [a + Qk * x for a, x in zip(den, rk)]
+        rk = jets.mul_trunc(rk, r, n)
+    comparison = [den[0]] + [-d for d in den[1:]]
+    quot = jets.div_trunc(num, comparison, n)
+    quot = jets.div_trunc([den[0] * x for x in quot], comparison, n)
+    return jets.mul_trunc(r, quot, n)[1:]
+
+
+# at most ~60 roundings (libm pow counted twice) lie on any path from the
+# inputs to an output coefficient of the kernel at K <= 8, and the division
+# triples the local bound; 256 unit roundoffs covers both.  Near an axis
+# (theta within ~1e-30 of 0 or pi) powers of sin underflow, which adds an
+# absolute error of order 2**-1074 per operation, times factors below 1e3
+KERNEL_ROUNDING = 256 * 2.0**-53
+KERNEL_UNDERFLOW = 1e-300
+
+
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3), (3, 4)])
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    theta=st.floats(0.0, 2 * np.pi),
+    nu1=st.floats(0.5, 2.0),
+    tail=st.lists(st.floats(-1.0, 1.0), min_size=7, max_size=7),
+)
+def test_jet_rhs_kernel_matches_oracle(p, q, seed, theta, nu1, tail):
+    rhs = PolarRHS(random_field(p, q, np.random.default_rng(seed)))
+    K = default_order(p, q)
+    nu = [nu1, *tail[: K - 1]]
+    c, s = math.cos(theta), math.sin(theta)
+    fast = np.array(_jet_rhs_coeffs(rhs, K, c, s, nu))
+    # the oracle runs on numpy scalars, as the solver once handed them over
+    oracle = _parent_jet_rhs(rhs, K, np.cos(theta), np.sin(theta), np.array(nu))
+    assert fast.tobytes() == np.array(oracle, dtype=float).tobytes()
+
+    with mp.workdps(30):
+        exact = _jet_rhs_coeffs(rhs, K, mp.mpf(c), mp.mpf(s), [mp.mpf(v) for v in nu])
+        assert all(isinstance(v, mp.mpf) for v in exact)
+        err = [abs(float(e - mp.mpf(v))) for e, v in zip(exact, fast)]
+    scale = _rounding_scale(rhs, K, c, s, nu)
+    assert all(e <= KERNEL_ROUNDING * m + KERNEL_UNDERFLOW for e, m in zip(err, scale))
 
 
 def test_scalar_and_jet_return_maps_agree():

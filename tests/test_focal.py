@@ -128,3 +128,6 @@ def test_extended_precision_agrees_with_double():
     assert ext.nu(2) == pytest.approx(dbl.nu(2), rel=1e-10)
     # the report records the tolerance each solve ran at: 10**-(dps - 5) for mpmath
     assert (dbl.integ_tol, ext.integ_tol) == (1e-13, 1e-15)
+    # integrator work is counted for the DOP853 solve only; mpmath reports none
+    assert dbl.rhs_evals > dbl.steps > 0
+    assert ext.rhs_evals is None and ext.steps is None
