@@ -10,7 +10,7 @@ Subcommands
 
 Every report is plain UTF-8 text; ``--out`` additionally writes the text plus
 a JSON document and a CSV table next to it.  Exit status: 0 on success, 1 on
-input or integration errors, 2 when a reproduction check fails.
+usage, input or integration errors, 2 when a reproduction check fails.
 """
 
 from __future__ import annotations
@@ -191,6 +191,7 @@ def cmd_cycles(args) -> int:
                 "bracket": list(c.bracket),
                 "residual": c.residual,
                 "stability": c.stability,
+                "evals": c.evals,
             }
             for c in result.cycles
         ],
@@ -346,8 +347,6 @@ def cmd_quad(args) -> int:
 
 
 def cmd_jacobian(args) -> int:
-    if not args.family:
-        raise ValueError(f"jacobian needs --family ({'|'.join(casestudy.FAMILIES)})")
     family, values = _family_values(args)
     names = list(family.jacobian_params)
     indices = family.jacobian_indices
@@ -437,14 +436,23 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, tol_default=1e-12):
-        p.add_argument("--system", help="system description file")
-        p.add_argument("--family", choices=sorted(casestudy.FAMILIES), help="named parameter family")
-        p.add_argument("--params", help="family parameters, k=v,...")
         p.add_argument("--tol", type=float, default=tol_default, help="integrator tolerance")
         p.add_argument("--out", help="write report text here, plus .json and .csv siblings")
 
+    def family(p, required=False):
+        p.add_argument(
+            "--family", choices=sorted(casestudy.FAMILIES), required=required,
+            help="named parameter family",
+        )
+        p.add_argument("--params", help="family parameters, k=v,...")
+
+    def source(p):
+        p.add_argument("--system", help="system description file")
+        family(p)
+
     p = sub.add_parser("analyze", help="focal values and classification")
     common(p)
+    source(p)
     p.add_argument("--order", type=int, default=None, help="jet truncation order K")
     p.add_argument("--zero-tol", type=float, default=1e-9, help="focal-value zero threshold")
     p.add_argument("--precision", choices=["double", "extended"], default="double")
@@ -453,6 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("cycles", help="displacement scan and cycle isolation")
     common(p, tol_default=1e-13)
+    source(p)
     p.add_argument("--h-min", type=float, required=True)
     p.add_argument("--h-max", type=float, required=True)
     p.add_argument("--grid", type=int, default=48, help="scan grid size")
@@ -470,6 +479,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("jacobian", help="focal-value jacobian of a family")
     common(p)
+    family(p, required=True)
     p.add_argument("--order", type=int, default=None)
     p.set_defaults(fn=cmd_jacobian)
 
@@ -484,8 +494,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 is a reproduction failure
+        return EXIT_INPUT if exc.code else EXIT_OK
     try:
         return args.fn(args)
     except ReproductionError as exc:

@@ -2,8 +2,9 @@
 
 The displacement is either the polar return map minus identity (weighted
 fields) or the section return along the positive x-axis (general Cartesian
-systems).  Cycles are bracketed on a geometric grid, refined by bisection,
-and classified by the direction of the sign change.
+systems).  Cycles are bracketed on a geometric grid, refined by Brent's
+method (``scipy.optimize.brentq``), and classified by the direction of the
+sign change.
 """
 from __future__ import annotations
 
@@ -11,6 +12,7 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import flow
 from .errors import AlternationError, QhfocusError
@@ -38,6 +40,7 @@ class Cycle:
     bracket: tuple[float, float]
     residual: float
     stability: str  # "stable" | "unstable"
+    evals: int  # displacement evaluations: brentq's calls plus the residual
 
 
 @dataclass
@@ -63,11 +66,13 @@ def find_cycles(
     tol: float = flow.DEFAULT_TOL,
     noise_floor: float | None = None,
 ) -> CycleSet:
-    """Scan Delta on a geometric grid, bracket sign changes, refine by bisection.
+    """Scan Delta on a geometric grid, bracket sign changes, refine by Brent's method.
 
     Samples below the noise floor carry no trustworthy sign, so they are
     treated as indeterminate; a bracket is formed between the nearest
     determinate samples of opposite sign on either side of the crossing.
+    Each bracket goes to one ``brentq`` call, which stops once it has
+    narrowed the bracket to tol * max(1, b); one that fails to converge raises.
     """
     if h_lo <= 0 or h_hi <= h_lo:
         raise ValueError("need 0 < h_lo < h_hi")
@@ -84,26 +89,14 @@ def find_cycles(
     for (a, fa), (b, fb) in zip(resolved[:-1], resolved[1:]):
         if fa * fb >= 0:
             continue
-        lo, hi, flo = a, b, fa
-        while hi - lo > tol * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if mid in (lo, hi):  # adjacent floats: tol is below the spacing here
-                break
-            fm = delta(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        root = 0.5 * (lo + hi)
+        root, info = brentq(delta, a, b, xtol=tol * max(1.0, b), full_output=True)
         out.cycles.append(
             Cycle(
                 h_star=float(root),
                 bracket=(float(a), float(b)),
                 residual=abs(delta(root)),
                 stability="stable" if fa > 0 else "unstable",
+                evals=info.function_calls + 1,
             )
         )
     for c1, c2 in zip(out.cycles[:-1], out.cycles[1:]):

@@ -16,8 +16,6 @@ from typing import Iterable
 
 from .errors import InvalidFieldError, NormalizationError
 
-DEFAULT_DEGREE_CAP = 12
-
 
 @dataclass(frozen=True)
 class Monomial:
@@ -56,13 +54,10 @@ class WeightedField:
     lambda2: float | None = None
     x_terms: tuple[Monomial, ...] = ()
     y_terms: tuple[Monomial, ...] = ()
-    degree_cap: int = DEFAULT_DEGREE_CAP
 
     def __post_init__(self):
         if self.p < 1 or self.q < 1:
             raise ValueError("weights p, q must be positive integers")
-        if self.degree_cap < 1:
-            raise ValueError("degree_cap must be positive")
         if self.lambda1 is None:
             object.__setattr__(self, "lambda1", float(self.p))
         if self.lambda2 is None:
@@ -118,7 +113,6 @@ class WeightedField:
 class ValidationReport:
     ok: bool
     violations: tuple[tuple[Monomial | None, str], ...]
-    warnings: tuple[tuple[Monomial, str], ...] = ()
 
     def __post_init__(self):
         assert self.ok == (len(self.violations) == 0)
@@ -127,13 +121,11 @@ class ValidationReport:
 RULE_POSITIVE_LAMBDA = "positive-lambda"
 RULE_LEADING_DEGENERACY = "leading-degeneracy"
 RULE_WEIGHT_BOUND = "weight-bound"
-WARN_DEGREE_CAP = "degree-cap"
 
 
 def validate(f: WeightedField) -> ValidationReport:
     """Check the weighted-homogeneity contract; reports, never raises."""
     violations: list[tuple[Monomial | None, str]] = []
-    warnings: list[tuple[Monomial, str]] = []
     if f.lambda1 <= 0 or f.lambda2 <= 0:
         violations.append((None, RULE_POSITIVE_LAMBDA))
     for terms, forbidden, bound in (
@@ -145,11 +137,7 @@ def validate(f: WeightedField) -> ValidationReport:
                 violations.append((t, RULE_LEADING_DEGENERACY))
             elif t.weight(f.p, f.q) <= bound:
                 violations.append((t, RULE_WEIGHT_BOUND))
-            if t.k + t.j > f.degree_cap:
-                warnings.append((t, WARN_DEGREE_CAP))
-    return ValidationReport(
-        ok=not violations, violations=tuple(violations), warnings=tuple(warnings)
-    )
+    return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
 @dataclass(frozen=True)
@@ -215,12 +203,11 @@ def parse_system(text: str) -> WeightedField:
     """Parse the line-oriented system format.
 
     Directives: ``p <int>``, ``q <int>``, ``lambda1 <real>``, ``lambda2 <real>``,
-    ``degree_cap <int>``, ``x <k> <j> <coeff>``, ``y <k> <j> <coeff>``.
+    ``x <k> <j> <coeff>``, ``y <k> <j> <coeff>``.
     ``#`` starts a comment.  lambda1/lambda2 default to p/q.
     """
     p = q = None
     lam1 = lam2 = None
-    cap = DEFAULT_DEGREE_CAP
     x_terms: list[Monomial] = []
     y_terms: list[Monomial] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -238,8 +225,6 @@ def parse_system(text: str) -> WeightedField:
                 lam1 = float(parts[1])
             elif key == "lambda2":
                 lam2 = float(parts[1])
-            elif key == "degree_cap":
-                cap = int(parts[1])
             elif key in ("x", "y"):
                 k, j, c = int(parts[1]), int(parts[2]), float(parts[3])
                 (x_terms if key == "x" else y_terms).append(Monomial(k, j, c))
@@ -256,7 +241,6 @@ def parse_system(text: str) -> WeightedField:
         lambda2=lam2,
         x_terms=tuple(x_terms),
         y_terms=tuple(y_terms),
-        degree_cap=cap,
     )
 
 
@@ -267,8 +251,6 @@ def load_system(path) -> WeightedField:
 
 def format_system(f: WeightedField) -> str:
     lines = [f"p {f.p}", f"q {f.q}", f"lambda1 {f.lambda1!r}", f"lambda2 {f.lambda2!r}"]
-    if f.degree_cap != DEFAULT_DEGREE_CAP:
-        lines.append(f"degree_cap {f.degree_cap}")
     for t in f.x_terms:
         lines.append(f"x {t.k} {t.j} {t.c!r}")
     for t in f.y_terms:

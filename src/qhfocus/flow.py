@@ -94,7 +94,9 @@ class JetTrajectory:
     _sol: object = None
 
     def at(self, theta: float) -> np.ndarray:
-        """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)]."""
+        """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)], 0 <= theta <= 2*pi."""
+        if not 0.0 <= theta <= 2 * np.pi:
+            raise ValueError(f"theta={theta!r} lies outside the solved turn [0, 2*pi]")
         if self._sol is None:
             self._sol = self._dense_solve().sol
         return self._sol(theta)

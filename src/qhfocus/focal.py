@@ -300,7 +300,7 @@ def random_field(p: int, q: int, rng: np.random.Generator) -> WeightedField:
 
     x_terms = pick(admissible((2 * p - 1) * q, (0, 2 * p - 1)))
     y_terms = pick(admissible((2 * q - 1) * p, (2 * q - 1, 0)))
-    return WeightedField(p=p, q=q, x_terms=x_terms, y_terms=y_terms, degree_cap=cap)
+    return WeightedField(p=p, q=q, x_terms=x_terms, y_terms=y_terms)
 
 
 @dataclass

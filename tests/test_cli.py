@@ -123,6 +123,29 @@ def test_missing_input_source_exits_1(capsys):
     assert main(["analyze"]) == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--system", "x"],
+        ["quad", "--family", "eq325"],
+        ["survey", "--params", "eps1=1"],
+        ["jacobian", "--system", "x", "--family", "eq325"],
+        ["jacobian"],
+        ["analyze", "--bogus"],
+        ["cycles", "--family", "eq325", "--h-max", "0.45"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    # options a subcommand does not read are refused, not ignored
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    assert main(["cycles", "--help"]) == 0
+    assert "--h-min" in capsys.readouterr().out
+
+
 def test_unknown_family_parameter_exits_1(capsys):
     assert main(["analyze", "--family", "eq325", "--params", "eps=5"]) == 1
     assert "no parameter eps" in capsys.readouterr().err
@@ -161,6 +184,7 @@ def test_cycles_on_unnormalized_system(tmp_path, capsys):
     assert "h* coordinates normalized" in text
     doc = json.loads(out.with_suffix(".json").read_text())
     assert doc["h_star_coordinates"].startswith("normalized")
+    assert all(isinstance(c["evals"], int) and c["evals"] > 0 for c in doc["cycles"])
     closures = [float(l.split("closure")[1]) for l in text.splitlines() if "closure" in l]
     assert len(closures) == 2 and max(closures) <= 1e-8
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qhfocus import alternation_search, find_cycles
+from qhfocus import alternation_search, find_cycles, flow
 from qhfocus.casestudy import eq329_cartesian, field23
 from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError
@@ -15,16 +15,19 @@ def test_center_yields_no_cycles():
     assert result.cycles == []
 
 
+def hopf(eps):
+    """x' = -y + eps x - x (x^2+y^2), y' = x + eps y - y (x^2+y^2): cycle at sqrt(eps)."""
+    return lambda x, y: (
+        -y + eps * x - x * (x * x + y * y),
+        x + eps * y - y * (x * x + y * y),
+    )
+
+
 def test_hopf_family_cycle_amplitude_scaling():
-    # x' = -y + eps x - x (x^2+y^2), y' = x + eps y - y (x^2+y^2): cycle at sqrt(eps)
     amplitudes = []
     eps_values = (0.01, 0.04)
     for eps in eps_values:
-        rhs = lambda x, y, e=eps: (
-            -y + e * x - x * (x * x + y * y),
-            x + e * y - y * (x * x + y * y),
-        )
-        result = find_cycles("cartesian", rhs, 0.02, 0.9, grid_n=24, tol=1e-12)
+        result = find_cycles("cartesian", hopf(eps), 0.02, 0.9, grid_n=24, tol=1e-12)
         assert len(result.cycles) == 1
         assert result.cycles[0].stability == "stable"
         amplitudes.append(result.cycles[0].h_star)
@@ -33,11 +36,25 @@ def test_hopf_family_cycle_amplitude_scaling():
     assert slope == pytest.approx(0.5, abs=0.1)
 
 
+def test_each_cycle_reports_its_displacement_evaluations(monkeypatch):
+    # grid_n samples, then per root brentq's calls and one residual evaluation
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return section_return(*args, **kwargs)
+
+    monkeypatch.setattr(flow, "section_return", counted)
+    for eps in (0.01, 0.04):
+        calls.clear()
+        result = find_cycles("cartesian", hopf(eps), 0.02, 0.9, grid_n=24, tol=1e-12)
+        assert len(result.cycles) == 1
+        assert len(calls) == result.grid_n + sum(c.evals for c in result.cycles)
+        assert all(c.evals <= 12 for c in result.cycles)
+
+
 def test_displacement_sign_flips_across_cycle():
-    rhs = lambda x, y: (
-        -y + 0.01 * x - x * (x * x + y * y),
-        x + 0.01 * y - y * (x * x + y * y),
-    )
+    rhs = hopf(0.01)
     inner = section_return(rhs, 0.05, tol=1e-12).x - 0.05
     outer = section_return(rhs, 0.3, tol=1e-12).x - 0.3
     assert inner > 0 > outer
@@ -52,7 +69,7 @@ def test_cycle_scan_is_recorded():
 
 def test_bisection_stops_at_float_spacing():
     # tol * max(1, hi) = 1e-17 lies below the float spacing near the damped
-    # cycle at x ~ 0.1009, so bisection must stop on adjacent floats
+    # cycle at x ~ 0.1009, so the root finder must stop on its own floor
     damped = eq329_cartesian(
         a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
     )

@@ -151,12 +151,10 @@ MONOMIALS = st.builds(
     st.none() | st.floats(allow_nan=False),
     st.lists(MONOMIALS, max_size=6),
     st.lists(MONOMIALS, max_size=6),
-    st.integers(1, 20),
 )
-def test_parse_format_round_trip_property(p, q, lam1, lam2, xs, ys, cap):
+def test_parse_format_round_trip_property(p, q, lam1, lam2, xs, ys):
     f = WeightedField(
-        p=p, q=q, lambda1=lam1, lambda2=lam2,
-        x_terms=tuple(xs), y_terms=tuple(ys), degree_cap=cap,
+        p=p, q=q, lambda1=lam1, lambda2=lam2, x_terms=tuple(xs), y_terms=tuple(ys)
     )
     assert parse_system(format_system(f)) == f
 
@@ -165,6 +163,11 @@ def test_parse_reports_line_numbers():
     text = "p 2\nq 3\nx 5 0 1.0\nx nonsense\n"
     with pytest.raises(InvalidFieldError, match="line 4"):
         parse_system(text)
+
+
+def test_parse_rejects_degree_cap_directive():
+    with pytest.raises(InvalidFieldError, match="line 3.*unknown directive"):
+        parse_system("p 2\nq 3\ndegree_cap 5\n")
 
 
 def test_parse_requires_weights():

@@ -92,6 +92,15 @@ def test_jet_trajectory_reads_the_end_state_without_an_interpolant():
     assert dense.nfev == plain.nfev + 3 * traj.stats.n_steps
 
 
+def test_jet_trajectory_reads_only_the_solved_turn():
+    traj = integrate_jet(PolarRHS(field23()), order=3, tol=1e-12)
+    for theta in (20.0, -1.0):
+        with pytest.raises(ValueError, match="outside the solved turn"):
+            traj.at(theta)
+    assert traj.at(0.0).tolist() == [1.0, 0.0, 0.0]
+    assert traj.at(2 * np.pi).tobytes() == traj.final.tobytes()
+
+
 def _parent_jet_rhs(rhs, K, cos_t, sin_t, nu):
     """Oracle: every power r**0..r**k_max by jets.mul_trunc, skipping zero terms."""
     R, Q = rhs.components(cos_t, sin_t)
