@@ -40,7 +40,7 @@ class Cycle:
     bracket: tuple[float, float]
     residual: float
     stability: str  # "stable" | "unstable"
-    evals: int  # displacement evaluations: brentq's calls plus the residual
+    evals: int  # displacement evaluations made to refine it, grid samples excluded
 
 
 @dataclass
@@ -78,25 +78,33 @@ def find_cycles(
         raise ValueError("need 0 < h_lo < h_hi")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
-    delta = _displacement_fn(backend, system, tol)
+    displacement = _displacement_fn(backend, system, tol)
+    # every value of this scan, so no point is integrated twice: brentq starts
+    # from the bracket ends and often ends on a point it has evaluated
+    seen: dict[float, float] = {}
+
+    def delta(h: float) -> float:
+        h = float(h)
+        if h not in seen:
+            seen[h] = float(displacement(h))
+        return seen[h]
+
     floor = noise_floor if noise_floor is not None else 100 * tol
     grid = np.geomspace(h_lo, h_hi, grid_n)
-    values = []
-    for h in grid:
-        values.append(delta(h))
-    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=list(zip(map(float, grid), map(float, values))))
+    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=[(float(h), delta(h)) for h in grid])
     resolved = [(h, v) for h, v in out.scan if abs(v) >= floor]
     for (a, fa), (b, fb) in zip(resolved[:-1], resolved[1:]):
         if fa * fb >= 0:
             continue
-        root, info = brentq(delta, a, b, xtol=tol * max(1.0, b), full_output=True)
+        before = len(seen)
+        root = brentq(delta, a, b, xtol=tol * max(1.0, b))
         out.cycles.append(
             Cycle(
                 h_star=float(root),
-                bracket=(float(a), float(b)),
+                bracket=(a, b),
                 residual=abs(delta(root)),
                 stability="stable" if fa > 0 else "unstable",
-                evals=info.function_calls + 1,
+                evals=len(seen) - before,
             )
         )
     for c1, c2 in zip(out.cycles[:-1], out.cycles[1:]):

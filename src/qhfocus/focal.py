@@ -35,7 +35,8 @@ class FocalReport:
     integ_tol: float  # local error tolerance the integrator solved to
     weight_gcd: int = 1
     order: int = 0
-    # integrator work of the double-precision solve; None under extended precision
+    # integrator work: RHS evaluations and accepted steps (Taylor coefficients
+    # of the jet RHS and Taylor steps under extended precision)
     rhs_evals: int | None = None
     steps: int | None = None
 
@@ -120,18 +121,16 @@ def focal_values(
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:
         raise ValueError("focal analysis needs jet order K >= 3")
-    rhs_evals = steps = None
     if precision == "extended":
-        nu = [float(v) for v in flow.integrate_jet_extended(rhs, order=K, dps=dps)]
-        integ_tol = float(flow.extended_tol(dps))
+        final, stats = flow.integrate_jet_extended(rhs, order=K, dps=dps)
     elif precision == "double":
         traj = flow.integrate_jet(rhs, tol=integ_tol, order=K)
-        nu = [float(v) for v in traj.final]
-        rhs_evals, steps = traj.stats.n_rhs_evals, traj.stats.n_steps
+        final, stats = traj.final, traj.stats
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
-    report = classify(nu[1:], field.p, field.q, integ_tol, zero_tol=tol, weight_gcd=d)
-    return replace(report, rhs_evals=rhs_evals, steps=steps)
+    nu = [float(v) for v in final]
+    report = classify(nu[1:], field.p, field.q, stats.tol, zero_tol=tol, weight_gcd=d)
+    return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps)
 
 
 @dataclass(frozen=True)

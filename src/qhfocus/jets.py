@@ -3,7 +3,7 @@
 A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type: floats in the double-precision jet transport,
-``mpmath.mpf`` in the extended-precision one.
+lazy Taylor series in theta in the extended-precision one.
 """
 from __future__ import annotations
 

@@ -63,6 +63,17 @@ def test_analyze_json_records_integrator_work(system_file, tmp_path, capsys):
     assert diag["rhs_evals"] >= 12 * diag["steps"] > 0
 
 
+def test_analyze_json_records_extended_integrator_work(system_file, tmp_path, capsys):
+    out = tmp_path / "report.txt"
+    argv = ["analyze", "--system", str(system_file), "--precision", "extended", "--order", "3"]
+    assert main(argv + ["--out", str(out)]) == 0
+    diag = json.loads(out.with_suffix(".json").read_text())["diagnostics"]
+    report = focal_values(load_system(system_file), K=3, precision="extended")
+    assert diag == {"rhs_evals": report.rhs_evals, "steps": report.steps}
+    # M = ceil(-ln(1e-30) / 2 + 1) = 36 Taylor coefficients per step at dps 30
+    assert diag["rhs_evals"] == 36 * diag["steps"] > 0
+
+
 def test_analyze_rq_table(system_file, tmp_path, capsys):
     table = tmp_path / "rq.csv"
     code = main(["analyze", "--system", str(system_file), "--rq-table", str(table)])

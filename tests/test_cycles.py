@@ -37,7 +37,7 @@ def test_hopf_family_cycle_amplitude_scaling():
 
 
 def test_each_cycle_reports_its_displacement_evaluations(monkeypatch):
-    # grid_n samples, then per root brentq's calls and one residual evaluation
+    # grid_n samples, then per root the points brentq and the residual add
     calls = []
 
     def counted(*args, **kwargs):
@@ -51,6 +51,21 @@ def test_each_cycle_reports_its_displacement_evaluations(monkeypatch):
         assert len(result.cycles) == 1
         assert len(calls) == result.grid_n + sum(c.evals for c in result.cycles)
         assert all(c.evals <= 12 for c in result.cycles)
+
+
+def test_scan_never_integrates_a_point_twice(monkeypatch):
+    # brentq starts from the bracket ends, which the grid has already integrated
+    starts = []
+
+    def recorded(system, x0, *args, **kwargs):
+        starts.append(x0)
+        return section_return(system, x0, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "section_return", recorded)
+    result = find_cycles("cartesian", hopf(0.01), 0.02, 0.9, grid_n=24, tol=1e-12)
+    (cycle,) = result.cycles
+    assert starts.count(cycle.bracket[0]) == starts.count(cycle.bracket[1]) == 1
+    assert len(set(starts)) == len(starts)
 
 
 def test_displacement_sign_flips_across_cycle():

@@ -15,6 +15,7 @@ from qhfocus.flow import (
     estimate_period,
     identity_residuals,
     integrate_jet,
+    integrate_jet_extended,
     integrate_scalar,
     nu1_closed_form,
     section_return,
@@ -281,3 +282,22 @@ def test_section_return_unnormalized_field(unnormalized):
     # the same orbit in normalized coordinates, mapped back through scale_x
     ref = section_return(n.field, x0 / n.scale_x, tol=1e-12)
     assert crossing.x == pytest.approx(ref.x * n.scale_x, rel=1e-10)
+
+
+def test_extended_jet_ends_at_the_true_two_pi():
+    # oracle: mpmath's Taylor solver at the same 20 digits, read at 2*pi to
+    # working precision.  Against a dps-60 solve, the oracle is off by at most
+    # 8e-21 and the extended path by at most 1.4e-21, so they agree to about
+    # 1e-20; the bound leaves a factor 10 of that.  Ending at the double
+    # 2*pi, 2.45e-16 short of the true one, moves nu_2 and nu_3 by 4e-17.
+    rhs = PolarRHS(field23())
+    with mp.workdps(20):
+        sol = mp.odefun(
+            lambda theta, nu: _jet_rhs_coeffs(rhs, 3, *mp.cos_sin(theta), nu),
+            0, [mp.mpf(1), mp.mpf(0), mp.mpf(0)], tol=mp.mpf(10) ** -15, degree=20,
+        )
+        ref = sol(2 * mp.pi)
+    nu, stats = integrate_jet_extended(rhs, order=3, dps=20)
+    assert stats.n_steps > 0
+    for k in (2, 3):
+        assert abs(nu[k - 1] - ref[k - 1]) <= 1e-19
