@@ -395,21 +395,20 @@ class Thm34Report:
         return abs(self.ratio_over_documented - np.pi) <= 1e-6
 
 
-def verify_thm34(sigma: float, samples: Sequence[tuple[float, float]]) -> Thm34Report:
-    """Focal values of the undamped Hopf-regularized system across samples.
+def verify_thm34() -> Thm34Report:
+    """Focal values of the undamped Hopf-regularized system at sigma = 0.1.
 
-    Checks the first two focal values vanish, the third is proportional to
-    (5*a50 + b41)*sigma with a sample-independent ratio, and doubles with
-    sigma; the ratio is reported next to the documented 47/128.  The
-    transport runs at K=8 and tolerance 1e-13 with a22 = b13 = 0.
+    Over four (a50, b41) samples, all with 5*a50 + b41 != 0, checks the first
+    two focal values vanish, the third is proportional to (5*a50 + b41)*sigma
+    with a sample-independent ratio, and doubles with sigma; the ratio is
+    reported next to the documented 47/128.  The transport runs at K=8 and
+    tolerance 1e-13 with a22 = b13 = 0.
     """
-    if not 0 < sigma <= 0.2:
-        raise ValueError("sigma must lie in (0, 0.2]")
+    sigma = 0.1
+    samples = ((0.0, 1.0), (1.0, 0.0), (0.3, -0.1), (-0.2, 2.0))
     lam12 = 0.0
     ratios = []
     for a50, b41 in samples:
-        if 5 * a50 + b41 == 0:
-            raise ValueError("samples need 5*a50 + b41 != 0 for the ratio")
         rep = focal.focal_values(eq329_weighted(a50, b41, sigma=sigma), K=8, integ_tol=1e-13)
         lam12 = max(lam12, abs(rep.nu(3)), abs(rep.nu(5)))
         ratios.append(rep.nu(7) / ((5 * a50 + b41) * sigma))

@@ -174,8 +174,6 @@ def cmd_cycles(args) -> int:
             f"  h* = {c.h_star:.12f}  {c.stability:8s} residual {c.residual:.3e}"
             f" (tol {args.tol:g}){closure}"
         )
-    for w in result.warnings:
-        lines.append(f"  warning: {w}")
     rows = [["h", "Delta", "tol"]] + [[h, d, args.tol] for h, d in result.scan]
     doc = {
         "command": "cycles",
@@ -195,7 +193,6 @@ def cmd_cycles(args) -> int:
             }
             for c in result.cycles
         ],
-        "warnings": result.warnings,
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK
@@ -281,9 +278,7 @@ def cmd_verify(args) -> int:
     )
     row("u2 closed form residual", u2, 0.0, 1e-10, u2 <= 1e-10)
 
-    thm = casestudy.verify_thm34(
-        sigma=0.1, samples=[(0.0, 1.0), (1.0, 0.0), (0.3, -0.1), (-0.2, 2.0)]
-    )
+    thm = casestudy.verify_thm34()
     row("thm34 lambda1,2 residual", thm.lambda12_max, 0.0, 1e-10, thm.lambda12_max <= 1e-10)
     row("thm34 ratio spread", thm.ratio_spread, 0.0, 1e-4, thm.ratio_spread <= 1e-4)
     row(

@@ -51,7 +51,6 @@ class CycleSet:
     grid_n: int
     cycles: list[Cycle] = dc_field(default_factory=list)
     scan: list[tuple[float, float]] = dc_field(default_factory=list)
-    warnings: list[str] = dc_field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -107,11 +106,6 @@ def find_cycles(
                 evals=len(seen) - before,
             )
         )
-    for c1, c2 in zip(out.cycles[:-1], out.cycles[1:]):
-        if c1.bracket[1] > c2.bracket[0]:
-            out.warnings.append(
-                f"unresolved pair near h={c1.h_star!r}, {c2.h_star!r}: grid too coarse"
-            )
     return out
 
 

@@ -82,7 +82,7 @@ class WeightedField:
             and abs(self.lambda2 - self.q) <= 1e-14 * self.q
         )
 
-    def eval(self, x: float, y: float) -> tuple[float, float]:
+    def __call__(self, x: float, y: float) -> tuple[float, float]:
         """Right-hand side (dx/dt, dy/dt) at a Cartesian point."""
         u = -self.lambda1 * y ** (2 * self.p - 1)
         v = self.lambda2 * x ** (2 * self.q - 1)
@@ -91,9 +91,6 @@ class WeightedField:
         for t in self.y_terms:
             v += t.c * x**t.k * y**t.j
         return u, v
-
-    def __call__(self, x: float, y: float) -> tuple[float, float]:
-        return self.eval(x, y)
 
     def divergence_terms(self) -> dict[tuple[int, int], float]:
         """Sparse coefficients of div F = dX/dx + dY/dy (leading part cancels)."""
@@ -109,35 +106,28 @@ class WeightedField:
         return {key: c for key, c in acc.items() if c != 0.0}
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    ok: bool
-    violations: tuple[tuple[Monomial | None, str], ...]
-
-    def __post_init__(self):
-        assert self.ok == (len(self.violations) == 0)
-
-
 RULE_POSITIVE_LAMBDA = "positive-lambda"
 RULE_LEADING_DEGENERACY = "leading-degeneracy"
 RULE_WEIGHT_BOUND = "weight-bound"
 
 
-def validate(f: WeightedField) -> ValidationReport:
-    """Check the weighted-homogeneity contract; reports, never raises."""
-    violations: list[tuple[Monomial | None, str]] = []
-    if f.lambda1 <= 0 or f.lambda2 <= 0:
-        violations.append((None, RULE_POSITIVE_LAMBDA))
+def require_valid(f: WeightedField) -> WeightedField:
+    """Check the weighted-homogeneity contract; raise naming every violated rule."""
+    violations = [RULE_POSITIVE_LAMBDA] if f.lambda1 <= 0 or f.lambda2 <= 0 else []
     for terms, forbidden, bound in (
         (f.x_terms, (0, 2 * f.p - 1), f.x_lead_weight),
         (f.y_terms, (2 * f.q - 1, 0), f.y_lead_weight),
     ):
         for t in terms:
             if (t.k, t.j) == forbidden:
-                violations.append((t, RULE_LEADING_DEGENERACY))
+                violations.append(f"{RULE_LEADING_DEGENERACY} at ({t.k},{t.j})")
             elif t.weight(f.p, f.q) <= bound:
-                violations.append((t, RULE_WEIGHT_BOUND))
-    return ValidationReport(ok=not violations, violations=tuple(violations))
+                violations.append(f"{RULE_WEIGHT_BOUND} at ({t.k},{t.j})")
+    if violations:
+        raise InvalidFieldError(
+            f"field violates weighted-homogeneity: {', '.join(violations)}"
+        )
+    return f
 
 
 @dataclass(frozen=True)
@@ -172,28 +162,6 @@ def normalize(f: WeightedField) -> NormalizationResult:
         f, lambda1=float(f.p), lambda2=float(f.q), x_terms=new_x, y_terms=new_y
     )
     return NormalizationResult(out, sx, sy, ts)
-
-
-def reduce_weights(f: WeightedField) -> tuple[WeightedField, int]:
-    """Divide the weights by their gcd d; the radial variables relate by r* = r**d.
-
-    Only the weight labels change; the monomials are untouched.
-    """
-    d = math.gcd(f.p, f.q)
-    if d == 1:
-        return f, 1
-    return replace(f, p=f.p // d, q=f.q // d), d
-
-
-def require_valid(f: WeightedField) -> WeightedField:
-    report = validate(f)
-    if not report.ok:
-        rules = ", ".join(
-            f"{rule}{'' if m is None else f' at ({m.k},{m.j})'}"
-            for m, rule in report.violations
-        )
-        raise InvalidFieldError(f"field violates weighted-homogeneity: {rules}")
-    return f
 
 
 # -- system-definition text format ------------------------------------------

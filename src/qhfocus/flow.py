@@ -143,26 +143,25 @@ def integrate_jet(
 def integrate_scalar(
     rhs: PolarRHS,
     h: float,
-    theta0: float = 0.0,
     theta1: float = 2 * np.pi,
     tol: float = DEFAULT_TOL,
 ) -> float:
-    """r at theta1 for the scalar radius ODE started at (theta0, h)."""
-    if abs(theta1 - theta0) >= 4 * np.pi:
+    """r at theta1 for the scalar radius ODE started at (0, h)."""
+    if abs(theta1) >= 4 * np.pi:
         raise ValueError("theta span must stay below 4*pi")
     check_tol(tol)
     rhs.check_radius(h)
-    if theta0 == theta1:
+    if theta1 == 0:
         return h
     sol = _dop853(
-        lambda t, y: [rhs(t, float(y[0]))], (theta0, theta1), [h], tol, tol, "scalar integration"
+        lambda t, y: [rhs(t, float(y[0]))], (0.0, theta1), [h], tol, tol, "scalar integration"
     )
     return float(sol.y[0, -1])
 
 
 def return_map(rhs: PolarRHS, h: float, tol: float = DEFAULT_TOL) -> float:
     """r~(2*pi, h): one full turn of the polar flow."""
-    return integrate_scalar(rhs, h, 0.0, 2 * np.pi, tol)
+    return integrate_scalar(rhs, h, tol=tol)
 
 
 # -- functional identities of the flow ----------------------------------------
@@ -186,7 +185,7 @@ def identity_residuals(
     p, q = rhs.field.p, rhs.field.q
 
     def r(h0: float, theta: float) -> float:
-        return integrate_scalar(rhs, h0, 0.0, theta, tol)
+        return integrate_scalar(rhs, h0, theta, tol)
 
     r2pi, rpi = r(h, 2 * np.pi), r(h, np.pi)
     out = {"composition": [abs(r(h, th + 2 * np.pi) - r(r2pi, th)) for th in theta_samples]}
@@ -409,7 +408,7 @@ def integrate_jet_extended(
     Experimental Math. 14, 2005).  The jet right-hand side is built once on
     lazy Taylor series (``_Series``) of cos, sin and nu at the start of the
     step, and coefficient m + 1 of nu is coefficient m of the right-hand
-    side divided by m + 1.  With tol = ``extended_tol(dps)``,
+    side divided by m + 1.  With the local tolerance tol = 10**-dps,
     M = ceil(-ln(tol) / 2 + 1), and the step h is the largest at which the
     last two terms, max_i |coefficient j of nu_i| * h**j for j = M - 1 and
     M, stay below tol.  All sums and products are exact on integer
@@ -425,7 +424,8 @@ def integrate_jet_extended(
     from mpmath import mp
 
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    tol = extended_tol(dps)
+    with mp.workdps(dps):
+        tol = mp.mpf(10) ** -dps
     log_tol = float(mp.log(tol))
     M = math.ceil(-log_tol / 2 + 1)
     bits = math.ceil(dps * math.log2(10)) + _GUARD_BITS
@@ -476,11 +476,3 @@ def _horner(c: Sequence[int], step: int, bits: int) -> int:
     for cj in reversed(c[:-1]):
         acc = ((acc * step) >> bits) + cj
     return acc
-
-
-def extended_tol(dps: int):
-    """Local tolerance 10**-dps of the extended-precision solve, as an mpf at dps digits."""
-    from mpmath import mp
-
-    with mp.workdps(dps):
-        return mp.mpf(10) ** -dps

@@ -9,7 +9,7 @@ import numpy as np
 
 from . import flow
 from .errors import QhfocusError, check_tol
-from .fields import Monomial, WeightedField, normalize, reduce_weights, require_valid
+from .fields import Monomial, WeightedField, normalize, require_valid
 from .polar import PolarRHS
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -112,9 +112,8 @@ def focal_values(
 ) -> FocalReport:
     """nu_2(2*pi)..nu_K(2*pi) by jet transport over one full turn.
 
-    The extended-precision solve runs at its own tolerance
-    ``flow.extended_tol(dps)`` in place of ``integ_tol``; the report records
-    the tolerance used either way.
+    The extended-precision solve runs at its own tolerance 10**-dps in place
+    of ``integ_tol``; the report records the tolerance used either way.
     """
     check_tol(integ_tol)
     rhs, d = _prepare(field)
@@ -221,9 +220,8 @@ def focal_jacobian(
         cols.append((values_at(eps0 + e) - values_at(eps0 - e)) / (2 * h))
     J = np.column_stack(cols)
     sv = np.linalg.svd(J, compute_uv=False)
-    cut = max(J.shape) * np.finfo(float).eps * (sv[0] if sv.size else 0.0)
     # finite differencing limits resolvable singular values well above eps
-    cut = max(cut, 1e-7 * (sv[0] if sv.size else 0.0))
+    cut = 1e-7 * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cut))
     ill = False
     if 0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3:
@@ -325,13 +323,16 @@ def parity_survey(
     seed: int = 42,
     integ_tol: float = flow.DEFAULT_TOL,
 ) -> SurveyResult:
-    """First-nonzero-index distribution over random fields at weights (p, q).
+    """First-nonzero-index distribution over random fields at weights p/d:q/d.
 
-    Non-coprime weights are reduced first; sampling happens at the reduced
-    weights, where the parity theorems speak.
+    d = gcd(p, q).  Sampling happens at the reduced weights, where the parity
+    theorems speak.  For d > 1 that is a different class of systems than p:q:
+    the leading part -lambda1 y**(2p-1), lambda2 x**(2q-1) follows the weights.
     """
-    reduced, d = reduce_weights(WeightedField(p=p, q=q))
-    p, q = reduced.p, reduced.q
+    if p < 1 or q < 1:
+        raise ValueError("weights p, q must be positive integers")
+    d = math.gcd(p, q)
+    p, q = p // d, q // d
     rng = np.random.default_rng(seed)
     res = SurveyResult(p, q, d, n_samples, 0, 0)
     want_odd = (p + q) % 2 == 0

@@ -54,9 +54,7 @@ def test_u2_closed_form_residuals():
 
 
 def test_thm34_report():
-    rep = casestudy.verify_thm34(
-        sigma=0.1, samples=[(0.0, 1.0), (1.0, 0.0), (0.3, -0.1), (-0.2, 2.0)]
-    )
+    rep = casestudy.verify_thm34()
     assert rep.lambda12_max < 1e-10
     assert rep.ratio_spread < 1e-4
     assert rep.sigma_linearity_residual < 1e-6

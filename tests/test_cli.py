@@ -39,6 +39,13 @@ def test_analyze_empty_file_exits_1(tmp_path, capsys):
     assert main(["analyze", "--system", str(path)]) == 1
 
 
+def test_analyze_rejects_a_low_weight_term(tmp_path, capsys):
+    path = tmp_path / "bad.txt"
+    path.write_text(SYSTEM_31 + "x 1 1 1.0\n", encoding="utf-8")
+    assert main(["analyze", "--system", str(path)]) == 1
+    assert "weight-bound at (1,1)" in capsys.readouterr().err
+
+
 def test_analyze_missing_file_exits_1(tmp_path):
     assert main(["analyze", "--system", str(tmp_path / "nope.txt")]) == 1
 
@@ -128,6 +135,12 @@ def test_survey_seed_determinism(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("weights", ["0:0", "0:3", "-2:4"])
+def test_survey_rejects_nonpositive_weights(weights, capsys):
+    assert main(["survey", f"--weights={weights}", "--samples", "2"]) == 1
+    assert "weights p, q must be positive integers" in capsys.readouterr().err
 
 
 def test_missing_input_source_exits_1(capsys):

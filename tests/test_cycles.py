@@ -4,7 +4,7 @@ import pytest
 from qhfocus import alternation_search, find_cycles, flow
 from qhfocus.casestudy import eq329_cartesian, field23
 from qhfocus.cycles import closure_error
-from qhfocus.errors import AlternationError
+from qhfocus.errors import AlternationError, StiffnessError
 from qhfocus.flow import section_return
 
 
@@ -113,6 +113,21 @@ def test_alternation_search_realizes_sign_chain():
     assert values[0] > 0 > values[1]
     assert abs(values[0]) <= abs(values[1]) / 100
     assert abs(values[1]) <= abs(values[2]) / 10
+
+
+def test_alternation_search_skips_trials_that_raise():
+    raised = []
+
+    def chain(eps):
+        if abs(eps[0]) > 1e-5:
+            raised.append(eps[0])
+            raise StiffnessError("trial outside the solvable range")
+        return [0.1 * eps[0], 2.0e-6]
+
+    eps = alternation_search(chain, [1, 1], box=[(1e-10, 1e-3)], gap=[10.0])
+    assert raised
+    assert 0 < eps[0] <= 1e-5
+    assert 0.1 * eps[0] <= 2.0e-6 / 10
 
 
 def test_alternation_search_rejects_wrong_tail_sign():

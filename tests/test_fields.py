@@ -13,8 +13,7 @@ from qhfocus.fields import (
     load_system,
     normalize,
     parse_system,
-    reduce_weights,
-    validate,
+    require_valid,
 )
 
 
@@ -48,8 +47,8 @@ def test_eval_matches_hand_expansion():
 
 
 def test_validate_accepts_admissible_field():
-    rep = validate(field23())
-    assert rep.ok and not rep.violations
+    f = field23()
+    assert require_valid(f) is f
 
 
 def test_validate_flags_low_weight_term():
@@ -57,9 +56,8 @@ def test_validate_flags_low_weight_term():
     bad = WeightedField(
         p=2, q=3, x_terms=f.x_terms + (Monomial(1, 1, 1.0),), y_terms=f.y_terms
     )
-    rep = validate(bad)
-    assert not rep.ok
-    assert any(rule == RULE_WEIGHT_BOUND for _, rule in rep.violations)
+    with pytest.raises(InvalidFieldError, match=rf"{RULE_WEIGHT_BOUND} at \(1,1\)"):
+        require_valid(bad)
 
 
 def test_validate_flags_leading_degeneracy():
@@ -68,14 +66,28 @@ def test_validate_flags_leading_degeneracy():
     bad = WeightedField(
         p=2, q=3, x_terms=f.x_terms + (Monomial(0, 3, 0.1),), y_terms=f.y_terms
     )
-    rep = validate(bad)
-    assert any(rule == RULE_LEADING_DEGENERACY for _, rule in rep.violations)
+    with pytest.raises(InvalidFieldError, match=rf"{RULE_LEADING_DEGENERACY} at \(0,3\)"):
+        require_valid(bad)
 
 
 def test_validate_flags_nonpositive_lambda():
-    f = field23(lambda1=-1.0)
-    rep = validate(f)
-    assert any(rule == RULE_POSITIVE_LAMBDA for _, rule in rep.violations)
+    with pytest.raises(InvalidFieldError, match=RULE_POSITIVE_LAMBDA):
+        require_valid(field23(lambda1=-1.0))
+
+
+def test_validate_names_every_violated_rule():
+    f = field23()
+    bad = WeightedField(
+        p=2, q=3, lambda1=-1.0,
+        x_terms=f.x_terms + (Monomial(1, 1, 1.0), Monomial(0, 3, 0.1)),
+        y_terms=f.y_terms,
+    )
+    with pytest.raises(InvalidFieldError) as info:
+        require_valid(bad)
+    assert str(info.value) == (
+        "field violates weighted-homogeneity: "
+        "positive-lambda, leading-degeneracy at (0,3), weight-bound at (1,1)"
+    )
 
 
 @pytest.mark.parametrize(
@@ -84,9 +96,8 @@ def test_validate_flags_nonpositive_lambda():
 def test_explicit_zero_lambda_is_kept_and_rejected(line):
     f = parse_system(f"p 2\nq 3\n{line}\n")
     assert 0.0 in (f.lambda1, f.lambda2)
-    rep = validate(f)
-    assert not rep.ok
-    assert (None, RULE_POSITIVE_LAMBDA) in rep.violations
+    with pytest.raises(InvalidFieldError, match=f"weighted-homogeneity: {RULE_POSITIVE_LAMBDA}$"):
+        require_valid(f)
 
 
 def test_normalize_sets_leading_coefficients():
@@ -110,23 +121,6 @@ def test_normalize_preserves_dynamics_up_to_scaling():
 def test_normalize_rejects_nonpositive_lambda():
     with pytest.raises(NormalizationError):
         normalize(field23(lambda1=-1.0))
-
-
-def test_reduce_weights_relabels_only():
-    f = WeightedField(
-        p=2, q=4,
-        x_terms=(Monomial(0, 9, 1.0),),
-        y_terms=(Monomial(9, 0, 1.0),),
-    )
-    g, d = reduce_weights(f)
-    assert d == 2 and (g.p, g.q) == (1, 2)
-    assert g.x_terms == f.x_terms and g.y_terms == f.y_terms
-
-
-def test_reduce_weights_coprime_identity():
-    f = field23()
-    g, d = reduce_weights(f)
-    assert d == 1 and g is f
 
 
 def test_parse_format_round_trip():

@@ -69,7 +69,7 @@ def test_energy_conservation_on_hamiltonian_core():
     e0 = energy(0.0, h)
     drift = []
     for theta in np.linspace(0.5, 2 * np.pi, 12):
-        r = integrate_scalar(rhs, h, 0.0, theta, tol=1e-13)
+        r = integrate_scalar(rhs, h, theta, tol=1e-13)
         drift.append(abs(energy(theta, r) - e0))
     assert max(drift) < 1e-10 * e0
 

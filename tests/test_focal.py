@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from qhfocus import focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
-from qhfocus.errors import QhfocusError
-from qhfocus.fields import validate
+from qhfocus.errors import InvalidFieldError, QhfocusError
+from qhfocus.fields import parse_system, require_valid
 from qhfocus.focal import (
     focal_jacobian,
     is_hamiltonian,
@@ -21,6 +21,12 @@ def test_first_focal_value_sign_tracks_v2():
     minus = focal_values(field23(a22=0.5, a50=-1.0, b13=-0.3, b41=1.0), K=3)
     assert plus.verdict == "weak-focus" and plus.focus_order == 1
     assert plus.nu(2) > 0 > minus.nu(2)
+
+
+def test_focal_values_rejects_a_low_weight_term():
+    bad = parse_system("p 2\nq 3\nx 1 1 1.0\n")
+    with pytest.raises(InvalidFieldError, match=r"weight-bound at \(1,1\)"):
+        focal_values(bad)
 
 
 def test_focal_report_parity_and_indices():
@@ -77,7 +83,7 @@ def test_random_field_admissibility():
     rng = np.random.default_rng(3)
     for p, q in ((1, 2), (2, 3)):
         f = random_field(p, q, rng)
-        assert validate(f).ok
+        assert require_valid(f) is f
 
 
 def test_parity_survey_small():

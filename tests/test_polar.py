@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from qhfocus import Monomial, WeightedField
-from qhfocus.errors import InvalidFieldError
+from qhfocus.errors import InvalidFieldError, PolarChartError
+from qhfocus.flow import return_map
 from qhfocus.polar import PolarRHS, rq_table
 
 
@@ -94,6 +95,23 @@ def test_unnormalized_field_rejected():
     )
     with pytest.raises(InvalidFieldError):
         PolarRHS(skew)
+
+
+def test_low_weight_term_rejected():
+    f = field23()
+    bad = WeightedField(p=2, q=3, x_terms=f.x_terms + (Monomial(1, 1, 1.0),))
+    with pytest.raises(InvalidFieldError, match=r"weight-bound at \(1,1\)"):
+        PolarRHS(bad)
+
+
+def test_chart_breakdown_and_radius_limit_raise():
+    # Q = 1 - 5 cos(theta)**3 r vanishes first at r = 0.2, theta = 0
+    rhs = PolarRHS(WeightedField(p=1, q=1, y_terms=(Monomial(2, 0, -5.0),)))
+    assert rhs.safe_radius() == pytest.approx(0.1, rel=1e-12)
+    with pytest.raises(PolarChartError, match="outside the valid polar neighborhood"):
+        return_map(rhs, 0.15)
+    with pytest.raises(PolarChartError, match="chart breakdown"):
+        rhs(0.0, 0.2)
 
 
 def test_safe_radius_positive_and_respected():
