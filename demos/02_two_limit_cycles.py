@@ -12,8 +12,6 @@ isolates both cycles, and closes each one in Cartesian coordinates as an
 independent check.
 """
 
-import numpy as np
-
 from qhfocus import alternation_search, find_cycles, focal_values
 from qhfocus.casestudy import eq325_field
 from qhfocus.cycles import closure_error

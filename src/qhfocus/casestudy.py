@@ -28,8 +28,6 @@ from .quadrature import (
     OdeAntiderivative,
     QuadResult,
     cross_checked,
-    gauss_panels,
-    trapezoid_periodic,
 )
 
 # printed digits of the reference combination for the third focal value
@@ -122,29 +120,23 @@ def nested_g2(theta):
 # -- frozen reference constants ---------------------------------------------------
 
 
-def _ib_cross_checked(tol: float) -> QuadResult:
-    """The B integral by two schemes, each paired with a different f2 backend."""
-    ib_t = trapezoid_periodic(b_integrand_factory(_f2_fourier()), tol)
-    ib_g = gauss_panels(b_integrand_factory(_f2_ode()), tol)
-    ib_diff = abs(ib_t.value - ib_g.value) / max(1.0, abs(ib_t.value))
-    if ib_diff > 1e-10:
-        raise ReproductionError(
-            f"B-integral schemes disagree beyond 1e-10: {ib_t.value!r} vs {ib_g.value!r}"
-        )
-    return QuadResult(ib_t.value, max(ib_t.error_estimate, ib_diff), ib_t.nodes_used + ib_g.nodes_used)
+def reference_integrands() -> dict[str, tuple[Callable, Callable]]:
+    """The trapezoid-side and the Gauss-side integrand of each reference integral.
+
+    The two sides differ only for IB, which nests f2: the trapezoid side takes
+    it from the Fourier antiderivative, the Gauss side from the ODE one.
+    """
+    return {
+        "I2": (g2_integrand, g2_integrand),
+        "I4": (nu4_integrand, nu4_integrand),
+        "IA": (a_integrand, a_integrand),
+        "IB": (b_integrand_factory(_f2_fourier()), b_integrand_factory(_f2_ode())),
+    }
 
 
 def compute_reference_constants(tol: float = 1e-12) -> dict[str, float]:
-    """The four independent integral constants, each cross-checked twice."""
-    i2 = cross_checked(g2_integrand, tol)
-    i4 = cross_checked(nu4_integrand, tol)
-    ia = cross_checked(a_integrand, tol)
-    return {
-        "I2": i2.value,
-        "I4": i4.value,
-        "IA": ia.value,
-        "IB": _ib_cross_checked(tol).value,
-    }
+    """The four independent integral constants, each cross-checked by two schemes."""
+    return {name: cross_checked(f, g, tol).value for name, (f, g) in reference_integrands().items()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -181,8 +173,9 @@ def verify_322(tol: float = 1e-12) -> Verify322:
     printed digits is reported.  Raises ReproductionError when neither reading
     comes within 1e-2 relative.
     """
-    ia = cross_checked(a_integrand, tol)
-    ib = _ib_cross_checked(tol)
+    integrands = reference_integrands()
+    ia = cross_checked(*integrands["IA"], tol)
+    ib = cross_checked(*integrands["IB"], tol)
     once = PREFACTOR_A * ia.value - PREFACTOR_B * ib.value
     as_printed = PREFACTOR_A**2 * ia.value - PREFACTOR_B**2 * ib.value
     mis_once = abs(once - EQ322_TARGET) / EQ322_TARGET
@@ -302,15 +295,14 @@ def eq329_cartesian(
     delta1: float = 0.0,
     delta2: float = 0.0,
 ):
-    """Callable (xi, eta) -> velocities of the full damped system."""
-    g_plus = 0.5 * (5 * a50 + b41 + 4 * delta1 + 8 * delta2) * sigma
-    g_minus = 0.5 * (5 * a50 + b41 - 4 * delta1 + 8 * delta2) * sigma
+    """Callable (x, y) -> velocities of the full damped system: the
+    ``eq329_weighted`` field minus the linear damping sigma * delta0 * (x, y)."""
+    field = eq329_weighted(a50, b41, a22, b13, sigma, delta1, delta2)
     d0 = delta0 * sigma
 
     def rhs(x, y):
-        u = -d0 * x - y + g_plus * x * y**2 - 2 * y**3 + sigma * x**2 * (a50 * x**3 + a22 * y**2)
-        v = x - d0 * y - g_minus * x**2 * y + 3 * x**5 + sigma * x * y * (b41 * x**3 + b13 * y**2)
-        return u, v
+        u, v = field(x, y)
+        return u - d0 * x, v - d0 * y
 
     return rhs
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -62,14 +63,20 @@ def _load_field(args) -> WeightedField:
     raise ValueError("provide --system <path> or --family <name>")
 
 
+def _json_value(obj):
+    return obj.tolist() if isinstance(obj, np.ndarray) else float(obj)
+
+
 def _emit(args, lines: list[str], doc: dict, rows: list[list]) -> None:
+    """Print the report; --out also writes it, its JSON (command name first) and its CSV."""
     text = "\n".join(lines) + "\n"
     sys.stdout.write(text)
     if args.out:
         base = Path(args.out)
         base.write_text(text, encoding="utf-8")
+        doc = {"command": args.command, **doc}
         base.with_suffix(".json").write_text(
-            json.dumps(doc, indent=2, default=float) + "\n", encoding="utf-8"
+            json.dumps(doc, indent=2, default=_json_value) + "\n", encoding="utf-8"
         )
         if rows:
             with base.with_suffix(".csv").open("w", newline="", encoding="utf-8") as fh:
@@ -113,7 +120,6 @@ def cmd_analyze(args) -> int:
             csv.writer(fh).writerows(table.tolist())
         lines.append(f"  R/Q table of the normalized field written to {args.rq_table}")
     doc = {
-        "command": "analyze",
         "p": field.p,
         "q": field.q,
         "order": report.order,
@@ -176,23 +182,13 @@ def cmd_cycles(args) -> int:
         )
     rows = [["h", "Delta", "tol"]] + [[h, d, args.tol] for h, d in result.scan]
     doc = {
-        "command": "cycles",
         "backend": backend,
         "h_star_coordinates": coordinates,
         "h_min": args.h_min,
         "h_max": args.h_max,
         "grid": args.grid,
         "tol": args.tol,
-        "cycles": [
-            {
-                "h_star": c.h_star,
-                "bracket": list(c.bracket),
-                "residual": c.residual,
-                "stability": c.stability,
-                "evals": c.evals,
-            }
-            for c in result.cycles
-        ],
+        "cycles": [dataclasses.asdict(c) for c in result.cycles],
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK
@@ -205,7 +201,7 @@ def cmd_verify(args) -> int:
     t0 = time.time()
     lines = ["case-study verification"]
     rows = [["row", "value", "target", "tol", "pass"]]
-    doc: dict = {"command": "verify", "rows": {}}
+    doc: dict = {"rows": {}}
     failures = []
 
     def row(name, value, target, tol, ok):
@@ -305,19 +301,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_quad(args) -> int:
-    integrands = {
-        "I2": casestudy.g2_integrand,
-        "I4": casestudy.nu4_integrand,
-        "IA": casestudy.a_integrand,
-        "IB": casestudy.b_integrand_factory(casestudy.nested_f2),
-    }
     lines = ["reference integrals, two independent schemes"]
     rows = [["integral", "trapezoid", "gauss", "difference", "tol"]]
-    doc = {"command": "quad", "tol": args.tol, "integrals": {}}
+    doc = {"tol": args.tol, "integrals": {}}
     worst = 0.0
-    for name, fn in integrands.items():
-        a = trapezoid_periodic(fn, tol=args.tol)
-        b = gauss_panels(fn, tol=args.tol)
+    for name, (f, g) in casestudy.reference_integrands().items():
+        a = trapezoid_periodic(f, tol=args.tol)
+        b = gauss_panels(g, tol=args.tol)
         diff = abs(a.value - b.value)
         worst = max(worst, diff / max(1.0, abs(a.value)))
         lines.append(
@@ -366,16 +356,11 @@ def cmd_jacobian(args) -> int:
         lines.append(f"  d nu_{k} / d({', '.join(names)}) = {np.array2string(vals, precision=9)}")
         rows.append([k] + vals.tolist())
     doc = {
-        "command": "jacobian",
         "family": args.family,
         "parameters": names,
         "point": eps0.tolist(),
-        "indices": list(res.indices),
         "tol": args.tol,
-        "matrix": res.matrix.tolist(),
-        "singular_values": res.singular_values.tolist(),
-        "rank": res.rank,
-        "ill_conditioned": res.ill_conditioned,
+        **dataclasses.asdict(res),
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK
@@ -388,7 +373,7 @@ def cmd_survey(args) -> int:
     pairs = [tuple(int(v) for v in pq.split(":")) for pq in args.weights.split(",")]
     lines = [f"parity survey, seed {args.seed}, {args.samples} samples per weight pair"]
     rows = [["p", "q", "expected_parity", "samples", "skipped", "unresolved", "parity_ok"]]
-    doc = {"command": "survey", "seed": args.seed, "tol": args.tol, "results": []}
+    doc = {"seed": args.seed, "tol": args.tol, "results": []}
     all_ok = True
     for p, q in pairs:
         res = focal.parity_survey(

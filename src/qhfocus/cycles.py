@@ -128,7 +128,7 @@ def alternation_search(
     chain_fn: Callable[[np.ndarray], Sequence[float]],
     target_signs: Sequence[int],
     box: Sequence[tuple[float, float]],
-    gap: float | Sequence[float] = 10.0,
+    gap: Sequence[float],
     scan_n: int = 24,
 ) -> np.ndarray:
     """Find a parameter point realizing a sign chain with growing magnitudes.
@@ -139,16 +139,12 @@ def alternation_search(
     parameters start at zero and are tuned one at a time from the last down to
     the first, each scanned geometrically inside its box until its chain entry
     has the target sign and magnitude between 1e-10 and ``1/gap[i]`` of the
-    next entry.  Passing one gap per entry (never below 10) keeps the
-    displacement roots separated: the roots sit near the successive magnitude
-    ratios, so uniform gaps would let adjacent roots collide.
+    next entry.  ``gap`` holds one gap per tunable entry, none below 10, which
+    keeps the displacement roots separated: the roots sit near the successive
+    magnitude ratios, so uniform gaps would let adjacent roots collide.
     """
     target_signs = list(target_signs)
-    gaps = (
-        [float(gap)] * (len(target_signs) - 1)
-        if np.isscalar(gap)
-        else [float(g) for g in gap]
-    )
+    gaps = [float(g) for g in gap]
     if len(gaps) != len(target_signs) - 1:
         raise ValueError("need one gap per tunable chain entry")
     if any(g < 10 for g in gaps):

@@ -25,6 +25,8 @@ from .fields import WeightedField, normalize
 from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
+# DOP853's rtol floor: scipy rewrites any rtol below 100 * eps, with a warning
+RTOL_FLOOR = 1e-13
 
 
 def default_order(p: int, q: int) -> int:
@@ -76,7 +78,7 @@ def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
 class IntegratorStats:
     n_rhs_evals: int
     n_steps: int
-    tol: float
+    tol: float  # the tolerance the solver ran at
 
 
 @dataclass
@@ -104,8 +106,9 @@ class JetTrajectory:
 
 
 def _dop853(fun, span, y0, tol: float, atol: float, what: str, **options):
-    """One DOP853 solve at rtol = max(tol, 1e-13); a failed solve raises StiffnessError."""
-    sol = solve_ivp(fun, span, y0, method="DOP853", rtol=max(tol, 1e-13), atol=atol, **options)
+    """One DOP853 solve at rtol = max(tol, RTOL_FLOOR); a failed solve raises StiffnessError."""
+    rtol = max(tol, RTOL_FLOOR)
+    sol = solve_ivp(fun, span, y0, method="DOP853", rtol=rtol, atol=atol, **options)
     if not sol.success:
         raise StiffnessError(f"{what} failed: {sol.message}")
     return sol
@@ -136,7 +139,7 @@ def integrate_jet(
         return _dop853(f, (0.0, 2 * np.pi), y0, tol, tol, "jet integration", **options)
 
     sol = solve()
-    stats = IntegratorStats(sol.nfev, len(sol.t) - 1, tol)
+    stats = IntegratorStats(sol.nfev, len(sol.t) - 1, max(tol, RTOL_FLOOR))
     return JetTrajectory(K, stats, sol.y[:, -1], lambda: solve(dense_output=True))
 
 

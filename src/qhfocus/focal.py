@@ -47,11 +47,9 @@ class FocalReport:
 
     @property
     def focal_indices(self) -> tuple[int, ...]:
-        """Indices carrying focal values for this parity class, within order."""
-        K = self.order
-        if self.parity_class == EVEN_SUM:
-            return tuple(range(3, K + 1, 2))
-        return tuple(range(2, K + 1, 2))
+        """Indices carrying focal values within order, by the parity theorems:
+        odd when p + q is even, even when it is odd."""
+        return tuple(range(3 if self.parity_class == EVEN_SUM else 2, self.order + 1, 2))
 
 
 def _prepare(field: WeightedField) -> tuple[PolarRHS, int]:
@@ -80,26 +78,22 @@ def classify(
     first = next(
         (k for k, v in zip(range(2, K + 1), values) if abs(v) > tol), None
     )
-    if first is None:
-        verdict, order_m = CENTER_CANDIDATE, None
-    elif parity == EVEN_SUM and first % 2 == 1:
-        verdict, order_m = WEAK_FOCUS, (first - 1) // 2
-    elif parity == ODD_SUM and first % 2 == 0:
-        verdict, order_m = WEAK_FOCUS, first // 2
-    else:
-        # parity theorems violated beyond tolerance: do not assert an order
-        verdict, order_m = INDETERMINATE, None
-    return FocalReport(
+    report = FocalReport(
         values=values,
         zero_tol=tol,
         parity_class=parity,
         first_nonzero_index=first,
-        focus_order=order_m,
-        verdict=verdict,
+        focus_order=None,
+        verdict=CENTER_CANDIDATE if first is None else INDETERMINATE,
         integ_tol=integ_tol,
         weight_gcd=weight_gcd,
         order=K,
     )
+    if first in report.focal_indices:
+        # a first focal value at k = 2m or 2m + 1 makes a weak focus of order m
+        return replace(report, verdict=WEAK_FOCUS, focus_order=first // 2)
+    # no nonzero value, or one where the parity theorems forbid it: no order
+    return report
 
 
 def focal_values(
@@ -232,41 +226,26 @@ def focal_jacobian(
 # -- structural center certificates ---------------------------------------------
 
 
-def is_hamiltonian(field: WeightedField) -> bool:
-    """True when div F vanishes coefficientwise, to 1e-13 of the largest coefficient."""
-    scale = max(
-        [abs(t.c) for t in field.x_terms + field.y_terms] or [1.0]
-    )
-    return all(abs(c) <= 1e-13 * scale for c in field.divergence_terms().values())
+def structural_center(field: WeightedField) -> dict[str, bool]:
+    """Structural center certificates, each read off the coefficients.
 
-
-def reversibility(field: WeightedField) -> dict[str, bool]:
-    """Time-reversal symmetries across the two axes.
-
-    x-axis: (x, y, t) -> (x, -y, -t) invariance needs X odd and Y even in y;
-    y-axis: (x, y, t) -> (-x, y, -t) invariance needs X even and Y odd in x.
-    The leading part satisfies both.  A coefficient counts as zero below 1e-13
-    of the largest one.
+    hamiltonian: div F vanishes.  x-axis: (x, y, t) -> (x, -y, -t) invariance,
+    which needs X odd and Y even in y.  y-axis: (x, y, t) -> (-x, y, -t)
+    invariance, which needs X even and Y odd in x.  The leading part satisfies
+    both symmetries.  A coefficient counts as zero below 1e-13 of the largest one.
     """
     scale = max([abs(t.c) for t in field.x_terms + field.y_terms] or [1.0])
 
-    def small(c):
-        return abs(c) <= 1e-13 * scale
+    def zero(coeffs) -> bool:
+        return all(abs(c) <= 1e-13 * scale for c in coeffs)
 
-    x_axis = all(small(t.c) for t in field.x_terms if t.j % 2 == 0) and all(
-        small(t.c) for t in field.y_terms if t.j % 2 == 1
-    )
-    y_axis = all(small(t.c) for t in field.x_terms if t.k % 2 == 1) and all(
-        small(t.c) for t in field.y_terms if t.k % 2 == 0
-    )
-    return {"x-axis": x_axis, "y-axis": y_axis}
-
-
-def structural_center(field: WeightedField) -> dict[str, bool]:
-    rev = reversibility(field)
-    out = {"hamiltonian": is_hamiltonian(field)}
-    out.update(rev)
-    out["certified"] = out["hamiltonian"] or rev["x-axis"] or rev["y-axis"]
+    xs, ys = field.x_terms, field.y_terms
+    out = {
+        "hamiltonian": zero(field.divergence_terms().values()),
+        "x-axis": zero([t.c for t in xs if t.j % 2 == 0] + [t.c for t in ys if t.j % 2 == 1]),
+        "y-axis": zero([t.c for t in xs if t.k % 2 == 1] + [t.c for t in ys if t.k % 2 == 0]),
+    }
+    out["certified"] = any(out.values())
     return out
 
 
@@ -335,7 +314,6 @@ def parity_survey(
     p, q = p // d, q // d
     rng = np.random.default_rng(seed)
     res = SurveyResult(p, q, d, n_samples, 0, 0)
-    want_odd = (p + q) % 2 == 0
     for _ in range(n_samples):
         f = random_field(p, q, rng)
         try:
@@ -348,6 +326,6 @@ def parity_survey(
             res.n_unresolved += 1
             continue
         res.first_index_counts[first] = res.first_index_counts.get(first, 0) + 1
-        if (first % 2 == 1) != want_odd:
+        if first not in rep.focal_indices:
             res.parity_ok = False
     return res

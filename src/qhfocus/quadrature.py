@@ -118,13 +118,16 @@ class OdeAntiderivative:
         return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 
-def cross_checked(f: Callable[[np.ndarray], np.ndarray], tol: float = 1e-12) -> QuadResult:
-    """Full-period integral by two independent schemes; raises on a relative gap above 1e-10."""
+def cross_checked(f: Callable, g: Callable, tol: float = 1e-12) -> QuadResult:
+    """One full-period integral, as f by trapezoids and as g by Gauss panels.
+
+    f and g evaluate the same integrand; a relative gap above 1e-10 raises.
+    """
     t = trapezoid_periodic(f, tol)
-    g = gauss_panels(f, tol)
-    diff = abs(t.value - g.value) / max(1.0, abs(t.value))
+    q = gauss_panels(g, tol)
+    diff = abs(t.value - q.value) / max(1.0, abs(t.value))
     if diff > 1e-10:
         raise QuadratureError(
-            f"independent schemes disagree: {t.value!r} vs {g.value!r}"
+            f"independent schemes disagree: {t.value!r} vs {q.value!r}"
         )
-    return QuadResult(t.value, max(t.error_estimate, diff), t.nodes_used + g.nodes_used)
+    return QuadResult(t.value, max(t.error_estimate, diff), t.nodes_used + q.nodes_used)

@@ -1,13 +1,16 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from qhfocus.casestudy import eq325_field
+from qhfocus.casestudy import b_integrand_factory, eq325_field, f2_integrand, nested_f2
 from qhfocus.cli import main
+from qhfocus.cycles import find_cycles
 from qhfocus.fields import load_system, normalize
-from qhfocus.focal import focal_values
+from qhfocus.focal import focal_jacobian, focal_values
 from qhfocus.polar import PolarRHS, rq_table
+from qhfocus.quadrature import OdeAntiderivative, gauss_panels, trapezoid_periodic
 
 SYSTEM_31 = """\
 # 2:3 weighted system
@@ -106,6 +109,17 @@ def test_quad_schemes_agree(capsys):
         assert name in out
 
 
+def test_quad_ib_schemes_share_no_backend(tmp_path, capsys):
+    # IB nests f2: the trapezoid side takes it from the Fourier antiderivative,
+    # the Gauss side from the ODE antiderivative
+    out = tmp_path / "quad.txt"
+    assert main(["quad", "--out", str(out)]) == 0
+    ib = json.loads(out.with_suffix(".json").read_text())["integrals"]["IB"]
+    f2_ode = OdeAntiderivative(lambda t: float(f2_integrand(t)))
+    assert ib["gauss"] == gauss_panels(b_integrand_factory(f2_ode), tol=1e-12).value
+    assert ib["trapezoid"] == trapezoid_periodic(b_integrand_factory(nested_f2), tol=1e-12).value
+
+
 def test_cycles_family_eq325(capsys):
     code = main(
         [
@@ -121,6 +135,32 @@ def test_cycles_family_eq325(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "cycles found   2" in out
+
+
+def test_cycles_json_records_are_the_library_cycles(tmp_path, capsys):
+    out = tmp_path / "cycles.txt"
+    argv = [
+        "cycles", "--family", "eq325", "--params", "eps1=1.22e-08,eps2=2.41e-04",
+        "--h-min", "0.03", "--h-max", "0.45", "--grid", "16", "--noise-floor", "1e-12",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    field = normalize(eq325_field(1.22e-08, 2.41e-04)).field
+    result = find_cycles("polar", field, 0.03, 0.45, grid_n=16, tol=1e-13, noise_floor=1e-12)
+    assert len(result.cycles) == 2
+    assert doc["cycles"] == json.loads(json.dumps([dataclasses.asdict(c) for c in result.cycles]))
+
+
+def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
+    out = tmp_path / "jacobian.txt"
+    assert main(["jacobian", "--family", "eq325", "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    res = focal_jacobian(lambda e: eq325_field(e[0], e[1]), [0.0, 0.0], (2, 4, 6))
+    assert doc["matrix"] == res.matrix.tolist()
+    assert doc["singular_values"] == res.singular_values.tolist()
+    assert doc["indices"] == list(res.indices)
+    assert (doc["rank"], doc["ill_conditioned"]) == (res.rank, res.ill_conditioned)
 
 
 def test_jacobian_eq325(capsys):

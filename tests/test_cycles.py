@@ -144,7 +144,8 @@ def test_alternation_search_reports_the_checked_tail_entry():
     # the chain runs past the sign pattern: entry 2 is the checked tail, not entry 3
     with pytest.raises(AlternationError, match=r"tail has sign -1\.0, wanted 1"):
         alternation_search(
-            lambda e: [1.0, 2.0, -3.0, 5.0], [1, -1, 1], box=[(1e-6, 1e-3)] * 2
+            lambda e: [1.0, 2.0, -3.0, 5.0], [1, -1, 1], box=[(1e-6, 1e-3)] * 2,
+            gap=[10.0, 10.0],
         )
 
 

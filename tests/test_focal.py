@@ -8,9 +8,7 @@ from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
 from qhfocus.focal import (
     focal_jacobian,
-    is_hamiltonian,
     random_field,
-    reversibility,
     shifted_focal_check,
     structural_center,
 )
@@ -47,16 +45,22 @@ def test_center_condition_reports_candidate():
 def test_hamiltonian_detection():
     b41, b13 = 1.0, 0.4
     ham = field23(a22=-1.5 * b13, a50=-b41 / 5, b13=b13, b41=b41)
-    assert is_hamiltonian(ham)
-    assert not is_hamiltonian(field23(0.5, 1.0, -0.3, 1.0))
+    assert structural_center(ham)["hamiltonian"]
+    assert not structural_center(field23(0.5, 1.0, -0.3, 1.0))["hamiltonian"]
 
 
 def test_reversibility_detection():
     # a50 = b41 = 0 leaves X even and Y odd in x
     sym = field23(a22=0.7, a50=0.0, b13=0.3, b41=0.0)
-    flags = reversibility(sym)
+    flags = structural_center(sym)
     assert flags["y-axis"]
-    assert structural_center(sym)["y-axis"]
+    assert flags["certified"]
+
+
+def test_report_gives_the_tolerance_the_solver_ran_at():
+    # DOP853 runs at rtol 1e-13 at least: scipy rewrites a smaller one, with a warning
+    rep = focal_values(field23(0.5, 1.0, -0.3, 1.0), K=5, integ_tol=1e-15)
+    assert rep.integ_tol == 1e-13
 
 
 def test_shifted_series_preserves_first_focal_value():

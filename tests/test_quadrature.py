@@ -41,7 +41,8 @@ def test_nonpositive_tolerance_rejected(scheme, tol):
 
 
 def test_cross_checked_agreement():
-    res = cross_checked(lambda t: np.cos(2 * t) ** 4, 1e-12)
+    f = lambda t: np.cos(2 * t) ** 4
+    res = cross_checked(f, f, 1e-12)
     assert res.value == pytest.approx(3 * np.pi / 4, abs=1e-12)
 
 
@@ -54,7 +55,7 @@ def test_cross_checked_detects_scheme_disagreement():
         return np.cos(t) ** 2 + (1e-6 if calls["n"] % 2 else 0.0)
 
     with pytest.raises(QuadratureError):
-        cross_checked(unstable, 1e-12)
+        cross_checked(unstable, unstable, 1e-12)
 
 
 def test_fourier_antiderivative_matches_exact():
