@@ -35,8 +35,8 @@ for name, field in [("Hamiltonian", hamiltonian), ("reversible", reversible)]:
     flags = structural_center(field)
     rep = focal_values(field)
     worst = max(abs(rep.nu(k)) for k in rep.focal_indices)
-    rhs = PolarRHS(field)
-    disp = max(abs(return_map(rhs, h, tol=1e-13) - h) for h in np.linspace(0.1, 0.6, 6))
+    hs = np.linspace(0.1, 0.6, 6)
+    disp = np.max(np.abs(return_map(PolarRHS(field), hs, tol=1e-13) - hs))
     print(f"{name} field:")
     print(f"  structural flags: {flags}")
     print(f"  verdict: {rep.verdict}")

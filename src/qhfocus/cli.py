@@ -189,6 +189,7 @@ def cmd_cycles(args) -> int:
         "grid": args.grid,
         "tol": args.tol,
         "cycles": [dataclasses.asdict(c) for c in result.cycles],
+        "diagnostics": {"grid_s": result.grid_s, "refine_s": result.refine_s},
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK

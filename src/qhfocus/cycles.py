@@ -9,6 +9,7 @@ sign change.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -51,6 +52,8 @@ class CycleSet:
     grid_n: int
     cycles: list[Cycle] = dc_field(default_factory=list)
     scan: list[tuple[float, float]] = dc_field(default_factory=list)
+    grid_s: float = 0.0  # wall time of the grid scan
+    refine_s: float = 0.0  # wall time of the root refinement
 
     def __len__(self) -> int:
         return len(self.cycles)
@@ -67,8 +70,9 @@ def find_cycles(
 ) -> CycleSet:
     """Scan Delta on a geometric grid, bracket sign changes, refine by Brent's method.
 
-    Samples below the noise floor carry no trustworthy sign, so they are
-    treated as indeterminate; a bracket is formed between the nearest
+    The polar grid is one vector solve of ``flow.return_map``.  Samples
+    below the noise floor carry no trustworthy sign, so they are treated as
+    indeterminate; a bracket is formed between the nearest
     determinate samples of opposite sign on either side of the crossing.
     Each bracket goes to one ``brentq`` call, which stops once it has
     narrowed the bracket to tol * max(1, b); one that fails to converge raises.
@@ -89,8 +93,13 @@ def find_cycles(
         return seen[h]
 
     floor = noise_floor if noise_floor is not None else 100 * tol
+    t0 = perf_counter()
     grid = np.geomspace(h_lo, h_hi, grid_n)
-    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=[(float(h), delta(h)) for h in grid])
+    if backend == POLAR:
+        seen.update(zip(grid.tolist(), displacement(grid).tolist()))
+    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=[(h, delta(h)) for h in grid.tolist()])
+    t1 = perf_counter()
+    out.grid_s = t1 - t0
     resolved = [(h, v) for h, v in out.scan if abs(v) >= floor]
     for (a, fa), (b, fb) in zip(resolved[:-1], resolved[1:]):
         if fa * fb >= 0:
@@ -106,6 +115,7 @@ def find_cycles(
                 evals=len(seen) - before,
             )
         )
+    out.refine_s = perf_counter() - t1
     return out
 
 

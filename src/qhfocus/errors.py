@@ -41,8 +41,12 @@ class AlternationError(QhfocusError):
 
 
 class QuadratureError(QhfocusError):
-    """Requested quadrature tolerance unreachable at the node cap."""
+    """A quadrature failed: its tolerance is unreachable at the node cap, or schemes disagree."""
 
 
 class ReproductionError(QhfocusError):
     """A documented reference value could not be reproduced."""
+
+
+class SchemeDisagreementError(QuadratureError, ReproductionError):
+    """Two independent quadrature schemes disagree on one reference integral."""

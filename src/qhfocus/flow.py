@@ -5,7 +5,8 @@ Three backends:
 * jet transport: the radius ODE is integrated with the radius replaced by a
   truncated series in the initial radius h, carrying nu_1..nu_K in one
   error-controlled pass;
-* scalar: plain adaptive integration of dr/dtheta for the return map;
+* scalar: plain adaptive integration of dr/dtheta for the return map, of
+  one radius or of an array of them as one vector solve;
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section, for systems outside the weighted-homogeneous form.
 """
@@ -145,25 +146,36 @@ def integrate_jet(
 
 def integrate_scalar(
     rhs: PolarRHS,
-    h: float,
+    h,
     theta1: float = 2 * np.pi,
     tol: float = DEFAULT_TOL,
-) -> float:
-    """r at theta1 for the scalar radius ODE started at (0, h)."""
+):
+    """r at theta1 for the scalar radius ODE started at (0, h).
+
+    ``h`` is one radius, giving a float, or a 1-D array of radii, giving an
+    array: one DOP853 solve with a lane per radius, which any lane leaving
+    the chart stops.
+    """
     if abs(theta1) >= 4 * np.pi:
         raise ValueError("theta span must stay below 4*pi")
     check_tol(tol)
-    rhs.check_radius(h)
+    lanes = np.ravel(h)
+    rhs.check_radius(max(lanes.tolist(), key=abs))
     if theta1 == 0:
         return h
-    sol = _dop853(
-        lambda t, y: [rhs(t, float(y[0]))], (0.0, theta1), [h], tol, tol, "scalar integration"
-    )
-    return float(sol.y[0, -1])
+    # scipy's error norm is the RMS over the B lanes, so one lane may carry
+    # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
+    # absolute bound at tol, and leaves one radius as it was.  rtol stays
+    # max(tol, RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  One lane
+    # runs the right-hand side on floats, with no numpy call.
+    atol = tol / math.sqrt(lanes.size)
+    fun = (lambda t, y: [rhs(t, float(y[0]))]) if lanes.size == 1 else rhs
+    sol = _dop853(fun, (0.0, theta1), lanes, tol, atol, "scalar integration")
+    return float(sol.y[0, -1]) if np.ndim(h) == 0 else sol.y[:, -1]
 
 
-def return_map(rhs: PolarRHS, h: float, tol: float = DEFAULT_TOL) -> float:
-    """r~(2*pi, h): one full turn of the polar flow."""
+def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
+    """r~(2*pi, h): one full turn of the polar flow, for one radius or a 1-D array of them."""
     return integrate_scalar(rhs, h, tol=tol)
 
 

@@ -49,7 +49,14 @@ class FocalReport:
     def focal_indices(self) -> tuple[int, ...]:
         """Indices carrying focal values within order, by the parity theorems:
         odd when p + q is even, even when it is odd."""
-        return tuple(range(3 if self.parity_class == EVEN_SUM else 2, self.order + 1, 2))
+        return tuple(range(_FIRST_FOCAL_INDEX[self.parity_class], self.order + 1, 2))
+
+
+_FIRST_FOCAL_INDEX = {EVEN_SUM: 3, ODD_SUM: 2}
+
+
+def _parity_class(p: int, q: int) -> str:
+    return EVEN_SUM if (p + q) % 2 == 0 else ODD_SUM
 
 
 def _prepare(field: WeightedField) -> tuple[PolarRHS, int]:
@@ -74,7 +81,7 @@ def classify(
     K = len(values) + 1
     scale = max(1.0, max((abs(v) for v in values), default=0.0))
     tol = zero_tol * scale
-    parity = EVEN_SUM if (p + q) % 2 == 0 else ODD_SUM
+    parity = _parity_class(p, q)
     first = next(
         (k for k, v in zip(range(2, K + 1), values) if abs(v) > tol), None
     )
@@ -292,7 +299,7 @@ class SurveyResult:
 
     @property
     def expected_parity(self) -> str:
-        return "odd" if (self.p + self.q) % 2 == 0 else "even"
+        return "odd" if _FIRST_FOCAL_INDEX[_parity_class(self.p, self.q)] % 2 else "even"
 
 
 def parity_survey(

@@ -69,8 +69,8 @@ class PolarRHS:
             Q.append(-q * s * xm + p * c * ym)
         return R, Q
 
-    def __call__(self, theta: float, r: float) -> float:
-        """dr/dtheta at (theta, r)."""
+    def __call__(self, theta: float, r):
+        """dr/dtheta at (theta, r), for a float r or an array of radii (one component pass)."""
         R, Q = self.components(math.cos(theta), math.sin(theta))
         num = den = 0.0
         rk = 1.0
@@ -78,7 +78,8 @@ class PolarRHS:
             num += Rk * rk
             den += Qk * rk
             rk *= r
-        if abs(den) < DENOM_FLOOR:
+        small = abs(den) < DENOM_FLOOR
+        if small.any() if isinstance(small, np.ndarray) else small:
             raise PolarChartError(
                 f"polar chart breakdown at theta={theta!r}, r={r!r}: denominator {den!r}"
             )

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import QuadratureError, StiffnessError, check_tol
+from .errors import QuadratureError, SchemeDisagreementError, StiffnessError, check_tol
 
 TWO_PI = 2 * np.pi
 
@@ -127,7 +127,7 @@ def cross_checked(f: Callable, g: Callable, tol: float = 1e-12) -> QuadResult:
     q = gauss_panels(g, tol)
     diff = abs(t.value - q.value) / max(1.0, abs(t.value))
     if diff > 1e-10:
-        raise QuadratureError(
+        raise SchemeDisagreementError(
             f"independent schemes disagree: {t.value!r} vs {q.value!r}"
         )
     return QuadResult(t.value, max(t.error_estimate, diff), t.nodes_used + q.nodes_used)

@@ -29,7 +29,7 @@ def test_top_level_exports_are_the_demo_imports():
 
 
 # 02 and 05 are left out: they repeat the calls of acceptance criteria 8 and
-# 10 one for one and take 8 and 11 s, where each of these takes under 2 s
+# 10 one for one and take 6 and 12 s, where each of these takes under 2 s
 @pytest.mark.parametrize(
     "name", ["01_focal_analysis.py", "03_center_certificates.py", "04_reference_integrals.py"]
 )

@@ -150,6 +150,7 @@ def test_cycles_json_records_are_the_library_cycles(tmp_path, capsys):
     result = find_cycles("polar", field, 0.03, 0.45, grid_n=16, tol=1e-13, noise_floor=1e-12)
     assert len(result.cycles) == 2
     assert doc["cycles"] == json.loads(json.dumps([dataclasses.asdict(c) for c in result.cycles]))
+    assert doc["diagnostics"]["grid_s"] > 0 and doc["diagnostics"]["refine_s"] > 0
 
 
 def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
@@ -256,6 +257,12 @@ def test_cycles_on_unnormalized_system(tmp_path, capsys):
 def test_analyze_zero_tolerance_exits_1(system_file, capsys):
     assert main(["analyze", "--system", str(system_file), "--tol", "0"]) == 1
     assert "tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["verify", "quad"])
+def test_scheme_disagreement_is_a_reproduction_failure(command, capsys):
+    # at tol 1e-3 the trapezoid and Gauss values of I2 differ by about 1e-8
+    assert main([command, "--tol", "1e-3"]) == 2
 
 
 @pytest.mark.parametrize("tol", ["0", "-1", "nan"])

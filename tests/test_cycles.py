@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from qhfocus import alternation_search, find_cycles, flow
-from qhfocus.casestudy import eq329_cartesian, field23
+from qhfocus.casestudy import eq325_field, eq329_cartesian, field23
 from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError, StiffnessError
-from qhfocus.flow import section_return
+from qhfocus.flow import return_map, section_return
 
 
 def test_center_yields_no_cycles():
@@ -51,6 +51,26 @@ def test_each_cycle_reports_its_displacement_evaluations(monkeypatch):
         assert len(result.cycles) == 1
         assert len(calls) == result.grid_n + sum(c.evals for c in result.cycles)
         assert all(c.evals <= 12 for c in result.cycles)
+        assert result.grid_s > 0 and result.refine_s > 0
+
+
+def test_polar_scan_integrates_its_grid_in_one_solve(monkeypatch):
+    # the grid is one array call; brentq then refines each root point by point
+    radii = []
+
+    def counted(rhs, h, *args, **kwargs):
+        radii.append(np.size(h))
+        return return_map(rhs, h, *args, **kwargs)
+
+    monkeypatch.setattr(flow, "return_map", counted)
+    result = find_cycles(
+        "polar", eq325_field(1.22e-08, 2.41e-04), 0.03, 0.45, grid_n=16, tol=1e-13,
+        noise_floor=1e-12,
+    )
+    assert len(result.cycles) == 2
+    assert radii[0] == result.grid_n
+    assert radii[1:] == [1] * sum(c.evals for c in result.cycles)
+    assert result.grid_s > 0 and result.refine_s > 0
 
 
 def test_scan_never_integrates_a_point_twice(monkeypatch):

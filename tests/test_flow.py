@@ -9,7 +9,9 @@ from scipy.integrate import solve_ivp
 from qhfocus import Monomial, WeightedField, jets, return_map
 from qhfocus.errors import NoReturnError
 from qhfocus.fields import normalize
+from qhfocus.casestudy import eq325_field
 from qhfocus.flow import (
+    DEFAULT_TOL,
     _jet_rhs_coeffs,
     default_order,
     estimate_period,
@@ -196,6 +198,67 @@ def test_scalar_and_jet_return_maps_agree():
         scalar = return_map(rhs, h, tol=1e-13)
         jet = np.polynomial.polynomial.polyval(h, np.r_[0.0, traj.final])
         assert jet == pytest.approx(scalar, abs=5 * h**8)
+
+
+def test_single_radius_return_map_is_the_plain_scalar_solve():
+    # one radius, alone or as a batch of one, is the solve written out directly
+    rhs = PolarRHS(field23())
+    for h, tol in ((0.05, 1e-12), (0.2, 1e-13), (0.3, 1e-10)):
+        sol = solve_ivp(
+            lambda t, y: [rhs(t, float(y[0]))], (0.0, 2 * np.pi), [h],
+            method="DOP853", rtol=max(tol, 1e-13), atol=tol,
+        )
+        assert return_map(rhs, h, tol=tol) == float(sol.y[0, -1])
+        assert return_map(rhs, np.array([h]), tol=tol).tolist() == [float(sol.y[0, -1])]
+
+
+def _return_map_errors(rhs, radii, tol):
+    """Worst error of the one-radius solves and of the batch, against a tight reference.
+
+    The reference runs DOP853 one radius at a time at rtol 2.3e-14 (just above
+    scipy's floor of 100 eps) and atol 1e-16.
+    """
+    ref = np.array([
+        solve_ivp(
+            lambda t, y: [rhs(t, float(y[0]))], (0.0, 2 * np.pi), [h],
+            method="DOP853", rtol=2.3e-14, atol=1e-16,
+        ).y[0, -1]
+        for h in radii
+    ])
+    scalar = max(abs(return_map(rhs, h, tol=tol) - r) for h, r in zip(radii, ref))
+    batch = np.max(np.abs(return_map(rhs, radii, tol=tol) - ref))
+    return scalar, batch
+
+
+# Bound: the batch is no less accurate than the one-radius path, up to tol.
+# The two paths take different steps, so their global errors differ by
+# DOP853's step-to-step scatter, of the order of the tolerance: "+ tol"
+# allows that once.  Locally the batch is held about as tightly: atol =
+# tol / sqrt(B) undoes the RMS norm over B lanes, so the absolute part of
+# each lane's error bound per step is tol, as for one radius; only the
+# relative part, rtol * |r|, may grow by up to sqrt(B).
+def test_batch_return_map_is_as_accurate_on_the_criterion_8_grid():
+    rhs = PolarRHS(normalize(eq325_field(1.22167735e-08, 2.40634043e-04)).field)
+    scalar, batch = _return_map_errors(rhs, np.geomspace(0.03, 0.45, 64), 1e-13)
+    assert batch <= scalar + 1e-13
+
+
+# On random fields DOP853's global error is not monotone in the tolerance and
+# scatters by an order of magnitude from field to field, for one radius as for
+# the batch: on 20 random 3:4 fields at tol 1e-12 the one-radius error ranges
+# from 3.6e-13 to 1.7e-11.  So one field compares two draws of that scatter,
+# and the bound is taken over the fields of each weight pair.  (At tol 1e-13
+# the batch's median over those 20 fields is 7x below the one-radius one, but
+# its worst, 9.0e-12, lies above the one-radius worst, 5.3e-12.)
+@pytest.mark.parametrize("p, q", [(1, 1), (1, 2), (2, 3), (3, 4)])
+def test_batch_return_map_is_as_accurate_on_random_fields(p, q):
+    worst_scalar = worst_batch = 0.0
+    for seed in range(3):
+        rhs = PolarRHS(random_field(p, q, np.random.default_rng(seed)))
+        h_max = min(0.3, rhs.safe_radius())
+        scalar, batch = _return_map_errors(rhs, np.geomspace(h_max / 10, h_max, 8), DEFAULT_TOL)
+        worst_scalar, worst_batch = max(worst_scalar, scalar), max(worst_batch, batch)
+    assert worst_batch <= worst_scalar + DEFAULT_TOL
 
 
 def test_composition_identity_residuals():

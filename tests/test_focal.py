@@ -7,6 +7,8 @@ from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
 from qhfocus.focal import (
+    SurveyResult,
+    classify,
     focal_jacobian,
     random_field,
     shifted_focal_check,
@@ -95,6 +97,14 @@ def test_parity_survey_small():
     assert res.parity_ok
     assert res.expected_parity == "even"
     assert all(k % 2 == 0 for k in res.first_index_counts)
+
+
+@pytest.mark.parametrize("p, q, parity", [(1, 1, "odd"), (1, 2, "even"), (2, 3, "even"), (3, 4, "even")])
+def test_expected_parity_is_the_parity_of_the_focal_indices(p, q, parity):
+    survey = SurveyResult(p, q, weight_gcd=1, n_samples=0, n_skipped=0, n_unresolved=0)
+    indices = classify([0.0] * 6, p, q, integ_tol=1e-12).focal_indices
+    assert survey.expected_parity == parity
+    assert all(k % 2 == (parity == "odd") for k in indices)
 
 
 def test_parity_survey_reduces_weights():

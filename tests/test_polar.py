@@ -114,6 +114,19 @@ def test_chart_breakdown_and_radius_limit_raise():
         rhs(0.0, 0.2)
 
 
+def test_one_lane_off_the_chart_stops_a_batch(monkeypatch):
+    # Q = 1 - 5 cos(theta)**3 r: safe radius 0.1, denominator zero at r = 0.2, theta = 0
+    rhs = PolarRHS(WeightedField(p=1, q=1, y_terms=(Monomial(2, 0, -5.0),)))
+    with pytest.raises(PolarChartError, match="outside the valid polar neighborhood"):
+        return_map(rhs, np.array([0.02, 0.05, 0.15]))
+    with pytest.raises(PolarChartError, match="chart breakdown"):
+        rhs(0.0, np.array([0.05, 0.2]))
+    # past the radius check, the solve itself stops on the one lane's denominator
+    monkeypatch.setattr(rhs, "check_radius", lambda r: None)
+    with pytest.raises(PolarChartError, match="chart breakdown"):
+        return_map(rhs, np.array([0.02, 0.05, 0.2]))
+
+
 def test_safe_radius_positive_and_respected():
     rhs = PolarRHS(field23())
     r_safe = rhs.safe_radius()
