@@ -3,18 +3,14 @@
 Part one surveys random fields at several weight pairs and tallies which
 focal index is the first to light up: even indices when p + q is odd, odd
 indices when p + q is even.  Part two moves to an elementary (1:1) focus
-with small sigma, where adding a linear damping delta0 contributes the
-extra chain entry expm1(-2*pi*delta0*sigma); tuning delta0, delta1, delta2
+with small sigma, where a linear damping delta0 moves nu_1(2*pi) off 1 and
+so contributes the extra chain entry nu_1 - 1; tuning delta0, delta1, delta2
 realizes the four-term alternation (-, +, -, +) and unfolds three nested
 limit cycles around the origin.
 """
 
-import math
-
-import numpy as np
-
 from qhfocus import alternation_search, find_cycles, focal_values, parity_survey
-from qhfocus.casestudy import eq329_cartesian, eq329_weighted
+from qhfocus.casestudy import eq329_weighted
 
 # -- part one: parity of the first nonzero focal index ------------------------
 
@@ -33,12 +29,14 @@ print()
 SIGMA, A50, B41 = 0.1, 1.0, 1.0
 
 
-def chain(deltas):
+def damped(deltas):
     d0, d1, d2 = deltas
-    rep = focal_values(
-        eq329_weighted(A50, B41, sigma=SIGMA, delta1=d1, delta2=d2), K=7
-    )
-    return [math.expm1(-2 * np.pi * d0 * SIGMA), rep.nu(3), rep.nu(5), rep.nu(7)]
+    return eq329_weighted(A50, B41, sigma=SIGMA, delta0=d0, delta1=d1, delta2=d2)
+
+
+def chain(deltas):
+    rep = focal_values(damped(deltas), K=7)
+    return [rep.nu(1) - 1, rep.nu(3), rep.nu(5), rep.nu(7)]
 
 
 deltas = alternation_search(
@@ -52,8 +50,7 @@ print(f"damping parameters: delta0 = {deltas[0]:.3e}, delta1 = {deltas[1]:.3e}, 
 print("chain:", ", ".join(f"{v:+.3e}" for v in vals))
 print()
 
-rhs = eq329_cartesian(A50, B41, sigma=SIGMA, delta0=deltas[0], delta1=deltas[1], delta2=deltas[2])
-cycles = find_cycles("cartesian", rhs, 0.01, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-11)
+cycles = find_cycles("polar", damped(deltas), 0.01, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-11)
 print(f"{len(cycles)} limit cycles of the damped system:")
 for c in cycles.cycles:
-    print(f"  x* = {c.h_star:.6f}   {c.stability}   |Delta| = {c.residual:.1e}")
+    print(f"  h* = {c.h_star:.6f}   {c.stability}   |Delta| = {c.residual:.1e}")

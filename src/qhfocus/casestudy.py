@@ -257,13 +257,15 @@ def eq329_weighted(
     a22: float = 0.0,
     b13: float = 0.0,
     sigma: float = 0.1,
+    delta0: float = 0.0,
     delta1: float = 0.0,
     delta2: float = 0.0,
 ) -> WeightedField:
     """The Hopf-regularized system as a 1:1 (elementary) weighted field.
 
-    Valid only with zero linear damping; the damped variant is handled by the
-    Cartesian backend via eq329_cartesian.
+    The linear damping -sigma * delta0 * (x, y) sits at the leading weight:
+    it moves nu_1(2*pi) to exp(-2*pi*sigma*delta0), so delta0 != 0 makes a
+    strong focus.
     """
     g_plus = 0.5 * (5 * a50 + b41 + 4 * delta1 + 8 * delta2) * sigma
     g_minus = 0.5 * (5 * a50 + b41 - 4 * delta1 + 8 * delta2) * sigma
@@ -271,12 +273,14 @@ def eq329_weighted(
         p=1,
         q=1,
         x_terms=(
+            Monomial(1, 0, -sigma * delta0),
             Monomial(1, 2, g_plus),
             Monomial(0, 3, -2.0),
             Monomial(5, 0, sigma * a50),
             Monomial(2, 2, sigma * a22),
         ),
         y_terms=(
+            Monomial(0, 1, -sigma * delta0),
             Monomial(2, 1, -g_minus),
             Monomial(5, 0, 3.0),
             Monomial(4, 1, sigma * b41),
@@ -285,43 +289,20 @@ def eq329_weighted(
     )
 
 
-def eq329_cartesian(
-    a50: float,
-    b41: float,
-    a22: float = 0.0,
-    b13: float = 0.0,
-    sigma: float = 0.1,
-    delta0: float = 0.0,
-    delta1: float = 0.0,
-    delta2: float = 0.0,
-):
-    """Callable (x, y) -> velocities of the full damped system: the
-    ``eq329_weighted`` field minus the linear damping sigma * delta0 * (x, y)."""
-    field = eq329_weighted(a50, b41, a22, b13, sigma, delta1, delta2)
-    d0 = delta0 * sigma
-
-    def rhs(x, y):
-        u, v = field(x, y)
-        return u - d0 * x, v - d0 * y
-
-    return rhs
+# bench/workloads.py builds its damped scan system by this name
+eq329_cartesian = eq329_weighted
 
 
 @dataclass(frozen=True)
 class Family:
-    """A named parameter family: parameter defaults and its field builders.
-
-    ``weighted`` takes every parameter except ``damping``; ``cartesian``, when
-    present, takes them all and builds the damped Cartesian system.
-    """
+    """A named parameter family: parameter defaults and its field builder,
+    ``field``, which takes every parameter as a keyword."""
 
     name: str
     defaults: dict[str, float]
-    weighted: Callable[..., WeightedField]
+    field: Callable[..., WeightedField]
     jacobian_params: tuple[str, ...]
     jacobian_indices: tuple[int, ...]
-    cartesian: Callable | None = None
-    damping: str | None = None
 
     def values(self, given: dict[str, float]) -> dict[str, float]:
         """Defaults overridden by ``given``; raises on parameter names not defined."""
@@ -332,17 +313,6 @@ class Family:
                 f"known: {', '.join(self.defaults)}"
             )
         return {**self.defaults, **given}
-
-    def damped(self, values: dict[str, float]) -> bool:
-        return self.damping is not None and values[self.damping] != 0.0
-
-    def field(self, values: dict[str, float]) -> WeightedField:
-        if self.damped(values):
-            raise ValueError(
-                f"family {self.name} with {self.damping} != 0 has linear damping; "
-                "only the cycles command accepts it"
-            )
-        return self.weighted(**{k: v for k, v in values.items() if k != self.damping})
 
 
 FAMILIES = {
@@ -356,8 +326,6 @@ FAMILIES = {
             eq329_weighted,
             ("delta1", "delta2"),
             (3, 5, 7),
-            cartesian=eq329_cartesian,
-            damping="delta0",
         ),
     )
 }

@@ -59,7 +59,7 @@ def _load_field(args) -> WeightedField:
         return load_system(args.system)
     if args.family:
         family, values = _family_values(args)
-        return family.field(values)
+        return family.field(**values)
     raise ValueError("provide --system <path> or --family <name>")
 
 
@@ -107,13 +107,14 @@ def cmd_analyze(args) -> int:
         f"  first nonzero     {report.first_nonzero_index}",
         f"  focus order       {report.focus_order}",
     ]
-    for k in range(2, report.order + 1):
+    indices = range(1, report.order + 1)
+    for k in indices:
         lines.append(f"  nu_{k:<2d} = {report.nu(k):+.15e}  (tol {report.integ_tol:g})")
     lines.append(f"  hamiltonian       {struct['hamiltonian']}")
     lines.append(f"  x-axis reversible {struct['x-axis']}")
     lines.append(f"  y-axis reversible {struct['y-axis']}")
     rows = [["k", "nu_k", "tol"]]
-    rows += [[k, report.nu(k), report.integ_tol] for k in range(2, report.order + 1)]
+    rows += [[k, report.nu(k), report.integ_tol] for k in indices]
     if args.rq_table:
         table = rq_table(PolarRHS(normalize(field).field), np.linspace(0.0, 2 * np.pi, 181))
         with Path(args.rq_table).open("w", newline="", encoding="utf-8") as fh:
@@ -130,7 +131,7 @@ def cmd_analyze(args) -> int:
         "verdict": report.verdict,
         "first_nonzero_index": report.first_nonzero_index,
         "focus_order": report.focus_order,
-        "values": {str(k): report.nu(k) for k in range(2, report.order + 1)},
+        "values": {str(k): report.nu(k) for k in indices},
         "structural": struct,
         "system": format_system(field),
         "diagnostics": {"rhs_evals": report.rhs_evals, "steps": report.steps},
@@ -143,20 +144,12 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_cycles(args) -> int:
-    if args.family and not args.system:
-        family, values = _family_values(args)
-        system = family.cartesian(**values) if family.damped(values) else family.field(values)
-    else:
-        system = _load_field(args)
-    polar = isinstance(system, WeightedField)
-    if polar:
-        # the scan and the closure check both run in normalized coordinates
-        system = normalize(system).field
-    backend = "polar" if polar else "cartesian"
-    coordinates = "normalized (lambda1=p, lambda2=q)" if polar else "section x (system coordinates)"
+    # the scan and the closure check both run in normalized coordinates
+    field = normalize(_load_field(args)).field
+    coordinates = "normalized (lambda1=p, lambda2=q)"
     result = find_cycles(
-        backend,
-        system,
+        "polar",
+        field,
         args.h_min,
         args.h_max,
         grid_n=args.grid,
@@ -165,24 +158,21 @@ def cmd_cycles(args) -> int:
     )
     lines = [
         "cycle search",
-        f"  backend        {backend}",
+        f"  backend        {result.backend}",
         f"  h* coordinates {coordinates}",
         f"  h range        [{args.h_min:g}, {args.h_max:g}] on {args.grid} points",
         f"  integrator tol {args.tol:g}",
         f"  cycles found   {len(result.cycles)}",
     ]
     for c in result.cycles:
-        closure = ""
-        if polar:
-            err = closure_error(system, c.h_star, system.p, tol=args.tol)
-            closure = f"  cartesian closure {err:.3e}"
+        err = closure_error(field, c.h_star, field.p, tol=args.tol)
         lines.append(
             f"  h* = {c.h_star:.12f}  {c.stability:8s} residual {c.residual:.3e}"
-            f" (tol {args.tol:g}){closure}"
+            f" (tol {args.tol:g})  cartesian closure {err:.3e}"
         )
     rows = [["h", "Delta", "tol"]] + [[h, d, args.tol] for h, d in result.scan]
     doc = {
-        "backend": backend,
+        "backend": result.backend,
         "h_star_coordinates": coordinates,
         "h_min": args.h_min,
         "h_max": args.h_max,
@@ -339,7 +329,7 @@ def cmd_jacobian(args) -> int:
     eps0 = np.array([values[n] for n in names])
 
     def at(eps):
-        return family.field({**values, **dict(zip(names, eps))})
+        return family.field(**{**values, **dict(zip(names, eps))})
 
     res = focal.focal_jacobian(at, eps0, indices, K=args.order, integ_tol=args.tol)
     lines = [

@@ -1,10 +1,12 @@
 """Limit-cycle detection from displacement sign changes.
 
 The displacement is either the polar return map minus identity (weighted
-fields) or the section return along the positive x-axis (general Cartesian
-systems).  Cycles are bracketed on a geometric grid, refined by Brent's
-method (``scipy.optimize.brentq``), and classified by the direction of the
-sign change.
+fields, damped ones included) or the section return along the positive
+x-axis.  The Cartesian backend takes any callable (x, y) -> velocities, and
+for a weighted field it is the independent reference the polar scan is
+checked against.  Cycles are bracketed on a geometric grid, refined by
+Brent's method (``scipy.optimize.brentq``), and classified by the direction
+of the sign change.
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from scipy.optimize import brentq
 
 from . import flow
 from .errors import AlternationError, QhfocusError
-from .fields import WeightedField, normalize
+from .fields import normalize
 from .polar import PolarRHS
 
 POLAR = "polar"
@@ -26,9 +28,7 @@ CARTESIAN = "cartesian"
 
 def _displacement_fn(backend: str, system, tol: float) -> Callable[[float], float]:
     if backend == POLAR:
-        if isinstance(system, WeightedField):
-            system = PolarRHS(normalize(system).field)
-        rhs: PolarRHS = system
+        rhs = PolarRHS(normalize(system).field)
         return lambda h: flow.return_map(rhs, h, tol) - h
     if backend == CARTESIAN:
         return lambda x0: flow.section_return(system, x0, tol).x - x0

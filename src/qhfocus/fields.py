@@ -5,8 +5,13 @@ A field represents
     dx/dt = -lambda1 * y**(2p-1) + sum a_kj x**k y**j
     dy/dt =  lambda2 * x**(2q-1) + sum b_kj x**k y**j
 
-where every perturbing monomial has weighted degree k*p + j*q strictly above
-the weight of the corresponding leading term.
+where every perturbing monomial has weighted degree k*p + j*q at or above
+the weight of the corresponding leading term, with Q_0 > 0 (``polar``).
+Terms at the leading weight enter only R_0 and Q_0 of the polar chart.  At
+1:1 linear damping is one, and moves nu_1(2*pi) off 1.  At 2:3 they are
+x**3 y in dx/dt and x**2 y**2 in dy/dt: their R_0 is odd and their Q_0 even
+under theta -> -theta, so the integral of R_0/Q_0 over a turn vanishes and
+nu_1(2*pi) stays 1.
 """
 from __future__ import annotations
 
@@ -109,6 +114,7 @@ class WeightedField:
 RULE_POSITIVE_LAMBDA = "positive-lambda"
 RULE_LEADING_DEGENERACY = "leading-degeneracy"
 RULE_WEIGHT_BOUND = "weight-bound"
+RULE_MONODROMY = "monodromy"
 
 
 def require_valid(f: WeightedField) -> WeightedField:
@@ -121,7 +127,7 @@ def require_valid(f: WeightedField) -> WeightedField:
         for t in terms:
             if (t.k, t.j) == forbidden:
                 violations.append(f"{RULE_LEADING_DEGENERACY} at ({t.k},{t.j})")
-            elif t.weight(f.p, f.q) <= bound:
+            elif t.weight(f.p, f.q) < bound:
                 violations.append(f"{RULE_WEIGHT_BOUND} at ({t.k},{t.j})")
     if violations:
         raise InvalidFieldError(

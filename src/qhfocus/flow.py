@@ -8,7 +8,8 @@ Three backends:
 * scalar: plain adaptive integration of dr/dtheta for the return map, of
   one radius or of an array of them as one vector solve;
 * Cartesian: orbit integration with event-located crossings of the positive
-  x-axis section, for systems outside the weighted-homogeneous form.
+  x-axis section.  It takes any callable (x, y) -> velocities, and serves as
+  the independent reference for the polar return map of weighted fields.
 """
 from __future__ import annotations
 
@@ -232,19 +233,16 @@ def estimate_period(field: WeightedField, h: float) -> float:
     """Cartesian period of one polar revolution at radius ~ h via quadrature.
 
     Uses dtheta/dt = r**(2pq-p-q) * sum Q_k r**k / (p cos^2 + q sin^2) along
-    the leading-order orbit r = h * nu_1(theta), on 256 angles.
+    the orbit r = h * nu_1(theta) of the leading part, on 256 angles.
     """
-    rhs = PolarRHS(field)
     p, q = field.p, field.q
     n = 256
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    acc = 0.0
-    for theta in thetas:
-        r = h * float(nu1_closed_form(p, q, theta))
-        R, Q = rhs.components(np.cos(theta), np.sin(theta))
-        den = sum(Qk * r**k for k, Qk in enumerate(Q))
-        c, s = np.cos(theta), np.sin(theta)
-        acc += (p * c**2 + q * s**2) / (r ** (2 * p * q - p - q) * den)
+    c, s = np.cos(thetas), np.sin(thetas)
+    r = h * nu1_closed_form(p, q, thetas)
+    _, Q = PolarRHS(field).components(c, s)
+    den = sum(Qk * r**k for k, Qk in enumerate(Q))
+    acc = np.sum((p * c**2 + q * s**2) / (r ** (2 * p * q - p - q) * den))
     return float(acc * 2 * np.pi / n)
 
 

@@ -17,6 +17,7 @@ DEFAULT_ZERO_TOL = 1e-9
 EVEN_SUM = "even-sum"
 ODD_SUM = "odd-sum"
 
+STRONG_FOCUS = "strong-focus"
 WEAK_FOCUS = "weak-focus"
 CENTER_CANDIDATE = "center-candidate"
 INDETERMINATE = "indeterminate"
@@ -39,10 +40,11 @@ class FocalReport:
     # of the jet RHS and Taylor steps under extended precision)
     rhs_evals: int | None = None
     steps: int | None = None
+    nu1: float = 1.0  # nu_1(2*pi): 1 but for terms at the leading weight
 
     def nu(self, k: int) -> float:
         if k == 1:
-            return 1.0
+            return self.nu1
         return self.values[k - 2]
 
     @property
@@ -69,21 +71,23 @@ def _prepare(field: WeightedField) -> tuple[PolarRHS, int]:
 
 
 def classify(
-    nu_tail: Sequence[float],
+    nu: Sequence[float],
     p: int,
     q: int,
     integ_tol: float,
     zero_tol: float = DEFAULT_ZERO_TOL,
     weight_gcd: int = 1,
 ) -> FocalReport:
-    """Build a FocalReport from the nu_2..nu_K tail of the displacement series."""
-    values = tuple(float(v) for v in nu_tail)
+    """Build a FocalReport from nu_1..nu_K of the return map: nu_1 off 1 makes a
+    strong focus, else the first nonzero nu_k, k >= 2, decides.  The zero
+    tolerance scales with the largest |nu_k|, k >= 2."""
+    nu1, values = float(nu[0]), tuple(float(v) for v in nu[1:])
     K = len(values) + 1
     scale = max(1.0, max((abs(v) for v in values), default=0.0))
     tol = zero_tol * scale
     parity = _parity_class(p, q)
     first = next(
-        (k for k, v in zip(range(2, K + 1), values) if abs(v) > tol), None
+        (k for k, v in zip(range(1, K + 1), (nu1 - 1.0, *values)) if abs(v) > tol), None
     )
     report = FocalReport(
         values=values,
@@ -95,7 +99,10 @@ def classify(
         integ_tol=integ_tol,
         weight_gcd=weight_gcd,
         order=K,
+        nu1=nu1,
     )
+    if first == 1:
+        return replace(report, verdict=STRONG_FOCUS)
     if first in report.focal_indices:
         # a first focal value at k = 2m or 2m + 1 makes a weak focus of order m
         return replace(report, verdict=WEAK_FOCUS, focus_order=first // 2)
@@ -111,7 +118,7 @@ def focal_values(
     precision: str = "double",
     dps: int = 30,
 ) -> FocalReport:
-    """nu_2(2*pi)..nu_K(2*pi) by jet transport over one full turn.
+    """nu_1(2*pi)..nu_K(2*pi) by jet transport over one full turn.
 
     The extended-precision solve runs at its own tolerance 10**-dps in place
     of ``integ_tol``; the report records the tolerance used either way.
@@ -128,8 +135,7 @@ def focal_values(
         final, stats = traj.final, traj.stats
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
-    nu = [float(v) for v in final]
-    report = classify(nu[1:], field.p, field.q, stats.tol, zero_tol=tol, weight_gcd=d)
+    report = classify(final, field.p, field.q, stats.tol, zero_tol=tol, weight_gcd=d)
     return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps)
 
 
@@ -173,11 +179,13 @@ def shifted_focal_check(
     standard = focal_values(field, K=K)
     shifted = flow.integrate_jet(rhs, init=g, order=K).final
     net = tuple(float(a - b) for a, b in zip(shifted[1:], g[1:]))
-    first = classify(net, field.p, field.q, flow.DEFAULT_TOL).first_nonzero_index
+    # nu*_1 = nu_1, as g starts at h
+    nu_star = (float(shifted[0]), *net)
+    first = classify(nu_star, field.p, field.q, flow.DEFAULT_TOL).first_nonzero_index
     residual = None
     if first is not None and first == standard.first_nonzero_index:
         ref = standard.nu(first)
-        residual = abs(net[first - 2] - ref) / max(abs(ref), 1e-300)
+        residual = abs(nu_star[first - 1] - ref) / max(abs(ref), 1e-300)
     return ShiftedCheck(standard.first_nonzero_index, first, residual, net)
 
 

@@ -5,7 +5,8 @@ With x = r**p cos(theta), y = r**q sin(theta) the flow becomes
     dr/dtheta = r * (sum_k R_k(theta) r**k) / (sum_k Q_k(theta) r**k),
 
 where R_k / Q_k collect the weighted-homogeneous components of weight
-2pq - q + k (x side) and 2pq - p + k (y side).
+2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
+part and any terms at its weight.
 """
 from __future__ import annotations
 
@@ -14,13 +15,15 @@ import math
 import numpy as np
 
 from .errors import InvalidFieldError, PolarChartError
-from .fields import Monomial, WeightedField, require_valid
+from .fields import RULE_MONODROMY, Monomial, WeightedField, require_valid
 
 DENOM_FLOOR = 1e-12
+# angles at which Q_0 > 0 and the denominator's radial roots are checked
+_CIRCLE = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
 
 
 class PolarRHS:
-    """Cached polar components of a validated, normalized field."""
+    """Cached polar components of a validated, normalized field with Q_0 > 0."""
 
     def __init__(self, field: WeightedField):
         require_valid(field)
@@ -43,12 +46,21 @@ class PolarRHS:
             by_k.setdefault(k, ([], []))[1].append(t)
             k_max = max(k_max, k)
         self.k_max = k_max
-        # (coefficient, power of cos, power of sin) per side and weight level 1..k_max
+        # terms at the leading weight: summed as the first level, then folded into R_0, Q_0
+        self._level0 = 0 in by_k
+        # (coefficient, power of cos, power of sin) per side and weight level
         self._levels = tuple(
             tuple(tuple((t.c, t.k, t.j) for t in side) for side in by_k.get(k, ((), ())))
-            for k in range(1, k_max + 1)
+            for k in range(0 if self._level0 else 1, k_max + 1)
         )
         self._safe_radius: float | None = None
+        if self._level0:
+            q0 = self.components(np.cos(_CIRCLE), np.sin(_CIRCLE))[1][0]
+            if q0.min() <= 0:
+                raise InvalidFieldError(
+                    f"field violates {RULE_MONODROMY}: Q_0 = {q0.min():.3g} at theta = "
+                    f"{_CIRCLE[q0.argmin()]:.6f}, so the angle does not turn monotonically"
+                )
 
     # -- component evaluation ------------------------------------------------
 
@@ -67,6 +79,9 @@ class PolarRHS:
                 ym = ym + a * c**k * s**j
             R.append(c * xm + s * ym)
             Q.append(-q * s * xm + p * c * ym)
+        if self._level0:
+            R[0] += R.pop(1)
+            Q[0] += Q.pop(1)
         return R, Q
 
     def __call__(self, theta: float, r):
@@ -91,12 +106,12 @@ class PolarRHS:
         """Half the smallest positive radius where the denominator could vanish.
 
         Infinite when the denominator polynomial has no positive real root on
-        a grid of 720 angles.
+        the grid of 720 angles.
         """
         if self._safe_radius is not None:
             return self._safe_radius
         best = np.inf
-        for theta in np.linspace(0.0, 2 * np.pi, 720, endpoint=False):
+        for theta in _CIRCLE:
             R, Q = self.components(np.cos(theta), np.sin(theta))
             coeffs = np.array(Q[::-1], dtype=float)  # highest power first
             # negligible high-order coefficients poison the companion matrix

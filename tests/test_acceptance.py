@@ -21,7 +21,6 @@ from qhfocus import (
 from qhfocus.casestudy import (
     EQ322_TARGET,
     eq325_field,
-    eq329_cartesian,
     eq329_weighted,
     field23,
     g2_integrand,
@@ -250,13 +249,14 @@ def test_criterion_9_elementary_focus_normalization():
 def test_criterion_10_damped_family_sign_chain(two_cycle_run):
     sigma = 0.1
 
-    def chain(d):
-        rep = focal_values(
-            eq329_weighted(a50=0.0, b41=1.0, sigma=sigma, delta1=d[1], delta2=d[2]),
-            K=8,
-            integ_tol=1e-13,
+    def damped(d):
+        return eq329_weighted(
+            a50=0.0, b41=1.0, sigma=sigma, delta0=d[0], delta1=d[1], delta2=d[2]
         )
-        return [float(np.expm1(-2 * np.pi * d[0] * sigma)), rep.nu(3), rep.nu(5), rep.nu(7)]
+
+    def chain(d):
+        rep = focal_values(damped(d), K=8, integ_tol=1e-13)
+        return [rep.nu(1) - 1, rep.nu(3), rep.nu(5), rep.nu(7)]
 
     deltas = alternation_search(
         chain,
@@ -265,11 +265,8 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
         gap=[1000.0, 100.0, 10.0],
         scan_n=24,
     )
-    rhs = eq329_cartesian(
-        a50=0.0, b41=1.0, sigma=sigma,
-        delta0=deltas[0], delta1=deltas[1], delta2=deltas[2],
-    )
-    inner = find_cycles("cartesian", rhs, 0.01, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-11)
+    field = damped(deltas)
+    inner = find_cycles("polar", field, 0.01, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-11)
     _, _, outer = two_cycle_run
 
     # extended-precision attempt at the 4th sign change of the full 2:3
@@ -278,9 +275,9 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
     # accuracy for any representable delta; the documented outcome is that the
     # extended run confirms nu_2, nu_4, nu_6 of the outer chain but resolves no
     # further alternation level.
-    eps, field, _ = two_cycle_run
-    ext = focal_values(field, K=7, precision="extended", dps=30)
-    dbl = focal_values(field, K=7, integ_tol=1e-13)
+    eps, outer_field, _ = two_cycle_run
+    ext = focal_values(outer_field, K=7, precision="extended", dps=30)
+    dbl = focal_values(outer_field, K=7, integ_tol=1e-13)
     ext_consistent = all(
         abs(ext.nu(k) - dbl.nu(k)) <= 1e-10 * max(1.0, abs(dbl.nu(k)))
         for k in (2, 4, 6)
@@ -288,7 +285,7 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
     fourth_level_resolved = abs(ext.nu(7)) > 1e-12 and abs(ext.nu(7)) < abs(ext.nu(6))
 
     stabilities = [c.stability for c in inner.cycles]
-    closures = [closure_error(rhs, c.h_star, 1, tol=1e-13) for c in inner.cycles]
+    closures = [closure_error(field, c.h_star, 1, tol=1e-13) for c in inner.cycles]
     ok = (
         len(inner.cycles) == 3
         and stabilities == ["unstable", "stable", "unstable"]

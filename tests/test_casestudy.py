@@ -61,11 +61,18 @@ def test_thm34_report():
     assert rep.matches_documented  # measured ratio = pi * 47/128
 
 
-def test_eq329_weighted_and_cartesian_agree_without_damping():
-    w = casestudy.eq329_weighted(a50=0.2, b41=1.0, sigma=0.1, delta1=0.01, delta2=0.02)
-    c = casestudy.eq329_cartesian(a50=0.2, b41=1.0, sigma=0.1, delta1=0.01, delta2=0.02)
+def test_eq329_damping_is_the_linear_term_at_the_leading_weight():
+    # the damped system is the undamped field minus sigma * delta0 * (x, y)
+    params = dict(a50=0.2, b41=1.0, sigma=0.1, delta1=0.01, delta2=0.02)
+    w = casestudy.eq329_weighted(**params)
+    d = casestudy.eq329_weighted(delta0=0.03, **params)
     for x, y in ((0.3, -0.1), (0.05, 0.2), (-0.4, 0.4)):
-        assert w(x, y) == pytest.approx(c(x, y), rel=1e-14)
+        u, v = w(x, y)
+        assert d(x, y) == pytest.approx((u - 0.003 * x, v - 0.003 * y), rel=1e-14)
+    assert w == casestudy.eq329_weighted(delta0=0.0, **params)
+    for rep in (focal_values(d, K=3), focal_values(d, K=3, precision="extended", dps=20)):
+        assert rep.verdict == "strong-focus"
+        assert rep.nu(1) == pytest.approx(np.exp(-2 * np.pi * 0.003), rel=1e-12)
 
 
 def test_eq325_field_focal_structure():

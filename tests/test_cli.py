@@ -60,7 +60,9 @@ def test_analyze_writes_artifacts(system_file, tmp_path, capsys):
     assert out.exists()
     doc = json.loads(out.with_suffix(".json").read_text())
     assert doc["focus_order"] == 1
-    assert out.with_suffix(".csv").read_text().startswith("k,nu_k,tol")
+    assert list(doc["values"]) == [str(k) for k in range(1, doc["order"] + 1)]
+    assert doc["values"]["1"] == pytest.approx(1.0, abs=1e-12)
+    assert out.with_suffix(".csv").read_text().startswith("k,nu_k,tol\n1,")
 
 
 def test_analyze_json_records_integrator_work(system_file, tmp_path, capsys):
@@ -216,10 +218,43 @@ def test_unknown_family_parameter_exits_1(capsys):
     assert "no parameter eps" in capsys.readouterr().err
 
 
-def test_jacobian_eq327_rejects_damping(capsys):
-    code = main(["jacobian", "--family", "eq327", "--params", "delta0=0.01"])
-    assert code == 1
-    assert "linear damping" in capsys.readouterr().err
+def test_analyze_eq327_damping_is_a_strong_focus(tmp_path, capsys):
+    out = tmp_path / "analyze.txt"
+    argv = ["analyze", "--family", "eq327", "--params", "delta0=0.01", "--out", str(out)]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "verdict           strong-focus" in text
+    # nu_1(2*pi) = exp(-2*pi*sigma*delta0) with sigma = 0.1
+    nu1 = np.exp(-2 * np.pi * 0.1 * 0.01)
+    line = next(l for l in text.splitlines() if l.strip().startswith("nu_1 "))
+    assert float(line.split("=")[1].split()[0]) == pytest.approx(nu1, rel=1e-12)
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["verdict"] == "strong-focus" and doc["first_nonzero_index"] == 1
+    assert doc["values"]["1"] == pytest.approx(nu1, rel=1e-12)
+
+
+def test_jacobian_eq327_accepts_damping(capsys):
+    assert main(["jacobian", "--family", "eq327", "--params", "delta0=0.01"]) == 0
+    assert "indices     [3, 5, 7]" in capsys.readouterr().out
+
+
+def test_cycles_eq327_damped_family_scans_in_the_polar_chart(tmp_path, capsys):
+    out = tmp_path / "cycles.txt"
+    argv = [
+        "cycles", "--family", "eq327",
+        "--params", "delta0=6.70e-8,delta1=2.462e-4,delta2=2.721e-2",
+        "--h-min", "0.01", "--h-max", "0.45", "--grid", "64", "--noise-floor", "1e-11",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    text = capsys.readouterr().out
+    assert "backend        polar" in text
+    assert "cycles found   3" in text
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert doc["backend"] == "polar"
+    assert [c["stability"] for c in doc["cycles"]] == ["unstable", "stable", "unstable"]
+    closures = [float(l.split("closure")[1]) for l in text.splitlines() if "closure" in l]
+    assert len(closures) == 3 and max(closures) <= 1e-8
 
 
 def test_cycles_on_unnormalized_system(tmp_path, capsys):

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from qhfocus import alternation_search, find_cycles, flow
-from qhfocus.casestudy import eq325_field, eq329_cartesian, field23
+from qhfocus import Monomial, WeightedField, alternation_search, find_cycles, flow, focal_values
+from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError, StiffnessError
 from qhfocus.flow import return_map, section_return
@@ -21,6 +21,48 @@ def hopf(eps):
         -y + eps * x - x * (x * x + y * y),
         x + eps * y - y * (x * x + y * y),
     )
+
+
+def hopf_field(eps):
+    """``hopf(eps)`` as a 1:1 weighted field: eps (x, y) sits at the leading weight."""
+    return WeightedField(
+        p=1, q=1,
+        x_terms=(Monomial(1, 0, eps), Monomial(3, 0, -1.0), Monomial(1, 2, -1.0)),
+        y_terms=(Monomial(0, 1, eps), Monomial(2, 1, -1.0), Monomial(0, 3, -1.0)),
+    )
+
+
+def test_hopf_field_is_the_hopf_system():
+    for x, y in ((0.3, -0.1), (0.05, 0.2), (-0.4, 0.4)):
+        assert hopf_field(0.04)(x, y) == pytest.approx(hopf(0.04)(x, y), rel=1e-14)
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.04])
+def test_hopf_field_polar_scan_and_strong_focus(eps):
+    # dr/dtheta = r (eps - r**2): a stable cycle at sqrt(eps), nu_1(2*pi) = exp(2*pi*eps)
+    result = find_cycles("polar", hopf_field(eps), 0.02, 0.9, grid_n=24, tol=1e-12)
+    (cycle,) = result.cycles
+    assert cycle.stability == "stable"
+    # brentq stops within xtol = tol * max(1, b) = 1e-12 (measured: 9e-15 at most)
+    assert abs(cycle.h_star - np.sqrt(eps)) <= 1e-12
+    rep = focal_values(hopf_field(eps))
+    assert (rep.verdict, rep.first_nonzero_index) == ("strong-focus", 1)
+    assert rep.nu(1) == pytest.approx(np.exp(2 * np.pi * eps), rel=1e-12)
+
+
+def test_damped_polar_scan_matches_the_cartesian_reference():
+    # criterion 10's damped field: the polar chart and the section return agree
+    field = eq329_weighted(
+        a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.462e-4, delta2=2.721e-2
+    )
+    polar, cartesian = (
+        find_cycles(backend, field, 0.01, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-11)
+        for backend in ("polar", "cartesian")
+    )
+    assert [c.stability for c in polar.cycles] == ["unstable", "stable", "unstable"]
+    assert [c.stability for c in cartesian.cycles] == ["unstable", "stable", "unstable"]
+    for a, b in zip(polar.cycles, cartesian.cycles):
+        assert abs(a.h_star - b.h_star) <= 1e-6
 
 
 def test_hopf_family_cycle_amplitude_scaling():
@@ -105,7 +147,7 @@ def test_cycle_scan_is_recorded():
 def test_bisection_stops_at_float_spacing():
     # tol * max(1, hi) = 1e-17 lies below the float spacing near the damped
     # cycle at x ~ 0.1009, so the root finder must stop on its own floor
-    damped = eq329_cartesian(
+    damped = eq329_weighted(
         a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
     )
     result = find_cycles("cartesian", damped, 0.09, 0.11, grid_n=16, tol=1e-17)

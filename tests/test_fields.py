@@ -58,6 +58,38 @@ def test_validate_flags_low_weight_term():
         require_valid(bad)
 
 
+@pytest.mark.parametrize(
+    "p, q, x_terms, y_terms",
+    [
+        (1, 1, ((1, 0),), ((0, 1),)),  # linear damping
+        (2, 3, ((3, 1),), ((2, 2),)),
+    ],
+)
+def test_validate_accepts_terms_at_the_leading_weight(p, q, x_terms, y_terms):
+    f = WeightedField(
+        p=p, q=q,
+        x_terms=tuple(Monomial(k, j, 0.1) for k, j in x_terms),
+        y_terms=tuple(Monomial(k, j, 0.1) for k, j in y_terms),
+    )
+    assert require_valid(f) is f
+
+
+@pytest.mark.parametrize(
+    "side, k, j, rule",
+    [
+        ("x", 0, 0, RULE_WEIGHT_BOUND),
+        ("y", 0, 0, RULE_WEIGHT_BOUND),
+        ("x", 0, 1, RULE_LEADING_DEGENERACY),
+        ("y", 1, 0, RULE_LEADING_DEGENERACY),
+    ],
+)
+def test_validate_still_flags_low_weight_and_leading_terms_at_1_1(side, k, j, rule):
+    terms = (Monomial(k, j, 0.1),)
+    f = WeightedField(p=1, q=1, **{f"{side}_terms": terms})
+    with pytest.raises(InvalidFieldError, match=rf"{rule} at \({k},{j}\)"):
+        require_valid(f)
+
+
 def test_validate_flags_leading_degeneracy():
     # an x-side term at (0, 2p-1) would collide with the leading monomial
     f = field23()

@@ -9,7 +9,7 @@ from scipy.integrate import solve_ivp
 from qhfocus import Monomial, WeightedField, jets, return_map
 from qhfocus.errors import NoReturnError
 from qhfocus.fields import normalize
-from qhfocus.casestudy import eq325_field
+from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.flow import (
     DEFAULT_TOL,
     _jet_rhs_coeffs,
@@ -323,6 +323,36 @@ def test_estimate_period_scales_with_amplitude():
     t2 = estimate_period(f, 0.2)
     # dtheta/dt ~ r**(2pq - p - q) so halving h multiplies the period by 2**7
     assert t1 / t2 == pytest.approx(2.0**7, rel=0.05)
+
+
+def period_by_angle(field, h):
+    """estimate_period's quadrature written as a loop over the angles, one at a time."""
+    rhs = PolarRHS(field)
+    p, q = field.p, field.q
+    n = 256
+    acc = 0.0
+    for theta in np.linspace(0.0, 2 * np.pi, n, endpoint=False):
+        r = h * float(nu1_closed_form(p, q, theta))
+        _, Q = rhs.components(np.cos(theta), np.sin(theta))
+        den = sum(Qk * r**k for k, Qk in enumerate(Q))
+        c, s = np.cos(theta), np.sin(theta)
+        acc += (p * c**2 + q * s**2) / (r ** (2 * p * q - p - q) * den)
+    return float(acc * 2 * np.pi / n)
+
+
+@pytest.mark.parametrize(
+    "field",
+    [
+        *(random_field(p, q, np.random.default_rng(1)) for p, q in ((1, 1), (1, 2), (2, 3), (3, 4))),
+        eq329_weighted(a50=0.0, b41=1.0, sigma=0.1, delta0=0.01, delta1=2.46e-4, delta2=2.72e-2),
+    ],
+    ids=["1:1", "1:2", "2:3", "3:4", "damped 1:1"],
+)
+def test_estimate_period_is_the_per_angle_quadrature(field):
+    # one vector pass sums in another order than the loop: 256 terms of one
+    # sign agree to a few ulps times log2(256)
+    for h in (0.02, 0.05):
+        assert estimate_period(field, h) == pytest.approx(period_by_angle(field, h), rel=1e-13)
 
 
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhfocus import focal_values, parity_survey
+from qhfocus import Monomial, WeightedField, focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
@@ -27,6 +27,34 @@ def test_focal_values_rejects_a_low_weight_term():
     bad = parse_system("p 2\nq 3\nx 1 1 1.0\n")
     with pytest.raises(InvalidFieldError, match=r"weight-bound at \(1,1\)"):
         focal_values(bad)
+
+
+def test_saddle_violates_monodromy():
+    # x' = -y - 1.5 x, y' = x + 1.5 y: Q_0 = 1 + 3 cos sin dips to -1/2
+    saddle = WeightedField(p=1, q=1, x_terms=(Monomial(1, 0, -1.5),), y_terms=(Monomial(0, 1, 1.5),))
+    with pytest.raises(InvalidFieldError, match=r"monodromy: Q_0 = -0\.5 at theta = 2\.356194"):
+        focal_values(saddle)
+
+
+def test_leading_weight_terms_at_2_3_leave_nu_1_at_one():
+    # R_0 of x**3 y and x**2 y**2 is odd under theta -> -theta and Q_0 even,
+    # so the integral of R_0 / Q_0 over a turn vanishes: no damping at 2:3
+    base = field23(0.5, 1.0, -0.3, 1.0)
+    field = WeightedField(
+        p=2, q=3,
+        x_terms=base.x_terms + (Monomial(3, 1, 0.4),),
+        y_terms=base.y_terms + (Monomial(2, 2, -0.7),),
+    )
+    rep = focal_values(field, integ_tol=1e-12)
+    assert abs(rep.nu(1) - 1) <= 100 * 1e-12
+    assert rep.verdict != "strong-focus"
+
+
+def test_strong_focus_comes_before_the_higher_values():
+    rep = classify([1.0 + 1e-6, 0.5, 0.0], 1, 1, integ_tol=1e-12)
+    assert (rep.verdict, rep.first_nonzero_index, rep.focus_order) == ("strong-focus", 1, None)
+    assert rep.nu(1) == 1.0 + 1e-6 and rep.values == (0.5, 0.0)
+    assert classify([1.0 + 1e-12, 0.0, 0.5], 1, 1, integ_tol=1e-12).verdict == "weak-focus"
 
 
 def test_focal_report_parity_and_indices():
@@ -102,7 +130,7 @@ def test_parity_survey_small():
 @pytest.mark.parametrize("p, q, parity", [(1, 1, "odd"), (1, 2, "even"), (2, 3, "even"), (3, 4, "even")])
 def test_expected_parity_is_the_parity_of_the_focal_indices(p, q, parity):
     survey = SurveyResult(p, q, weight_gcd=1, n_samples=0, n_skipped=0, n_unresolved=0)
-    indices = classify([0.0] * 6, p, q, integ_tol=1e-12).focal_indices
+    indices = classify([1.0] + [0.0] * 6, p, q, integ_tol=1e-12).focal_indices
     assert survey.expected_parity == parity
     assert all(k % 2 == (parity == "odd") for k in indices)
 

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField
+from qhfocus import Monomial, WeightedField, find_cycles, focal_values
+from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.errors import InvalidFieldError, PolarChartError
 from qhfocus.flow import return_map
+from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS, rq_table
 
 
@@ -141,3 +143,42 @@ def test_rq_table_shape():
     assert table.shape[0] == 13
     assert table.shape[1] % 2 == 1  # theta plus paired R and Q columns
     assert np.allclose(table[:, 0], thetas)
+
+
+def components_without_level_0(self, cos_t, sin_t):
+    """PolarRHS.components before terms at the leading weight were allowed:
+    the closed-form R_0, Q_0 of the leading part, then levels 1..k_max."""
+    p, q = self.field.p, self.field.q
+    c, s = cos_t, sin_t
+    zero = 0 * c
+    R = [c * s * (q * c ** (2 * q - 2) - p * s ** (2 * p - 2))]
+    Q = [p * q * (c ** (2 * q) + s ** (2 * p))]
+    for xs, ys in self._levels:
+        xm = ym = zero
+        for a, k, j in xs:
+            xm = xm + a * c**k * s**j
+        for a, k, j in ys:
+            ym = ym + a * c**k * s**j
+        R.append(c * xm + s * ym)
+        Q.append(-q * s * xm + p * c * ym)
+    return R, Q
+
+
+@pytest.mark.parametrize(
+    "field, h_hi",
+    [
+        *((random_field(p, q, np.random.default_rng(0)), 0.1) for p, q in ((1, 1), (1, 2), (2, 3), (3, 4))),
+        (eq325_field(1.22e-08, 2.41e-04), 0.45),
+        (eq329_weighted(a50=0.0, b41=1.0, sigma=0.1, delta1=2.46e-4, delta2=2.72e-2), 0.45),
+    ],
+    ids=["1:1", "1:2", "2:3", "3:4", "eq325", "eq329"],
+)
+def test_fields_without_leading_weight_terms_are_bitwise_unchanged(field, h_hi, monkeypatch):
+    def run():
+        scan = find_cycles("polar", field, 0.01, h_hi, grid_n=16, tol=1e-13).scan
+        return focal_values(field), scan
+
+    with monkeypatch.context() as m:
+        m.setattr(PolarRHS, "components", components_without_level_0)
+        before = run()
+    assert run() == before
