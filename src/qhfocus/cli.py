@@ -390,6 +390,8 @@ def cmd_survey(args) -> int:
                 "n_unresolved": res.n_unresolved,
                 "first_index_counts": {str(k): v for k, v in res.first_index_counts.items()},
                 "parity_ok": res.parity_ok,
+                "rhs_evals": res.rhs_evals,
+                "steps": res.steps,
             }
         )
     _emit(args, lines, doc, rows)

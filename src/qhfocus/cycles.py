@@ -157,6 +157,8 @@ def alternation_search(
     gaps = [float(g) for g in gap]
     if len(gaps) != len(target_signs) - 1:
         raise ValueError("need one gap per tunable chain entry")
+    if len(box) != len(gaps):
+        raise ValueError("need one box per tunable chain entry")
     if any(g < 10 for g in gaps):
         raise ValueError("magnitude gaps below 10 do not separate cycle roots")
     eps = np.zeros(len(box))

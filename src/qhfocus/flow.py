@@ -43,7 +43,9 @@ def nu1_closed_form(p: int, q: int, theta):
 
 
 def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
-    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients; float or Taylor series.
+    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, generic over the number type.
+
+    Extended precision runs it on Taylor series; double precision compiles it.
 
     The radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k
     starts at h**k: each power is summed from there, in the term order of
@@ -74,6 +76,83 @@ def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
             rk = nxt
     quot = jets.div_trunc(num, den, n)
     return jets.mul_trunc(r, quot, n)[1:]
+
+
+class _Var:
+    """A float of the jet right-hand side, named in a straight-line kernel being recorded.
+
+    Arithmetic adds the line ``v<i> = a op b`` to the ordered ``code``, or
+    reuses the line with the same text.  ``z``, the structural zero ``0 * x``,
+    is the only variable ``bool`` reports as false, so ``jets.mul_trunc``
+    skips the terms it skips on floats and ``x + z`` folds to x.  A
+    comparison records a guard and is assumed false."""
+
+    __slots__ = ("code", "name")
+
+    def __init__(self, code: dict, name: str):
+        self.code, self.name = code, name
+
+    def __bool__(self) -> bool:
+        return self.name != "z"
+
+    def _line(self, text: str) -> _Var:
+        return self.code.setdefault(text, _Var(self.code, f"v{len(self.code)}"))
+
+    def _op(self, a, op: str, b) -> _Var:
+        return self._line(f"{_atom(a)} {op} {_atom(b)}")
+
+    def __add__(self, other) -> _Var:
+        return self if not other else other if not self else self._op(self, "+", other)
+
+    def __sub__(self, other) -> _Var:
+        return self._op(self, "-", other) if other else self
+
+    def __mul__(self, other) -> _Var:
+        return self._op(self, "*", other) if self and other else _Var(self.code, "z")
+
+    def __rmul__(self, k) -> _Var:
+        return self._op(k, "*", self) if self and k else _Var(self.code, "z")
+
+    def __truediv__(self, other) -> _Var:
+        return self._op(self, "/", other)
+
+    def __pow__(self, n: int) -> _Var:
+        return self._op(self, "**", n)
+
+    def __abs__(self) -> _Var:
+        return self._line(f"abs({self.name})")
+
+    def __lt__(self, bound) -> bool:
+        self.code[f"if {self.name} < {_atom(bound)}: return ref(theta, y)"] = None
+        return False
+
+
+def _atom(x) -> str:
+    """A variable's name, or a number's exact text (ints act as floats in float arithmetic)."""
+    return x.name if isinstance(x, _Var) else repr(float(x))
+
+
+def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
+    """``_jet_rhs_coeffs`` on floats at order K, as one straight-line function f(theta, y).
+
+    ``_jet_rhs_coeffs`` runs once on recording variables, so f does the same
+    float operations in the same order and returns bitwise equal values.
+    ``jets.mul_trunc`` starts each output at 0 * nu_1, an add the zero fold
+    drops: f adds it last, which gives a zero output its sign on floats.  A
+    guard that holds (a vanishing denominator) hands the state back to
+    ``_jet_rhs_coeffs``, which raises as it always has.
+    """
+    code: dict[str, _Var | None] = {}
+    nu = [_Var(code, f"y{i}") for i in range(K)]
+    out = _jet_rhs_coeffs(rhs, K, _Var(code, "c"), _Var(code, "s"), nu)
+    lines = [f"{', '.join(map(_atom, nu))}, = y.tolist()", "c, s, z = cos(theta), sin(theta), 0 * y0"]
+    lines += [text if v is None else f"{v.name} = {text}" for text, v in code.items()]
+    lines.append(f"return [{', '.join(_atom(v) + ' + z' for v in out)}]")
+    code.clear()  # the variables refer to code: free them now, not at a GC pass
+    ref = lambda theta, y: _jet_rhs_coeffs(rhs, K, math.cos(theta), math.sin(theta), y.tolist())
+    scope = {"cos": math.cos, "sin": math.sin, "ref": ref}
+    exec("def f(theta, y):\n    " + "\n    ".join(lines), scope)
+    return scope.pop("f")  # f's globals are scope: popping f breaks the reference cycle
 
 
 @dataclass
@@ -134,8 +213,7 @@ def integrate_jet(
     if y0.size != K:
         raise ValueError(f"initial jet order {y0.size} != requested order {K}")
 
-    def f(theta, y):
-        return _jet_rhs_coeffs(rhs, K, math.cos(theta), math.sin(theta), y.tolist())
+    f = _compile_jet_rhs(rhs, K)
 
     def solve(**options):
         return _dop853(f, (0.0, 2 * np.pi), y0, tol, tol, "jet integration", **options)
@@ -430,8 +508,8 @@ def integrate_jet_extended(
     capped at 1, where h**j cannot magnify it.  ``n_rhs_evals`` counts the
     Taylor coefficients of the right-hand side: M per step.
 
-    About 30 times slower than the double-precision path (eq325 field,
-    K=7: 1.8 s at dps=30 against 60 ms at tol 1e-13 on a 2-core Xeon);
+    About 50 times slower than the double-precision path (eq325 field,
+    K=7: 1.8 s at dps=30 against 34 ms at tol 1e-13 on a 2-core Xeon);
     meant for hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp

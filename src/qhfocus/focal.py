@@ -199,6 +199,8 @@ class JacobianResult:
     singular_values: np.ndarray
     rank: int
     ill_conditioned: bool
+    rhs_evals: int  # integrator work summed over the focal_values calls
+    steps: int
 
 
 def focal_jacobian(
@@ -217,9 +219,11 @@ def focal_jacobian(
     Kmin = max(indices)
     K = max(K or 0, Kmin, 3)
 
+    reports = []
+
     def values_at(eps: np.ndarray) -> np.ndarray:
-        rep = focal_values(family(eps), K=K, integ_tol=integ_tol)
-        return np.array([rep.nu(k) for k in indices])
+        reports.append(focal_values(family(eps), K=K, integ_tol=integ_tol))
+        return np.array([reports[-1].nu(k) for k in indices])
 
     cols = []
     for i in range(eps0.size):
@@ -235,7 +239,8 @@ def focal_jacobian(
     ill = False
     if 0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3:
         ill = True
-    return JacobianResult(J, indices, sv, rank, ill)
+    work = [sum(r.rhs_evals for r in reports), sum(r.steps for r in reports)]
+    return JacobianResult(J, indices, sv, rank, ill, *work)
 
 
 # -- structural center certificates ---------------------------------------------
@@ -304,6 +309,8 @@ class SurveyResult:
     n_unresolved: int
     first_index_counts: dict[int, int] = dc_field(default_factory=dict)
     parity_ok: bool = True
+    rhs_evals: int = 0  # integrator work summed over the focal_values calls that returned
+    steps: int = 0
 
     @property
     def expected_parity(self) -> str:
@@ -336,6 +343,8 @@ def parity_survey(
         except QhfocusError:
             res.n_skipped += 1
             continue
+        res.rhs_evals += rep.rhs_evals
+        res.steps += rep.steps
         first = rep.first_nonzero_index
         if first is None or abs(rep.nu(first)) <= 10 * rep.zero_tol:
             res.n_unresolved += 1

@@ -2,8 +2,9 @@
 
 A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
-over the coefficient type: floats in the double-precision jet transport,
-lazy Taylor series in theta in the extended-precision one.
+over the coefficient type: lazy Taylor series in theta in the
+extended-precision jet transport; in the double-precision one, the recording
+variables of ``flow._compile_jet_rhs``, once per solve.
 """
 from __future__ import annotations
 

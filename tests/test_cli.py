@@ -8,7 +8,7 @@ from qhfocus.casestudy import b_integrand_factory, eq325_field, f2_integrand, ne
 from qhfocus.cli import main
 from qhfocus.cycles import find_cycles
 from qhfocus.fields import load_system, normalize
-from qhfocus.focal import focal_jacobian, focal_values
+from qhfocus.focal import focal_jacobian, focal_values, parity_survey
 from qhfocus.polar import PolarRHS, rq_table
 from qhfocus.quadrature import OdeAntiderivative, gauss_panels, trapezoid_periodic
 
@@ -164,6 +164,7 @@ def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
     assert doc["singular_values"] == res.singular_values.tolist()
     assert doc["indices"] == list(res.indices)
     assert (doc["rank"], doc["ill_conditioned"]) == (res.rank, res.ill_conditioned)
+    assert (doc["rhs_evals"], doc["steps"]) == (res.rhs_evals, res.steps)
 
 
 def test_jacobian_eq325(capsys):
@@ -178,6 +179,16 @@ def test_survey_seed_determinism(capsys):
     first = capsys.readouterr().out
     assert main(args) == 0
     assert capsys.readouterr().out == first
+
+
+def test_survey_json_records_the_integrator_work(tmp_path, capsys):
+    out = tmp_path / "survey.txt"
+    assert main(["survey", "--weights", "2:3,1:2", "--samples", "3", "--seed", "9", "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    for rec in doc["results"]:
+        res = parity_survey(rec["p"], rec["q"], n_samples=3, seed=9)
+        assert (rec["rhs_evals"], rec["steps"]) == (res.rhs_evals, res.steps)
+        assert res.rhs_evals > 0 and res.steps > 0
 
 
 @pytest.mark.parametrize("weights", ["0:0", "0:3", "-2:4"])

@@ -218,6 +218,14 @@ def test_alternation_search_validates_gaps():
         )
 
 
+def test_alternation_search_rejects_a_short_box():
+    with pytest.raises(ValueError, match="need one box per tunable chain entry"):
+        alternation_search(
+            lambda e: [0.1 * e[0], -0.7 * e[1], 2.0e-6], [1, -1, 1],
+            box=[(1e-8, 1e-2)], gap=[10.0, 10.0],
+        )
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         find_cycles("spherical", field23(0.5, 1.0, -0.3, 1.0), 0.05, 0.2)

@@ -7,11 +7,12 @@ from mpmath import mp
 from scipy.integrate import solve_ivp
 
 from qhfocus import Monomial, WeightedField, jets, return_map
-from qhfocus.errors import NoReturnError
+from qhfocus.errors import NoReturnError, SingularDivisionError
 from qhfocus.fields import normalize
 from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.flow import (
     DEFAULT_TOL,
+    _compile_jet_rhs,
     _jet_rhs_coeffs,
     default_order,
     estimate_period,
@@ -22,7 +23,7 @@ from qhfocus.flow import (
     nu1_closed_form,
     section_return,
 )
-from qhfocus.focal import random_field
+from qhfocus.focal import focal_values, random_field
 from qhfocus.polar import PolarRHS
 
 
@@ -182,6 +183,8 @@ def test_jet_rhs_kernel_matches_oracle(p, q, seed, theta, nu1, tail):
     # the oracle runs on numpy scalars, as the solver once handed them over
     oracle = _parent_jet_rhs(rhs, K, np.cos(theta), np.sin(theta), np.array(nu))
     assert fast.tobytes() == np.array(oracle, dtype=float).tobytes()
+    compiled = np.array(_compile_jet_rhs(rhs, K)(theta, np.array(nu)))
+    assert compiled.tobytes() == fast.tobytes()
 
     with mp.workdps(30):
         exact = _jet_rhs_coeffs(rhs, K, mp.mpf(c), mp.mpf(s), [mp.mpf(v) for v in nu])
@@ -189,6 +192,88 @@ def test_jet_rhs_kernel_matches_oracle(p, q, seed, theta, nu1, tail):
         err = [abs(float(e - mp.mpf(v))) for e, v in zip(exact, fast)]
     scale = _rounding_scale(rhs, K, c, s, nu)
     assert all(e <= KERNEL_ROUNDING * m + KERNEL_UNDERFLOW for e, m in zip(err, scale))
+
+
+def _kernel_cases():
+    """The corners the random kernel test rarely reaches."""
+    identity = lambda K: [1.0] + [0.0] * (K - 1)
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        K = default_order(p, q)
+        for seed in range(3):
+            # the oracle skips the float zeros of the initial state in mul_trunc
+            field = random_field(p, q, np.random.default_rng(seed))
+            yield pytest.param(field, K, identity(K), id=f"{p}:{q}-{seed}-identity")
+    damped = normalize(eq329_weighted(a50=-0.2, b41=1.0, a22=0.3, b13=0.1, delta0=0.02)).field
+    yield pytest.param(damped, 8, identity(8), id="damped-identity")
+    yield pytest.param(damped, 8, [0.9, 0.2, -0.1, 0.0, 0.3, 0.0, -0.2, 0.1], id="damped")
+    # the levels above K = 3 are truncated away
+    field34 = random_field(3, 4, np.random.default_rng(5))
+    assert PolarRHS(field34).k_max > 3
+    yield pytest.param(field34, 3, [1.2, -0.4, 0.7], id="3:4-K3")
+    eq325 = normalize(eq325_field(1.22e-8, 2.41e-4)).field
+    yield pytest.param(eq325, 7, [1.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0], id="eq325-shifted")
+
+
+@pytest.mark.parametrize("field, K, nu", _kernel_cases())
+def test_compiled_jet_rhs_is_bitwise_the_oracle(field, K, nu):
+    rhs = PolarRHS(field)
+    kernel = _compile_jet_rhs(rhs, K)
+    for theta in (0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2 * np.pi, 0.3, 4.0):
+        oracle = _parent_jet_rhs(rhs, K, np.cos(theta), np.sin(theta), np.array(nu))
+        compiled = kernel(theta, np.array(nu, dtype=float))
+        assert np.array(compiled).tobytes() == np.array(oracle, dtype=float).tobytes()
+
+
+class _VanishingDenominator:
+    """A stand-in right-hand side whose Q_0 is zero, though not structurally so."""
+
+    def components(self, c, s):
+        return [c * s, c], [c - c, s]
+
+
+def test_compiled_jet_rhs_keeps_the_division_check():
+    kernel = _compile_jet_rhs(_VanishingDenominator(), 3)
+    with pytest.raises(SingularDivisionError, match="vanishing constant term") as compiled:
+        kernel(0.4, np.array([1.0, 0.0, 0.0]))
+    with pytest.raises(SingularDivisionError) as direct:
+        _jet_rhs_coeffs(_VanishingDenominator(), 3, math.cos(0.4), math.sin(0.4), [1.0, 0.0, 0.0])
+    assert str(compiled.value) == str(direct.value)
+
+
+def _plain_jet_solve(rhs, K, y0, tol):
+    """The double-precision jet solve written out: DOP853 on _jet_rhs_coeffs over floats."""
+    return solve_ivp(
+        lambda t, y: _jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), y.tolist()),
+        (0.0, 2 * np.pi), y0, method="DOP853", rtol=max(tol, 1e-13), atol=tol,
+    )
+
+
+def _focal_fields():
+    yield pytest.param(eq325_field(1.22e-8, 2.41e-4), id="eq325")
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        for seed in range(2):
+            yield pytest.param(random_field(p, q, np.random.default_rng(seed)), id=f"{p}:{q}-{seed}")
+
+
+@pytest.mark.parametrize("field", _focal_fields())
+def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
+    K, tol = default_order(field.p, field.q), 1e-13
+    sol = _plain_jet_solve(PolarRHS(normalize(field).field), K, [1.0] + [0.0] * (K - 1), tol)
+    rep = focal_values(field, integ_tol=tol)
+    final = sol.y[:, -1]
+    assert np.array(rep.values).tobytes() == final[1:].tobytes()
+    assert np.float64(rep.nu1).tobytes() == final[0].tobytes()
+    assert (rep.rhs_evals, rep.steps) == (sol.nfev, len(sol.t) - 1)
+
+
+def test_shifted_jet_transport_is_the_plain_solve():
+    rhs = PolarRHS(normalize(eq325_field(1.22e-8, 2.41e-4)).field)
+    g = [1.0, 0.3, 0.0, -0.1, 0.0, 0.0, 0.0]
+    sol = _plain_jet_solve(rhs, 7, g, 1e-12)
+    traj = integrate_jet(rhs, init=g, tol=1e-12, order=7)
+    assert traj.final.tobytes() == sol.y[:, -1].tobytes()
+    assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (sol.nfev, len(sol.t) - 1)
+    assert traj.at(2 * np.pi).tobytes() == traj.final.tobytes()
 
 
 def test_scalar_and_jet_return_maps_agree():

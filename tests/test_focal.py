@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhfocus import Monomial, WeightedField, focal_values, parity_survey
+from qhfocus import Monomial, WeightedField, focal, focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
@@ -105,6 +105,26 @@ def test_jacobian_of_eps_family_has_full_rank():
     assert res.rank == 2
     # eps1 drives nu_2, eps2 does not
     assert abs(res.matrix[0, 0]) > 1e3 * abs(res.matrix[0, 1])
+
+
+def test_jacobian_and_survey_sum_the_integrator_work(monkeypatch):
+    reports = []
+    original = focal.focal_values
+
+    def recording(*args, **kwargs):
+        reports.append(original(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(focal, "focal_values", recording)
+    res = focal_jacobian(lambda e: eq325_field(e[0], e[1]), [0.0, 0.0], indices=(2, 4), K=5)
+    assert len(reports) == 4
+    assert res.rhs_evals == sum(r.rhs_evals for r in reports) > 0
+    assert res.steps == sum(r.steps for r in reports) > 0
+    reports.clear()
+    survey = parity_survey(2, 3, n_samples=4, seed=11)
+    assert len(reports) == survey.n_samples - survey.n_skipped > 0
+    assert survey.rhs_evals == sum(r.rhs_evals for r in reports)
+    assert survey.steps == sum(r.steps for r in reports)
 
 
 def test_jacobian_duplicated_parameter_rank_deficient():
