@@ -44,8 +44,10 @@ def _parse_params(text: str | None) -> dict[str, float]:
     for piece in text.split(","):
         if "=" not in piece:
             raise ValueError(f"malformed --params entry {piece!r}, expected k=v")
-        key, val = piece.split("=", 1)
-        out[key.strip()] = float(val)
+        key, val = (part.strip() for part in piece.split("=", 1))
+        if key in out:
+            raise ValueError(f"--params sets {key!r} twice")
+        out[key] = float(val)
     return out
 
 
@@ -380,20 +382,7 @@ def cmd_survey(args) -> int:
         rows.append(
             [p, q, res.expected_parity, res.n_samples, res.n_skipped, res.n_unresolved, res.parity_ok]
         )
-        doc["results"].append(
-            {
-                "p": p,
-                "q": q,
-                "expected_parity": res.expected_parity,
-                "n_samples": res.n_samples,
-                "n_skipped": res.n_skipped,
-                "n_unresolved": res.n_unresolved,
-                "first_index_counts": {str(k): v for k, v in res.first_index_counts.items()},
-                "parity_ok": res.parity_ok,
-                "rhs_evals": res.rhs_evals,
-                "steps": res.steps,
-            }
-        )
+        doc["results"].append({**dataclasses.asdict(res), "expected_parity": res.expected_parity})
     _emit(args, lines, doc, rows)
     return EXIT_OK if all_ok else EXIT_REPRODUCTION
 

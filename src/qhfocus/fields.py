@@ -178,41 +178,41 @@ def parse_system(text: str) -> WeightedField:
 
     Directives: ``p <int>``, ``q <int>``, ``lambda1 <real>``, ``lambda2 <real>``,
     ``x <k> <j> <coeff>``, ``y <k> <j> <coeff>``.
-    ``#`` starts a comment.  lambda1/lambda2 default to p/q.
+    ``#`` starts a comment.  lambda1/lambda2 default to p/q.  A line with
+    extra tokens, and a second p, q, lambda1 or lambda2 line, is rejected.
     """
-    p = q = None
-    lam1 = lam2 = None
+    scalars: dict[str, float] = {}
     x_terms: list[Monomial] = []
     y_terms: list[Monomial] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        parts = line.split()
-        key = parts[0].lower()
+        key, *args = line.split()
+        key = key.lower()
         try:
-            if key == "p":
-                p = int(parts[1])
-            elif key == "q":
-                q = int(parts[1])
-            elif key == "lambda1":
-                lam1 = float(parts[1])
-            elif key == "lambda2":
-                lam2 = float(parts[1])
-            elif key in ("x", "y"):
-                k, j, c = int(parts[1]), int(parts[2]), float(parts[3])
-                (x_terms if key == "x" else y_terms).append(Monomial(k, j, c))
-            else:
+            if key not in ("p", "q", "lambda1", "lambda2", "x", "y"):
                 raise ValueError(f"unknown directive {key!r}")
-        except (IndexError, ValueError) as exc:
+            arity = 3 if key in ("x", "y") else 1
+            if len(args) != arity:
+                raise ValueError(f"{key} takes {arity} value(s), got {len(args)}")
+            if key in ("x", "y"):
+                k, j, c = args
+                (x_terms if key == "x" else y_terms).append(Monomial(int(k), int(j), float(c)))
+            elif key in scalars:
+                raise ValueError(f"{key} is already set")
+            else:
+                scalars[key] = int(args[0]) if key in ("p", "q") else float(args[0])
+        except ValueError as exc:
             raise InvalidFieldError(f"line {lineno}: {raw.strip()!r}: {exc}") from exc
+    p, q = scalars.get("p"), scalars.get("q")
     if p is None or q is None:
         raise InvalidFieldError("system file must define both p and q")
     return WeightedField(
         p=p,
         q=q,
-        lambda1=lam1,
-        lambda2=lam2,
+        lambda1=scalars.get("lambda1"),
+        lambda2=scalars.get("lambda2"),
         x_terms=tuple(x_terms),
         y_terms=tuple(y_terms),
     )

@@ -4,7 +4,10 @@ Three backends:
 
 * jet transport: the radius ODE is integrated with the radius replaced by a
   truncated series in the initial radius h, carrying nu_1..nu_K in one
-  error-controlled pass;
+  error-controlled pass.  Its right-hand side is recorded once per solve as
+  a straight-line program with two evaluators: a Python function of floats
+  for DOP853, and a sweep in fixed-point Taylor coefficients for the
+  extended-precision Taylor method;
 * scalar: plain adaptive integration of dr/dtheta for the return map, of
   one radius or of an array of them as one vector solve;
 * Cartesian: orbit integration with event-located crossings of the positive
@@ -22,7 +25,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 
 from . import jets
-from .errors import NoReturnError, StiffnessError, check_tol
+from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
 from .polar import PolarRHS
 
@@ -45,10 +48,9 @@ def nu1_closed_form(p: int, q: int, theta):
 def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
     """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, generic over the number type.
 
-    Extended precision runs it on Taylor series; double precision compiles it.
-
-    The radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k
-    starts at h**k: each power is summed from there, in the term order of
+    Both precisions run it once per solve, on recording variables.  The
+    radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k starts
+    at h**k: each power is summed from there, in the term order of
     ``jets.mul_trunc``, and powers above the last one used are never formed.
     Zero terms are added where ``jets.mul_trunc`` skips them, which leaves
     every nonzero sum bit for bit as it was.
@@ -79,13 +81,13 @@ def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
 
 
 class _Var:
-    """A float of the jet right-hand side, named in a straight-line kernel being recorded.
+    """A value of the jet right-hand side, named in a straight-line program being recorded.
 
-    Arithmetic adds the line ``v<i> = a op b`` to the ordered ``code``, or
-    reuses the line with the same text.  ``z``, the structural zero ``0 * x``,
-    is the only variable ``bool`` reports as false, so ``jets.mul_trunc``
-    skips the terms it skips on floats and ``x + z`` folds to x.  A
-    comparison records a guard and is assumed false."""
+    Arithmetic adds the line ``(op, a, b)`` to the ordered ``code``, mapped to
+    the name of its value, or reuses the same line; operands are names or
+    floats.  ``z``, the structural zero ``0 * x``, is the only variable
+    ``bool`` reports as false, so ``jets.mul_trunc`` skips the terms it skips
+    on floats and ``x + z`` folds to x."""
 
     __slots__ = ("code", "name")
 
@@ -95,11 +97,9 @@ class _Var:
     def __bool__(self) -> bool:
         return self.name != "z"
 
-    def _line(self, text: str) -> _Var:
-        return self.code.setdefault(text, _Var(self.code, f"v{len(self.code)}"))
-
     def _op(self, a, op: str, b) -> _Var:
-        return self._line(f"{_atom(a)} {op} {_atom(b)}")
+        key = (op, _atom(a), _atom(b))
+        return _Var(self.code, self.code.setdefault(key, f"v{len(self.code)}"))
 
     def __add__(self, other) -> _Var:
         return self if not other else other if not self else self._op(self, "+", other)
@@ -107,11 +107,10 @@ class _Var:
     def __sub__(self, other) -> _Var:
         return self._op(self, "-", other) if other else self
 
-    def __mul__(self, other) -> _Var:
-        return self._op(self, "*", other) if self and other else _Var(self.code, "z")
-
     def __rmul__(self, k) -> _Var:
         return self._op(k, "*", self) if self and k else _Var(self.code, "z")
+
+    __mul__ = __rmul__  # products commute on floats: a constant factor records on the left
 
     def __truediv__(self, other) -> _Var:
         return self._op(self, "/", other)
@@ -119,38 +118,51 @@ class _Var:
     def __pow__(self, n: int) -> _Var:
         return self._op(self, "**", n)
 
-    def __abs__(self) -> _Var:
-        return self._line(f"abs({self.name})")
+    def __abs__(self) -> _Abs:
+        return _Abs(self.code, self.name)
+
+
+def _atom(x) -> str | float:
+    return x.name if isinstance(x, _Var) else float(x)
+
+
+class _Abs(_Var):
+    """|x|, which only the division check compares: |x| < bound records a guard, assumed false."""
 
     def __lt__(self, bound) -> bool:
-        self.code[f"if {self.name} < {_atom(bound)}: return ref(theta, y)"] = None
+        self.code[("abs<", self.name, float(bound))] = None
         return False
 
 
-def _atom(x) -> str:
-    """A variable's name, or a number's exact text (ints act as floats in float arithmetic)."""
-    return x.name if isinstance(x, _Var) else repr(float(x))
+def _record_jet_rhs(rhs: PolarRHS, K: int) -> tuple[list[tuple], list[str]]:
+    """``_jet_rhs_coeffs`` at order K as lines ``(dest, op, a, b)``, and its output names.
+
+    Inputs are c, s (cos and sin of theta), y0..y<K-1> (nu) and z."""
+    code: dict[tuple, str | None] = {}
+    nu = [_Var(code, f"y{i}") for i in range(K)]
+    out = _jet_rhs_coeffs(rhs, K, _Var(code, "c"), _Var(code, "s"), nu)
+    return [(dest, *line) for line, dest in code.items()], [v.name for v in out]
 
 
 def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     """``_jet_rhs_coeffs`` on floats at order K, as one straight-line function f(theta, y).
 
-    ``_jet_rhs_coeffs`` runs once on recording variables, so f does the same
-    float operations in the same order and returns bitwise equal values.
-    ``jets.mul_trunc`` starts each output at 0 * nu_1, an add the zero fold
-    drops: f adds it last, which gives a zero output its sign on floats.  A
-    guard that holds (a vanishing denominator) hands the state back to
-    ``_jet_rhs_coeffs``, which raises as it always has.
+    f runs the recorded program, so it does the same float operations in the
+    same order (a product's factors may be swapped, which floats do not
+    notice) and returns bitwise equal values.  ``jets.mul_trunc`` starts
+    each output at 0 * nu_1, an add the zero fold drops: f adds it last,
+    which gives a zero output its sign on floats.  A guard that holds raises
+    as ``jets.div_trunc`` does.
     """
-    code: dict[str, _Var | None] = {}
-    nu = [_Var(code, f"y{i}") for i in range(K)]
-    out = _jet_rhs_coeffs(rhs, K, _Var(code, "c"), _Var(code, "s"), nu)
-    lines = [f"{', '.join(map(_atom, nu))}, = y.tolist()", "c, s, z = cos(theta), sin(theta), 0 * y0"]
-    lines += [text if v is None else f"{v.name} = {text}" for text, v in code.items()]
-    lines.append(f"return [{', '.join(_atom(v) + ' + z' for v in out)}]")
-    code.clear()  # the variables refer to code: free them now, not at a GC pass
-    ref = lambda theta, y: _jet_rhs_coeffs(rhs, K, math.cos(theta), math.sin(theta), y.tolist())
-    scope = {"cos": math.cos, "sin": math.sin, "ref": ref}
+    program, out = _record_jet_rhs(rhs, K)
+    lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y.tolist()",
+             "c, s, z = cos(theta), sin(theta), 0 * y0"]
+    # a float formats as its repr, the shortest text that reads back to it
+    lines += [f"if abs({a}) < {b}: raise SingularDivisionError(VANISHING)" if dest is None
+              else f"{dest} = {a} {op} {b}" for dest, op, a, b in program]
+    lines.append(f"return [{', '.join(v + ' + z' for v in out)}]")
+    scope = {"cos": math.cos, "sin": math.sin, "SingularDivisionError": SingularDivisionError,
+             "VANISHING": jets.VANISHING}
     exec("def f(theta, y):\n    " + "\n    ".join(lines), scope)
     return scope.pop("f")  # f's globals are scope: popping f breaks the reference cycle
 
@@ -383,103 +395,63 @@ def section_return(
 _GUARD_BITS = 32
 
 
-class _Tape:
-    """The nodes of one Taylor step, in creation order, which is dependency order.
+def _taylor_rule(op: str, d: list, a, b, bits: int) -> Callable[[int], None]:
+    """The rule appending coefficient m of d = a op b, on fixed-point Taylor coefficients.
 
-    Coefficients are fixed-point integers: c stands for c / 2**bits.
-    """
+    a and b are lists holding coefficients 0..m, but a product's a may be a
+    float factor and a guard |a| < b has a float bound b: a guard appends
+    nothing and is checked on coefficient 0."""
+    app = d.append
+    if op == "+":
+        return lambda m: app(a[m] + b[m])
+    if op == "-":
+        return lambda m: app(a[m] - b[m])
+    if op == "/":
+        return lambda m: app(((a[m] << bits) - sum(map(operator.mul, b[1:], reversed(d)))) // b[0])
+    if op == "abs<":
+        def guard(m):
+            if m == 0 and math.ldexp(abs(a[0]), -bits) < b:
+                raise SingularDivisionError(jets.VANISHING)
+        return guard
+    if isinstance(a, float):  # a constant factor, exact but for one rounding
+        num, den = a.as_integer_ratio()
+        shift = den.bit_length() - 1
+        return lambda m: app((num * b[m]) >> shift)
+    return lambda m: app(sum(map(operator.mul, a, reversed(b))) >> bits)
 
-    def __init__(self, bits: int):
-        self.bits = bits
-        self.nodes: list[_Series] = []
-        self.zero = _Series(self, 0, lambda m: 0)
-        self.one = _Series(self, 1 << bits, lambda m: 0)
 
+def _taylor_program(rhs: PolarRHS, K: int, bits: int) -> tuple[list[list], list[Callable]]:
+    """The recorded jet right-hand side as rules on Taylor series in theta - theta0.
 
-class _Series:
-    """A Taylor series in theta - theta0, computed lazily on a ``_Tape``.
+    Coefficients are fixed-point integers: c stands for c / 2**bits.  Returns
+    the coefficient lists, led by those of c, s, z, one and nu that a step
+    seeds with coefficient 0, and the rules.  Calling each rule in order with
+    m = 0, 1, ... appends coefficient m of every line, then coefficient m + 1
+    of c, s, z, one and nu: c' = -s, s' = c, and nu_i' is output i."""
+    program, out = _record_jet_rhs(rhs, K)
+    coef = {name: [] for name in ["c", "s", "z", "one", *(f"y{i}" for i in range(K))]}
+    lists, rules = list(coef.values()), []
+    pows: dict[str, list[list]] = {}  # x**0, x**1, ... per base, each power x**(n-1) * x
 
-    Arithmetic builds a node that computes its coefficient m from
-    coefficients 0..m of its operands; one sweep over the tape in creation
-    order then yields coefficient m of every node.  Coefficient 0 is computed
-    at once, so ``abs`` gives the value at theta0, as ``jets.div_trunc``
-    needs.  ``0 * x`` is the structural zero, the only series ``bool``
-    reports as false, so ``jets.mul_trunc`` skips the terms that are zero by
-    construction.
-    """
+    def line(op: str, a, b) -> list:
+        d = []
+        lists.append(d)
+        rules.append(_taylor_rule(op, d, a, b, bits))
+        return d
 
-    __slots__ = ("tape", "c", "next", "pows")
-
-    def __init__(self, tape: _Tape, c0: int, next_coef: Callable[[int], int]):
-        self.tape, self.c, self.next, self.pows = tape, [c0], next_coef, {}
-        tape.nodes.append(self)
-
-    def _node(self, next_coef: Callable[[int], int]) -> _Series:
-        return _Series(self.tape, next_coef(0), next_coef)
-
-    def __bool__(self) -> bool:
-        return self is not self.tape.zero
-
-    def __abs__(self) -> float:
-        return math.ldexp(abs(self.c[0]), -self.tape.bits)
-
-    def __add__(self, other: _Series) -> _Series:
-        if not other:
-            return self
-        if not self:
-            return other
-        a, b = self.c, other.c
-        return self._node(lambda m: a[m] + b[m])
-
-    def __sub__(self, other: _Series) -> _Series:
-        if not other:
-            return self
-        a, b = self.c, other.c
-        return self._node(lambda m: a[m] - b[m])
-
-    def __rmul__(self, k) -> _Series:
-        """Multiplication by an int or a float, exact but for one rounding."""
-        if k == 0 or not self:
-            return self.tape.zero
-        if k == 1:
-            return self
-        num, den = float(k).as_integer_ratio()
-        shift, a = den.bit_length() - 1, self.c
-        return self._node(lambda m: (num * a[m]) >> shift)
-
-    def __mul__(self, other) -> _Series:
-        if not isinstance(other, _Series):
-            return self.__rmul__(other)
-        if not self or not other:
-            return self.tape.zero
-        if other is self.tape.one:
-            return self
-        if self is self.tape.one:
-            return other
-        a, b, bits = self.c, other.c, self.tape.bits
-        return self._node(lambda m: sum(map(operator.mul, a, reversed(b))) >> bits)
-
-    def __truediv__(self, other: _Series) -> _Series:
-        if not self:
-            return self
-        a, b, bits = self.c, other.c, self.tape.bits
-        q: list[int] = []
-
-        def coef(m: int) -> int:
-            return ((a[m] << bits) - sum(map(operator.mul, b[1:], reversed(q)))) // b[0]
-
-        node = self._node(coef)
-        q = node.c
-        return node
-
-    def __pow__(self, n: int) -> _Series:
-        if n == 0:
-            return self.tape.one
-        if n == 1:
-            return self
-        if n not in self.pows:
-            self.pows[n] = self ** (n - 1) * self
-        return self.pows[n]
+    for dest, op, a, b in program:
+        if op == "**":
+            chain = pows.setdefault(a, [coef["one"], coef[a]])
+            while len(chain) <= b:
+                chain.append(line("*", chain[-1], chain[1]))
+            coef[dest] = chain[int(b)]
+        else:  # a guard's dest is None, and its list stays empty
+            coef[dest] = line(op, *(x if isinstance(x, float) else coef[x] for x in (a, b)))
+    c, s, z, one, *nu = lists[: K + 4]
+    rules += [lambda m: c.append(-s[m] // (m + 1)), lambda m: s.append(c[m] // (m + 1))]
+    rules += [lambda m, k=k: k.append(0) for k in (z, one)]
+    rules += [lambda m, n=n, f=coef[o]: n.append(f[m] // (m + 1)) for n, o in zip(nu, out)]
+    return lists, rules
 
 
 def integrate_jet_extended(
@@ -496,21 +468,20 @@ def integrate_jet_extended(
     precision, and the last step lands on it exactly.
 
     Each step expands the solution in theta to order M (Jorba & Zou,
-    Experimental Math. 14, 2005).  The jet right-hand side is built once on
-    lazy Taylor series (``_Series``) of cos, sin and nu at the start of the
-    step, and coefficient m + 1 of nu is coefficient m of the right-hand
-    side divided by m + 1.  With the local tolerance tol = 10**-dps,
-    M = ceil(-ln(tol) / 2 + 1), and the step h is the largest at which the
-    last two terms, max_i |coefficient j of nu_i| * h**j for j = M - 1 and
-    M, stay below tol.  All sums and products are exact on integer
-    mantissas at one binary scale of ceil(dps * log2(10)) + 32 bits, with
-    one rounding per coefficient.  That rounding is absolute, so h is also
-    capped at 1, where h**j cannot magnify it.  ``n_rhs_evals`` counts the
-    Taylor coefficients of the right-hand side: M per step.
+    Experimental Math. 14, 2005) by sweeping the recorded jet right-hand
+    side in Taylor coefficients (``_taylor_program``).  With the local
+    tolerance tol = 10**-dps, M = ceil(-ln(tol) / 2 + 1), and the step h is
+    the largest at which the last two terms, max_i |coefficient j of nu_i|
+    * h**j for j = M - 1 and M, stay below tol.  All sums and products are
+    exact on integer mantissas at one binary scale of ceil(dps * log2(10))
+    + 32 bits, with one rounding per coefficient.  That rounding is
+    absolute, so h is also capped at 1, where h**j cannot magnify it.
+    ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
+    M per step.
 
-    About 50 times slower than the double-precision path (eq325 field,
-    K=7: 1.8 s at dps=30 against 34 ms at tol 1e-13 on a 2-core Xeon);
-    meant for hierarchies that collapse below machine epsilon.
+    About 50 times slower than the double-precision path (eq325 field, K=7:
+    1.4 s at dps=30 against 25 ms at tol 1e-13 on a 2-core Xeon); meant for
+    hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp
 
@@ -528,32 +499,29 @@ def integrate_jet_extended(
         end = fixed(2 * mp.pi if theta1 is None else theta1)
     if end <= 0:
         raise ValueError(f"theta1={theta1!r} must be positive")
+    lists, rules = _taylor_program(rhs, K, bits)
+    nu = lists[4 : K + 4]
     state = [1 << bits] + [0] * (K - 1)
     theta = steps = 0
     while theta < end:
-        tape = _Tape(bits)
         with mp.workprec(bits + _GUARD_BITS):
             c0, s0 = map(fixed, mp.cos_sin(mp.ldexp(theta, -bits)))
-        cos_t = _Series(tape, c0, lambda m: -sin_t.c[m - 1] // m)
-        sin_t = _Series(tape, s0, lambda m: cos_t.c[m - 1] // m)
-        nu = [_Series(tape, y, None) for y in state]
-        for n, f in zip(nu, _jet_rhs_coeffs(rhs, K, cos_t, sin_t, nu)):
-            n.next = lambda m, f=f.c: f[m - 1] // m
-        for m in range(1, M):
-            for node in tape.nodes:
-                node.c.append(node.next(m))
-        for n in nu:
-            n.c.append(n.next(M))
+        for coefs in lists:
+            coefs.clear()
+        for coefs, x0 in zip(lists, (c0, s0, 0, 1 << bits, *state)):
+            coefs.append(x0)
+        for m in range(M):
+            for rule in rules:
+                rule(m)
         log_h = 0.0
         for j in (M - 1, M):
-            top = max(abs(n.c[j]) for n in nu)
+            top = max(abs(n[j]) for n in nu)
             if top:
                 log_h = min(log_h, (log_tol - math.log(top) + bits * math.log(2)) / j)
         step = min(int(math.ldexp(math.exp(log_h), bits)), end - theta)
         if step < 1:
             raise StiffnessError(f"Taylor step underflow at theta={math.ldexp(theta, -bits)!r}")
-        state = [_horner(n.c, step, bits) for n in nu]
-        tape.nodes.clear()  # nodes refer to their tape: free them now, not at a GC pass
+        state = [_horner(n, step, bits) for n in nu]
         theta += step
         steps += 1
     with mp.workdps(dps):

@@ -332,6 +332,8 @@ def parity_survey(
     """
     if p < 1 or q < 1:
         raise ValueError("weights p, q must be positive integers")
+    if n_samples < 1:
+        raise ValueError(f"a survey needs at least one sample, got n_samples={n_samples}")
     d = math.gcd(p, q)
     p, q = p // d, q // d
     rng = np.random.default_rng(seed)

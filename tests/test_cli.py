@@ -183,18 +183,34 @@ def test_survey_seed_determinism(capsys):
 
 def test_survey_json_records_the_integrator_work(tmp_path, capsys):
     out = tmp_path / "survey.txt"
-    assert main(["survey", "--weights", "2:3,1:2", "--samples", "3", "--seed", "9", "--out", str(out)]) == 0
+    assert main(["survey", "--weights", "2:3,2:4", "--samples", "3", "--seed", "9", "--out", str(out)]) == 0
     doc = json.loads(out.with_suffix(".json").read_text())
-    for rec in doc["results"]:
-        res = parity_survey(rec["p"], rec["q"], n_samples=3, seed=9)
-        assert (rec["rhs_evals"], rec["steps"]) == (res.rhs_evals, res.steps)
+    for rec, (p, q) in zip(doc["results"], [(2, 3), (2, 4)], strict=True):
+        res = parity_survey(p, q, n_samples=3, seed=9)
         assert res.rhs_evals > 0 and res.steps > 0
+        # the record is the result object: the sampled (reduced) weights, with weight_gcd
+        expect = {**dataclasses.asdict(res), "expected_parity": res.expected_parity}
+        expect["first_index_counts"] = {str(k): v for k, v in res.first_index_counts.items()}
+        assert rec == expect
+    assert [doc["results"][1][k] for k in ("p", "q", "weight_gcd")] == [1, 2, 2]
 
 
 @pytest.mark.parametrize("weights", ["0:0", "0:3", "-2:4"])
 def test_survey_rejects_nonpositive_weights(weights, capsys):
     assert main(["survey", f"--weights={weights}", "--samples", "2"]) == 1
     assert "weights p, q must be positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_survey_rejects_nonpositive_samples(samples, capsys):
+    # a survey of no fields would print parity_ok=True having checked nothing
+    assert main(["survey", "--weights", "2:3", f"--samples={samples}"]) == 1
+    assert "at least one sample" in capsys.readouterr().err
+
+
+def test_params_reject_a_repeated_key(capsys):
+    assert main(["analyze", "--family", "eq325", "--params", "eps1=0.1,eps1=0.2"]) == 1
+    assert "--params sets 'eps1' twice" in capsys.readouterr().err
 
 
 def test_missing_input_source_exits_1(capsys):

@@ -189,6 +189,25 @@ def test_parse_reports_line_numbers():
         parse_system(text)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p 2 3\nq 3\n", "line 1: 'p 2 3': p takes 1 value"),
+        ("p 2\nq 3\nx 2 2 0.5 junk\n", "line 3: 'x 2 2 0.5 junk': x takes 3 value"),
+        ("p 2\nq 3\ny 4 1\n", "line 3: 'y 4 1': y takes 3 value"),
+        ("p 2\nq\n", "line 2: 'q': q takes 1 value"),
+        ("p 2\nq 3\np 4\n", "line 3: 'p 4': p is already set"),
+        ("p 2\nq 3\nQ 5\n", "line 3: 'Q 5': q is already set"),
+        ("p 2\nq 3\nlambda1 1\nlambda1 2\n", "line 4: 'lambda1 2': lambda1 is already set"),
+        ("p 2\nq 3\nlambda2 1\nlambda2 1\n", "line 4: 'lambda2 1': lambda2 is already set"),
+    ],
+)
+def test_parse_rejects_extra_tokens_and_repeated_scalars(text, message):
+    with pytest.raises(InvalidFieldError) as info:
+        parse_system(text)
+    assert str(info.value).startswith(message)
+
+
 def test_parse_rejects_degree_cap_directive():
     with pytest.raises(InvalidFieldError, match="line 3.*unknown directive"):
         parse_system("p 2\nq 3\ndegree_cap 5\n")

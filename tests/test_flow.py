@@ -240,6 +240,16 @@ def test_compiled_jet_rhs_keeps_the_division_check():
     assert str(compiled.value) == str(direct.value)
 
 
+
+def test_extended_jet_keeps_the_division_check():
+    # the guard is checked on coefficient 0 before the division that follows
+    # it: checked after the first sweep, the division would raise ZeroDivisionError
+    with pytest.raises(SingularDivisionError) as extended:
+        integrate_jet_extended(_VanishingDenominator(), order=3, dps=20)
+    with pytest.raises(SingularDivisionError) as double:
+        _compile_jet_rhs(_VanishingDenominator(), 3)(0.0, np.array([1.0, 0.0, 0.0]))
+    assert str(extended.value) == str(double.value)
+
 def _plain_jet_solve(rhs, K, y0, tol):
     """The double-precision jet solve written out: DOP853 on _jet_rhs_coeffs over floats."""
     return solve_ivp(
@@ -479,3 +489,45 @@ def test_extended_jet_ends_at_the_true_two_pi():
     assert stats.n_steps > 0
     for k in (2, 3):
         assert abs(nu[k - 1] - ref[k - 1]) <= 1e-19
+
+
+def _pinned_extended_cases():
+    # the values of the lazy-series Taylor integrator this one replaced, read
+    # to the last bit at dps 20
+    yield pytest.param(
+        field23(), 3, 1825, 73,
+        ["0.99999999999999999999915", "0.65702928855007091051142", "0.43168748601261234166846"],
+        id="field23",
+    )
+    damped = normalize(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02)).field
+    yield pytest.param(
+        damped, 8, 975, 39,
+        ["0.98751225652365601427798", "0.0", "0.004595527608596279305264",
+         "7.98873549279055188333e-7", "0.021401642956214345758346",
+         "-0.0000019626703962908853433814", "0.0086964091555108694469343",
+         "-0.0000027350008111134886349751"],
+        id="damped",
+    )
+
+
+@pytest.mark.parametrize("field, K, n_rhs_evals, n_steps, expect", _pinned_extended_cases())
+def test_extended_jet_values_are_pinned(field, K, n_rhs_evals, n_steps, expect):
+    nu, stats = integrate_jet_extended(PolarRHS(field), order=K, dps=20)
+    assert (stats.n_rhs_evals, stats.n_steps) == (n_rhs_evals, n_steps)
+    with mp.workdps(20):
+        assert nu == [mp.mpf(v) for v in expect]
+
+
+def test_extended_jet_records_the_right_hand_side_once(monkeypatch):
+    calls = []
+    components = PolarRHS.components
+
+    def counted(self, c, s):
+        calls.append(1)
+        return components(self, c, s)
+
+    rhs = PolarRHS(field23())
+    monkeypatch.setattr(PolarRHS, "components", counted)
+    _, stats = integrate_jet_extended(rhs, order=3, dps=20)
+    assert stats.n_steps > 1
+    assert len(calls) == 1
