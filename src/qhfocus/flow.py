@@ -13,16 +13,20 @@ Three backends:
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
+
+The jet and one radius run DOP853 on lists of floats, a step generated per
+state size under scipy's step control; the others run scipy's ``solve_ivp``.
 """
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
 from . import jets
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
@@ -30,7 +34,7 @@ from .fields import WeightedField, normalize
 from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
-# DOP853's rtol floor: scipy rewrites any rtol below 100 * eps, with a warning
+# every DOP853 solve's rtol floor, which keeps the two drivers comparable
 RTOL_FLOOR = 1e-13
 
 
@@ -155,7 +159,7 @@ def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     as ``jets.div_trunc`` does.
     """
     program, out = _record_jet_rhs(rhs, K)
-    lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y.tolist()",
+    lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y",
              "c, s, z = cos(theta), sin(theta), 0 * y0"]
     # a float formats as its repr, the shortest text that reads back to it
     lines += [f"if abs({a}) < {b}: raise SingularDivisionError(VANISHING)" if dest is None
@@ -180,22 +184,105 @@ class JetTrajectory:
 
     ``final`` is the solver's end state.  The dense interpolant behind ``at``
     is built on first use by repeating the solve with dense output, which
-    takes the same steps and so reproduces ``final`` at 2*pi.
+    takes the same steps; a step's end reads its end state, ``final`` at 2*pi.
     """
 
     order: int
     stats: IntegratorStats
     final: np.ndarray
-    _dense_solve: Callable[[], object]
-    _sol: object = None
+    _dense_solve: Callable[[], list]
+    _steps: list | None = None  # (theta, theta_new, y, y_new, interpolant rows) per step
 
     def at(self, theta: float) -> np.ndarray:
         """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)], 0 <= theta <= 2*pi."""
         if not 0.0 <= theta <= 2 * np.pi:
             raise ValueError(f"theta={theta!r} lies outside the solved turn [0, 2*pi]")
-        if self._sol is None:
-            self._sol = self._dense_solve().sol
-        return self._sol(theta)
+        self._steps = self._steps or self._dense_solve()
+        t, t_new, y, y_new, F = next(st for st in self._steps if theta <= st[1])
+        x, acc = (theta - t) / (t_new - t), 0.0
+        for j, row in enumerate(np.array(F)[::-1]):  # in scipy's Dop853DenseOutput order
+            acc = (acc + row) * (1 - x if j % 2 else x)
+        return np.array(y_new) if theta == t_new else acc + np.array(y)
+
+
+# -- DOP853 on lists of floats --------------------------------------------------
+
+
+@lru_cache
+def _dop853_code(n: int, dense: bool = False) -> Callable:
+    """scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as code for n states.
+
+    ``step(fun, t, h, y, f, rtol, atol)`` returns y_new, fun(t + h, y_new), the
+    sums of squared E5 and E3 errors over atol + max(|y|, |y_new|) * rtol and
+    the 13 stages; ``dense(fun, t, h, y, y_new, stages)`` the interpolant's rows,
+    compiled only when asked for.  A sum runs in stage order, skipping zeros."""
+    lin = lambda coefs, i: " + ".join(f"{float(a)!r} * k{s}_{i}" for s, a in enumerate(coefs) if a)
+    vec = lambda term: ", ".join(map(term, range(n)))
+    ks = lambda s: vec(lambda i: f"k{s}_{i}") + f", = k{s}"
+
+    def stage(s: int, a, c) -> str:
+        args = vec(lambda i: f"y{i} + ({lin(a[:s], i)}) * h")
+        return f"{ks(s)} = fun(t + {float(c)!r} * h, [{args}])"
+
+    D, ys, ns = DOP853, vec(lambda i: f"y{i}"), vec(lambda i: f"n{i}")
+    step = [f"{ys}, = y", f"{ks(0)} = f", *(stage(s, D.A[s], D.C[s]) for s in range(1, 12))]
+    step += [f"n{i} = y{i} + h * ({lin(D.B, i)})" for i in range(n)]
+    step += [f"{ks(12)} = fun(t + h, [{ns}])"]
+    step += [f"w = atol + max(abs(y{i}), abs(n{i})) * rtol; e{i} = ({lin(D.E5, i)}) / w; "
+             f"g{i} = ({lin(D.E3, i)}) / w" for i in range(n)]
+    sq = lambda v: " + ".join(f"{v}{i} * {v}{i}" for i in range(n))
+    step += [f"return [{ns}], k12, {sq('e')}, {sq('g')}, ({', '.join(f'k{s}' for s in range(13))})"]
+    extra = [f"{ys}, = y", f"{ns}, = y_new", *(f"{ks(s)} = k[{s}]" for s in range(13))]
+    extra += [stage(s, a, c) for s, a, c in zip(range(13, 16), D.A_EXTRA, D.C_EXTRA)]
+    rows = [vec(lambda i: f"n{i} - y{i}"), vec(lambda i: f"h * k0_{i} - (n{i} - y{i})"),
+            vec(lambda i: f"2 * (n{i} - y{i}) - h * (k12_{i} + k0_{i})"),
+            *(vec(lambda i: f"h * ({lin(d, i)})") for d in D.D)]
+    extra += [f"return [{', '.join(f'[{r}]' for r in rows)}]"]
+    head = "dense(fun, t, h, y, y_new, k)" if dense else "step(fun, t, h, y, f, rtol, atol)"
+    scope: dict = {}
+    exec(f"def {head}:\n    " + "\n    ".join(extra if dense else step), scope)
+    return scope["dense" if dense else "step"]
+
+
+def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=False):
+    """DOP853 on a list of floats, theta from 0 to t1 of either sign, at rtol max(tol, RTOL_FLOOR).
+
+    scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
+    step).  Returns y(t1), nfev and the steps: their number, or with ``dense``
+    the steps for ``JetTrajectory``."""
+    rtol, n = max(tol, RTOL_FLOOR), len(y)
+    step, extra = _dop853_code(n), (_dop853_code(n, True) if dense else None)
+    direction = 1.0 if t1 > 0 else -1.0
+    # scipy's select_initial_step, for the error estimator of order 7
+    scale = [atol + abs(v) * rtol for v in y]
+    rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / n**0.5
+    f = fun(0.0, y)
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1))
+    f1 = fun(h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)]) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs, t, nfev, steps = min(100 * h0, h1, abs(t1)), 0.0, 2, []
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs, rejected = max(h_abs, min_step), False
+        while True:  # scipy's RungeKutta._step_impl, with its SAFETY, MIN_ and MAX_FACTOR
+            if h_abs < min_step:
+                raise StiffnessError(
+                    f"{what} failed: Required step size is less than spacing between numbers.")
+            t_new = t1 if direction * (t + h_abs * direction - t1) > 0 else t + h_abs * direction
+            h_abs = abs(h := t_new - t)
+            y_new, f_new, s5, s3, k = step(fun, t, h, y, f, rtol, atol)
+            nfev += 12
+            err = h_abs * s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 or s3 else 0.0
+            if err < 1:
+                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
+        steps.append((t, t_new, y, y_new, extra(fun, t, h, y, y_new, k)) if dense else None)
+        t, y, f = t_new, y_new, f_new
+    return y, nfev, steps if dense else len(steps)
 
 
 def _dop853(fun, span, y0, tol: float, atol: float, what: str, **options):
@@ -225,14 +312,11 @@ def integrate_jet(
     if y0.size != K:
         raise ValueError(f"initial jet order {y0.size} != requested order {K}")
 
-    f = _compile_jet_rhs(rhs, K)
-
-    def solve(**options):
-        return _dop853(f, (0.0, 2 * np.pi), y0, tol, tol, "jet integration", **options)
-
-    sol = solve()
-    stats = IntegratorStats(sol.nfev, len(sol.t) - 1, max(tol, RTOL_FLOOR))
-    return JetTrajectory(K, stats, sol.y[:, -1], lambda: solve(dense_output=True))
+    solve = partial(_dop853_floats, _compile_jet_rhs(rhs, K), 2 * np.pi, y0.tolist(), tol, tol,
+                    "jet integration")
+    final, nfev, steps = solve()
+    stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
+    return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[2])
 
 
 def integrate_scalar(
@@ -254,15 +338,17 @@ def integrate_scalar(
     rhs.check_radius(max(lanes.tolist(), key=abs))
     if theta1 == 0:
         return h
+    if lanes.size == 1:
+        (r,), *_ = _dop853_floats(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])], tol, tol,
+                                  "scalar integration")
+        return r if np.ndim(h) == 0 else np.array([r])
     # scipy's error norm is the RMS over the B lanes, so one lane may carry
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
-    # absolute bound at tol, and leaves one radius as it was.  rtol stays
-    # max(tol, RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  One lane
-    # runs the right-hand side on floats, with no numpy call.
-    atol = tol / math.sqrt(lanes.size)
-    fun = (lambda t, y: [rhs(t, float(y[0]))]) if lanes.size == 1 else rhs
-    sol = _dop853(fun, (0.0, theta1), lanes, tol, atol, "scalar integration")
-    return float(sol.y[0, -1]) if np.ndim(h) == 0 else sol.y[:, -1]
+    # absolute bound at tol, as for one radius.  rtol stays max(tol,
+    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13
+    sol = _dop853(rhs, (0.0, theta1), lanes, tol, tol / math.sqrt(lanes.size),
+                  "scalar integration")
+    return sol.y[:, -1]
 
 
 def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
@@ -319,6 +405,9 @@ class SectionCrossing:
     direction: int
 
 
+_period_rhs = lru_cache(maxsize=64)(PolarRHS)  # once per field: a damped one checks 720 angles
+
+
 def estimate_period(field: WeightedField, h: float) -> float:
     """Cartesian period of one polar revolution at radius ~ h via quadrature.
 
@@ -330,7 +419,7 @@ def estimate_period(field: WeightedField, h: float) -> float:
     thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
     c, s = np.cos(thetas), np.sin(thetas)
     r = h * nu1_closed_form(p, q, thetas)
-    _, Q = PolarRHS(field).components(c, s)
+    _, Q = _period_rhs(field).components(c, s)
     den = sum(Qk * r**k for k, Qk in enumerate(Q))
     acc = np.sum((p * c**2 + q * s**2) / (r ** (2 * p * q - p - q) * den))
     return float(acc * 2 * np.pi / n)
@@ -479,8 +568,8 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 50 times slower than the double-precision path (eq325 field, K=7:
-    1.4 s at dps=30 against 25 ms at tol 1e-13 on a 2-core Xeon); meant for
+    About 100 times slower than the double-precision path (eq325 field, K=7:
+    2.0 s at dps=30 against 20 ms at tol 1e-13 on a 2-core Xeon); meant for
     hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp

@@ -201,6 +201,7 @@ class JacobianResult:
     ill_conditioned: bool
     rhs_evals: int  # integrator work summed over the focal_values calls
     steps: int
+    integ_tol: float  # the tolerance the solves ran at, as in FocalReport
 
 
 def focal_jacobian(
@@ -240,7 +241,7 @@ def focal_jacobian(
     if 0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3:
         ill = True
     work = [sum(r.rhs_evals for r in reports), sum(r.steps for r in reports)]
-    return JacobianResult(J, indices, sv, rank, ill, *work)
+    return JacobianResult(J, indices, sv, rank, ill, *work, max(integ_tol, flow.RTOL_FLOOR))
 
 
 # -- structural center certificates ---------------------------------------------
@@ -311,6 +312,7 @@ class SurveyResult:
     parity_ok: bool = True
     rhs_evals: int = 0  # integrator work summed over the focal_values calls that returned
     steps: int = 0
+    integ_tol: float = flow.DEFAULT_TOL  # the tolerance the solves ran at, as in FocalReport
 
     @property
     def expected_parity(self) -> str:
@@ -337,7 +339,7 @@ def parity_survey(
     d = math.gcd(p, q)
     p, q = p // d, q // d
     rng = np.random.default_rng(seed)
-    res = SurveyResult(p, q, d, n_samples, 0, 0)
+    res = SurveyResult(p, q, d, n_samples, 0, 0, integ_tol=max(integ_tol, flow.RTOL_FLOOR))
     for _ in range(n_samples):
         f = random_field(p, q, rng)
         try:

@@ -165,6 +165,7 @@ def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
     assert doc["indices"] == list(res.indices)
     assert (doc["rank"], doc["ill_conditioned"]) == (res.rank, res.ill_conditioned)
     assert (doc["rhs_evals"], doc["steps"]) == (res.rhs_evals, res.steps)
+    assert doc["integ_tol"] == res.integ_tol == 1e-12  # the default tol, above the floor
 
 
 def test_jacobian_eq325(capsys):
@@ -193,6 +194,10 @@ def test_survey_json_records_the_integrator_work(tmp_path, capsys):
         expect["first_index_counts"] = {str(k): v for k, v in res.first_index_counts.items()}
         assert rec == expect
     assert [doc["results"][1][k] for k in ("p", "q", "weight_gcd")] == [1, 2, 2]
+    # a tolerance below the floor is recorded as the floor the solves ran at
+    args = ["survey", "--weights", "2:3", "--samples", "2", "--tol", "1e-15", "--out", str(out)]
+    assert main(args) == 0
+    assert json.loads(out.with_suffix(".json").read_text())["results"][0]["integ_tol"] == 1e-13
 
 
 @pytest.mark.parametrize("weights", ["0:0", "0:3", "-2:4"])

@@ -6,6 +6,7 @@ from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError, StiffnessError
 from qhfocus.flow import return_map, section_return
+from qhfocus.polar import PolarRHS
 
 
 def test_center_yields_no_cycles():
@@ -153,6 +154,27 @@ def test_bisection_stops_at_float_spacing():
     result = find_cycles("cartesian", damped, 0.09, 0.11, grid_n=16, tol=1e-17)
     assert len(result.cycles) == 1
     assert result.cycles[0].h_star == pytest.approx(0.10086, abs=1e-4)
+
+
+def test_cartesian_scan_builds_the_period_model_once(monkeypatch):
+    # section_return caps its time by the field's estimated period; a damped
+    # field's PolarRHS checks Q_0 on 720 angles, so it is built once per field
+    built = []
+    init = PolarRHS.__init__
+
+    def counted(self, field):
+        built.append(field)
+        init(self, field)
+
+    monkeypatch.setattr(PolarRHS, "__init__", counted)
+    flow._period_rhs.cache_clear()
+    damped = eq329_weighted(
+        a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
+    )
+    result = find_cycles("cartesian", damped, 0.09, 0.11, grid_n=16, tol=1e-12)
+    assert len(result.cycles) == 1
+    assert result.grid_n + result.cycles[0].evals > 16
+    assert len(built) == 1
 
 
 def test_closure_error_on_unnormalized_center(unnormalized):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp
-from scipy.integrate import solve_ivp
+from scipy.integrate import DOP853, solve_ivp
 
-from qhfocus import Monomial, WeightedField, jets, return_map
-from qhfocus.errors import NoReturnError, SingularDivisionError
+from qhfocus import Monomial, WeightedField, flow, jets, return_map
+from qhfocus.errors import NoReturnError, PolarChartError, SingularDivisionError, StiffnessError
 from qhfocus.fields import normalize
 from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.flow import (
@@ -251,11 +251,112 @@ def test_extended_jet_keeps_the_division_check():
     assert str(extended.value) == str(double.value)
 
 def _plain_jet_solve(rhs, K, y0, tol):
-    """The double-precision jet solve written out: DOP853 on _jet_rhs_coeffs over floats."""
+    """The double-precision jet solve written out: scipy's DOP853 on _jet_rhs_coeffs over floats."""
     return solve_ivp(
-        lambda t, y: _jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), y.tolist()),
-        (0.0, 2 * np.pi), y0, method="DOP853", rtol=max(tol, 1e-13), atol=tol,
+        _jet_fun(rhs, K), (0.0, 2 * np.pi), y0, method="DOP853", rtol=max(tol, 1e-13), atol=tol,
     )
+
+
+def _jet_fun(rhs, K):
+    return lambda t, y: _jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), np.asarray(y).tolist())
+
+
+def _written_out_dop853(fun, t1, y, tol, atol):
+    """DOP853 from 0 to t1 with scipy's tableau and step control, in plain loops.
+
+    A stage sum adds the nonzero terms in stage order.  scipy adds them with
+    numpy's dot, whose rounding order plain Python cannot repeat, so this
+    solve and scipy's agree to rounding, and this one is the bitwise oracle.
+    Returns the end state, nfev as scipy counts it, the accepted steps, and
+    theta -> state: a step's end state at its end, else DOP853's interpolant
+    in scipy's ``Dop853DenseOutput`` order.
+    """
+    A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()
+    E3, E5, D = DOP853.E3.tolist(), DOP853.E5.tolist(), DOP853.D.tolist()
+    A_EXTRA, C_EXTRA = DOP853.A_EXTRA.tolist(), DOP853.C_EXTRA.tolist()
+    rtol, n = max(tol, 1e-13), len(y)
+    direction = 1.0 if t1 > 0 else -1.0
+
+    def comb(coefs, stages, i):
+        total = None
+        for a, k in zip(coefs, stages):
+            if a:
+                total = a * k[i] if total is None else total + a * k[i]
+        return total
+
+    def rms(x, w):
+        return math.sqrt(sum((v / s) * (v / s) for v, s in zip(x, w))) / n**0.5
+
+    f = list(fun(0.0, y))
+    w = [atol + abs(v) * rtol for v in y]
+    d0, d1 = rms(y, w), rms(f, w)
+    h0 = 1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1
+    h0 = min(h0, abs(t1))
+    f1 = fun(h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)], w) / h0
+    if d1 <= 1e-15 and d2 <= 1e-15:
+        h1 = max(1e-6, h0 * 1e-3)
+    else:
+        h1 = (0.01 / max(d1, d2)) ** (1 / 8)
+    h_abs = min(100 * h0, h1, abs(t1))
+    t, nfev, ts, ys, Fs = 0.0, 2, [0.0], [y], []
+    while direction * (t - t1) < 0:
+        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
+        h_abs = max(h_abs, min_step)
+        rejected = False
+        while True:
+            assert h_abs >= min_step
+            t_new = t + h_abs * direction
+            if direction * (t_new - t1) > 0:
+                t_new = t1
+            h = t_new - t
+            h_abs = abs(h)
+            K = [f]
+            for s in range(1, 12):
+                K.append(fun(t + C[s] * h, [y[i] + comb(A[s][:s], K, i) * h for i in range(n)]))
+            y_new = [y[i] + h * comb(B, K, i) for i in range(n)]
+            K.append(list(fun(t + h, y_new)))
+            nfev += 12
+            w = [atol + max(abs(a), abs(b)) * rtol for a, b in zip(y, y_new)]
+            e5 = [comb(E5, K, i) / w[i] for i in range(n)]
+            e3 = [comb(E3, K, i) / w[i] for i in range(n)]
+            s5, s3 = sum(e * e for e in e5), sum(e * e for e in e3)
+            err = 0.0 if s5 == 0 and s3 == 0 else h_abs * s5 / math.sqrt((s5 + 0.01 * s3) * n)
+            if err < 1:
+                factor = 10.0 if err == 0 else min(10.0, 0.9 * err ** (-1 / 8))
+                h_abs *= min(1.0, factor) if rejected else factor
+                break
+            h_abs *= max(0.2, 0.9 * err ** (-1 / 8))
+            rejected = True
+        for s, (a, c) in enumerate(zip(A_EXTRA, C_EXTRA), start=13):
+            K.append(fun(t + c * h, [y[i] + comb(a[:s], K, i) * h for i in range(n)]))
+        dy = [b - a for a, b in zip(y, y_new)]
+        F = [dy, [h * K[0][i] - dy[i] for i in range(n)],
+             [2 * dy[i] - h * (K[12][i] + K[0][i]) for i in range(n)]]
+        Fs.append(F + [[h * comb(d, K, i) for i in range(n)] for d in D])
+        t, y, f = t_new, y_new, K[12]
+        ts.append(t)
+        ys.append(y)
+
+    def at(theta):
+        j = next(j for j in range(len(Fs)) if theta <= ts[j + 1])
+        if theta == ts[j + 1]:
+            return ys[j + 1]
+        x = (theta - ts[j]) / (ts[j + 1] - ts[j])
+        out = []
+        for i in range(n):
+            acc = 0.0
+            for m, row in enumerate(reversed(Fs[j])):
+                acc += row[i]
+                acc *= x if m % 2 == 0 else 1 - x
+            out.append(acc + ys[j][i])
+        return out
+
+    return y, nfev, len(Fs), at
+
+
+def _within_tol(a, b, tol):
+    return all(abs(u - v) <= tol * max(1.0, abs(v)) for u, v in zip(a, b))
 
 
 def _focal_fields():
@@ -263,27 +364,43 @@ def _focal_fields():
     for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
         for seed in range(2):
             yield pytest.param(random_field(p, q, np.random.default_rng(seed)), id=f"{p}:{q}-{seed}")
+    yield pytest.param(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02), id="damped")
+    for p, q in ((2, 5), (3, 5)):
+        yield pytest.param(random_field(p, q, np.random.default_rng(0)), id=f"{p}:{q}-0")
 
 
+# scipy's solve is the reference for the method: same steps, same evaluations,
+# end states within tol of each other (its stage sums round in another order).
+# The written-out solve is the bitwise oracle.
 @pytest.mark.parametrize("field", _focal_fields())
 def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
     K, tol = default_order(field.p, field.q), 1e-13
-    sol = _plain_jet_solve(PolarRHS(normalize(field).field), K, [1.0] + [0.0] * (K - 1), tol)
+    rhs, y0 = PolarRHS(normalize(field).field), [1.0] + [0.0] * (K - 1)
+    sol = _plain_jet_solve(rhs, K, y0, tol)
+    final, nfev, steps, _ = _written_out_dop853(_jet_fun(rhs, K), 2 * np.pi, y0, tol, tol)
     rep = focal_values(field, integ_tol=tol)
-    final = sol.y[:, -1]
-    assert np.array(rep.values).tobytes() == final[1:].tobytes()
-    assert np.float64(rep.nu1).tobytes() == final[0].tobytes()
-    assert (rep.rhs_evals, rep.steps) == (sol.nfev, len(sol.t) - 1)
+    assert (rep.rhs_evals, rep.steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
+    assert _within_tol([rep.nu1, *rep.values], sol.y[:, -1], tol)
+    assert np.array([rep.nu1, *rep.values]).tobytes() == np.array(final).tobytes()
 
 
 def test_shifted_jet_transport_is_the_plain_solve():
     rhs = PolarRHS(normalize(eq325_field(1.22e-8, 2.41e-4)).field)
     g = [1.0, 0.3, 0.0, -0.1, 0.0, 0.0, 0.0]
     sol = _plain_jet_solve(rhs, 7, g, 1e-12)
+    final, nfev, steps, at = _written_out_dop853(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12)
     traj = integrate_jet(rhs, init=g, tol=1e-12, order=7)
-    assert traj.final.tobytes() == sol.y[:, -1].tobytes()
     assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (sol.nfev, len(sol.t) - 1)
+    assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (nfev, steps)
+    assert _within_tol(traj.final, sol.y[:, -1], 1e-12)
+    assert traj.final.tobytes() == np.array(final).tobytes()
     assert traj.at(2 * np.pi).tobytes() == traj.final.tobytes()
+    assert traj.at(0.0).tolist() == g
+    dense = solve_ivp(_jet_fun(rhs, 7), (0.0, 2 * np.pi), g, method="DOP853",
+                      rtol=1e-12, atol=1e-12, dense_output=True)
+    for theta in (0.1, 1.0, np.pi, 5.5, *sol.t[3:5]):
+        assert traj.at(theta).tobytes() == np.array(at(theta)).tobytes()
+        assert _within_tol(traj.at(theta), dense.sol(theta), 1e-12)
 
 
 def test_scalar_and_jet_return_maps_agree():
@@ -296,15 +413,70 @@ def test_scalar_and_jet_return_maps_agree():
 
 
 def test_single_radius_return_map_is_the_plain_scalar_solve():
-    # one radius, alone or as a batch of one, is the solve written out directly
+    # one radius, alone or as a batch of one, is the solve written out
+    # directly; the negative spans are those of identity_residuals
     rhs = PolarRHS(field23())
-    for h, tol in ((0.05, 1e-12), (0.2, 1e-13), (0.3, 1e-10)):
-        sol = solve_ivp(
-            lambda t, y: [rhs(t, float(y[0]))], (0.0, 2 * np.pi), [h],
-            method="DOP853", rtol=max(tol, 1e-13), atol=tol,
-        )
-        assert return_map(rhs, h, tol=tol) == float(sol.y[0, -1])
-        assert return_map(rhs, np.array([h]), tol=tol).tolist() == [float(sol.y[0, -1])]
+    fun = lambda t, y: [rhs(t, float(y[0]))]
+    for h, tol, theta1 in ((0.05, 1e-12, 2 * np.pi), (0.2, 1e-13, 2 * np.pi),
+                           (0.3, 1e-10, 2 * np.pi), (0.05, 1e-12, -1.0), (0.2, 1e-13, -2.0),
+                           (0.1, 1e-12, np.pi - 2.0)):
+        sol = solve_ivp(fun, (0.0, theta1), [h], method="DOP853", rtol=max(tol, 1e-13), atol=tol)
+        (r,), nfev, steps, _ = _written_out_dop853(fun, theta1, [h], tol, tol)
+        assert (nfev, steps) == (sol.nfev, len(sol.t) - 1)
+        stepper = flow._dop853_floats(fun, theta1, [h], tol, tol, "scalar integration")
+        assert stepper[1:] == (nfev, steps)
+        assert _within_tol([r], sol.y[:, -1], tol)
+        assert integrate_scalar(rhs, h, theta1, tol=tol) == r
+        assert integrate_scalar(rhs, np.array([h]), theta1, tol=tol).tolist() == [r]
+
+
+class _Blowup:
+    """dr/dtheta = r**2, whose solution from r = 1 leaves every bound at theta = 1."""
+
+    def check_radius(self, r):
+        pass
+
+    def __call__(self, theta, r):
+        return r * r
+
+
+def test_step_underflow_names_the_solve():
+    scipy_sol = solve_ivp(lambda t, y: [y[0] * y[0]], (0.0, 2 * np.pi), [1.0],
+                          method="DOP853", rtol=1e-12, atol=1e-12)
+    assert not scipy_sol.success
+    with pytest.raises(StiffnessError) as err:
+        integrate_scalar(_Blowup(), 1.0, tol=1e-12)
+    assert str(err.value) == f"scalar integration failed: {scipy_sol.message}"
+
+
+class _ChartEdge:
+    """A scalar right-hand side whose chart breaks down beyond theta = 1."""
+
+    def check_radius(self, r):
+        pass
+
+    def __call__(self, theta, r):
+        if theta > 1.0:
+            self.raised = PolarChartError(f"polar chart breakdown at theta={theta!r}")
+            raise self.raised
+        return -r
+
+
+class _VanishingLater:
+    """A jet right-hand side whose Q_0 = cos**700 underflows to zero for 1.19 < theta < 1.95."""
+
+    def components(self, c, s):
+        return [c - c], [c**700]
+
+
+def test_a_stage_error_propagates_unchanged():
+    edge = _ChartEdge()
+    with pytest.raises(PolarChartError) as err:
+        integrate_scalar(edge, 0.1, tol=1e-12)
+    assert err.value is edge.raised
+    with pytest.raises(SingularDivisionError) as err:
+        integrate_jet(_VanishingLater(), order=3)
+    assert type(err.value) is SingularDivisionError and str(err.value) == jets.VANISHING
 
 
 def _return_map_errors(rhs, radii, tol):
