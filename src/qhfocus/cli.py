@@ -181,7 +181,11 @@ def cmd_cycles(args) -> int:
         "grid": args.grid,
         "tol": args.tol,
         "cycles": [dataclasses.asdict(c) for c in result.cycles],
-        "diagnostics": {"grid_s": result.grid_s, "refine_s": result.refine_s},
+        "diagnostics": {
+            "grid_s": result.grid_s,
+            "refine_s": result.refine_s,
+            "indeterminate": result.indeterminate,
+        },
     }
     _emit(args, lines, doc, rows)
     return EXIT_OK

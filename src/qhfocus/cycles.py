@@ -10,6 +10,7 @@ of the sign change.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from time import perf_counter
 from typing import Callable, Sequence
@@ -52,6 +53,7 @@ class CycleSet:
     grid_n: int
     cycles: list[Cycle] = dc_field(default_factory=list)
     scan: list[tuple[float, float]] = dc_field(default_factory=list)
+    indeterminate: list[float] = dc_field(default_factory=list)  # grid radii below the noise floor
     grid_s: float = 0.0  # wall time of the grid scan
     refine_s: float = 0.0  # wall time of the root refinement
 
@@ -72,15 +74,18 @@ def find_cycles(
 
     The polar grid is one vector solve of ``flow.return_map``.  Samples
     below the noise floor carry no trustworthy sign, so they are treated as
-    indeterminate; a bracket is formed between the nearest
-    determinate samples of opposite sign on either side of the crossing.
+    indeterminate and listed in ``CycleSet.indeterminate``; a bracket is
+    formed between the nearest determinate samples of opposite sign on
+    either side of the crossing.
     Each bracket goes to one ``brentq`` call, which stops once it has
     narrowed the bracket to tol * max(1, b); one that fails to converge raises.
     """
-    if h_lo <= 0 or h_hi <= h_lo:
-        raise ValueError("need 0 < h_lo < h_hi")
+    if not 0 < h_lo < h_hi < math.inf:
+        raise ValueError(f"need 0 < h_lo < h_hi, both finite, got {h_lo!r}, {h_hi!r}")
     if grid_n < 16:
         raise ValueError("grid_n must be at least 16")
+    if noise_floor is not None and not 0 <= noise_floor < math.inf:
+        raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor!r}")
     displacement = _displacement_fn(backend, system, tol)
     # every value of this scan, so no point is integrated twice: brentq starts
     # from the bracket ends and often ends on a point it has evaluated
@@ -101,6 +106,7 @@ def find_cycles(
     t1 = perf_counter()
     out.grid_s = t1 - t0
     resolved = [(h, v) for h, v in out.scan if abs(v) >= floor]
+    out.indeterminate = [h for h, v in out.scan if not abs(v) >= floor]
     for (a, fa), (b, fb) in zip(resolved[:-1], resolved[1:]):
         if fa * fb >= 0:
             continue

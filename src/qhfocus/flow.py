@@ -14,8 +14,10 @@ Three backends:
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
 
-The jet and one radius run DOP853 on lists of floats, a step generated per
-state size under scipy's step control; the others run scipy's ``solve_ivp``.
+The jet, one radius and the Cartesian section run DOP853 on lists of
+floats, a step generated per state size under scipy's step control, the
+section with ``solve_ivp``'s location of a terminal event.  Only the scalar
+solve of several radii at once runs scipy's ``solve_ivp``.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 from scipy.integrate import DOP853, solve_ivp
+from scipy.optimize import brentq
 
 from . import jets
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
@@ -36,6 +39,7 @@ from .polar import PolarRHS
 DEFAULT_TOL = 1e-12
 # every DOP853 solve's rtol floor, which keeps the two drivers comparable
 RTOL_FLOOR = 1e-13
+_EVENT_XTOL = 4 * np.finfo(float).eps  # solve_ivp's event root tolerance
 
 
 def default_order(p: int, q: int) -> int:
@@ -84,68 +88,13 @@ def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
     return jets.mul_trunc(r, quot, n)[1:]
 
 
-class _Var:
-    """A value of the jet right-hand side, named in a straight-line program being recorded.
-
-    Arithmetic adds the line ``(op, a, b)`` to the ordered ``code``, mapped to
-    the name of its value, or reuses the same line; operands are names or
-    floats.  ``z``, the structural zero ``0 * x``, is the only variable
-    ``bool`` reports as false, so ``jets.mul_trunc`` skips the terms it skips
-    on floats and ``x + z`` folds to x."""
-
-    __slots__ = ("code", "name")
-
-    def __init__(self, code: dict, name: str):
-        self.code, self.name = code, name
-
-    def __bool__(self) -> bool:
-        return self.name != "z"
-
-    def _op(self, a, op: str, b) -> _Var:
-        key = (op, _atom(a), _atom(b))
-        return _Var(self.code, self.code.setdefault(key, f"v{len(self.code)}"))
-
-    def __add__(self, other) -> _Var:
-        return self if not other else other if not self else self._op(self, "+", other)
-
-    def __sub__(self, other) -> _Var:
-        return self._op(self, "-", other) if other else self
-
-    def __rmul__(self, k) -> _Var:
-        return self._op(k, "*", self) if self and k else _Var(self.code, "z")
-
-    __mul__ = __rmul__  # products commute on floats: a constant factor records on the left
-
-    def __truediv__(self, other) -> _Var:
-        return self._op(self, "/", other)
-
-    def __pow__(self, n: int) -> _Var:
-        return self._op(self, "**", n)
-
-    def __abs__(self) -> _Abs:
-        return _Abs(self.code, self.name)
-
-
-def _atom(x) -> str | float:
-    return x.name if isinstance(x, _Var) else float(x)
-
-
-class _Abs(_Var):
-    """|x|, which only the division check compares: |x| < bound records a guard, assumed false."""
-
-    def __lt__(self, bound) -> bool:
-        self.code[("abs<", self.name, float(bound))] = None
-        return False
-
-
 def _record_jet_rhs(rhs: PolarRHS, K: int) -> tuple[list[tuple], list[str]]:
     """``_jet_rhs_coeffs`` at order K as lines ``(dest, op, a, b)``, and its output names.
 
     Inputs are c, s (cos and sin of theta), y0..y<K-1> (nu) and z."""
-    code: dict[tuple, str | None] = {}
-    nu = [_Var(code, f"y{i}") for i in range(K)]
-    out = _jet_rhs_coeffs(rhs, K, _Var(code, "c"), _Var(code, "s"), nu)
-    return [(dest, *line) for line, dest in code.items()], [v.name for v in out]
+    program, out = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
+                               "c", "s", *(f"y{i}" for i in range(K)))
+    return program, [v.name for v in out]
 
 
 def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
@@ -160,10 +109,7 @@ def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     """
     program, out = _record_jet_rhs(rhs, K)
     lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y",
-             "c, s, z = cos(theta), sin(theta), 0 * y0"]
-    # a float formats as its repr, the shortest text that reads back to it
-    lines += [f"if abs({a}) < {b}: raise SingularDivisionError(VANISHING)" if dest is None
-              else f"{dest} = {a} {op} {b}" for dest, op, a, b in program]
+             "c, s, z = cos(theta), sin(theta), 0 * y0", *jets.source(program)]
     lines.append(f"return [{', '.join(v + ' + z' for v in out)}]")
     scope = {"cos": math.cos, "sin": math.sin, "SingularDivisionError": SingularDivisionError,
              "VANISHING": jets.VANISHING}
@@ -199,10 +145,7 @@ class JetTrajectory:
             raise ValueError(f"theta={theta!r} lies outside the solved turn [0, 2*pi]")
         self._steps = self._steps or self._dense_solve()
         t, t_new, y, y_new, F = next(st for st in self._steps if theta <= st[1])
-        x, acc = (theta - t) / (t_new - t), 0.0
-        for j, row in enumerate(np.array(F)[::-1]):  # in scipy's Dop853DenseOutput order
-            acc = (acc + row) * (1 - x if j % 2 else x)
-        return np.array(y_new) if theta == t_new else acc + np.array(y)
+        return np.array(y_new if theta == t_new else _interpolate(t, t_new, y, F, theta))
 
 
 # -- DOP853 on lists of floats --------------------------------------------------
@@ -244,25 +187,49 @@ def _dop853_code(n: int, dense: bool = False) -> Callable:
     return scope["dense" if dense else "step"]
 
 
-def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=False):
-    """DOP853 on a list of floats, theta from 0 to t1 of either sign, at rtol max(tol, RTOL_FLOOR).
+def _interpolate(t: float, t_new: float, y: list, F: list, at: float) -> list:
+    """DOP853's interpolant with rows F on the step [t, t_new], at ``at``, in scipy's order."""
+    x, out = (at - t) / (t_new - t), []
+    for i, yi in enumerate(y):  # as scipy's Dop853DenseOutput, one component at a time
+        acc = 0.0
+        for j, row in enumerate(reversed(F)):
+            acc = (acc + row[i]) * (1 - x if j % 2 else x)
+        out.append(acc + yi)
+    return out
+
+
+def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=False,
+                   t0: float = 0.0, event=None):
+    """DOP853 on a list of floats from t0 to t1 of either direction, at rtol max(tol, RTOL_FLOOR).
 
     scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
-    step).  Returns y(t1), nfev and the steps: their number, or with ``dense``
-    the steps for ``JetTrajectory``."""
+    step).  ``event`` = (g, direction) is a terminal event located as
+    ``solve_ivp`` locates one: after each step, the sign test of
+    ``find_active_events`` on g(t, y); on a hit, ``brentq`` at xtol = rtol =
+    4 eps on g along the step's dense interpolant (3 more evaluations), whose
+    value at the root is the end state.  Returns the end time (t1 or the
+    event's root), the end state, nfev and the steps: their number, or with
+    ``dense`` the steps for ``JetTrajectory``."""
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"{what}: the span ({t0!r}, {t1!r}) must be finite")
+    if not all(map(math.isfinite, y)):
+        raise ValueError("All components of the initial state `y0` must be finite.")
     rtol, n = max(tol, RTOL_FLOOR), len(y)
-    step, extra = _dop853_code(n), (_dop853_code(n, True) if dense else None)
-    direction = 1.0 if t1 > 0 else -1.0
+    step, extra = _dop853_code(n), (_dop853_code(n, True) if dense or event else None)
+    direction = 1.0 if t1 > t0 else -1.0
     # scipy's select_initial_step, for the error estimator of order 7
     scale = [atol + abs(v) * rtol for v in y]
     rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / n**0.5
-    f = fun(0.0, y)
+    f = fun(t0, y)
     d0, d1 = rms(y), rms(f)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1))
-    f1 = fun(h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
+    f1 = fun(t0 + h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
     d2 = rms([b - a for a, b in zip(f, f1)]) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs, t, nfev, steps = min(100 * h0, h1, abs(t1)), 0.0, 2, []
+    h_abs, t, nfev, steps = min(100 * h0, h1, abs(t1 - t0)), t0, 2, []
+    if event is not None:
+        g, g_dir = event
+        g_old = g(t0, y)
     while direction * (t - t1) < 0:
         min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
         h_abs, rejected = max(h_abs, min_step), False
@@ -281,17 +248,17 @@ def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, 
                 break
             h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
         steps.append((t, t_new, y, y_new, extra(fun, t, h, y, y_new, k)) if dense else None)
+        if event is not None:
+            g_new = g(t_new, y_new)
+            up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
+            if up and g_dir >= 0 or down and g_dir <= 0:
+                sol = partial(_interpolate, t, t_new, y, extra(fun, t, h, y, y_new, k))
+                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+                y, nfev = sol(t), nfev + 3
+                break
+            g_old = g_new
         t, y, f = t_new, y_new, f_new
-    return y, nfev, steps if dense else len(steps)
-
-
-def _dop853(fun, span, y0, tol: float, atol: float, what: str, **options):
-    """One DOP853 solve at rtol = max(tol, RTOL_FLOOR); a failed solve raises StiffnessError."""
-    rtol = max(tol, RTOL_FLOOR)
-    sol = solve_ivp(fun, span, y0, method="DOP853", rtol=rtol, atol=atol, **options)
-    if not sol.success:
-        raise StiffnessError(f"{what} failed: {sol.message}")
-    return sol
+    return t, y, nfev, steps if dense else len(steps)
 
 
 def integrate_jet(
@@ -314,9 +281,9 @@ def integrate_jet(
 
     solve = partial(_dop853_floats, _compile_jet_rhs(rhs, K), 2 * np.pi, y0.tolist(), tol, tol,
                     "jet integration")
-    final, nfev, steps = solve()
+    _, final, nfev, steps = solve()
     stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
-    return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[2])
+    return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[3])
 
 
 def integrate_scalar(
@@ -331,23 +298,25 @@ def integrate_scalar(
     array: one DOP853 solve with a lane per radius, which any lane leaving
     the chart stops.
     """
-    if abs(theta1) >= 4 * np.pi:
-        raise ValueError("theta span must stay below 4*pi")
+    if not abs(theta1) < 4 * np.pi:
+        raise ValueError(f"theta span must be finite and below 4*pi, got {theta1!r}")
     check_tol(tol)
     lanes = np.ravel(h)
     rhs.check_radius(max(lanes.tolist(), key=abs))
     if theta1 == 0:
         return h
     if lanes.size == 1:
-        (r,), *_ = _dop853_floats(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])], tol, tol,
-                                  "scalar integration")
+        _, (r,), *_ = _dop853_floats(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
+                                     tol, tol, "scalar integration")
         return r if np.ndim(h) == 0 else np.array([r])
     # scipy's error norm is the RMS over the B lanes, so one lane may carry
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
     # absolute bound at tol, as for one radius.  rtol stays max(tol,
     # RTOL_FLOOR), the floor at the scans' usual tol 1e-13
-    sol = _dop853(rhs, (0.0, theta1), lanes, tol, tol / math.sqrt(lanes.size),
-                  "scalar integration")
+    sol = solve_ivp(rhs, (0.0, theta1), lanes, method="DOP853", rtol=max(tol, RTOL_FLOOR),
+                    atol=tol / math.sqrt(lanes.size))
+    if not sol.success:
+        raise StiffnessError(f"scalar integration failed: {sol.message}")
     return sol.y[:, -1]
 
 
@@ -403,6 +372,7 @@ class SectionCrossing:
     y: float
     time: float
     direction: int
+    stats: IntegratorStats  # summed over the solves that reached the crossing
 
 
 _period_rhs = lru_cache(maxsize=64)(PolarRHS)  # once per field: a damped one checks 720 angles
@@ -434,8 +404,8 @@ def section_return(
 
     The time cap is 20 estimated periods for a weighted field, else 1e6.
     """
-    if x0 <= 0:
-        raise ValueError("section_return starts on the positive x-axis")
+    if not 0 < x0 < math.inf:
+        raise ValueError(f"section_return starts on the positive x-axis, got x0={x0!r}")
     check_tol(tol)
     if isinstance(cartesian_field, WeightedField):
         # the period is estimated in normalized coordinates and mapped back
@@ -448,32 +418,21 @@ def section_return(
     if v0 == 0.0:
         raise NoReturnError("orbit starts at an equilibrium of the section")
     direction = 1 if v0 > 0 else -1
-
-    def event(t, z):
-        return z[1]
-
-    event.direction = float(direction)
-    event.terminal = True
-    fun = lambda t, z: cartesian_field(*z.tolist())
-    atol = tol * min(1.0, x0)
+    solve = partial(_dop853_floats, lambda t, z: cartesian_field(*z), tol=tol,
+                    atol=tol * min(1.0, x0), what="Cartesian integration")
     # a start (or restart) point lies exactly on the section and would fire
     # the terminal event at time zero; a short event-free pre-step moves off
     # the section first, then the solver stops at the next true crossing
     dt_pre = 1e-6 * abs(x0 / v0)
-    t_start, state = 0.0, [x0, 0.0]
-    while t_start < t_max:
-        pre = _dop853(fun, (t_start, t_start + dt_pre), state, tol, atol, "Cartesian integration")
-        sol = _dop853(
-            fun, (pre.t[-1], t_max), pre.y[:, -1], tol, atol, "Cartesian integration",
-            events=event,
-        )
-        if len(sol.t_events[0]) == 0:
-            break
-        t_ev, z_ev = sol.t_events[0][0], sol.y_events[0][0]
-        if z_ev[0] > 0:
-            return SectionCrossing(float(z_ev[0]), float(z_ev[1]), float(t_ev), direction)
-        # same-direction crossing on the wrong half-axis; resume past it
-        t_start, state = t_ev, [z_ev[0], z_ev[1]]
+    t, state, nfev, steps = 0.0, [x0, 0.0], 0, 0
+    while t < t_max:
+        t, state, n_pre, s_pre = solve(t + dt_pre, state, t0=t)
+        t, state, n_run, s_run = solve(t_max, state, t0=t, event=(lambda t, z: z[1], direction))
+        nfev, steps = nfev + n_pre + n_run, steps + s_pre + s_run
+        if t < t_max and state[0] > 0:
+            stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
+            return SectionCrossing(state[0], state[1], t, direction, stats)
+        # no crossing by t_max, or a same-direction one on the wrong half-axis: resume past it
     raise NoReturnError(
         f"no same-direction section crossing within t_max={t_max!r}"
     )

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field, replace
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -202,6 +203,7 @@ class JacobianResult:
     rhs_evals: int  # integrator work summed over the focal_values calls
     steps: int
     integ_tol: float  # the tolerance the solves ran at, as in FocalReport
+    wall_s: float  # wall time of the whole Jacobian
 
 
 def focal_jacobian(
@@ -215,6 +217,7 @@ def focal_jacobian(
 
     The step for parameter i is 1e-5 * max(1, |eps0[i]|).
     """
+    t0 = perf_counter()
     eps0 = np.asarray(eps0, dtype=float)
     indices = tuple(indices)
     Kmin = max(indices)
@@ -241,7 +244,8 @@ def focal_jacobian(
     if 0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3:
         ill = True
     work = [sum(r.rhs_evals for r in reports), sum(r.steps for r in reports)]
-    return JacobianResult(J, indices, sv, rank, ill, *work, max(integ_tol, flow.RTOL_FLOOR))
+    return JacobianResult(J, indices, sv, rank, ill, *work, max(integ_tol, flow.RTOL_FLOOR),
+                          perf_counter() - t0)
 
 
 # -- structural center certificates ---------------------------------------------
@@ -313,6 +317,7 @@ class SurveyResult:
     rhs_evals: int = 0  # integrator work summed over the focal_values calls that returned
     steps: int = 0
     integ_tol: float = flow.DEFAULT_TOL  # the tolerance the solves ran at, as in FocalReport
+    wall_s: float = 0.0  # wall time of the whole survey
 
     @property
     def expected_parity(self) -> str:
@@ -336,6 +341,7 @@ def parity_survey(
         raise ValueError("weights p, q must be positive integers")
     if n_samples < 1:
         raise ValueError(f"a survey needs at least one sample, got n_samples={n_samples}")
+    t0 = perf_counter()
     d = math.gcd(p, q)
     p, q = p // d, q // d
     rng = np.random.default_rng(seed)
@@ -356,4 +362,5 @@ def parity_survey(
         res.first_index_counts[first] = res.first_index_counts.get(first, 0) + 1
         if first not in rep.focal_indices:
             res.parity_ok = False
+    res.wall_s = perf_counter() - t0
     return res

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from . import jets
 from .errors import InvalidFieldError, PolarChartError
 from .fields import RULE_MONODROMY, Monomial, WeightedField, require_valid
 
@@ -54,6 +55,7 @@ class PolarRHS:
             for k in range(0 if self._level0 else 1, k_max + 1)
         )
         self._safe_radius: float | None = None
+        self._rhs = None  # __call__'s straight-line code, compiled on the first call
         if self._level0:
             q0 = self.components(np.cos(_CIRCLE), np.sin(_CIRCLE))[1][0]
             if q0.min() <= 0:
@@ -85,20 +87,32 @@ class PolarRHS:
         return R, Q
 
     def __call__(self, theta: float, r):
-        """dr/dtheta at (theta, r), for a float r or an array of radii (one component pass)."""
-        R, Q = self.components(math.cos(theta), math.sin(theta))
-        num = den = 0.0
-        rk = 1.0
-        for Rk, Qk in zip(R, Q):
-            num += Rk * rk
-            den += Qk * rk
-            rk *= r
-        small = abs(den) < DENOM_FLOOR
-        if small.any() if isinstance(small, np.ndarray) else small:
-            raise PolarChartError(
-                f"polar chart breakdown at theta={theta!r}, r={r!r}: denominator {den!r}"
-            )
-        return r * num / den
+        """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii."""
+        if self._rhs is None:
+            self._rhs = self._compile()
+        return self._rhs(theta, r)
+
+    def _compile(self):
+        """``components`` recorded once as straight-line code: f(theta, r) = dr/dtheta.
+
+        f adds R_k r**k and Q_k r**k into num and den in order of k, with
+        r**k built by repeated products, on a float r or elementwise on an
+        array, and returns r * num / den bitwise as the component lists give
+        it (the recorder may swap a product's factors and fold the zero
+        0 * c, which no nonzero sum sees)."""
+        program, (R, Q) = jets.record(self.components, "c", "s")
+        lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c", *jets.source(program),
+                 "num = den = 0.0", "rk = 1.0"]
+        for k, (Rk, Qk) in enumerate(zip(R, Q)):
+            lines += ["rk *= r"] * (k > 0) + [f"num += {Rk.name} * rk", f"den += {Qk.name} * rk"]
+        lines += ["small = abs(den) < DENOM_FLOOR",
+                  "if small.any() if isinstance(small, ndarray) else small:",
+                  "    raise _breakdown(theta, r, den)",
+                  "return r * num / den"]
+        scope = {"cos": math.cos, "sin": math.sin, "ndarray": np.ndarray,
+                 "DENOM_FLOOR": DENOM_FLOOR, "_breakdown": _breakdown}
+        exec("def f(theta, r):\n    " + "\n    ".join(lines), scope)
+        return scope.pop("f")
 
     # -- validity neighborhood ------------------------------------------------
 
@@ -139,6 +153,10 @@ class PolarRHS:
                 f"radius {r!r} outside the valid polar neighborhood "
                 f"(limit {self.safe_radius()!r})"
             )
+
+
+def _breakdown(theta, r, den) -> PolarChartError:
+    return PolarChartError(f"polar chart breakdown at theta={theta!r}, r={r!r}: denominator {den!r}")
 
 
 def rq_table(rhs: PolarRHS, thetas) -> np.ndarray:

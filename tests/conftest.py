@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 
 import pytest
@@ -28,3 +29,19 @@ def unnormalized():
         )
 
     return build
+
+
+@pytest.fixture
+def deadline():
+    """``deadline(seconds)`` fails the test once it has run that many more seconds.
+
+    It uses SIGALRM, so a solve that loops forever fails the test instead of
+    stalling the run."""
+
+    def expire(signum, frame):
+        pytest.fail("the test outran its deadline", pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    yield signal.alarm
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -153,6 +153,25 @@ def test_cycles_json_records_are_the_library_cycles(tmp_path, capsys):
     assert len(result.cycles) == 2
     assert doc["cycles"] == json.loads(json.dumps([dataclasses.asdict(c) for c in result.cycles]))
     assert doc["diagnostics"]["grid_s"] > 0 and doc["diagnostics"]["refine_s"] > 0
+    # the grid radii whose |Delta| fell below the noise floor
+    assert doc["diagnostics"]["indeterminate"] == result.indeterminate
+    assert result.indeterminate == [h for h, d in result.scan if abs(d) < 1e-12]
+    argv[argv.index("1e-12")] = "1e-9"
+    assert main(argv) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())
+    noisy = [h for h, d in result.scan if abs(d) < 1e-9]
+    assert noisy and doc["diagnostics"]["indeterminate"] == noisy
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--noise-floor", "-1"), ("--noise-floor", "nan"), ("--noise-floor", "inf"),
+    ("--h-min", "nan"), ("--h-max", "inf"),
+])
+def test_cycles_rejects_invalid_scan_settings(flag, value, capsys):
+    argv = ["cycles", "--family", "eq325", "--params", "eps1=1.22e-08,eps2=2.41e-04",
+            "--h-min", "0.03", "--h-max", "0.45", "--grid", "16"]
+    assert main(argv + [flag, value]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
@@ -166,6 +185,7 @@ def test_jacobian_json_records_are_the_library_result(tmp_path, capsys):
     assert (doc["rank"], doc["ill_conditioned"]) == (res.rank, res.ill_conditioned)
     assert (doc["rhs_evals"], doc["steps"]) == (res.rhs_evals, res.steps)
     assert doc["integ_tol"] == res.integ_tol == 1e-12  # the default tol, above the floor
+    assert doc["wall_s"] > 0 and res.wall_s > 0
 
 
 def test_jacobian_eq325(capsys):
@@ -192,6 +212,8 @@ def test_survey_json_records_the_integrator_work(tmp_path, capsys):
         # the record is the result object: the sampled (reduced) weights, with weight_gcd
         expect = {**dataclasses.asdict(res), "expected_parity": res.expected_parity}
         expect["first_index_counts"] = {str(k): v for k, v in res.first_index_counts.items()}
+        # the wall time is the record's own run
+        assert rec.pop("wall_s") > 0 and expect.pop("wall_s") > 0
         assert rec == expect
     assert [doc["results"][1][k] for k in ("p", "q", "weight_gcd")] == [1, 2, 2]
     # a tolerance below the floor is recorded as the floor the solves ran at

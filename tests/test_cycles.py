@@ -248,6 +248,31 @@ def test_alternation_search_rejects_a_short_box():
         )
 
 
+@pytest.mark.parametrize("h_lo, h_hi, noise_floor, match", [
+    (float("nan"), 0.2, None, "h_lo"),
+    (0.05, float("nan"), None, "h_lo"),
+    (0.05, float("inf"), None, "h_lo"),
+    (0.05, 0.2, -1.0, "noise_floor"),
+    (0.05, 0.2, float("nan"), "noise_floor"),
+    (0.05, 0.2, float("inf"), "noise_floor"),
+])
+def test_invalid_scan_settings_rejected(h_lo, h_hi, noise_floor, match):
+    # a negative floor used to pass, treating every sample as signed
+    with pytest.raises(ValueError, match=match):
+        find_cycles("polar", field23(0.5, 1.0, -0.3, 1.0), h_lo, h_hi, noise_floor=noise_floor)
+
+
+def test_indeterminate_samples_are_recorded():
+    f = field23(0.5, 1.0, -0.3, 1.0)
+    signed = find_cycles("polar", f, 0.05, 0.2, grid_n=16, tol=1e-12, noise_floor=0.0)
+    assert signed.indeterminate == []
+    floor = sorted(abs(d) for _, d in signed.scan)[5]
+    result = find_cycles("polar", f, 0.05, 0.2, grid_n=16, tol=1e-12, noise_floor=floor)
+    assert result.scan == signed.scan
+    assert result.indeterminate == [h for h, d in signed.scan if abs(d) < floor]
+    assert len(result.indeterminate) == 5
+
+
 def test_unknown_backend_rejected():
     with pytest.raises(ValueError):
         find_cycles("spherical", field23(0.5, 1.0, -0.3, 1.0), 0.05, 0.2)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,7 @@ from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.errors import InvalidFieldError, PolarChartError
 from qhfocus.flow import return_map
 from qhfocus.focal import random_field
-from qhfocus.polar import PolarRHS, rq_table
+from qhfocus.polar import DENOM_FLOOR, PolarRHS, rq_table
 
 
 def field23(a50=1.0, a22=0.5, b41=1.0, b13=-0.3):
@@ -182,3 +184,76 @@ def test_fields_without_leading_weight_terms_are_bitwise_unchanged(field, h_hi, 
         m.setattr(PolarRHS, "components", components_without_level_0)
         before = run()
     assert run() == before
+
+
+def call_by_components(rhs, theta, r):
+    """dr/dtheta summed from the component lists, as PolarRHS.__call__ was written."""
+    R, Q = rhs.components(math.cos(theta), math.sin(theta))
+    num = den = 0.0
+    rk = 1.0
+    for Rk, Qk in zip(R, Q):
+        num += Rk * rk
+        den += Qk * rk
+        rk *= r
+    small = abs(den) < DENOM_FLOOR
+    if small.any() if isinstance(small, np.ndarray) else small:
+        raise PolarChartError(
+            f"polar chart breakdown at theta={theta!r}, r={r!r}: denominator {den!r}"
+        )
+    return r * num / den
+
+
+def _rhs_fields():
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4), (2, 5)):
+        for seed in range(2):
+            yield pytest.param(random_field(p, q, np.random.default_rng(seed)), id=f"{p}:{q}-{seed}")
+    yield pytest.param(leading_field(2, 3), id="leading-only")
+    yield pytest.param(field23(), id="2:3")
+    yield pytest.param(eq325_field(1.22e-08, 2.41e-04), id="eq325")
+    # levels 1 and 3 are empty: their R_k and Q_k are the recorded zero
+    yield pytest.param(WeightedField(p=1, q=1, x_terms=(Monomial(3, 0, -0.4),),
+                                     y_terms=(Monomial(0, 5, 0.3),)), id="empty-levels")
+    # terms at the leading weight, folded into R_0 and Q_0
+    yield pytest.param(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02), id="damped")
+    yield pytest.param(WeightedField(p=1, q=1, x_terms=(Monomial(1, 0, 0.04), Monomial(3, 0, -1.0)),
+                                     y_terms=(Monomial(0, 1, 0.04), Monomial(0, 3, -1.0))),
+                       id="hopf")
+
+
+@pytest.mark.parametrize("field", _rhs_fields())
+def test_compiled_rhs_is_bitwise_the_component_sum(field):
+    rhs = PolarRHS(field)
+    h = min(0.3, rhs.safe_radius())
+    radii = np.linspace(-h, h, 7)
+    for theta in (0.0, 0.3, np.pi / 2, 2.0, np.pi, 4.4, 2 * np.pi, -1.0, 7.5):
+        for r in radii.tolist():
+            assert np.float64(rhs(theta, r)).tobytes() == np.float64(
+                call_by_components(rhs, theta, r)).tobytes()
+        assert rhs(theta, radii).tobytes() == call_by_components(rhs, theta, radii).tobytes()
+
+
+def test_compiled_rhs_keeps_the_chart_guard():
+    # Q = 1 - 5 cos(theta)**3 r vanishes at r = 0.2, theta = 0
+    rhs = PolarRHS(WeightedField(p=1, q=1, y_terms=(Monomial(2, 0, -5.0),)))
+    for r in (0.2, np.array([0.05, 0.2])):
+        with pytest.raises(PolarChartError) as expected:
+            call_by_components(rhs, 0.0, r)
+        with pytest.raises(PolarChartError) as err:
+            rhs(0.0, r)
+        assert str(err.value) == str(expected.value)
+
+
+def test_scalar_rhs_records_the_components_once(monkeypatch):
+    calls = []
+    components = PolarRHS.components
+
+    def counted(self, c, s):
+        calls.append(c)
+        return components(self, c, s)
+
+    rhs = PolarRHS(field23())
+    rhs.safe_radius()  # the radius check's own component passes
+    monkeypatch.setattr(PolarRHS, "components", counted)
+    return_map(rhs, 0.1)
+    return_map(rhs, np.array([0.05, 0.1]))
+    assert len(calls) == 1
