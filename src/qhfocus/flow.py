@@ -13,6 +13,12 @@ Three backends:
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
+  A weighted field's velocities are recorded once per field.
+
+``jets.source`` writes every recorded program run on floats (the jet
+right-hand side, the scalar polar one and a weighted field's Cartesian
+one) as a Python function whose expressions nest each value read only
+once into its reader: the same float operations, bitwise the same values.
 
 The jet, one radius and the Cartesian section run DOP853 on lists of
 floats, a step generated per state size under scipy's step control, the
@@ -100,21 +106,18 @@ def _record_jet_rhs(rhs: PolarRHS, K: int) -> tuple[list[tuple], list[str]]:
 def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     """``_jet_rhs_coeffs`` on floats at order K, as one straight-line function f(theta, y).
 
-    f runs the recorded program, so it does the same float operations in the
-    same order (a product's factors may be swapped, which floats do not
-    notice) and returns bitwise equal values.  ``jets.mul_trunc`` starts
-    each output at 0 * nu_1, an add the zero fold drops: f adds it last,
-    which gives a zero output its sign on floats.  A guard that holds raises
-    as ``jets.div_trunc`` does.
+    f runs the recorded program as ``jets.source`` writes it, so it does the
+    same float operations on the same operands (a product's factors may be
+    swapped, which floats do not notice) and returns bitwise equal values.
+    ``jets.mul_trunc`` starts each output at 0 * nu_1, an add the zero fold
+    drops: f adds it last, which gives a zero output its sign on floats.  A
+    guard that holds raises as ``jets.div_trunc`` does.
     """
     program, out = _record_jet_rhs(rhs, K)
     lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y",
-             "c, s, z = cos(theta), sin(theta), 0 * y0", *jets.source(program)]
-    lines.append(f"return [{', '.join(v + ' + z' for v in out)}]")
-    scope = {"cos": math.cos, "sin": math.sin, "SingularDivisionError": SingularDivisionError,
-             "VANISHING": jets.VANISHING}
-    exec("def f(theta, y):\n    " + "\n    ".join(lines), scope)
-    return scope.pop("f")  # f's globals are scope: popping f breaks the reference cycle
+             "c, s, z = cos(theta), sin(theta), 0 * y0", *jets.source(program, out),
+             f"return [{', '.join(v + ' + z' for v in out)}]"]
+    return jets.function("theta, y", lines, cos=math.cos, sin=math.sin)
 
 
 @dataclass
@@ -378,6 +381,16 @@ class SectionCrossing:
 _period_rhs = lru_cache(maxsize=64)(PolarRHS)  # once per field: a damped one checks 720 angles
 
 
+@lru_cache(maxsize=64)
+def _cartesian_rhs(field: WeightedField) -> Callable:
+    """``field(x, y)`` recorded once per field as f(t, [x, y]) -> (dx/dt, dy/dt), bitwise equal.
+
+    The recorder may swap a product's factors, which floats do not notice."""
+    program, (u, v) = jets.record(field, "x", "y")
+    lines = ["x, y = z", *jets.source(program, (u.name, v.name)), f"return {u.name}, {v.name}"]
+    return jets.function("t, z", lines)
+
+
 def estimate_period(field: WeightedField, h: float) -> float:
     """Cartesian period of one polar revolution at radius ~ h via quadrature.
 
@@ -402,7 +415,9 @@ def section_return(
 ) -> SectionCrossing:
     """Next same-direction crossing of {y = 0, x > 0} starting from (x0, 0).
 
-    The time cap is 20 estimated periods for a weighted field, else 1e6.
+    The time cap is 20 estimated periods for a weighted field, else 1e6.  A
+    weighted field runs as its velocities recorded once per field, which
+    gives bitwise the values of calling it.
     """
     if not 0 < x0 < math.inf:
         raise ValueError(f"section_return starts on the positive x-axis, got x0={x0!r}")
@@ -412,13 +427,14 @@ def section_return(
         n = normalize(cartesian_field)
         h = (x0 / n.scale_x) ** (1.0 / cartesian_field.p)
         t_max = 20.0 * n.time_scale * estimate_period(n.field, h)
+        fun = _cartesian_rhs(cartesian_field)
     else:
-        t_max = 1e6
-    _, v0 = cartesian_field(x0, 0.0)
+        t_max, fun = 1e6, lambda t, z: cartesian_field(*z)
+    _, v0 = fun(0.0, [x0, 0.0])
     if v0 == 0.0:
         raise NoReturnError("orbit starts at an equilibrium of the section")
     direction = 1 if v0 > 0 else -1
-    solve = partial(_dop853_floats, lambda t, z: cartesian_field(*z), tol=tol,
+    solve = partial(_dop853_floats, fun, tol=tol,
                     atol=tol * min(1.0, x0), what="Cartesian integration")
     # a start (or restart) point lies exactly on the section and would fire
     # the terminal event at time zero; a short event-free pre-step moves off
@@ -527,8 +543,8 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 100 times slower than the double-precision path (eq325 field, K=7:
-    2.0 s at dps=30 against 20 ms at tol 1e-13 on a 2-core Xeon); meant for
+    About 110 times slower than the double-precision path (eq325 field, K=7:
+    1.7 s at dps=30 against 15 ms at tol 1e-13 on a 2-core Xeon); meant for
     hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp

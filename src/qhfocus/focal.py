@@ -140,56 +140,6 @@ def focal_values(
     return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps)
 
 
-@dataclass(frozen=True)
-class ShiftedCheck:
-    """Outcome of the shifted-initial-series comparison (weak equivalence)."""
-
-    standard_first: int | None
-    shifted_first: int | None
-    value_residual: float | None
-    net_values: tuple[float, ...]  # nu*_k(2pi) - nu*_k(0) for k = 2..K
-
-    @property
-    def ok(self) -> bool:
-        if self.standard_first is None:
-            return self.shifted_first is None
-        return (
-            self.shifted_first == self.standard_first
-            and self.value_residual is not None
-            and self.value_residual <= 1e-8
-        )
-
-
-def shifted_focal_check(
-    field: WeightedField,
-    g: Sequence[float],
-    K: int | None = None,
-) -> ShiftedCheck:
-    """Integrate with initial series g(h) = h + c_2 h^2 + ... and compare.
-
-    ``g`` holds c_1..c_k with c_1 = 1, padded with zeros (or cut) to order K.
-    The first index where nu*_k(2pi) - nu*_k(0) resolves must agree with the
-    first nonzero focal index of the standard run, and the values there must
-    match to 1e-8 relative.
-    """
-    if abs(g[0] - 1.0) > 1e-14:
-        raise ValueError("shift series must be g(h) = h + c_2 h^2 + ...")
-    rhs, _ = _prepare(field)
-    K = K if K is not None else flow.default_order(field.p, field.q)
-    g = (tuple(g) + (0.0,) * K)[:K]
-    standard = focal_values(field, K=K)
-    shifted = flow.integrate_jet(rhs, init=g, order=K).final
-    net = tuple(float(a - b) for a, b in zip(shifted[1:], g[1:]))
-    # nu*_1 = nu_1, as g starts at h
-    nu_star = (float(shifted[0]), *net)
-    first = classify(nu_star, field.p, field.q, flow.DEFAULT_TOL).first_nonzero_index
-    residual = None
-    if first is not None and first == standard.first_nonzero_index:
-        ref = standard.nu(first)
-        residual = abs(nu_star[first - 1] - ref) / max(abs(ref), 1e-300)
-    return ShiftedCheck(standard.first_nonzero_index, first, residual, net)
-
-
 # -- parameter Jacobians -------------------------------------------------------
 
 

@@ -5,16 +5,20 @@ coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type.  The jet transports run them once per solve, on
 the recording variables ``_Var``; the recorded program is then evaluated on
 floats or on fixed-point Taylor series in theta.  ``polar.PolarRHS`` records
-its components on the same variables.
+its components, and ``flow.section_return`` a weighted field's velocities, on
+the same variables; ``source`` writes each program as Python code on floats.
 """
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from collections import Counter
+from typing import Callable, Iterable, Sequence
 
 from .errors import SingularDivisionError
 
 _TINY = 1e-300
 VANISHING = "division by a jet with vanishing constant term"
+# parentheses nested in one emitted statement; Python's parser refuses about 200
+_MAX_DEPTH = 50
 
 
 def mul_trunc(a: Sequence, b: Sequence, n: int) -> list:
@@ -107,8 +111,32 @@ def record(fn: Callable, *inputs: str):
     return [(dest, *line) for line, dest in code.items()], out
 
 
-def source(program: list[tuple]) -> list[str]:
-    """The recorded lines as Python statements on floats; a guard that holds raises."""
-    # a float formats as its repr, the shortest text that reads back to it
-    return [f"if abs({a}) < {b}: raise SingularDivisionError(VANISHING)" if dest is None
-            else f"{dest} = {a} {op} {b}" for dest, op, a, b in program]
+def source(program: list[tuple], keep: Iterable[str] = ()) -> list[str]:
+    """The recorded lines as Python statements on floats; a guard that holds raises.
+
+    A value that exactly one later line reads, and that is not named in
+    ``keep`` (the values the caller reads), is written into that line as a
+    parenthesized operand instead of being assigned, while the nesting stays
+    within ``_MAX_DEPTH``.  Every operation keeps its operands on their sides,
+    so every float rounds as line by line.  A written-in value is computed
+    where it is read, later than recorded: it may pass a guard, but a
+    division never moves ahead of the guard recorded before it."""
+    reads = Counter(x for _, _, a, b in program for x in (a, b) if isinstance(x, str))
+    keep, fused, lines = set(keep), {}, []  # fused: name -> (operand text, nesting depth)
+    for dest, op, a, b in program:
+        # a float formats as its repr, the shortest text that reads back to it
+        (ta, da), (tb, db) = (fused.pop(x) if x in fused else (str(x), 0) for x in (a, b))
+        if dest is None:
+            lines.append(f"if abs({ta}) < {tb}: raise SingularDivisionError(VANISHING)")
+        elif reads[dest] == 1 and dest not in keep and max(da, db) < _MAX_DEPTH:
+            fused[dest] = f"({ta} {op} {tb})", max(da, db) + 1
+        else:
+            lines.append(f"{dest} = {ta} {op} {tb}")
+    return lines
+
+
+def function(params: str, lines: list[str], **scope) -> Callable:
+    """``def f(params)`` with the body ``lines``, compiled in ``scope`` plus what a guard raises."""
+    scope.update(SingularDivisionError=SingularDivisionError, VANISHING=VANISHING)
+    exec(f"def f({params}):\n    " + "\n    ".join(lines), scope)
+    return scope.pop("f")  # f's globals are scope: popping f breaks the reference cycle

@@ -101,18 +101,16 @@ class PolarRHS:
         it (the recorder may swap a product's factors and fold the zero
         0 * c, which no nonzero sum sees)."""
         program, (R, Q) = jets.record(self.components, "c", "s")
-        lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c", *jets.source(program),
-                 "num = den = 0.0", "rk = 1.0"]
+        lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c",
+                 *jets.source(program, (v.name for v in R + Q)), "num = den = 0.0", "rk = 1.0"]
         for k, (Rk, Qk) in enumerate(zip(R, Q)):
             lines += ["rk *= r"] * (k > 0) + [f"num += {Rk.name} * rk", f"den += {Qk.name} * rk"]
         lines += ["small = abs(den) < DENOM_FLOOR",
                   "if small.any() if isinstance(small, ndarray) else small:",
                   "    raise _breakdown(theta, r, den)",
                   "return r * num / den"]
-        scope = {"cos": math.cos, "sin": math.sin, "ndarray": np.ndarray,
-                 "DENOM_FLOOR": DENOM_FLOOR, "_breakdown": _breakdown}
-        exec("def f(theta, r):\n    " + "\n    ".join(lines), scope)
-        return scope.pop("f")
+        return jets.function("theta, r", lines, cos=math.cos, sin=math.sin, ndarray=np.ndarray,
+                             DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)
 
     # -- validity neighborhood ------------------------------------------------
 

@@ -214,6 +214,11 @@ def _kernel_cases():
     yield pytest.param(field34, 3, [1.2, -0.4, 0.7], id="3:4-K3")
     eq325 = normalize(eq325_field(1.22e-8, 2.41e-4)).field
     yield pytest.param(eq325, 7, [1.0, 0.3, 0.0, 0.0, 0.0, 0.0, 0.0], id="eq325-shifted")
+    # a high order, whose emitted expressions nest deepest
+    nu17 = np.random.default_rng(17).uniform(-0.5, 0.5, 17)
+    nu17[0] = 1.1
+    field23_k17 = random_field(2, 3, np.random.default_rng(3))
+    yield pytest.param(field23_k17, 17, nu17.tolist(), id="2:3-K17")
 
 
 @pytest.mark.parametrize("field, K, nu", _kernel_cases())
@@ -827,6 +832,36 @@ def test_nonfinite_span_is_rejected(bad, deadline):
     with pytest.raises(ValueError, match="span"):
         flow._dop853_floats(lambda t, y: [-y[0]], 1.0, [1.0], 1e-12, 1e-12, "scalar integration",
                             t0=bad)
+
+
+# builders, given the ``unnormalized`` fixture, of the fields whose compiled
+# Cartesian right-hand side must be the field itself
+WEIGHTED_FIELDS = {
+    **{f"{p}:{q}": lambda u, p=p, q=q: random_field(p, q, np.random.default_rng(11))
+       for p, q in ((1, 1), (1, 2), (2, 3), (3, 4))},
+    "eq325": lambda u: eq325_field(1.22e-8, 2.41e-4),
+    "damped-eq329": lambda u: eq329_weighted(a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8,
+                                             delta1=2.46e-4, delta2=2.72e-2),
+    "unnormalized": lambda u: u(field23(), 0.788, 13.92),
+}
+
+
+@pytest.mark.parametrize("name", WEIGHTED_FIELDS)
+def test_compiled_cartesian_field_is_bitwise_the_field(name, unnormalized):
+    field = WEIGHTED_FIELDS[name](unnormalized)
+    fun = flow._cartesian_rhs(field)
+    zeros = [(x, y) for x in (0.0, -0.0) for y in (0.0, -0.0)]
+    axes = [(0.3, 0.0), (0.3, -0.0), (-0.0, 0.3), (0.0, -0.3), (1e-200, -1e-200), (-2.5, 1.5)]
+    points = zeros + axes + np.random.default_rng(2).uniform(-1.5, 1.5, (64, 2)).tolist()
+    for x, y in points:
+        assert [v.hex() for v in fun(0.0, [x, y])] == [v.hex() for v in field(x, y)], (x, y)
+
+
+@pytest.mark.parametrize("name, x0", [("eq325", 0.0625), ("damped-eq329", 0.024),
+                                      ("unnormalized", 0.05)])
+def test_section_return_on_a_weighted_field_is_the_plain_callable(name, x0, unnormalized):
+    field = WEIGHTED_FIELDS[name](unnormalized)
+    assert section_return(field, x0) == section_return(lambda x, y: field(x, y), x0)
 
 
 def test_section_return_unnormalized_field(unnormalized):

@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -6,14 +8,15 @@ from qhfocus import Monomial, WeightedField, focal, focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
+from qhfocus.flow import DEFAULT_TOL, integrate_jet
 from qhfocus.focal import (
     SurveyResult,
     classify,
     focal_jacobian,
     random_field,
-    shifted_focal_check,
     structural_center,
 )
+from qhfocus.polar import PolarRHS
 
 
 def test_first_focal_value_sign_tracks_v2():
@@ -91,6 +94,39 @@ def test_report_gives_the_tolerance_the_solver_ran_at():
     # DOP853 runs at rtol 1e-13 at least: scipy rewrites a smaller one, with a warning
     rep = focal_values(field23(0.5, 1.0, -0.3, 1.0), K=5, integ_tol=1e-15)
     assert rep.integ_tol == 1e-13
+
+
+@dataclass(frozen=True)
+class ShiftedCheck:
+    """The standard run against one started from a shifted series (weak equivalence)."""
+
+    standard_first: int | None
+    shifted_first: int | None
+    value_residual: float | None
+
+    @property
+    def ok(self) -> bool:
+        if self.standard_first is None:
+            return self.shifted_first is None
+        return self.shifted_first == self.standard_first and self.value_residual <= 1e-8
+
+
+def shifted_focal_check(field: WeightedField, g: tuple[float, ...], K: int) -> ShiftedCheck:
+    """Transport the initial series g(h) = h + c_2 h^2 + ... + c_K h^K of a normalized field.
+
+    The first index where nu*_k(2pi) - nu*_k(0) resolves must be the standard
+    run's first nonzero focal index, with the value there matching to 1e-8
+    relative."""
+    standard = focal_values(field, K=K)
+    shifted = integrate_jet(PolarRHS(field), init=g, order=K).final
+    # nu*_1 = nu_1, as g starts at h
+    nu_star = [shifted[0], *(a - b for a, b in zip(shifted[1:], g[1:]))]
+    first = classify(nu_star, field.p, field.q, DEFAULT_TOL).first_nonzero_index
+    residual = None
+    if first is not None and first == standard.first_nonzero_index:
+        ref = standard.nu(first)
+        residual = abs(nu_star[first - 1] - ref) / max(abs(ref), 1e-300)
+    return ShiftedCheck(standard.first_nonzero_index, first, residual)
 
 
 def test_shifted_series_preserves_first_focal_value():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhfocus.errors import SingularDivisionError
-from qhfocus.jets import div_trunc, mul_trunc
+from qhfocus.jets import div_trunc, function, mul_trunc, record, source
 
 ORDER = 6
 N = ORDER + 1
@@ -67,3 +67,17 @@ def test_mul_div_trunc_generic_lists():
     assert prod == pytest.approx([2.0, 3.0, -1.0])
     back = div_trunc(prod, b, 3)
     assert back == pytest.approx(a)
+
+
+def test_fused_program_is_the_line_by_line_program():
+    # each value of the chain is read once, so the emitter writes it into the next
+    # one, until the nesting would pass what Python's parser accepts
+    def chain(x, y):
+        for i in range(1000):
+            x = (x * 1.0001 - y) / 1.5 if i % 3 else x + y
+        return x
+
+    program, out = record(chain, "x", "y")
+    fused = function("x, y", [*source(program, [out.name]), f"return {out.name}"])
+    assert fused(0.7, -0.0).hex() == chain(0.7, -0.0).hex()
+    assert fused(-1.3, 2.2).hex() == chain(-1.3, 2.2).hex()
