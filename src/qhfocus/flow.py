@@ -4,10 +4,14 @@ Three backends:
 
 * jet transport: the radius ODE is integrated with the radius replaced by a
   truncated series in the initial radius h, carrying nu_1..nu_K in one
-  error-controlled pass.  Its right-hand side is recorded once per solve as
-  a straight-line program with two evaluators: a Python function of floats
-  for DOP853, and a sweep in fixed-point Taylor coefficients for the
-  extended-precision Taylor method;
+  error-controlled pass.  Its right-hand side is recorded as straight-line
+  programs with two evaluators.  For DOP853 on floats it is two compiled
+  functions: the field's components, compiled once per monomial support
+  (``polar.Recording``), and the jet kernel, compiled once per order and
+  pattern of structurally zero components (``_jet_kernel``), so fields of
+  one support or one shape reuse the code.  The extended-precision Taylor
+  method records the whole right-hand side once per solve and sweeps it in
+  fixed-point Taylor coefficients;
 * scalar: plain adaptive integration of dr/dtheta for the return map, of
   one radius or of an array of them as one vector solve;
 * Cartesian: orbit integration with event-located crossings of the positive
@@ -16,9 +20,10 @@ Three backends:
   A weighted field's velocities are recorded once per field.
 
 ``jets.source`` writes every recorded program run on floats (the jet
-right-hand side, the scalar polar one and a weighted field's Cartesian
-one) as a Python function whose expressions nest each value read only
-once into its reader: the same float operations, bitwise the same values.
+kernel, a field's polar components and scalar right-hand side, and a
+weighted field's Cartesian one) as a Python function whose expressions
+nest each value read only once into its reader: the same float
+operations, bitwise the same values.
 
 The jet, one radius and the Cartesian section run DOP853 on lists of
 floats, a step generated per state size under scipy's step control, the
@@ -40,7 +45,7 @@ from scipy.optimize import brentq
 from . import jets
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
-from .polar import PolarRHS
+from .polar import PolarRHS, record_components
 
 DEFAULT_TOL = 1e-12
 # every DOP853 solve's rtol floor, which keeps the two drivers comparable
@@ -60,16 +65,19 @@ def nu1_closed_form(p: int, q: int, theta):
 
 
 def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
-    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, generic over the number type.
+    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, generic over the number type."""
+    return _jet_coeffs(*rhs.components(cos_t, sin_t), K, nu)
 
-    Both precisions run it once per solve, on recording variables.  The
-    radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k starts
-    at h**k: each power is summed from there, in the term order of
+
+def _jet_coeffs(R: Sequence, Q: Sequence, K: int, nu: Sequence) -> list:
+    """``_jet_rhs_coeffs`` from the components R_0..R_k, Q_0..Q_k at the angle.
+
+    The radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k
+    starts at h**k: each power is summed from there, in the term order of
     ``jets.mul_trunc``, and powers above the last one used are never formed.
     Zero terms are added where ``jets.mul_trunc`` skips them, which leaves
     every nonzero sum bit for bit as it was.
     """
-    R, Q = rhs.components(cos_t, sin_t)
     n = K + 1
     zero = 0 * nu[0]
     r = [zero, *nu]
@@ -94,30 +102,43 @@ def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
     return jets.mul_trunc(r, quot, n)[1:]
 
 
-def _record_jet_rhs(rhs: PolarRHS, K: int) -> tuple[list[tuple], list[str]]:
-    """``_jet_rhs_coeffs`` at order K as lines ``(dest, op, a, b)``, and its output names.
-
-    Inputs are c, s (cos and sin of theta), y0..y<K-1> (nu) and z."""
-    program, out = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
-                               "c", "s", *(f"y{i}" for i in range(K)))
-    return program, [v.name for v in out]
-
-
 def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     """``_jet_rhs_coeffs`` on floats at order K, as one straight-line function f(theta, y).
 
-    f runs the recorded program as ``jets.source`` writes it, so it does the
-    same float operations on the same operands (a product's factors may be
+    f is the kernel of ``_jet_kernel``, recorded and compiled once per shape,
+    on the field's components, recorded once per ``PolarRHS`` and compiled
+    once per support (``polar.Recording``).  Both run recorded programs as
+    ``jets.source`` writes them, so f does the same float operations on the
+    same operands as ``_jet_rhs_coeffs`` (a product's factors may be
     swapped, which floats do not notice) and returns bitwise equal values.
-    ``jets.mul_trunc`` starts each output at 0 * nu_1, an add the zero fold
-    drops: f adds it last, which gives a zero output its sign on floats.  A
-    guard that holds raises as ``jets.div_trunc`` does.
     """
-    program, out = _record_jet_rhs(rhs, K)
-    lines = [f"{', '.join(f'y{i}' for i in range(K))}, = y",
-             "c, s, z = cos(theta), sin(theta), 0 * y0", *jets.source(program, out),
-             f"return [{', '.join(v + ' + z' for v in out)}]"]
-    return jets.function("theta, y", lines, cos=math.cos, sin=math.sin)
+    rec = rhs.recording() if isinstance(rhs, PolarRHS) else record_components(rhs.components)
+    return _jet_kernel(K, tuple(v == "z" for v in rec.out))(rec.compiled("nonzero"))
+
+
+@lru_cache(maxsize=64)
+def _jet_kernel(K: int, zero: tuple[bool, ...]) -> Callable:
+    """``_jet_coeffs`` at order K as code: make(nonzero) -> f(theta, y), compiled once per shape.
+
+    The shape is K and ``zero``, which flags the structurally zero entries of
+    R_0..R_k, Q_0..Q_k; ``nonzero(c, s)`` gives the others, in that order.
+    The kernel is ``_jet_coeffs`` recorded with them as inputs, next to
+    y0..y<K-1> (nu) and z.  ``jets.mul_trunc`` starts each output at
+    0 * nu_1, an add the zero fold drops: f adds it last, which gives a zero
+    output its sign on floats.  A guard that holds raises as
+    ``jets.div_trunc`` does.
+    """
+    n = len(zero) // 2
+    inputs = ["z" if zr else f"{'RQ'[i // n]}{i % n}" for i, zr in enumerate(zero)]
+    ys = [f"y{i}" for i in range(K)]
+    program, out = jets.record(lambda *x: _jet_coeffs(x[:n], x[n : 2 * n], K, x[2 * n :]),
+                               *inputs, *ys)
+    out = [v.name for v in out]
+    components = "".join(x + ", " for x in inputs if x != "z")
+    lines = ["def f(theta, y):", f"    {', '.join(ys)}, = y",
+             f"    ({components}) = nonzero(cos(theta), sin(theta))", "    z = 0 * y0", *("    " + line for line in jets.source(program, out)),
+             f"    return [{', '.join(v + ' + z' for v in out)}]", "return f"]
+    return jets.function("nonzero", lines, cos=math.cos, sin=math.sin)
 
 
 @dataclass
@@ -492,7 +513,9 @@ def _taylor_program(rhs: PolarRHS, K: int, bits: int) -> tuple[list[list], list[
     seeds with coefficient 0, and the rules.  Calling each rule in order with
     m = 0, 1, ... appends coefficient m of every line, then coefficient m + 1
     of c, s, z, one and nu: c' = -s, s' = c, and nu_i' is output i."""
-    program, out = _record_jet_rhs(rhs, K)
+    program, out = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
+                               "c", "s", *(f"y{i}" for i in range(K)))
+    out = [v.name for v in out]
     coef = {name: [] for name in ["c", "s", "z", "one", *(f"y{i}" for i in range(K))]}
     lists, rules = list(coef.values()), []
     pows: dict[str, list[list]] = {}  # x**0, x**1, ... per base, each power x**(n-1) * x
@@ -510,7 +533,9 @@ def _taylor_program(rhs: PolarRHS, K: int, bits: int) -> tuple[list[list], list[
                 chain.append(line("*", chain[-1], chain[1]))
             coef[dest] = chain[int(b)]
         else:  # a guard's dest is None, and its list stays empty
-            coef[dest] = line(op, *(x if isinstance(x, float) else coef[x] for x in (a, b)))
+            # a float in a sum is a constant, as a product with the one series
+            coef[dest] = line(op, *(coef[x] if isinstance(x, str) else
+                                    line("*", x, coef["one"]) if op in "+-" else x for x in (a, b)))
     c, s, z, one, *nu = lists[: K + 4]
     rules += [lambda m: c.append(-s[m] // (m + 1)), lambda m: s.append(c[m] // (m + 1))]
     rules += [lambda m, k=k: k.append(0) for k in (z, one)]

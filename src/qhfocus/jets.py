@@ -2,11 +2,13 @@
 
 A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
-over the coefficient type.  The jet transports run them once per solve, on
-the recording variables ``_Var``; the recorded program is then evaluated on
-floats or on fixed-point Taylor series in theta.  ``polar.PolarRHS`` records
-its components, and ``flow.section_return`` a weighted field's velocities, on
-the same variables; ``source`` writes each program as Python code on floats.
+over the coefficient type.  The jet transports run them on the recording
+variables ``_Var``: the double-precision jet kernel once per order and
+pattern of zero components, the extended one once per solve.  A recorded
+program is evaluated on floats or on fixed-point Taylor series in theta.
+``polar.PolarRHS`` records its components with the coefficients as inputs,
+and ``flow.section_return`` a weighted field's velocities, on the same
+variables; ``source`` writes each program as Python code on floats.
 """
 from __future__ import annotations
 
@@ -55,7 +57,8 @@ class _Var:
     the name of its value, or reuses the same line; operands are names or
     floats.  ``z``, the structural zero ``0 * x``, is the only variable
     ``bool`` reports as false, so ``mul_trunc`` skips the terms it skips on
-    floats and ``x + z`` folds to x."""
+    floats and ``x + z`` folds to x.  The exact identities fold as well:
+    ``x**0`` is the float 1.0, and ``x**1`` and ``1 * x`` are x."""
 
     __slots__ = ("code", "name")
 
@@ -75,16 +78,21 @@ class _Var:
     def __sub__(self, other) -> _Var:
         return self._op(self, "-", other) if other else self
 
+    def __rsub__(self, k) -> _Var:
+        return self._op(k, "-", self)
+
     def __rmul__(self, k) -> _Var:
-        return self._op(k, "*", self) if self and k else _Var(self.code, "z")
+        if not (self and k):
+            return _Var(self.code, "z")
+        return self if k == 1 else self._op(k, "*", self)
 
     __mul__ = __rmul__  # products commute on floats: a constant factor records on the left
 
     def __truediv__(self, other) -> _Var:
         return self._op(self, "/", other)
 
-    def __pow__(self, n: int) -> _Var:
-        return self._op(self, "**", n)
+    def __pow__(self, n: int) -> _Var | float:
+        return 1.0 if n == 0 else self if n == 1 else self._op(self, "**", n)
 
     def __abs__(self) -> _Abs:
         return _Abs(self.code, self.name)

@@ -7,10 +7,19 @@ With x = r**p cos(theta), y = r**q sin(theta) the flow becomes
 where R_k / Q_k collect the weighted-homogeneous components of weight
 2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
 part and any terms at its weight.
+
+The components are recorded once per ``PolarRHS`` with the coefficients as
+named inputs (``Recording``), so their compiled code, the scalar dr/dtheta
+and the components the jet kernel reads, is shared by every field of one
+monomial support.
 """
 from __future__ import annotations
 
+import copy
 import math
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -55,7 +64,8 @@ class PolarRHS:
             for k in range(0 if self._level0 else 1, k_max + 1)
         )
         self._safe_radius: float | None = None
-        self._rhs = None  # __call__'s straight-line code, compiled on the first call
+        self._recording: Recording | None = None  # recording(), on first use
+        self._rhs = None  # __call__'s compiled code, on the first call
         if self._level0:
             q0 = self.components(np.cos(_CIRCLE), np.sin(_CIRCLE))[1][0]
             if q0.min() <= 0:
@@ -89,28 +99,22 @@ class PolarRHS:
     def __call__(self, theta: float, r):
         """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii."""
         if self._rhs is None:
-            self._rhs = self._compile()
+            self._rhs = self.recording().compiled("rhs")
         return self._rhs(theta, r)
 
-    def _compile(self):
-        """``components`` recorded once as straight-line code: f(theta, r) = dr/dtheta.
+    def recording(self) -> Recording:
+        """``components`` recorded on the first call, with the coefficients as inputs."""
+        if self._recording is None:
+            coefs = [a for level in self._levels for side in level for a, _, _ in side]
+            self._recording = record_components(self._with_coefficients, coefs)
+        return self._recording
 
-        f adds R_k r**k and Q_k r**k into num and den in order of k, with
-        r**k built by repeated products, on a float r or elementwise on an
-        array, and returns r * num / den bitwise as the component lists give
-        it (the recorder may swap a product's factors and fold the zero
-        0 * c, which no nonzero sum sees)."""
-        program, (R, Q) = jets.record(self.components, "c", "s")
-        lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c",
-                 *jets.source(program, (v.name for v in R + Q)), "num = den = 0.0", "rk = 1.0"]
-        for k, (Rk, Qk) in enumerate(zip(R, Q)):
-            lines += ["rk *= r"] * (k > 0) + [f"num += {Rk.name} * rk", f"den += {Qk.name} * rk"]
-        lines += ["small = abs(den) < DENOM_FLOOR",
-                  "if small.any() if isinstance(small, ndarray) else small:",
-                  "    raise _breakdown(theta, r, den)",
-                  "return r * num / den"]
-        return jets.function("theta, r", lines, cos=math.cos, sin=math.sin, ndarray=np.ndarray,
-                             DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)
+    def _with_coefficients(self, c, s, *coefs):
+        """``components`` with the coefficients of ``_levels`` replaced by ``coefs``, in order."""
+        view, it = copy.copy(self), iter(coefs)
+        view._levels = tuple(tuple(tuple((next(it), k, j) for _, k, j in side) for side in level)
+                             for level in self._levels)
+        return view.components(c, s)
 
     # -- validity neighborhood ------------------------------------------------
 
@@ -118,30 +122,45 @@ class PolarRHS:
         """Half the smallest positive radius where the denominator could vanish.
 
         Infinite when the denominator polynomial has no positive real root on
-        the grid of 720 angles.
+        the grid of 720 angles.  One ``components`` pass on the angles, as
+        arrays of Python floats so that each value rounds as at one angle,
+        gives the polynomials.  Each is trimmed of negligible high-order
+        coefficients, and those of one degree share one ``np.linalg.eigvals``
+        call on the companion matrices ``np.roots`` would build.  A positive
+        real root counts only where the polynomial genuinely comes near zero;
+        the candidates are checked from the smallest up, so the first that
+        counts is the minimum.
         """
         if self._safe_radius is not None:
             return self._safe_radius
+        c, s = (np.array(f(_CIRCLE), dtype=object) for f in (np.cos, np.sin))
+        coeffs = np.array(self.components(c, s)[1][::-1], dtype=float).T  # highest power first
+        mags = np.abs(coeffs)
+        # negligible high-order coefficients poison the companion matrix
+        big = mags > 1e-14 * mags.max(axis=1, keepdims=True)
+        lead = np.where(big.any(axis=1), big.argmax(axis=1), coeffs.shape[1])
+        # np.roots drops trailing zeros, whose roots are 0
+        last = coeffs.shape[1] - 1 - (coeffs[:, ::-1] != 0).argmax(axis=1)
+        candidates = []
+        for first, end in set(zip(lead.tolist(), last.tolist())):
+            if end <= first:
+                continue
+            rows = np.nonzero((lead == first) & (last == end))[0]
+            poly = coeffs[rows, first : end + 1]
+            companion = np.zeros((rows.size, end - first, end - first))
+            companion[:, 0, :] = -poly[:, 1:] / poly[:, :1]
+            sub = np.arange(end - first - 1)
+            companion[:, sub + 1, sub] = 1.0
+            roots = np.linalg.eigvals(companion)
+            real = (np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots.real))) & (roots.real > 0)
+            candidates += zip(roots.real[real], rows[real.nonzero()[0]], [first] * real.sum())
         best = np.inf
-        for theta in _CIRCLE:
-            R, Q = self.components(np.cos(theta), np.sin(theta))
-            coeffs = np.array(Q[::-1], dtype=float)  # highest power first
-            # negligible high-order coefficients poison the companion matrix
-            scale = np.abs(coeffs).max()
-            keep = np.nonzero(np.abs(coeffs) > 1e-14 * scale)[0]
-            if keep.size == 0:
-                continue
-            coeffs = coeffs[keep[0]:]
-            if coeffs.size < 2:
-                continue
-            roots = np.roots(coeffs)
-            real = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots.real))].real
-            pos = real[real > 0]
-            # accept only radii where the polynomial genuinely comes near zero
-            for r in pos:
-                mags = np.abs(coeffs) * r ** np.arange(coeffs.size - 1, -1, -1)
-                if abs(np.polyval(coeffs, r)) <= 1e-8 * max(mags.max(), 1e-300):
-                    best = min(best, r)
+        for r, row, first in sorted(candidates, key=lambda x: x[0]):
+            poly = coeffs[row, first:]
+            mags = np.abs(poly) * r ** np.arange(poly.size - 1, -1, -1)
+            if abs(np.polyval(poly, r)) <= 1e-8 * max(mags.max(), 1e-300):
+                best = r
+                break
         self._safe_radius = float(best / 2.0)
         return self._safe_radius
 
@@ -151,6 +170,65 @@ class PolarRHS:
                 f"radius {r!r} outside the valid polar neighborhood "
                 f"(limit {self.safe_radius()!r})"
             )
+
+
+@dataclass(frozen=True)
+class Recording:
+    """``components(c, s, *coefs)`` recorded once, with the coefficients as inputs a0, a1, ...
+
+    ``body`` holds the recorded lines as ``jets.source`` writes them, and
+    ``out`` the names of R_0..R_k, Q_0..Q_k, where z is a structural zero.
+    The text depends only on the monomial support, so each function of it
+    is compiled once per support, and ``compiled`` binds ``coefs`` as closure
+    cells.
+    """
+
+    body: tuple[str, ...]
+    out: tuple[str, ...]
+    coefs: tuple[float, ...]
+
+    def compiled(self, kind: str) -> Callable:
+        """The function ``kind`` of ``_support_code`` on this field's coefficients."""
+        return _support_code(kind, len(self.coefs), self.body, self.out)(*self.coefs)
+
+
+def record_components(components: Callable, coefs: Sequence[float] = ()) -> Recording:
+    """The ``Recording`` of ``components(c, s, *coefs)``, whose result is (R, Q)."""
+    program, (R, Q) = jets.record(components, "c", "s", *(f"a{i}" for i in range(len(coefs))))
+    out = tuple(v.name for v in R + Q)
+    body = tuple("    " + line for line in jets.source(program, out))
+    # numpy scalars would make every operation of the compiled code a numpy one
+    return Recording(body, out, tuple(map(float, coefs)))
+
+
+@lru_cache(maxsize=128)
+def _support_code(kind: str, n: int, body: tuple[str, ...], out: tuple[str, ...]) -> Callable:
+    """make(a0, ..., a<n-1>) -> f, the function ``kind`` of a recording, compiled once per text.
+
+    ``kind`` "rhs" is f(theta, r) = dr/dtheta: it adds R_k r**k and Q_k r**k
+    into num and den in order of k, with r**k built by repeated products, on
+    a float r or elementwise on an array, and returns r * num / den bitwise
+    as the component lists give it (the recorder may swap a product's
+    factors and fold exact identities and the zero 0 * c, which no nonzero
+    sum sees).  ``kind`` "nonzero" is f(c, s), the tuple of the components
+    that are not structurally zero, in order.
+    """
+    if kind == "nonzero":
+        lines = ["def f(c, s):", "    z = 0 * c", *body,
+                 f"    return ({''.join(v + ', ' for v in out if v != 'z')})"]
+    else:
+        lines = ["def f(theta, r):", "    c, s = cos(theta), sin(theta)", "    z = 0 * c", *body,
+                 "    num = den = 0.0", "    rk = 1.0"]
+        levels = len(out) // 2
+        for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
+            lines += ["    rk *= r"] * (k > 0) + [f"    num += {Rk} * rk", f"    den += {Qk} * rk"]
+        lines += ["    small = abs(den) < DENOM_FLOOR",
+                  "    if small.any() if isinstance(small, ndarray) else small:",
+                  "        raise _breakdown(theta, r, den)",
+                  "    return r * num / den"]
+    params = ", ".join(f"a{i}" for i in range(n))
+    return jets.function(params, [*lines, "return f"], cos=math.cos, sin=math.sin,
+                         ndarray=np.ndarray, DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)
 
 
 def _breakdown(theta, r, den) -> PolarChartError:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qhfocus import Monomial
+from qhfocus import Monomial, flow, polar
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +45,13 @@ def deadline():
     yield signal.alarm
     signal.alarm(0)
     signal.signal(signal.SIGALRM, previous)
+
+
+@pytest.fixture
+def fresh_caches():
+    """Empties the caches of compiled programs and of period models.
+
+    A test that counts recordings, compilations or builds starts from empty
+    caches, so the tests run before it cannot change its counts."""
+    for cache in (flow._jet_kernel, polar._support_code, flow._period_rhs, flow._cartesian_rhs):
+        cache.cache_clear()

@@ -156,7 +156,7 @@ def test_bisection_stops_at_float_spacing():
     assert result.cycles[0].h_star == pytest.approx(0.10086, abs=1e-4)
 
 
-def test_cartesian_scan_builds_the_period_model_once(monkeypatch):
+def test_cartesian_scan_builds_the_period_model_once(monkeypatch, fresh_caches):
     # section_return caps its time by the field's estimated period; a damped
     # field's PolarRHS checks Q_0 on 720 angles, so it is built once per field
     built = []
@@ -167,7 +167,6 @@ def test_cartesian_scan_builds_the_period_model_once(monkeypatch):
         init(self, field)
 
     monkeypatch.setattr(PolarRHS, "__init__", counted)
-    flow._period_rhs.cache_clear()
     damped = eq329_weighted(
         a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
     )

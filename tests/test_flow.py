@@ -257,6 +257,125 @@ def test_extended_jet_keeps_the_division_check():
         _compile_jet_rhs(_VanishingDenominator(), 3)(0.0, np.array([1.0, 0.0, 0.0]))
     assert str(extended.value) == str(double.value)
 
+
+def _counted_exec(monkeypatch) -> list:
+    """The parameter lists of the functions ``jets.function`` compiles from now on."""
+    built, function = [], jets.function
+
+    def counted(params, lines, **scope):
+        built.append(params)
+        return function(params, lines, **scope)
+
+    monkeypatch.setattr(jets, "function", counted)
+    return built
+
+
+def test_fields_of_one_support_share_their_compiled_code(fresh_caches, monkeypatch):
+    # eq325 at two parameter points: one monomial support, other coefficients;
+    # numpy parameters, as a search passes them, still compile to float code
+    first, second = (PolarRHS(normalize(eq325_field(*eps)).field)
+                     for eps in (np.array([1.22e-8, 2.41e-4]), (-3.0e-3, 0.05)))
+    built = _counted_exec(monkeypatch)
+    kernels = [_compile_jet_rhs(first, 7)]
+    first(0.3, 0.1)
+    assert len(built) == 3  # the jet kernel, the components, the scalar right-hand side
+    kernels.append(_compile_jet_rhs(second, 7))
+    second(0.3, 0.1)
+    assert len(built) == 3  # the second field of the support compiles nothing
+    assert second._rhs.__code__ is first._rhs.__code__
+    assert kernels[1].__code__ is kernels[0].__code__
+    assert (second.recording().compiled("nonzero").__code__
+            is first.recording().compiled("nonzero").__code__)
+    nu = np.array([1.0, 0.3, -0.2, 0.0, 0.1, 0.0, 0.05])
+    for theta in (0.0, np.pi / 2, np.pi, 0.3, 4.0):
+        oracle = _parent_jet_rhs(second, 7, np.cos(theta), np.sin(theta), nu)
+        compiled = kernels[1](theta, nu)
+        assert np.array(compiled).tobytes() == np.array(oracle, dtype=float).tobytes()
+        # the scalar right-hand side sums the cache-hit field's own components
+        num = den = 0.0
+        rk = 1.0
+        for Rk, Qk in zip(*second.components(math.cos(theta), math.sin(theta))):
+            num, den, rk = num + Rk * rk, den + Qk * rk, rk * 0.1
+        assert second(theta, 0.1).hex() == (0.1 * num / den).hex()
+    assert second(0.3, 0.1) != first(0.3, 0.1)
+    assert {type(v) for v in [first(0.3, 0.1), *kernels[0](0.3, nu.tolist())]} == {float}
+
+
+def _shape_cases():
+    """Fields of many supports, some with structurally zero components."""
+    for seed in range(4):
+        for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+            yield random_field(p, q, np.random.default_rng(seed))
+    yield field23()
+    yield field23(a22=0.0)
+    # levels 1 and 3 are empty: R_1, Q_1, R_3 and Q_3 are structurally zero
+    yield WeightedField(p=1, q=1, x_terms=(Monomial(3, 0, -0.4),), y_terms=(Monomial(0, 5, 0.3),))
+
+
+def test_one_jet_kernel_per_shape(fresh_caches):
+    fields = list(_shape_cases())
+    kernels, shapes = {}, set()
+    for field in fields:
+        rhs = PolarRHS(field)
+        K = default_order(field.p, field.q)
+        zero = tuple(v == "z" for v in rhs.recording().out)
+        shapes.add((K, zero))
+        # R_0 of a 1:1 field is c s (c**0 - s**0), which folds to the
+        # structural zero, while Q_0 is never zero
+        assert zero[0] == (field.p == field.q == 1) and not zero[len(zero) // 2]
+        kernel = _compile_jet_rhs(rhs, K)
+        kernels.setdefault((K, zero), kernel.__code__)
+        assert kernel.__code__ is kernels[K, zero]
+        nu = [1.1, -0.3, 0.2, 0.0, 0.4, -0.1, 0.05, 0.2][:K]
+        for theta in (0.0, np.pi / 2, 0.3, 4.0):
+            oracle = _parent_jet_rhs(rhs, K, np.cos(theta), np.sin(theta), np.array(nu))
+            compiled = kernel(theta, np.array(nu))
+            assert np.array(compiled).tobytes() == np.array(oracle, dtype=float).tobytes()
+    assert flow._jet_kernel.cache_info().misses == len(shapes) < len(fields)
+    # the last field's empty levels 1 and 3 add four zeros to the 1:1 R_0
+    empty = tuple(v == "z" for v in PolarRHS(fields[-1]).recording().out)
+    assert empty == (True, True, False, True, False, False, True, False, True, False)
+
+
+def _unfolded(monkeypatch):
+    """The recorder as it was before it folded x**0, x**1 and 1 * x."""
+    def mul(self, k):
+        return self._op(k, "*", self) if self and k else jets._Var(self.code, "z")
+
+    monkeypatch.setattr(jets._Var, "__pow__", lambda self, n: self._op(self, "**", n))
+    monkeypatch.setattr(jets._Var, "__rmul__", mul)
+    monkeypatch.setattr(jets._Var, "__mul__", mul)
+
+
+def test_recorder_folds_exact_identities(monkeypatch):
+    rhs = PolarRHS(random_field(2, 3, np.random.default_rng(0)))
+
+    def identities():
+        program, _ = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, 7, c, s, nu),
+                                 "c", "s", *(f"y{i}" for i in range(7)))
+        return program, [line for line in program if line[1] == "**" and line[3] in (0.0, 1.0)
+                         or line[1] == "*" and line[2] == 1.0]
+
+    program, kept = identities()
+    assert kept == []
+    text = "\n".join(jets.source(program) + list(rhs.recording().body))
+    for pattern in ("** 0.0", "** 1.0", "1.0 *"):
+        assert pattern not in text
+    # the Taylor sweep gives bitwise the values of the unfolded recording, on
+    # 1:1 (where R_0 folds to zero), 1:2 and 2:1 (a constant in a sum) and 2:3
+    fields = [random_field(p, q, np.random.default_rng(1)) for p, q in ((1, 1), (1, 2), (2, 3))]
+    fields.append(WeightedField(p=2, q=1, x_terms=(Monomial(2, 1, 0.3),),
+                                y_terms=(Monomial(4, 0, 0.2),)))
+
+    def sweep():
+        return [integrate_jet_extended(PolarRHS(f), theta1=1.0, order=4, dps=20) for f in fields]
+
+    folded = sweep()
+    _unfolded(monkeypatch)
+    assert identities()[1]
+    assert sweep() == folded
+
+
 def _plain_jet_solve(rhs, K, y0, tol):
     """The double-precision jet solve written out: scipy's DOP853 on _jet_rhs_coeffs over floats."""
     return solve_ivp(

@@ -138,6 +138,43 @@ def test_safe_radius_positive_and_respected():
     rhs.check_radius(0.9 * r_safe)
 
 
+def safe_radius_per_angle(rhs):
+    """PolarRHS.safe_radius as one np.roots call per angle of its grid."""
+    best = np.inf
+    for theta in np.linspace(0.0, 2 * np.pi, 720, endpoint=False):
+        R, Q = rhs.components(np.cos(theta), np.sin(theta))
+        coeffs = np.array(Q[::-1], dtype=float)  # highest power first
+        scale = np.abs(coeffs).max()
+        keep = np.nonzero(np.abs(coeffs) > 1e-14 * scale)[0]
+        if keep.size == 0:
+            continue
+        coeffs = coeffs[keep[0]:]
+        if coeffs.size < 2:
+            continue
+        roots = np.roots(coeffs)
+        real = roots[np.abs(roots.imag) < 1e-9 * (1 + np.abs(roots.real))].real
+        for r in real[real > 0]:
+            mags = np.abs(coeffs) * r ** np.arange(coeffs.size - 1, -1, -1)
+            if abs(np.polyval(coeffs, r)) <= 1e-8 * max(mags.max(), 1e-300):
+                best = min(best, r)
+    return float(best / 2.0)
+
+
+def _radius_fields():
+    yield pytest.param(eq325_field(1.22e-08, 2.41e-04), id="eq325")
+    # Q = 1 - 5 cos(theta)**3 r: safe radius 0.1
+    yield pytest.param(WeightedField(p=1, q=1, y_terms=(Monomial(2, 0, -5.0),)), id="pole")
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        for seed in range(5):
+            yield pytest.param(random_field(p, q, np.random.default_rng(seed)), id=f"{p}:{q}-{seed}")
+
+
+@pytest.mark.parametrize("field", _radius_fields())
+def test_batched_safe_radius_is_the_per_angle_roots(field):
+    expect = safe_radius_per_angle(PolarRHS(field))
+    assert PolarRHS(field).safe_radius().hex() == expect.hex()
+
+
 def test_rq_table_shape():
     rhs = PolarRHS(field23())
     thetas = np.linspace(0.0, 2 * np.pi, 13)
