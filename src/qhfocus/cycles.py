@@ -6,7 +6,9 @@ x-axis.  The Cartesian backend takes any callable (x, y) -> velocities, and
 for a weighted field it is the independent reference the polar scan is
 checked against.  Cycles are bracketed on a geometric grid, refined by
 Brent's method (``scipy.optimize.brentq``), and classified by the direction
-of the sign change.
+of the sign change.  ``find_cycles`` imports scipy when it is called, and a
+polar scan's grid also runs ``scipy.integrate.solve_ivp``; importing this
+module loads neither.
 """
 from __future__ import annotations
 
@@ -16,7 +18,6 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import flow
 from .errors import AlternationError, QhfocusError
@@ -80,6 +81,8 @@ def find_cycles(
     Each bracket goes to one ``brentq`` call, which stops once it has
     narrowed the bracket to tol * max(1, b); one that fails to converge raises.
     """
+    from scipy.optimize import brentq
+
     if not 0 < h_lo < h_hi < math.inf:
         raise ValueError(f"need 0 < h_lo < h_hi, both finite, got {h_lo!r}, {h_hi!r}")
     if grid_n < 16:

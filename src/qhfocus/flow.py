@@ -29,18 +29,24 @@ The jet, one radius and the Cartesian section run DOP853 on lists of
 floats, a step generated per state size under scipy's step control, the
 section with ``solve_ivp``'s location of a terminal event.  Only the scalar
 solve of several radii at once runs scipy's ``solve_ivp``.
+
+scipy is imported where it is called: ``solve_ivp`` by that solve of
+several radii, ``brentq`` when an event is located.  The step code reads
+DOP853's tableau from scipy's coefficient module, loaded alone by its file
+path, so the jet solves and everything built on them never import
+``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
+import importlib.util
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import DOP853, solve_ivp
-from scipy.optimize import brentq
 
 from . import jets
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
@@ -176,6 +182,23 @@ class JetTrajectory:
 
 
 @lru_cache
+def _dop853_tableau():
+    """scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by its path.
+
+    The module imports only numpy; loaded alone, it skips the
+    ``scipy.integrate`` package.  Rows 0-11 of its A and C are the stages of
+    a step, row 12 the evaluation at the step's end (A[12] is B) and rows
+    13-15 the extra stages of the interpolant: ``scipy.integrate.DOP853``'s
+    A_EXTRA and C_EXTRA are A[13:] and C[13:]."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = Path(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
+    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@lru_cache
 def _dop853_code(n: int, dense: bool = False) -> Callable:
     """scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as code for n states.
 
@@ -191,7 +214,7 @@ def _dop853_code(n: int, dense: bool = False) -> Callable:
         args = vec(lambda i: f"y{i} + ({lin(a[:s], i)}) * h")
         return f"{ks(s)} = fun(t + {float(c)!r} * h, [{args}])"
 
-    D, ys, ns = DOP853, vec(lambda i: f"y{i}"), vec(lambda i: f"n{i}")
+    D, ys, ns = _dop853_tableau(), vec(lambda i: f"y{i}"), vec(lambda i: f"n{i}")
     step = [f"{ys}, = y", f"{ks(0)} = f", *(stage(s, D.A[s], D.C[s]) for s in range(1, 12))]
     step += [f"n{i} = y{i} + h * ({lin(D.B, i)})" for i in range(n)]
     step += [f"{ks(12)} = fun(t + h, [{ns}])"]
@@ -200,7 +223,7 @@ def _dop853_code(n: int, dense: bool = False) -> Callable:
     sq = lambda v: " + ".join(f"{v}{i} * {v}{i}" for i in range(n))
     step += [f"return [{ns}], k12, {sq('e')}, {sq('g')}, ({', '.join(f'k{s}' for s in range(13))})"]
     extra = [f"{ys}, = y", f"{ns}, = y_new", *(f"{ks(s)} = k[{s}]" for s in range(13))]
-    extra += [stage(s, a, c) for s, a, c in zip(range(13, 16), D.A_EXTRA, D.C_EXTRA)]
+    extra += [stage(s, D.A[s], D.C[s]) for s in range(13, 16)]
     rows = [vec(lambda i: f"n{i} - y{i}"), vec(lambda i: f"h * k0_{i} - (n{i} - y{i})"),
             vec(lambda i: f"2 * (n{i} - y{i}) - h * (k12_{i} + k0_{i})"),
             *(vec(lambda i: f"h * ({lin(d, i)})") for d in D.D)]
@@ -276,6 +299,8 @@ def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, 
             g_new = g(t_new, y_new)
             up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
             if up and g_dir >= 0 or down and g_dir <= 0:
+                from scipy.optimize import brentq
+
                 sol = partial(_interpolate, t, t_new, y, extra(fun, t, h, y, y_new, k))
                 t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
                 y, nfev = sol(t), nfev + 3
@@ -337,6 +362,8 @@ def integrate_scalar(
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
     # absolute bound at tol, as for one radius.  rtol stays max(tol,
     # RTOL_FLOOR), the floor at the scans' usual tol 1e-13
+    from scipy.integrate import solve_ivp
+
     sol = solve_ivp(rhs, (0.0, theta1), lanes, method="DOP853", rtol=max(tol, RTOL_FLOOR),
                     atol=tol / math.sqrt(lanes.size))
     if not sol.success:
@@ -399,9 +426,6 @@ class SectionCrossing:
     stats: IntegratorStats  # summed over the solves that reached the crossing
 
 
-_period_rhs = lru_cache(maxsize=64)(PolarRHS)  # once per field: a damped one checks 720 angles
-
-
 @lru_cache(maxsize=64)
 def _cartesian_rhs(field: WeightedField) -> Callable:
     """``field(x, y)`` recorded once per field as f(t, [x, y]) -> (dx/dt, dy/dt), bitwise equal.
@@ -412,6 +436,22 @@ def _cartesian_rhs(field: WeightedField) -> Callable:
     return jets.function("t, z", lines)
 
 
+_PERIOD_ANGLES = 256
+
+
+@lru_cache(maxsize=64)
+def _period_model(field: WeightedField) -> tuple[np.ndarray, list, np.ndarray]:
+    """The parts of ``estimate_period`` that do not depend on h, once per field.
+
+    nu_1 of the leading part, Q_0..Q_k and p cos^2 + q sin^2 on the angles;
+    a damped field's ``PolarRHS`` checks Q_0 on 720 angles when it is built."""
+    p, q = field.p, field.q
+    thetas = np.linspace(0.0, 2 * np.pi, _PERIOD_ANGLES, endpoint=False)
+    c, s = np.cos(thetas), np.sin(thetas)
+    _, Q = PolarRHS(field).components(c, s)
+    return nu1_closed_form(p, q, thetas), Q, p * c**2 + q * s**2
+
+
 def estimate_period(field: WeightedField, h: float) -> float:
     """Cartesian period of one polar revolution at radius ~ h via quadrature.
 
@@ -419,14 +459,11 @@ def estimate_period(field: WeightedField, h: float) -> float:
     the orbit r = h * nu_1(theta) of the leading part, on 256 angles.
     """
     p, q = field.p, field.q
-    n = 256
-    thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    c, s = np.cos(thetas), np.sin(thetas)
-    r = h * nu1_closed_form(p, q, thetas)
-    _, Q = _period_rhs(field).components(c, s)
+    nu1, Q, weight = _period_model(field)
+    r = h * nu1
     den = sum(Qk * r**k for k, Qk in enumerate(Q))
-    acc = np.sum((p * c**2 + q * s**2) / (r ** (2 * p * q - p - q) * den))
-    return float(acc * 2 * np.pi / n)
+    acc = np.sum(weight / (r ** (2 * p * q - p - q) * den))
+    return float(acc * 2 * np.pi / _PERIOD_ANGLES)
 
 
 def section_return(
@@ -575,6 +612,9 @@ def integrate_jet_extended(
     from mpmath import mp
 
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
+    for name, value in (("dps", dps), ("order", K)):
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
     with mp.workdps(dps):
         tol = mp.mpf(10) ** -dps
     log_tol = float(mp.log(tol))

@@ -44,6 +44,9 @@ class FocalReport:
     nu1: float = 1.0  # nu_1(2*pi): 1 but for terms at the leading weight
 
     def nu(self, k: int) -> float:
+        """nu_k(2*pi) for 1 <= k <= order."""
+        if not 1 <= k <= self.order:
+            raise ValueError(f"nu_k is reported for 1 <= k <= {self.order}, got k={k!r}")
         if k == 1:
             return self.nu1
         return self.values[k - 2]
@@ -170,6 +173,10 @@ def focal_jacobian(
     t0 = perf_counter()
     eps0 = np.asarray(eps0, dtype=float)
     indices = tuple(indices)
+    if eps0.size == 0:
+        raise ValueError("eps0 must hold at least one parameter")
+    if not indices or min(indices) < 1:
+        raise ValueError(f"indices must be nonempty and at least 1, got {indices!r}")
     Kmin = max(indices)
     K = max(K or 0, Kmin, 3)
 

@@ -6,7 +6,8 @@ Two deliberately independent schemes are provided for every task:
   (spectrally accurate for smooth periodic integrands) vs. composite
   Gauss-Legendre panels with panel doubling;
 * cumulative integrals: a Fourier antiderivative built from one FFT of the
-  integrand vs. an error-controlled ODE solve of F' = g.
+  integrand vs. an error-controlled ODE solve of F' = g, which imports
+  scipy's ``solve_ivp`` when it is built.
 """
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .errors import QuadratureError, SchemeDisagreementError, StiffnessError, check_tol
 
@@ -99,6 +99,8 @@ class OdeAntiderivative:
     """F(theta) = int_0^theta g on [0, 2*pi] by a DOP853 solve at tolerance 1e-13."""
 
     def __init__(self, g: Callable[[float], float]):
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(
             lambda t, y: [g(t)],
             (0.0, TWO_PI),

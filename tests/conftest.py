@@ -53,5 +53,5 @@ def fresh_caches():
 
     A test that counts recordings, compilations or builds starts from empty
     caches, so the tests run before it cannot change its counts."""
-    for cache in (flow._jet_kernel, polar._support_code, flow._period_rhs, flow._cartesian_rhs):
+    for cache in (flow._jet_kernel, polar._support_code, flow._period_model, flow._cartesian_rhs):
         cache.cache_clear()

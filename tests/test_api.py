@@ -42,3 +42,43 @@ def test_demo_runs(name):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_PATH = """
+import sys
+
+import numpy as np
+
+from qhfocus import Monomial, WeightedField, find_cycles, focal_values
+from qhfocus.casestudy import eq325_field
+from qhfocus.quadrature import OdeAntiderivative
+
+focal_values(eq325_field(0.01, 0.0))
+focal_values(eq325_field(0.01, 0.0), precision="extended", dps=20)
+loaded = [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]
+assert not loaded, f"focal values imported {loaded}"
+
+# the calls that use scipy import it where they are made
+hopf = WeightedField(  # a stable cycle at h = 0.2
+    p=1, q=1,
+    x_terms=(Monomial(1, 0, 0.04), Monomial(3, 0, -1.0), Monomial(1, 2, -1.0)),
+    y_terms=(Monomial(0, 1, 0.04), Monomial(2, 1, -1.0), Monomial(0, 3, -1.0)),
+)
+for backend in ("polar", "cartesian"):
+    (cycle,) = find_cycles(backend, hopf, 0.02, 0.9, grid_n=24, tol=1e-12).cycles
+    assert abs(cycle.h_star - 0.2) <= 1e-6, (backend, cycle)
+assert abs(OdeAntiderivative(np.cos)(np.pi)) <= 1e-12
+"""
+
+
+def test_focal_values_leave_scipy_integrate_and_optimize_unimported():
+    # scipy is imported inside the functions that call it: a module-level
+    # import would load its integrate and optimize packages with qhfocus
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-c", IMPORT_PATH],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -1052,3 +1052,26 @@ def test_extended_jet_records_the_right_hand_side_once(monkeypatch):
     _, stats = integrate_jet_extended(rhs, order=3, dps=20)
     assert stats.n_steps > 1
     assert len(calls) == 1
+
+
+def test_loaded_tableau_is_scipys_dop853():
+    # the step code reads scipy's coefficient file by its path: a change in
+    # scipy's file layout fails here
+    table = flow._dop853_tableau()
+    ours = {"A": table.A[:12, :12], "B": table.B, "C": table.C[:12], "E3": table.E3,
+            "E5": table.E5, "D": table.D, "A_EXTRA": table.A[13:], "C_EXTRA": table.C[13:]}
+    for name, value in ours.items():
+        np.testing.assert_array_equal(value, getattr(DOP853, name), err_msg=name)
+
+
+@pytest.mark.parametrize("kwargs", [{"dps": 0}, {"dps": -3}, {"dps": 2.5}, {"order": 0}])
+def test_extended_jet_rejects_bad_dps_and_order(kwargs):
+    # these used to raise ZeroDivisionError (dps 0) or IndexError (dps -3,
+    # order 0), or run silently at tol 3.2e-3 (dps 2.5)
+    (name, value), = kwargs.items()
+    message = f"{name} must be a positive integer, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        integrate_jet_extended(PolarRHS(field23()), **kwargs)
+    if name == "dps":
+        with pytest.raises(ValueError, match=re.escape(message)):
+            focal_values(field23(), precision="extended", dps=value)

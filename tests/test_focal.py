@@ -67,6 +67,30 @@ def test_focal_report_parity_and_indices():
     assert rep.nu(2) == pytest.approx(rep.values[0])
 
 
+def test_report_rejects_indices_outside_its_order():
+    # nu(0) and nu(-1) used to wrap around to nu_4 and nu_3
+    rep = classify([1.0, 0.5, 0.25, 0.125, 0.0625], 2, 3, integ_tol=1e-12)
+    assert [rep.nu(k) for k in range(1, 6)] == [1.0, 0.5, 0.25, 0.125, 0.0625]
+    for k in (0, -1, 6):
+        with pytest.raises(ValueError, match=f"1 <= k <= 5, got k={k}"):
+            rep.nu(k)
+
+
+@pytest.mark.parametrize("eps0, indices, name", [
+    ([0.0, 0.0], (0, 2), "indices"),
+    ([0.0, 0.0], (-1,), "indices"),
+    ([0.0, 0.0], (), "indices"),
+    ([], (2,), "eps0"),
+])
+def test_jacobian_rejects_empty_or_nonpositive_input(eps0, indices, name):
+    # indices (0, 2) used to give a row of d(nu_4) labelled 0
+    solved = []
+    family = lambda e: solved.append(e) or eq325_field(e[0], e[1])
+    with pytest.raises(ValueError, match=name):
+        focal_jacobian(family, eps0, indices, K=5)
+    assert solved == []
+
+
 def test_center_condition_reports_candidate():
     b41, b13 = 1.0, 0.4
     field = field23(a22=-1.5 * b13, a50=-b41 / 5, b13=b13, b41=b41)
