@@ -103,7 +103,8 @@ def cmd_analyze(args) -> int:
         f"  weights           p={field.p} q={field.q} (gcd {report.weight_gcd})",
         f"  jet order         K={report.order}",
         f"  integrator tol    {report.integ_tol:g}",
-        f"  zero tol          {args.zero_tol:g}",
+        f"  zero tol          {report.zero_tol:g} (--zero-tol {args.zero_tol:g}"
+        " times the largest of 1 and |nu_k|, k >= 2)",
         f"  parity class      {report.parity_class}",
         f"  verdict           {report.verdict}",
         f"  first nonzero     {report.first_nonzero_index}",
@@ -127,7 +128,8 @@ def cmd_analyze(args) -> int:
         "q": field.q,
         "order": report.order,
         "tol": report.integ_tol,
-        "zero_tol": args.zero_tol,
+        "zero_tol": report.zero_tol,  # the one the verdict used
+        "zero_tol_given": args.zero_tol,
         "precision": args.precision,
         "parity_class": report.parity_class,
         "verdict": report.verdict,
@@ -166,8 +168,8 @@ def cmd_cycles(args) -> int:
         f"  integrator tol {args.tol:g}",
         f"  cycles found   {len(result.cycles)}",
     ]
-    for c in result.cycles:
-        err = closure_error(field, c.h_star, field.p, tol=args.tol)
+    closures = [closure_error(field, c.h_star, field.p, tol=args.tol) for c in result.cycles]
+    for c, err in zip(result.cycles, closures):
         lines.append(
             f"  h* = {c.h_star:.12f}  {c.stability:8s} residual {c.residual:.3e}"
             f" (tol {args.tol:g})  cartesian closure {err:.3e}"
@@ -181,6 +183,7 @@ def cmd_cycles(args) -> int:
         "grid": args.grid,
         "tol": args.tol,
         "cycles": [dataclasses.asdict(c) for c in result.cycles],
+        "closures": closures,  # each cycle's Cartesian closure error, in cycle order
         "diagnostics": {
             "grid_s": result.grid_s,
             "refine_s": result.refine_s,
@@ -317,6 +320,8 @@ def cmd_quad(args) -> int:
             "trapezoid": a.value,
             "gauss": b.value,
             "difference": diff,
+            "trapezoid_nodes": a.nodes_used,
+            "gauss_nodes": b.nodes_used,
         }
     _emit(args, lines, doc, rows)
     if worst > 1e-10:
@@ -367,7 +372,13 @@ def cmd_jacobian(args) -> int:
 
 
 def cmd_survey(args) -> int:
-    pairs = [tuple(int(v) for v in pq.split(":")) for pq in args.weights.split(",")]
+    pairs = []
+    for entry in args.weights.split(","):
+        try:
+            p, q = map(int, entry.split(":"))
+        except ValueError:
+            raise ValueError(f"malformed --weights entry {entry!r}, expected p:q") from None
+        pairs.append((p, q))
     lines = [f"parity survey, seed {args.seed}, {args.samples} samples per weight pair"]
     rows = [["p", "q", "expected_parity", "samples", "skipped", "unresolved", "parity_ok"]]
     doc = {"seed": args.seed, "tol": args.tol, "results": []}

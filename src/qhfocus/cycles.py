@@ -7,11 +7,12 @@ for a weighted field it is the independent reference the polar scan is
 checked against.  Cycles are bracketed on a geometric grid, refined by
 Brent's method (``scipy.optimize.brentq``), and classified by the direction
 of the sign change.  ``find_cycles`` imports scipy when it is called, and a
-polar scan's grid also runs ``scipy.integrate.solve_ivp``; importing this
-module loads neither.
+polar scan's grid also imports ``scipy.integrate`` (``flow.integrate_scalar``);
+importing this module loads neither.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field as dc_field
 from time import perf_counter
@@ -182,26 +183,18 @@ def alternation_search(
         lo, hi = box[i]
         if not 0 < lo < hi:
             raise ValueError("box bounds must satisfy 0 < lo < hi")
-        found = False
         next_mag = abs(chain[i + 1])
-        for mag in np.geomspace(hi, lo, scan_n):
-            for sign in (target_signs[i], -target_signs[i]):
-                trial = eps.copy()
-                trial[i] = sign * mag
-                try:
-                    cand = list(chain_fn(trial))
-                except QhfocusError:
-                    continue
-                if (
-                    np.sign(cand[i]) == target_signs[i]
-                    and 1e-10 <= abs(cand[i]) <= next_mag / gaps[i]
-                ):
-                    eps, chain, found = trial, cand, True
-                    break
-            if found:
+        signs = (target_signs[i], -target_signs[i])
+        for mag, sign in itertools.product(np.geomspace(hi, lo, scan_n), signs):
+            trial = eps.copy()
+            trial[i] = sign * mag
+            try:
+                cand = list(chain_fn(trial))
+            except QhfocusError:
+                continue
+            if np.sign(cand[i]) == target_signs[i] and 1e-10 <= abs(cand[i]) <= next_mag / gaps[i]:
+                eps, chain = trial, cand
                 break
-        if not found:
-            raise AlternationError(
-                f"no alternation found for chain entry {i} inside the box"
-            )
+        else:
+            raise AlternationError(f"no alternation found for chain entry {i} inside the box")
     return eps

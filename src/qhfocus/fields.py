@@ -157,16 +157,13 @@ def normalize(f: WeightedField) -> NormalizationResult:
     sx = (f.q / f.lambda2) ** (1.0 / (2 * f.q))
     sy = (f.p / f.lambda1) ** (1.0 / (2 * f.p))
     ts = sx * sy
-    # du/dtau = ts/sx * X(sx u, sy v), dv/dtau = ts/sy * Y(sx u, sy v)
-    new_x = tuple(
-        Monomial(t.k, t.j, t.c * sx**t.k * sy**t.j * ts / sx) for t in f.x_terms
-    )
-    new_y = tuple(
-        Monomial(t.k, t.j, t.c * sx**t.k * sy**t.j * ts / sy) for t in f.y_terms
-    )
-    out = replace(
-        f, lambda1=float(f.p), lambda2=float(f.q), x_terms=new_x, y_terms=new_y
-    )
+
+    def scaled(terms, own: float) -> tuple[Monomial, ...]:
+        # du/dtau = ts/sx * X(sx u, sy v), dv/dtau = ts/sy * Y(sx u, sy v)
+        return tuple(Monomial(t.k, t.j, t.c * sx**t.k * sy**t.j * ts / own) for t in terms)
+
+    out = replace(f, lambda1=float(f.p), lambda2=float(f.q),
+                  x_terms=scaled(f.x_terms, sx), y_terms=scaled(f.y_terms, sy))
     return NormalizationResult(out, sx, sy, ts)
 
 

@@ -19,44 +19,28 @@ Three backends:
   the independent reference for the polar return map of weighted fields.
   A weighted field's velocities are recorded once per field.
 
-``jets.source`` writes every recorded program run on floats (the jet
-kernel, a field's polar components and scalar right-hand side, and a
-weighted field's Cartesian one) as a Python function whose expressions
-nest each value read only once into its reader: the same float
-operations, bitwise the same values.
-
-The jet, one radius and the Cartesian section run DOP853 on lists of
-floats, a step generated per state size under scipy's step control, the
-section with ``solve_ivp``'s location of a terminal event.  Only the scalar
-solve of several radii at once runs scipy's ``solve_ivp``.
-
-scipy is imported where it is called: ``solve_ivp`` by that solve of
-several radii, ``brentq`` when an event is located.  The step code reads
-DOP853's tableau from scipy's coefficient module, loaded alone by its file
-path, so the jet solves and everything built on them never import
-``scipy.integrate`` or ``scipy.optimize``.
+The double-precision jet, one radius and the Cartesian section run
+``dop853.solve``.  The solve of several radii imports scipy's integrator
+where it runs, so the jet solves and everything built on them never
+import ``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
-import importlib.util
 import math
 import operator
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import jets
+from . import dop853, jets
+from .dop853 import RTOL_FLOOR
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
 from .polar import PolarRHS, record_components
 
 DEFAULT_TOL = 1e-12
-# every DOP853 solve's rtol floor, which keeps the two drivers comparable
-RTOL_FLOOR = 1e-13
-_EVENT_XTOL = 4 * np.finfo(float).eps  # solve_ivp's event root tolerance
 
 
 def default_order(p: int, q: int) -> int:
@@ -158,156 +142,23 @@ class IntegratorStats:
 class JetTrajectory:
     """Jet solution nu_1(theta)..nu_K(theta) over one turn [0, 2*pi].
 
-    ``final`` is the solver's end state.  The dense interpolant behind ``at``
-    is built on first use by repeating the solve with dense output, which
-    takes the same steps; a step's end reads its end state, ``final`` at 2*pi.
+    ``final`` is the solver's end state.  The dense steps behind ``at`` are
+    built on first use by repeating the solve with dense output, which takes
+    the same steps, and read by ``dop853.state_at``: ``final`` at 2*pi.
     """
 
     order: int
     stats: IntegratorStats
     final: np.ndarray
     _dense_solve: Callable[[], list]
-    _steps: list | None = None  # (theta, theta_new, y, y_new, interpolant rows) per step
+    _steps: list | None = None  # the dense solve's steps
 
     def at(self, theta: float) -> np.ndarray:
         """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)], 0 <= theta <= 2*pi."""
-        if not 0.0 <= theta <= 2 * np.pi:
+        if not 0.0 <= theta <= 2 * np.pi:  # checked before a dense solve is spent on it
             raise ValueError(f"theta={theta!r} lies outside the solved turn [0, 2*pi]")
         self._steps = self._steps or self._dense_solve()
-        t, t_new, y, y_new, F = next(st for st in self._steps if theta <= st[1])
-        return np.array(y_new if theta == t_new else _interpolate(t, t_new, y, F, theta))
-
-
-# -- DOP853 on lists of floats --------------------------------------------------
-
-
-@lru_cache
-def _dop853_tableau():
-    """scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by its path.
-
-    The module imports only numpy; loaded alone, it skips the
-    ``scipy.integrate`` package.  Rows 0-11 of its A and C are the stages of
-    a step, row 12 the evaluation at the step's end (A[12] is B) and rows
-    13-15 the extra stages of the interpolant: ``scipy.integrate.DOP853``'s
-    A_EXTRA and C_EXTRA are A[13:] and C[13:]."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = Path(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-@lru_cache
-def _dop853_code(n: int, dense: bool = False) -> Callable:
-    """scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) as code for n states.
-
-    ``step(fun, t, h, y, f, rtol, atol)`` returns y_new, fun(t + h, y_new), the
-    sums of squared E5 and E3 errors over atol + max(|y|, |y_new|) * rtol and
-    the 13 stages; ``dense(fun, t, h, y, y_new, stages)`` the interpolant's rows,
-    compiled only when asked for.  A sum runs in stage order, skipping zeros."""
-    lin = lambda coefs, i: " + ".join(f"{float(a)!r} * k{s}_{i}" for s, a in enumerate(coefs) if a)
-    vec = lambda term: ", ".join(map(term, range(n)))
-    ks = lambda s: vec(lambda i: f"k{s}_{i}") + f", = k{s}"
-
-    def stage(s: int, a, c) -> str:
-        args = vec(lambda i: f"y{i} + ({lin(a[:s], i)}) * h")
-        return f"{ks(s)} = fun(t + {float(c)!r} * h, [{args}])"
-
-    D, ys, ns = _dop853_tableau(), vec(lambda i: f"y{i}"), vec(lambda i: f"n{i}")
-    step = [f"{ys}, = y", f"{ks(0)} = f", *(stage(s, D.A[s], D.C[s]) for s in range(1, 12))]
-    step += [f"n{i} = y{i} + h * ({lin(D.B, i)})" for i in range(n)]
-    step += [f"{ks(12)} = fun(t + h, [{ns}])"]
-    step += [f"w = atol + max(abs(y{i}), abs(n{i})) * rtol; e{i} = ({lin(D.E5, i)}) / w; "
-             f"g{i} = ({lin(D.E3, i)}) / w" for i in range(n)]
-    sq = lambda v: " + ".join(f"{v}{i} * {v}{i}" for i in range(n))
-    step += [f"return [{ns}], k12, {sq('e')}, {sq('g')}, ({', '.join(f'k{s}' for s in range(13))})"]
-    extra = [f"{ys}, = y", f"{ns}, = y_new", *(f"{ks(s)} = k[{s}]" for s in range(13))]
-    extra += [stage(s, D.A[s], D.C[s]) for s in range(13, 16)]
-    rows = [vec(lambda i: f"n{i} - y{i}"), vec(lambda i: f"h * k0_{i} - (n{i} - y{i})"),
-            vec(lambda i: f"2 * (n{i} - y{i}) - h * (k12_{i} + k0_{i})"),
-            *(vec(lambda i: f"h * ({lin(d, i)})") for d in D.D)]
-    extra += [f"return [{', '.join(f'[{r}]' for r in rows)}]"]
-    head = "dense(fun, t, h, y, y_new, k)" if dense else "step(fun, t, h, y, f, rtol, atol)"
-    scope: dict = {}
-    exec(f"def {head}:\n    " + "\n    ".join(extra if dense else step), scope)
-    return scope["dense" if dense else "step"]
-
-
-def _interpolate(t: float, t_new: float, y: list, F: list, at: float) -> list:
-    """DOP853's interpolant with rows F on the step [t, t_new], at ``at``, in scipy's order."""
-    x, out = (at - t) / (t_new - t), []
-    for i, yi in enumerate(y):  # as scipy's Dop853DenseOutput, one component at a time
-        acc = 0.0
-        for j, row in enumerate(reversed(F)):
-            acc = (acc + row[i]) * (1 - x if j % 2 else x)
-        out.append(acc + yi)
-    return out
-
-
-def _dop853_floats(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=False,
-                   t0: float = 0.0, event=None):
-    """DOP853 on a list of floats from t0 to t1 of either direction, at rtol max(tol, RTOL_FLOOR).
-
-    scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
-    step).  ``event`` = (g, direction) is a terminal event located as
-    ``solve_ivp`` locates one: after each step, the sign test of
-    ``find_active_events`` on g(t, y); on a hit, ``brentq`` at xtol = rtol =
-    4 eps on g along the step's dense interpolant (3 more evaluations), whose
-    value at the root is the end state.  Returns the end time (t1 or the
-    event's root), the end state, nfev and the steps: their number, or with
-    ``dense`` the steps for ``JetTrajectory``."""
-    if not (math.isfinite(t0) and math.isfinite(t1)):
-        raise ValueError(f"{what}: the span ({t0!r}, {t1!r}) must be finite")
-    if not all(map(math.isfinite, y)):
-        raise ValueError("All components of the initial state `y0` must be finite.")
-    rtol, n = max(tol, RTOL_FLOOR), len(y)
-    step, extra = _dop853_code(n), (_dop853_code(n, True) if dense or event else None)
-    direction = 1.0 if t1 > t0 else -1.0
-    # scipy's select_initial_step, for the error estimator of order 7
-    scale = [atol + abs(v) * rtol for v in y]
-    rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / n**0.5
-    f = fun(t0, y)
-    d0, d1 = rms(y), rms(f)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
-    f1 = fun(t0 + h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
-    d2 = rms([b - a for a, b in zip(f, f1)]) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs, t, nfev, steps = min(100 * h0, h1, abs(t1 - t0)), t0, 2, []
-    if event is not None:
-        g, g_dir = event
-        g_old = g(t0, y)
-    while direction * (t - t1) < 0:
-        min_step = 10 * abs(math.nextafter(t, direction * math.inf) - t)
-        h_abs, rejected = max(h_abs, min_step), False
-        while True:  # scipy's RungeKutta._step_impl, with its SAFETY, MIN_ and MAX_FACTOR
-            if h_abs < min_step:
-                raise StiffnessError(
-                    f"{what} failed: Required step size is less than spacing between numbers.")
-            t_new = t1 if direction * (t + h_abs * direction - t1) > 0 else t + h_abs * direction
-            h_abs = abs(h := t_new - t)
-            y_new, f_new, s5, s3, k = step(fun, t, h, y, f, rtol, atol)
-            nfev += 12
-            err = h_abs * s5 / math.sqrt((s5 + 0.01 * s3) * n) if s5 or s3 else 0.0
-            if err < 1:
-                factor = min(10.0, 0.9 * err ** -0.125) if err else 10.0
-                h_abs *= min(1.0, factor) if rejected else factor
-                break
-            h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
-        steps.append((t, t_new, y, y_new, extra(fun, t, h, y, y_new, k)) if dense else None)
-        if event is not None:
-            g_new = g(t_new, y_new)
-            up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
-            if up and g_dir >= 0 or down and g_dir <= 0:
-                from scipy.optimize import brentq
-
-                sol = partial(_interpolate, t, t_new, y, extra(fun, t, h, y, y_new, k))
-                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
-                y, nfev = sol(t), nfev + 3
-                break
-            g_old = g_new
-        t, y, f = t_new, y_new, f_new
-    return t, y, nfev, steps if dense else len(steps)
+        return np.array(dop853.state_at(self._steps, theta))
 
 
 def integrate_jet(
@@ -328,7 +179,7 @@ def integrate_jet(
     if y0.size != K:
         raise ValueError(f"initial jet order {y0.size} != requested order {K}")
 
-    solve = partial(_dop853_floats, _compile_jet_rhs(rhs, K), 2 * np.pi, y0.tolist(), tol, tol,
+    solve = partial(dop853.solve, _compile_jet_rhs(rhs, K), 2 * np.pi, y0.tolist(), tol, tol,
                     "jet integration")
     _, final, nfev, steps = solve()
     stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
@@ -355,13 +206,15 @@ def integrate_scalar(
     if theta1 == 0:
         return h
     if lanes.size == 1:
-        _, (r,), *_ = _dop853_floats(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
-                                     tol, tol, "scalar integration")
+        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
+                                   tol, tol, "scalar integration")
         return r if np.ndim(h) == 0 else np.array([r])
     # scipy's error norm is the RMS over the B lanes, so one lane may carry
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
     # absolute bound at tol, as for one radius.  rtol stays max(tol,
-    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13
+    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  It stays on solve_ivp:
+    # on the 64 radii of the criterion-8 grid both take the same 144 steps, and
+    # dop853.solve takes twice as long and first compiles a 64-lane step
     from scipy.integrate import solve_ivp
 
     sol = solve_ivp(rhs, (0.0, theta1), lanes, method="DOP853", rtol=max(tol, RTOL_FLOOR),
@@ -492,7 +345,7 @@ def section_return(
     if v0 == 0.0:
         raise NoReturnError("orbit starts at an equilibrium of the section")
     direction = 1 if v0 > 0 else -1
-    solve = partial(_dop853_floats, fun, tol=tol,
+    solve = partial(dop853.solve, fun, tol=tol,
                     atol=tol * min(1.0, x0), what="Cartesian integration")
     # a start (or restart) point lies exactly on the section and would fire
     # the terminal event at time zero; a short event-free pre-step moves off

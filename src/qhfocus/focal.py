@@ -197,9 +197,7 @@ def focal_jacobian(
     # finite differencing limits resolvable singular values well above eps
     cut = 1e-7 * (sv[0] if sv.size else 0.0)
     rank = int(np.sum(sv > cut))
-    ill = False
-    if 0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3:
-        ill = True
+    ill = bool(0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3)
     work = [sum(r.rhs_evals for r in reports), sum(r.steps for r in reports)]
     return JacobianResult(J, indices, sv, rank, ill, *work, max(integ_tol, flow.RTOL_FLOOR),
                           perf_counter() - t0)

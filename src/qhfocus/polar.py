@@ -44,18 +44,12 @@ class PolarRHS:
             )
         self.field = field
         p, q = field.p, field.q
-        x_lead, y_lead = field.x_lead_weight, field.y_lead_weight
-        k_max = 0
         by_k: dict[int, tuple[list[Monomial], list[Monomial]]] = {}
-        for t in field.x_terms:
-            k = t.weight(p, q) - x_lead
-            by_k.setdefault(k, ([], []))[0].append(t)
-            k_max = max(k_max, k)
-        for t in field.y_terms:
-            k = t.weight(p, q) - y_lead
-            by_k.setdefault(k, ([], []))[1].append(t)
-            k_max = max(k_max, k)
-        self.k_max = k_max
+        for side, (terms, lead) in enumerate(((field.x_terms, field.x_lead_weight),
+                                              (field.y_terms, field.y_lead_weight))):
+            for t in terms:
+                by_k.setdefault(t.weight(p, q) - lead, ([], []))[side].append(t)
+        self.k_max = k_max = max(by_k, default=0)
         # terms at the leading weight: summed as the first level, then folded into R_0, Q_0
         self._level0 = 0 in by_k
         # (coefficient, power of cos, power of sin) per side and weight level

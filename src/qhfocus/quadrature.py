@@ -6,8 +6,8 @@ Two deliberately independent schemes are provided for every task:
   (spectrally accurate for smooth periodic integrands) vs. composite
   Gauss-Legendre panels with panel doubling;
 * cumulative integrals: a Fourier antiderivative built from one FFT of the
-  integrand vs. an error-controlled ODE solve of F' = g, which imports
-  scipy's ``solve_ivp`` when it is built.
+  integrand vs. an error-controlled ODE solve of F' = g on the package's
+  DOP853 (``dop853``), which imports nothing from scipy but its tableau.
 """
 from __future__ import annotations
 
@@ -16,7 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureError, SchemeDisagreementError, StiffnessError, check_tol
+from . import dop853
+from .errors import QuadratureError, SchemeDisagreementError, check_tol
 
 TWO_PI = 2 * np.pi
 
@@ -96,27 +97,18 @@ class FourierAntiderivative:
 
 
 class OdeAntiderivative:
-    """F(theta) = int_0^theta g on [0, 2*pi] by a DOP853 solve at tolerance 1e-13."""
+    """F(theta) = int_0^theta g on [0, 2*pi] by one dense DOP853 solve at tolerance 1e-13.
+
+    theta outside [0, 2*pi] raises a ValueError."""
 
     def __init__(self, g: Callable[[float], float]):
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(
-            lambda t, y: [g(t)],
-            (0.0, TWO_PI),
-            [0.0],
-            method="DOP853",
-            rtol=1e-13,
-            atol=1e-13,
-            dense_output=True,
-        )
-        if not sol.success:
-            raise StiffnessError(f"antiderivative solve failed: {sol.message}")
-        self._sol = sol.sol
+        # a float, as a numpy scalar would make each operation of the step a numpy one
+        *_, self._steps = dop853.solve(lambda t, y: [float(g(t))], TWO_PI, [0.0], 1e-13, 1e-13,
+                                       "antiderivative solve", dense=True)
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = self._sol(theta.ravel())[0]
+        out = np.array([dop853.state_at(self._steps, t)[0] for t in theta.ravel().tolist()])
         return out.reshape(theta.shape) if theta.ndim else float(out[0])
 
 

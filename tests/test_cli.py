@@ -4,9 +4,16 @@ import json
 import numpy as np
 import pytest
 
-from qhfocus.casestudy import b_integrand_factory, eq325_field, f2_integrand, nested_f2
+from qhfocus.casestudy import (
+    FAMILIES,
+    b_integrand_factory,
+    eq325_field,
+    f2_integrand,
+    nested_f2,
+    reference_integrands,
+)
 from qhfocus.cli import main
-from qhfocus.cycles import find_cycles
+from qhfocus.cycles import closure_error, find_cycles
 from qhfocus.fields import load_system, normalize
 from qhfocus.focal import focal_jacobian, focal_values, parity_survey
 from qhfocus.polar import PolarRHS, rq_table
@@ -86,6 +93,21 @@ def test_analyze_json_records_extended_integrator_work(system_file, tmp_path, ca
     assert diag["rhs_evals"] == 36 * diag["steps"] > 0
 
 
+def test_analyze_reports_the_scaled_zero_tolerance(tmp_path, capsys):
+    # the verdict compares at --zero-tol times max(1, |nu_k|), k >= 2: here
+    # 1.96e-9, where the report used to print and record the 1e-9 given
+    out = tmp_path / "analyze.txt"
+    argv = ["analyze", "--family", "eq327", "--params", "a50=3,b41=2", "--out", str(out)]
+    assert main(argv) == 0
+    family = FAMILIES["eq327"]
+    report = focal_values(family.field(**family.values({"a50": 3.0, "b41": 2.0})))
+    assert report.zero_tol > 1.9e-9
+    line = next(l for l in capsys.readouterr().out.splitlines() if "zero tol" in l)
+    assert line.split()[2] == f"{report.zero_tol:g}" and "--zero-tol 1e-09" in line
+    doc = json.loads(out.with_suffix(".json").read_text())
+    assert (doc["zero_tol"], doc["zero_tol_given"]) == (report.zero_tol, 1e-9)
+
+
 def test_analyze_rq_table(system_file, tmp_path, capsys):
     table = tmp_path / "rq.csv"
     code = main(["analyze", "--system", str(system_file), "--rq-table", str(table)])
@@ -120,6 +142,15 @@ def test_quad_ib_schemes_share_no_backend(tmp_path, capsys):
     f2_ode = OdeAntiderivative(lambda t: float(f2_integrand(t)))
     assert ib["gauss"] == gauss_panels(b_integrand_factory(f2_ode), tol=1e-12).value
     assert ib["trapezoid"] == trapezoid_periodic(b_integrand_factory(nested_f2), tol=1e-12).value
+
+
+def test_quad_json_records_the_node_counts(tmp_path, capsys):
+    out = tmp_path / "quad.txt"
+    assert main(["quad", "--out", str(out)]) == 0
+    doc = json.loads(out.with_suffix(".json").read_text())["integrals"]
+    for name, (f, g) in reference_integrands().items():
+        nodes = (trapezoid_periodic(f).nodes_used, gauss_panels(g).nodes_used)
+        assert (doc[name]["trapezoid_nodes"], doc[name]["gauss_nodes"]) == nodes
 
 
 def test_cycles_family_eq325(capsys):
@@ -161,6 +192,23 @@ def test_cycles_json_records_are_the_library_cycles(tmp_path, capsys):
     doc = json.loads(out.with_suffix(".json").read_text())
     noisy = [h for h, d in result.scan if abs(d) < 1e-9]
     assert noisy and doc["diagnostics"]["indeterminate"] == noisy
+
+
+def test_cycles_json_records_the_closures(tmp_path, capsys):
+    out = tmp_path / "cycles.txt"
+    argv = [
+        "cycles", "--family", "eq325", "--params", "eps1=1.22e-08,eps2=2.41e-04",
+        "--h-min", "0.03", "--h-max", "0.45", "--grid", "16", "--noise-floor", "1e-12",
+        "--out", str(out),
+    ]
+    assert main(argv) == 0
+    printed = [float(l.split("closure")[1]) for l in capsys.readouterr().out.splitlines()
+               if "closure" in l]
+    doc = json.loads(out.with_suffix(".json").read_text())
+    field = normalize(eq325_field(1.22e-08, 2.41e-04)).field
+    closures = [closure_error(field, c["h_star"], field.p, tol=1e-13) for c in doc["cycles"]]
+    assert len(closures) == 2 and doc["closures"] == closures
+    assert printed == [float(f"{e:.3e}") for e in closures]
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -226,6 +274,14 @@ def test_survey_json_records_the_integrator_work(tmp_path, capsys):
 def test_survey_rejects_nonpositive_weights(weights, capsys):
     assert main(["survey", f"--weights={weights}", "--samples", "2"]) == 1
     assert "weights p, q must be positive integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("weights", ["2:3:4", "2", "a:b"])
+def test_survey_names_a_malformed_weights_entry(weights, capsys):
+    # these used to exit with "too many values to unpack (expected 2)", "not
+    # enough values to unpack" and "invalid literal for int()"
+    assert main(["survey", f"--weights=1:1,{weights}", "--samples", "2"]) == 1
+    assert f"malformed --weights entry {weights!r}, expected p:q" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("samples", ["0", "-3"])

@@ -8,7 +8,7 @@ from mpmath import mp
 from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
-from qhfocus import Monomial, WeightedField, flow, jets, return_map
+from qhfocus import Monomial, WeightedField, dop853, flow, jets, return_map
 from qhfocus.errors import NoReturnError, PolarChartError, SingularDivisionError, StiffnessError
 from qhfocus.fields import normalize
 from qhfocus.casestudy import eq325_field, eq329_weighted
@@ -565,7 +565,7 @@ def test_single_radius_return_map_is_the_plain_scalar_solve():
         sol = solve_ivp(fun, (0.0, theta1), [h], method="DOP853", rtol=max(tol, 1e-13), atol=tol)
         _, (r,), nfev, steps, _ = _written_out_dop853(fun, theta1, [h], tol, tol)
         assert (nfev, steps) == (sol.nfev, len(sol.t) - 1)
-        stepper = flow._dop853_floats(fun, theta1, [h], tol, tol, "scalar integration")
+        stepper = dop853.solve(fun, theta1, [h], tol, tol, "scalar integration")
         assert stepper[2:] == (nfev, steps)
         assert _within_tol([r], sol.y[:, -1], tol)
         assert integrate_scalar(rhs, h, theta1, tol=tol) == r
@@ -947,10 +947,9 @@ def test_nonfinite_span_is_rejected(bad, deadline):
     with pytest.raises(ValueError, match="theta span"):
         integrate_scalar(rhs, np.array([0.1, 0.2]), theta1=bad)
     with pytest.raises(ValueError, match="span"):
-        flow._dop853_floats(lambda t, y: [-y[0]], bad, [1.0], 1e-12, 1e-12, "scalar integration")
+        dop853.solve(lambda t, y: [-y[0]], bad, [1.0], 1e-12, 1e-12, "scalar integration")
     with pytest.raises(ValueError, match="span"):
-        flow._dop853_floats(lambda t, y: [-y[0]], 1.0, [1.0], 1e-12, 1e-12, "scalar integration",
-                            t0=bad)
+        dop853.solve(lambda t, y: [-y[0]], 1.0, [1.0], 1e-12, 1e-12, "scalar integration", t0=bad)
 
 
 # builders, given the ``unnormalized`` fixture, of the fields whose compiled
@@ -1057,7 +1056,7 @@ def test_extended_jet_records_the_right_hand_side_once(monkeypatch):
 def test_loaded_tableau_is_scipys_dop853():
     # the step code reads scipy's coefficient file by its path: a change in
     # scipy's file layout fails here
-    table = flow._dop853_tableau()
+    table = dop853._tableau()
     ours = {"A": table.A[:12, :12], "B": table.B, "C": table.C[:12], "E3": table.E3,
             "E5": table.E5, "D": table.D, "A_EXTRA": table.A[13:], "C_EXTRA": table.C[13:]}
     for name, value in ours.items():

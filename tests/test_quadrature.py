@@ -74,6 +74,19 @@ def test_ode_antiderivative_matches_fourier():
         assert F1(t) == pytest.approx(F2(t), abs=1e-11)
 
 
+@pytest.mark.parametrize("theta", [-1.0, 10.0, TWO_PI + 1e-9, float("nan")])
+def test_ode_antiderivative_rejects_arguments_outside_its_span(theta):
+    # the solve covers [0, 2*pi] only: -1 used to give -2.84e10 and 10 gave
+    # -0.865 for sin 10 = -0.544, extrapolated without a warning
+    F = OdeAntiderivative(np.cos)
+    with pytest.raises(ValueError, match="outside the solved span"):
+        F(theta)
+    with pytest.raises(ValueError, match="outside the solved span"):
+        F(np.array([0.5, theta]))
+    assert F(0.0) == 0.0
+    assert F(TWO_PI) == pytest.approx(0.0, abs=1e-12)
+
+
 def test_quadrature_result_reports_nodes():
     res = trapezoid_periodic(lambda t: np.sin(3 * t) ** 2)
     assert res.nodes_used >= 32
