@@ -134,9 +134,15 @@ def reference_integrands() -> dict[str, tuple[Callable, Callable]]:
     }
 
 
+@functools.lru_cache(maxsize=None)
+def _reference_quadrature(name: str, tol: float) -> QuadResult:
+    """One reference integral cross-checked once per tol, shared by the constants and Eq. 3.22."""
+    return cross_checked(*reference_integrands()[name], tol)
+
+
 def compute_reference_constants(tol: float = 1e-12) -> dict[str, float]:
     """The four independent integral constants, each cross-checked by two schemes."""
-    return {name: cross_checked(f, g, tol).value for name, (f, g) in reference_integrands().items()}
+    return {name: _reference_quadrature(name, tol).value for name in reference_integrands()}
 
 
 @functools.lru_cache(maxsize=None)
@@ -173,9 +179,7 @@ def verify_322(tol: float = 1e-12) -> Verify322:
     printed digits is reported.  Raises ReproductionError when neither reading
     comes within 1e-2 relative.
     """
-    integrands = reference_integrands()
-    ia = cross_checked(*integrands["IA"], tol)
-    ib = cross_checked(*integrands["IB"], tol)
+    ia, ib = _reference_quadrature("IA", tol), _reference_quadrature("IB", tol)
     once = PREFACTOR_A * ia.value - PREFACTOR_B * ib.value
     as_printed = PREFACTOR_A**2 * ia.value - PREFACTOR_B**2 * ib.value
     mis_once = abs(once - EQ322_TARGET) / EQ322_TARGET

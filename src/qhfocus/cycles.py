@@ -5,10 +5,9 @@ fields, damped ones included) or the section return along the positive
 x-axis.  The Cartesian backend takes any callable (x, y) -> velocities, and
 for a weighted field it is the independent reference the polar scan is
 checked against.  Cycles are bracketed on a geometric grid, refined by
-Brent's method (``scipy.optimize.brentq``), and classified by the direction
-of the sign change.  ``find_cycles`` imports scipy when it is called, and a
-polar scan's grid also imports ``scipy.integrate`` (``flow.integrate_scalar``);
-importing this module loads neither.
+Brent's method (``dop853.brentq``, scipy's ``brentq`` line for line), and
+classified by the direction of the sign change.  No scan or closure check
+imports ``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -21,6 +20,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import flow
+from .dop853 import brentq
 from .errors import AlternationError, QhfocusError
 from .fields import normalize
 from .polar import PolarRHS
@@ -79,11 +79,10 @@ def find_cycles(
     indeterminate and listed in ``CycleSet.indeterminate``; a bracket is
     formed between the nearest determinate samples of opposite sign on
     either side of the crossing.
-    Each bracket goes to one ``brentq`` call, which stops once it has
-    narrowed the bracket to tol * max(1, b); one that fails to converge raises.
+    Each bracket goes to one ``dop853.brentq`` call, scipy's ``brentq``
+    ported, which stops once it has narrowed the bracket to tol * max(1, b);
+    one that fails to converge raises.
     """
-    from scipy.optimize import brentq
-
     if not 0 < h_lo < h_hi < math.inf:
         raise ValueError(f"need 0 < h_lo < h_hi, both finite, got {h_lo!r}, {h_hi!r}")
     if grid_n < 16:

@@ -1,11 +1,13 @@
-"""DOP853 on lists of floats, for every single-trajectory solve of the package.
+"""DOP853 and Brent's method, for every solve and root search of the package.
 
 scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) under
-scipy's step control, a step generated as code per state size.  ``solve``
-is the driver, and ``state_at`` reads the interpolants a dense solve keeps.
-The tableau comes from scipy's coefficient module, loaded alone by its file
-path, and ``brentq`` is imported only to locate an event, so a solve
-without one imports neither ``scipy.integrate`` nor ``scipy.optimize``.
+scipy's step control.  ``solve`` is the driver: a list of floats runs a
+step generated as code per state size, and an array of lanes runs scipy's
+own numpy step, so it takes ``solve_ivp``'s steps to the bit.  ``state_at``
+reads the interpolants a dense solve keeps, and ``brentq`` is scipy's
+Brent root finder line for line.  The tableau is scipy's coefficient
+module, loaded alone by its file path, so the package imports neither
+``scipy.integrate`` nor ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -13,15 +15,17 @@ import importlib.util
 import math
 from bisect import bisect_left
 from functools import lru_cache, partial
-from operator import itemgetter
+from operator import index, itemgetter
 from pathlib import Path
 from typing import Callable
+
+import numpy as np
 
 from .errors import StiffnessError
 
 # every DOP853 solve's rtol floor, which keeps the two drivers comparable
 RTOL_FLOOR = 1e-13
-_EVENT_XTOL = 4 * math.ulp(1.0)  # scipy's event root tolerance, 4 eps
+_FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's least and default rtol
 
 
 @lru_cache
@@ -100,13 +104,56 @@ def state_at(steps: list, t: float) -> list:
     return y_new if t == t1 else _interpolate(t0, t1, y, F, t)
 
 
-def solve(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=False,
+def _lane_step(fun, t, h, y, f, rtol, atol):
+    """scipy's ``rk_step`` and ``DOP853._estimate_error_norm`` on an array of lanes.
+
+    The same numpy calls on the same layout (``np.dot`` over the rows of K,
+    ``np.linalg.norm`` for the sums), so it returns bitwise what scipy
+    computes, in the form of a generated step: y_new, fun(t + h, y_new), the
+    squared E5 and E3 norms and the 13 stages."""
+    D = _tableau()
+    K = np.empty((16, y.size))[:13]  # scipy's K: rows 0-12 of its K_extended
+    K[0] = f
+    for s in range(1, 12):
+        K[s] = fun(t + D.C[s] * h, y + np.dot(K[:s].T, D.A[s, :s]) * h)
+    y_new = y + h * np.dot(K[:-1].T, D.B)
+    K[-1] = f_new = fun(t + h, y_new)
+    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
+    norm2 = lambda e: float(np.linalg.norm(np.dot(K.T, e) / scale) ** 2)
+    return y_new, f_new, norm2(D.E5), norm2(D.E3), K
+
+
+def _first_step(fun, t0: float, t1: float, y, f, rtol: float, atol: float, direction: float):
+    """scipy's ``select_initial_step`` for the error estimator of order 7.
+
+    On lanes in scipy's numpy calls, on a list in plain float loops."""
+    if isinstance(y, np.ndarray):
+        scale = atol + np.abs(y) * rtol
+        rms = lambda x: np.linalg.norm(x / scale) / x.size**0.5
+        ahead, change = (lambda h: y + h * f), (lambda f1: f1 - f)
+    else:
+        scale = [atol + abs(v) * rtol for v in y]
+        rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / len(x)**0.5
+        ahead = lambda h: [v + h * g for v, g in zip(y, f)]
+        change = lambda f1: [b - a for a, b in zip(f, f1)]
+    d0, d1 = rms(y), rms(f)
+    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
+    d2 = rms(change(fun(t0 + h0 * direction, ahead(h0 * direction)))) / h0
+    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
+    return float(min(100 * h0, h1, abs(t1 - t0)))
+
+
+def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
           t0: float = 0.0, event=None):
-    """DOP853 on a list of floats from t0 to t1 of either direction, at rtol max(tol, RTOL_FLOOR).
+    """DOP853 from t0 to t1 of either direction, at rtol max(tol, RTOL_FLOOR).
 
     scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
-    step).  ``event`` = (g, direction) is a terminal event located as
-    scipy's ODE solvers locate one: after each step, the sign test of
+    step).  ``y`` is a list of floats, or a 1-D array of lanes: trajectories
+    under one step size and one RMS error norm, as ``solve_ivp`` takes
+    them, with a ``fun`` that maps an array to an array.  Lanes run scipy's
+    numpy step (``_lane_step``), keep no dense output and locate no event.
+    ``event`` = (g, direction) is a terminal event located as scipy's ODE
+    solvers locate one: after each step, the sign test of
     ``find_active_events`` on g(t, y); on a hit, ``brentq`` at xtol = rtol =
     4 eps on g along the step's dense interpolant (3 more evaluations), whose
     value at the root is the end state.  Returns the end time (t1 or the
@@ -117,18 +164,15 @@ def solve(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=Fal
     if not all(map(math.isfinite, y)):
         raise ValueError("All components of the initial state `y0` must be finite.")
     rtol, n = max(tol, RTOL_FLOOR), len(y)
-    step, extra = _code(n), (_code(n, True) if dense or event else None)
+    if isinstance(y, np.ndarray):
+        if dense or event is not None:
+            raise ValueError(f"{what}: a lane solve keeps no dense output and locates no event")
+        step, extra = _lane_step, None
+    else:
+        step, extra = _code(n), (_code(n, True) if dense or event else None)
     direction = 1.0 if t1 > t0 else -1.0
-    # scipy's select_initial_step, for the error estimator of order 7
-    scale = [atol + abs(v) * rtol for v in y]
-    rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / n**0.5
     f = fun(t0, y)
-    d0, d1 = rms(y), rms(f)
-    h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
-    f1 = fun(t0 + h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
-    d2 = rms([b - a for a, b in zip(f, f1)]) / h0
-    h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
-    h_abs, t, nfev, steps = min(100 * h0, h1, abs(t1 - t0)), t0, 2, []
+    h_abs, t, nfev, steps = _first_step(fun, t0, t1, y, f, rtol, atol, direction), t0, 2, []
     if event is not None:
         g, g_dir = event
         g_old = g(t0, y)
@@ -154,12 +198,76 @@ def solve(fun, t1: float, y: list, tol: float, atol: float, what: str, dense=Fal
             g_new = g(t_new, y_new)
             up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
             if up and g_dir >= 0 or down and g_dir <= 0:
-                from scipy.optimize import brentq
-
                 sol = partial(_interpolate, t, t_new, y, extra(fun, t, h, y, y_new, k))
-                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_EVENT_XTOL, rtol=_EVENT_XTOL)
+                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_FOUR_EPS, rtol=_FOUR_EPS)
                 y, nfev = sol(t), nfev + 3
                 break
             g_old = g_new
         t, y, f = t_new, y_new, f_new
     return t, y, nfev, steps if dense else len(steps)
+
+
+def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
+           maxiter: int = 100) -> float:
+    """A root of f in [a, b] by Brent's method: scipy's ``optimize.brentq``, line for line.
+
+    Its C routine (Brent, Algorithms for Minimization Without Derivatives,
+    1973, ch. 4) with scipy's checks and messages, so it makes scipy's
+    evaluations and returns its root bitwise.  It stops once the bracket
+    about the best point x is narrower than xtol + rtol * |x|, or f vanishes
+    at x.  ValueError: xtol <= 0, rtol below 4 eps, maxiter < 0,
+    f(a) and f(b) of one sign (by their sign bits), or f NaN at a point.
+    RuntimeError: no convergence in maxiter iterations.
+    """
+    maxiter = index(maxiter)
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < _FOUR_EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {_FOUR_EPS:g})")
+    if maxiter < 0:
+        raise ValueError("maxiter must be >= 0")
+
+    def fx(x: float) -> float:
+        value = f(x)
+        if np.isnan(value):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return float(value)
+
+    negative = lambda v: math.copysign(1.0, v) < 0  # C's signbit
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if negative(fpre) == negative(fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

@@ -19,10 +19,10 @@ Three backends:
   the independent reference for the polar return map of weighted fields.
   A weighted field's velocities are recorded once per field.
 
-The double-precision jet, one radius and the Cartesian section run
-``dop853.solve``.  The solve of several radii imports scipy's integrator
-where it runs, so the jet solves and everything built on them never
-import ``scipy.integrate`` or ``scipy.optimize``.
+Every double-precision solve runs ``dop853.solve``: the jet, one radius
+and the Cartesian section on lists of floats, several radii as lanes of
+one array, bitwise as ``solve_ivp`` takes them.  So no path imports
+``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -209,19 +209,15 @@ def integrate_scalar(
         _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
                                    tol, tol, "scalar integration")
         return r if np.ndim(h) == 0 else np.array([r])
-    # scipy's error norm is the RMS over the B lanes, so one lane may carry
+    # the error norm is the RMS over the B lanes, so one lane may carry
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
     # absolute bound at tol, as for one radius.  rtol stays max(tol,
-    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  It stays on solve_ivp:
-    # on the 64 radii of the criterion-8 grid both take the same 144 steps, and
-    # dop853.solve takes twice as long and first compiles a 64-lane step
-    from scipy.integrate import solve_ivp
-
-    sol = solve_ivp(rhs, (0.0, theta1), lanes, method="DOP853", rtol=max(tol, RTOL_FLOOR),
-                    atol=tol / math.sqrt(lanes.size))
-    if not sol.success:
-        raise StiffnessError(f"scalar integration failed: {sol.message}")
-    return sol.y[:, -1]
+    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  The lanes take
+    # scipy's numpy step, so the values are bitwise those of solve_ivp
+    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), theta1,
+                            lanes.astype(float), tol, tol / math.sqrt(lanes.size),
+                            "scalar integration")
+    return r
 
 
 def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):

@@ -7,7 +7,7 @@ Two deliberately independent schemes are provided for every task:
   Gauss-Legendre panels with panel doubling;
 * cumulative integrals: a Fourier antiderivative built from one FFT of the
   integrand vs. an error-controlled ODE solve of F' = g on the package's
-  DOP853 (``dop853``), which imports nothing from scipy but its tableau.
+  DOP853 (``dop853``), which reads only its tableau in scipy's files.
 """
 from __future__ import annotations
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qhfocus import Monomial, flow, polar
+from qhfocus import Monomial, casestudy, flow, polar
 
 
 @pytest.fixture(scope="session")
@@ -49,9 +49,10 @@ def deadline():
 
 @pytest.fixture
 def fresh_caches():
-    """Empties the caches of compiled programs and of period models.
+    """Empties the caches of compiled programs, of period models and of reference integrals.
 
-    A test that counts recordings, compilations or builds starts from empty
-    caches, so the tests run before it cannot change its counts."""
-    for cache in (flow._jet_kernel, polar._support_code, flow._period_model, flow._cartesian_rhs):
+    A test that counts recordings, compilations, builds or quadratures starts
+    from empty caches, so the tests run before it cannot change its counts."""
+    for cache in (flow._jet_kernel, polar._support_code, flow._period_model, flow._cartesian_rhs,
+                  casestudy._reference_quadrature):
         cache.cache_clear()

@@ -49,19 +49,26 @@ import sys
 
 import numpy as np
 
-from qhfocus import Monomial, WeightedField, find_cycles, focal_values
+from qhfocus import Monomial, WeightedField, find_cycles, focal_values, return_map
 from qhfocus.casestudy import compute_reference_constants, eq325_field
+from qhfocus.cycles import closure_error
+from qhfocus.polar import PolarRHS
 from qhfocus.quadrature import OdeAntiderivative
+
+
+def assert_unloaded(what):
+    loaded = [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]
+    assert not loaded, f"{what} imported {loaded}"
+
 
 focal_values(eq325_field(0.01, 0.0))
 focal_values(eq325_field(0.01, 0.0), precision="extended", dps=20)
 # the reference integrals of verify and quad, whose Gauss side nests an ODE antiderivative
 assert abs(OdeAntiderivative(np.cos)(np.pi)) <= 1e-12
 compute_reference_constants()
-loaded = [name for name in ("scipy.integrate", "scipy.optimize") if name in sys.modules]
-assert not loaded, f"focal values or reference integrals imported {loaded}"
+assert_unloaded("focal values or reference integrals")
 
-# the calls that use scipy import it where they are made
+# the cycle scans: a polar grid of lanes, Brent refinement and section events
 hopf = WeightedField(  # a stable cycle at h = 0.2
     p=1, q=1,
     x_terms=(Monomial(1, 0, 0.04), Monomial(3, 0, -1.0), Monomial(1, 2, -1.0)),
@@ -70,12 +77,16 @@ hopf = WeightedField(  # a stable cycle at h = 0.2
 for backend in ("polar", "cartesian"):
     (cycle,) = find_cycles(backend, hopf, 0.02, 0.9, grid_n=24, tol=1e-12).cycles
     assert abs(cycle.h_star - 0.2) <= 1e-6, (backend, cycle)
+    assert closure_error(hopf, cycle.h_star, tol=1e-12) <= 1e-8
+radii = np.geomspace(0.05, 0.5, 16)
+assert np.all(np.diff(np.sign(return_map(PolarRHS(hopf), radii) - radii)) <= 0)
+assert_unloaded("cycle scans, closures or an array return map")
 """
 
 
 def test_focal_values_leave_scipy_integrate_and_optimize_unimported():
-    # scipy is imported inside the functions that call it: a module-level
-    # import would load its integrate and optimize packages with qhfocus
+    # the package reads only DOP853's tableau from scipy: no path loads
+    # scipy's integrate or optimize packages
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", IMPORT_PATH],
         capture_output=True,

@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from qhfocus import casestudy
 from qhfocus.casestudy import (
     FAMILIES,
     b_integrand_factory,
@@ -17,7 +18,7 @@ from qhfocus.cycles import closure_error, find_cycles
 from qhfocus.fields import load_system, normalize
 from qhfocus.focal import focal_jacobian, focal_values, parity_survey
 from qhfocus.polar import PolarRHS, rq_table
-from qhfocus.quadrature import OdeAntiderivative, gauss_panels, trapezoid_periodic
+from qhfocus.quadrature import OdeAntiderivative, cross_checked, gauss_panels, trapezoid_periodic
 
 SYSTEM_31 = """\
 # 2:3 weighted system
@@ -124,6 +125,25 @@ def test_verify_passes_and_is_deterministic(capsys):
         l for l in second.splitlines() if "elapsed" not in l
     ]
     assert "FAIL" not in first
+
+
+def test_verify_cross_checks_each_reference_integral_once(fresh_caches, monkeypatch, capsys):
+    # the constants and Eq. 3.22 share IA and IB: 4 cross-checks for the 4
+    # integrals, where each computed its own (6); a second verify makes none
+    # and prints the same text
+    calls = []
+
+    def counted(f, g, tol):
+        calls.append(tol)
+        return cross_checked(f, g, tol)
+
+    monkeypatch.setattr(casestudy, "cross_checked", counted)
+    texts = []
+    for _ in range(2):
+        assert main(["verify"]) == 0
+        texts.append([l for l in capsys.readouterr().out.splitlines() if "elapsed" not in l])
+    assert calls == [1e-12] * 4
+    assert texts[0] == texts[1]
 
 
 def test_quad_schemes_agree(capsys):

@@ -573,7 +573,9 @@ def test_single_radius_return_map_is_the_plain_scalar_solve():
 
 
 class _Blowup:
-    """dr/dtheta = r**2, whose solution from r = 1 leaves every bound at theta = 1."""
+    """dr/dtheta = r**2, whose solution from r = 1 leaves every bound at theta = 1.
+
+    It works on one radius or elementwise on an array of them."""
 
     def check_radius(self, r):
         pass
@@ -588,6 +590,16 @@ def test_step_underflow_names_the_solve():
     assert not scipy_sol.success
     with pytest.raises(StiffnessError) as err:
         integrate_scalar(_Blowup(), 1.0, tol=1e-12)
+    assert str(err.value) == f"scalar integration failed: {scipy_sol.message}"
+
+
+def test_lane_step_underflow_names_the_solve():
+    radii = np.array([0.5, 1.0, 0.25])
+    scipy_sol = solve_ivp(lambda t, y: y * y, (0.0, 2 * np.pi), radii, method="DOP853",
+                          rtol=1e-12, atol=1e-12 / math.sqrt(radii.size))
+    assert not scipy_sol.success
+    with pytest.raises(StiffnessError) as err:
+        integrate_scalar(_Blowup(), radii, tol=1e-12)
     assert str(err.value) == f"scalar integration failed: {scipy_sol.message}"
 
 
