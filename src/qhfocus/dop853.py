@@ -15,7 +15,7 @@ import importlib.util
 import math
 from bisect import bisect_left
 from functools import lru_cache, partial
-from operator import index, itemgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -25,7 +25,8 @@ from .errors import StiffnessError
 
 # every DOP853 solve's rtol floor, which keeps the two drivers comparable
 RTOL_FLOOR = 1e-13
-_FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's least and default rtol
+_FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's default rtol
+_BRENT_MAXITER = 100  # scipy's brentq default
 
 
 @lru_cache
@@ -165,8 +166,6 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
         raise ValueError("All components of the initial state `y0` must be finite.")
     rtol, n = max(tol, RTOL_FLOOR), len(y)
     if isinstance(y, np.ndarray):
-        if dense or event is not None:
-            raise ValueError(f"{what}: a lane solve keeps no dense output and locates no event")
         step, extra = _lane_step, None
     else:
         step, extra = _code(n), (_code(n, True) if dense or event else None)
@@ -199,7 +198,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
             up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
             if up and g_dir >= 0 or down and g_dir <= 0:
                 sol = partial(_interpolate, t, t_new, y, extra(fun, t, h, y, y_new, k))
-                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_FOUR_EPS, rtol=_FOUR_EPS)
+                t = brentq(lambda s: g(s, sol(s)), t, t_new, xtol=_FOUR_EPS)
                 y, nfev = sol(t), nfev + 3
                 break
             g_old = g_new
@@ -207,25 +206,19 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
     return t, y, nfev, steps if dense else len(steps)
 
 
-def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
-           maxiter: int = 100) -> float:
+def brentq(f, a: float, b: float, xtol: float) -> float:
     """A root of f in [a, b] by Brent's method: scipy's ``optimize.brentq``, line for line.
 
     Its C routine (Brent, Algorithms for Minimization Without Derivatives,
     1973, ch. 4) with scipy's checks and messages, so it makes scipy's
-    evaluations and returns its root bitwise.  It stops once the bracket
-    about the best point x is narrower than xtol + rtol * |x|, or f vanishes
-    at x.  ValueError: xtol <= 0, rtol below 4 eps, maxiter < 0,
-    f(a) and f(b) of one sign (by their sign bits), or f NaN at a point.
-    RuntimeError: no convergence in maxiter iterations.
+    evaluations and returns its root bitwise at scipy's default rtol, 4 eps,
+    and maxiter, 100.  It stops once the bracket about the best point x is
+    narrower than xtol + 4 eps * |x|, or f vanishes at x.  ValueError:
+    xtol <= 0, f(a) and f(b) of one sign (by their sign bits), or f NaN at a
+    point.  RuntimeError: no convergence in 100 iterations.
     """
-    maxiter = index(maxiter)
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < _FOUR_EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {_FOUR_EPS:g})")
-    if maxiter < 0:
-        raise ValueError("maxiter must be >= 0")
 
     def fx(x: float) -> float:
         value = f(x)
@@ -243,14 +236,14 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
         return xcur
     if negative(fpre) == negative(fcur):
         raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
+    for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
             xblk, fblk = xpre, fpre
             spre = scur = xcur - xpre
         if abs(fblk) < abs(fcur):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + _FOUR_EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur
@@ -270,4 +263,4 @@ def brentq(f, a: float, b: float, xtol: float = 2e-12, rtol: float = _FOUR_EPS,
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
         fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")
+    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")

@@ -33,7 +33,7 @@ def _both(f, a, b, finders=(scipy_brentq, dop853.brentq), **kwargs):
 
         try:
             result = finder(counted, a, b, **kwargs)
-        except (TypeError, ValueError, RuntimeError) as err:
+        except (ValueError, RuntimeError) as err:
             result = (type(err), str(err))
         out.append((result, points))
     return out
@@ -52,31 +52,27 @@ POLYNOMIALS = {
 
 
 @pytest.mark.parametrize("case", POLYNOMIALS)
-@pytest.mark.parametrize("tols", [{}, {"xtol": 1e-6}, {"xtol": 1e-3, "rtol": 1e-10}])
-def test_brentq_is_scipys(case, tols):
-    (ref, ref_points), (got, got_points) = _both(*POLYNOMIALS[case], **tols)
+@pytest.mark.parametrize("xtol", [2e-12, 1e-6, 1e-3])
+def test_brentq_is_scipys(case, xtol):
+    (ref, ref_points), (got, got_points) = _both(*POLYNOMIALS[case], xtol=xtol)
     assert got == ref and type(got) is type(ref)
     assert got_points == ref_points
 
 
 @pytest.mark.parametrize(
-    "f, a, b, kwargs",
+    "f, a, b, xtol",
     [
-        (lambda x: x * x + 1, -1.0, 1.0, {}),  # one sign
-        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.5, {}),  # NaN inside
-        (lambda x: math.nan, 0.0, 1.0, {}),  # NaN at a
-        (lambda x: x * x - 2, 0.0, 2.0, {"maxiter": 3}),  # not converged
-        (lambda x: x * x - 2, 0.0, 2.0, {"maxiter": 0}),
-        (lambda x: x * x - 2, 0.0, 2.0, {"maxiter": -1}),
-        (lambda x: x * x - 2, 0.0, 2.0, {"maxiter": 1.5}),
-        (lambda x: x * x - 2, 0.0, 2.0, {"xtol": 0.0}),
-        (lambda x: x * x - 2, 0.0, 2.0, {"rtol": 1e-16}),
+        (lambda x: x * x + 1, -1.0, 1.0, 2e-12),  # one sign
+        (lambda x: math.nan if 0.4 < x < 0.6 else x - 0.5, 0.0, 1.5, 2e-12),  # NaN inside
+        (lambda x: math.nan, 0.0, 1.0, 2e-12),  # NaN at a
+        # a sign jump at 0, where the bracket must narrow to 1e-300: 100 iterations do not do it
+        (lambda x: math.copysign(1.0, x), -1.0, 2.0, 1e-300),
+        (lambda x: x * x - 2, 0.0, 2.0, 0.0),
     ],
-    ids=["same signs", "nan inside", "nan at a", "maxiter 3", "maxiter 0", "maxiter -1",
-         "maxiter 1.5", "xtol 0", "rtol below 4 eps"],
+    ids=["same signs", "nan inside", "nan at a", "not converged", "xtol 0"],
 )
-def test_brentq_raises_as_scipy_does(f, a, b, kwargs):
-    (ref, ref_points), (got, got_points) = _both(f, a, b, **kwargs)
+def test_brentq_raises_as_scipy_does(f, a, b, xtol):
+    (ref, ref_points), (got, got_points) = _both(f, a, b, xtol=xtol)
     assert isinstance(ref, tuple), "scipy raised no error"
     assert got == ref
     assert got_points == ref_points
@@ -153,10 +149,3 @@ def test_lanes_are_solve_ivp_on_the_damped_grid():
     )
     _assert_lanes_are_solve_ivp(PolarRHS(field), np.geomspace(0.01, 0.45, 64), 1e-13)
 
-
-def test_a_lane_solve_takes_neither_dense_output_nor_an_event():
-    lanes = np.array([1.0, 2.0])
-    with pytest.raises(ValueError, match="lane solve"):
-        dop853.solve(lambda t, y: -y, 1.0, lanes, 1e-12, 1e-12, "lanes", dense=True)
-    with pytest.raises(ValueError, match="lane solve"):
-        dop853.solve(lambda t, y: -y, 1.0, lanes, 1e-12, 1e-12, "lanes", event=(lambda t, y: y[0], 0))
