@@ -5,7 +5,7 @@ fields, damped ones included) or the section return along the positive
 x-axis.  The Cartesian backend takes any callable (x, y) -> velocities, and
 for a weighted field it is the independent reference the polar scan is
 checked against.  Cycles are bracketed on a geometric grid, refined by
-Brent's method (``dop853.brentq``, scipy's ``brentq`` line for line), and
+Brent's method (``dop853.brentq``, scipy's compiled ``brentq``), and
 classified by the direction of the sign change.  No scan or closure check
 imports ``scipy.integrate`` or ``scipy.optimize``.
 """
@@ -44,7 +44,7 @@ class Cycle:
     bracket: tuple[float, float]
     residual: float
     stability: str  # "stable" | "unstable"
-    evals: int  # displacement evaluations made to refine it, grid samples excluded
+    evals: int  # displacement evaluations of its refinement, a polar root's bracket ends included
 
 
 @dataclass
@@ -79,9 +79,11 @@ def find_cycles(
     indeterminate and listed in ``CycleSet.indeterminate``; a bracket is
     formed between the nearest determinate samples of opposite sign on
     either side of the crossing.
-    Each bracket goes to one ``dop853.brentq`` call, scipy's ``brentq``
-    ported, which stops once it has narrowed the bracket to tol * max(1, b);
-    one that fails to converge raises.
+    Each bracket goes to one ``dop853.brentq`` call, scipy's ``brentq``,
+    which stops once it has narrowed the bracket to tol * max(1, b); one
+    that fails to converge raises.  It reads one solver: a polar root
+    re-integrates its bracket ends one radius at a time, as the grid's
+    lanes share one step size and so differ in the last digits.
     """
     if not 0 < h_lo < h_hi < math.inf:
         raise ValueError(f"need 0 < h_lo < h_hi, both finite, got {h_lo!r}, {h_hi!r}")
@@ -90,12 +92,11 @@ def find_cycles(
     if noise_floor is not None and not 0 <= noise_floor < math.inf:
         raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor!r}")
     displacement = _displacement_fn(backend, system, tol)
-    # every value of this scan, so no point is integrated twice: brentq starts
-    # from the bracket ends and often ends on a point it has evaluated
+    # the values of one radius at a time, so no point is integrated twice:
+    # brentq often ends on a point it has evaluated
     seen: dict[float, float] = {}
 
     def delta(h: float) -> float:
-        h = float(h)
         if h not in seen:
             seen[h] = float(displacement(h))
         return seen[h]
@@ -103,9 +104,8 @@ def find_cycles(
     floor = noise_floor if noise_floor is not None else 100 * tol
     t0 = perf_counter()
     grid = np.geomspace(h_lo, h_hi, grid_n)
-    if backend == POLAR:
-        seen.update(zip(grid.tolist(), displacement(grid).tolist()))
-    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=[(h, delta(h)) for h in grid.tolist()])
+    values = displacement(grid).tolist() if backend == POLAR else map(delta, grid.tolist())
+    out = CycleSet(backend, h_lo, h_hi, grid_n, scan=list(zip(grid.tolist(), values)))
     t1 = perf_counter()
     out.grid_s = t1 - t0
     resolved = [(h, v) for h, v in out.scan if abs(v) >= floor]

@@ -4,13 +4,14 @@ scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) under
 scipy's step control.  ``solve`` is the driver: a list of floats runs a
 step generated as code per state size, and an array of lanes runs scipy's
 own numpy step, so it takes ``solve_ivp``'s steps to the bit.  ``state_at``
-reads the interpolants a dense solve keeps, and ``brentq`` is scipy's
-Brent root finder line for line.  The tableau is scipy's coefficient
-module, loaded alone by its file path, so the package imports neither
+reads the interpolants a dense solve keeps, and ``brentq`` is scipy's.  The
+package reads two files from scipy, the tableau and the compiled Brent
+routine, each loaded alone by its file path, so it imports neither
 ``scipy.integrate`` nor ``scipy.optimize``.
 """
 from __future__ import annotations
 
+import importlib.machinery
 import importlib.util
 import math
 from bisect import bisect_left
@@ -26,24 +27,29 @@ from .errors import StiffnessError
 # every DOP853 solve's rtol floor, which keeps the two drivers comparable
 RTOL_FLOOR = 1e-13
 _FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's default rtol
-_BRENT_MAXITER = 100  # scipy's brentq default
 
 
 @lru_cache
-def _tableau():
-    """scipy's ``integrate/_ivp/dop853_coefficients.py``, loaded by its path.
+def _from_scipy(stem: str):
+    """The module ``scipy/<stem>``, source or compiled, loaded alone by its file path.
 
-    The module imports only numpy; loaded alone, it skips the
-    ``scipy.integrate`` package.  Rows 0-11 of its A and C are the stages of
-    a step, row 12 the evaluation at the step's end (A[12] is B) and rows
-    13-15 the extra stages of the interpolant: ``scipy.integrate.DOP853``'s
-    A_EXTRA and C_EXTRA are A[13:] and C[13:]."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = Path(scipy_dir, "integrate", "_ivp", "dop853_coefficients.py")
-    spec = importlib.util.spec_from_file_location("dop853_coefficients", path)
+    Loaded alone, it skips its package's imports.  A compiled module registers
+    itself in ``sys.modules``: it is one object whichever of it and its
+    package is imported first."""
+    base = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], stem)
+    paths = [p for x in importlib.machinery.all_suffixes() if (p := Path(f"{base}{x}")).is_file()]
+    if not paths:
+        raise ImportError(f"the installed scipy has no module file {base}.*, source or compiled")
+    spec = importlib.util.spec_from_file_location("scipy." + stem.replace("/", "."), paths[0])
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+# Rows 0-11 of the tableau's A and C are the stages of a step, row 12 the
+# evaluation at the step's end (A[12] is B) and rows 13-15 the extra stages of
+# the interpolant: ``scipy.integrate.DOP853``'s A_EXTRA, C_EXTRA are A[13:], C[13:].
+_tableau = partial(_from_scipy, "integrate/_ivp/dop853_coefficients")
 
 
 @lru_cache
@@ -207,60 +213,20 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:
-    """A root of f in [a, b] by Brent's method: scipy's ``optimize.brentq``, line for line.
+    """A root of f in [a, b] by Brent's method: scipy's ``optimize.brentq`` at its defaults.
 
-    Its C routine (Brent, Algorithms for Minimization Without Derivatives,
-    1973, ch. 4) with scipy's checks and messages, so it makes scipy's
-    evaluations and returns its root bitwise at scipy's default rtol, 4 eps,
-    and maxiter, 100.  It stops once the bracket about the best point x is
-    narrower than xtol + 4 eps * |x|, or f vanishes at x.  ValueError:
-    xtol <= 0, f(a) and f(b) of one sign (by their sign bits), or f NaN at a
-    point.  RuntimeError: no convergence in 100 iterations.
-    """
+    scipy's compiled routine (Brent, Algorithms for Minimization Without
+    Derivatives, 1973, ch. 4) at rtol 4 eps and maxiter 100, behind the checks
+    of scipy's wrapper: its points, root and errors are scipy's.  ValueError:
+    xtol <= 0, f NaN at a point, or f(a) and f(b) of one sign.  RuntimeError:
+    no convergence."""
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
 
-    def fx(x: float) -> float:
+    def fx(x: float):
         value = f(x)
         if np.isnan(value):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return float(value)
+        return value
 
-    negative = lambda v: math.copysign(1.0, v) < 0  # C's signbit
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if negative(fpre) == negative(fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(_BRENT_MAXITER):
-        if fpre != 0 and fcur != 0 and negative(fpre) != negative(fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + _FOUR_EPS * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:  # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:  # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):  # good short step
-                spre, scur = scur, stry
-            else:  # bisect
-                spre = scur = sbis
-        else:  # bisect
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {_BRENT_MAXITER} iterations.")
+    return _from_scipy("optimize/_zeros")._brentq(fx, a, b, xtol, _FOUR_EPS, 100, (), False, True)

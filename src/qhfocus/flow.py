@@ -38,7 +38,7 @@ from . import dop853, jets
 from .dop853 import RTOL_FLOOR
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
-from .polar import PolarRHS, record_components
+from .polar import PolarRHS
 
 DEFAULT_TOL = 1e-12
 
@@ -102,7 +102,7 @@ def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     same operands as ``_jet_rhs_coeffs`` (a product's factors may be
     swapped, which floats do not notice) and returns bitwise equal values.
     """
-    rec = rhs.recording() if isinstance(rhs, PolarRHS) else record_components(rhs.components)
+    rec = rhs.recording()
     return _jet_kernel(K, tuple(v == "z" for v in rec.out))(rec.compiled("nonzero"))
 
 

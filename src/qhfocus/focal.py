@@ -168,7 +168,8 @@ def focal_jacobian(
 ) -> JacobianResult:
     """Central-difference Jacobian of nu_k(2*pi, eps) at eps0.
 
-    The step for parameter i is 1e-5 * max(1, |eps0[i]|).
+    The step for parameter i is 1e-5 * max(1, |eps0[i]|).  The jet order K
+    defaults to the larger of 3 and the highest index; a smaller K raises.
     """
     t0 = perf_counter()
     eps0 = np.asarray(eps0, dtype=float)
@@ -177,8 +178,10 @@ def focal_jacobian(
         raise ValueError("eps0 must hold at least one parameter")
     if not indices or min(indices) < 1:
         raise ValueError(f"indices must be nonempty and at least 1, got {indices!r}")
-    Kmin = max(indices)
-    K = max(K or 0, Kmin, 3)
+    need = max(*indices, 3)
+    K = need if K is None else K
+    if K < need:
+        raise ValueError(f"jet order K={K} is below {need}, the larger of 3 and the highest index")
 
     reports = []
 

@@ -19,7 +19,7 @@ import copy
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -100,7 +100,12 @@ class PolarRHS:
         """``components`` recorded on the first call, with the coefficients as inputs."""
         if self._recording is None:
             coefs = [a for level in self._levels for side in level for a, _, _ in side]
-            self._recording = record_components(self._with_coefficients, coefs)
+            program, (R, Q) = jets.record(self._with_coefficients, "c", "s",
+                                          *(f"a{i}" for i in range(len(coefs))))
+            out = tuple(v.name for v in R + Q)
+            body = tuple("    " + line for line in jets.source(program, out))
+            # numpy scalars would make every operation of the compiled code a numpy one
+            self._recording = Recording(body, out, tuple(map(float, coefs)))
         return self._recording
 
     def _with_coefficients(self, c, s, *coefs):
@@ -184,15 +189,6 @@ class Recording:
     def compiled(self, kind: str) -> Callable:
         """The function ``kind`` of ``_support_code`` on this field's coefficients."""
         return _support_code(kind, len(self.coefs), self.body, self.out)(*self.coefs)
-
-
-def record_components(components: Callable, coefs: Sequence[float] = ()) -> Recording:
-    """The ``Recording`` of ``components(c, s, *coefs)``, whose result is (R, Q)."""
-    program, (R, Q) = jets.record(components, "c", "s", *(f"a{i}" for i in range(len(coefs))))
-    out = tuple(v.name for v in R + Q)
-    body = tuple("    " + line for line in jets.source(program, out))
-    # numpy scalars would make every operation of the compiled code a numpy one
-    return Recording(body, out, tuple(map(float, coefs)))
 
 
 @lru_cache(maxsize=128)

@@ -81,12 +81,22 @@ for backend in ("polar", "cartesian"):
 radii = np.geomspace(0.05, 0.5, 16)
 assert np.all(np.diff(np.sign(return_map(PolarRHS(hopf), radii) - radii)) <= 0)
 assert_unloaded("cycle scans, closures or an array return map")
+
+# scipy's package, imported after the package loaded its Brent routine by
+# path, shares that one extension module, initialized once
+import scipy.optimize
+
+from qhfocus import dop853
+
+f = lambda x: x**3 - x - 1
+assert scipy.optimize.brentq(f, 1.0, 2.0, xtol=1e-12) == dop853.brentq(f, 1.0, 2.0, 1e-12)
+assert sys.modules["scipy.optimize._zeros"] is dop853._from_scipy("optimize/_zeros")
 """
 
 
 def test_focal_values_leave_scipy_integrate_and_optimize_unimported():
-    # the package reads only DOP853's tableau from scipy: no path loads
-    # scipy's integrate or optimize packages
+    # the package reads two files from scipy, DOP853's tableau and the
+    # compiled Brent routine: no path loads scipy's integrate or optimize packages
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-c", IMPORT_PATH],
         capture_output=True,
@@ -95,3 +105,17 @@ def test_focal_values_leave_scipy_integrate_and_optimize_unimported():
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_no_module_of_the_package_imports_scipy():
+    # the two files read from scipy are loaded by path (``dop853._from_scipy``);
+    # parsed, not run, so that branches the tests rarely reach are covered too
+    found = []
+    for path in sorted((ROOT / "src" / "qhfocus").rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [a.name for a in node.names] if isinstance(node, ast.Import) else []
+            if isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name == "scipy" or name.startswith("scipy.")]
+    assert not found

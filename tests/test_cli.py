@@ -262,6 +262,12 @@ def test_jacobian_eq325(capsys):
     assert "rank        2" in out
 
 
+def test_jacobian_rejects_an_order_below_the_highest_index(capsys):
+    # eq325 differentiates nu_2, nu_4 and nu_6: --order 4 used to run at K = 6
+    assert main(["jacobian", "--family", "eq325", "--order", "4"]) == 1
+    assert "jet order K=4 is below 6" in capsys.readouterr().err
+
+
 def test_survey_seed_determinism(capsys):
     args = ["survey", "--weights", "2:3", "--samples", "4", "--seed", "9"]
     assert main(args) == 0

@@ -1,9 +1,10 @@
 """``dop853.brentq`` and the lane solve against scipy, their oracle.
 
-Both are ports that make scipy's floating-point operations in scipy's order,
-so the checks are bitwise: the same points evaluated and the same root, the
-same steps, evaluations and end values, and the same errors with the same
-messages.
+``brentq`` runs scipy's compiled Brent routine behind the checks of scipy's
+wrapper, and the lane solve is a port that makes scipy's floating-point
+operations in scipy's order, so the checks are bitwise: the same points
+evaluated and the same root, the same steps, evaluations and end values,
+and the same errors with the same messages.
 """
 import math
 
@@ -20,7 +21,7 @@ from qhfocus.polar import PolarRHS
 
 
 def _both(f, a, b, finders=(scipy_brentq, dop853.brentq), **kwargs):
-    """[scipy's, the port's] outcome and evaluated points, for f on [a, b].
+    """[scipy's, ``dop853.brentq``'s] outcome and evaluated points, for f on [a, b].
 
     An outcome is the root, or the type and text of the error raised."""
     out = []
@@ -78,6 +79,11 @@ def test_brentq_raises_as_scipy_does(f, a, b, xtol):
     assert got_points == ref_points
 
 
+def test_a_scipy_without_the_file_raises_import_error_naming_it():
+    with pytest.raises(ImportError, match=r"no module file .*/optimize/_no_such_module\.\*"):
+        dop853._from_scipy("optimize/_no_such_module")
+
+
 CRITERION_8 = dict(eps1=1.22167735e-08, eps2=2.40634043e-04)
 
 
@@ -94,12 +100,33 @@ def _compared(located: list):
 
 
 def test_brentq_refines_the_criterion_8_cycles_as_scipy_does(monkeypatch):
-    # the displacement find_cycles refines, whose bracket ends are grid values
+    # the displacement find_cycles refines one radius at a time, bracket ends included
     located = []
     monkeypatch.setattr(cycles, "brentq", _compared(located))
     scan = cycles.find_cycles("polar", eq325_field(**CRITERION_8), 0.03, 0.45, grid_n=64,
                               tol=1e-13, noise_floor=1e-12)
     assert located == [c.h_star for c in scan.cycles] and len(located) == 2
+
+
+DAMPED = eq329_weighted(  # criterion 10's damped field, a strong focus
+    a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.462e-4, delta2=2.721e-2
+)
+
+
+@pytest.mark.parametrize("field, h_lo, floor, count", [
+    (eq325_field(**CRITERION_8), 0.03, 1e-12, 2), (DAMPED, 0.01, 1e-11, 3),
+], ids=["criterion 8", "damped"])
+def test_polar_roots_are_scipys_brentq_on_the_single_radius_map(field, h_lo, floor, count):
+    # the grid's lanes choose the brackets, and each root is refined on one
+    # solver: the single-radius return map gives its bracket ends as well
+    scan = cycles.find_cycles("polar", field, h_lo, 0.45, grid_n=64, tol=1e-13,
+                              noise_floor=floor)
+    rhs = PolarRHS(normalize(field).field)
+    displacement = lambda h: flow.return_map(rhs, h, 1e-13) - h
+    assert len(scan.cycles) == count
+    for cycle in scan.cycles:
+        a, b = cycle.bracket
+        assert cycle.h_star == scipy_brentq(displacement, a, b, xtol=1e-13 * max(1.0, b))
 
 
 def test_section_events_are_located_as_scipy_locates_them(monkeypatch):
@@ -143,9 +170,6 @@ def test_lanes_are_solve_ivp_on_random_fields(p, q):
 
 
 def test_lanes_are_solve_ivp_on_the_damped_grid():
-    # criterion 10's damped field, a strong focus, on the grid of its polar scan
-    field = eq329_weighted(
-        a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.462e-4, delta2=2.721e-2
-    )
-    _assert_lanes_are_solve_ivp(PolarRHS(field), np.geomspace(0.01, 0.45, 64), 1e-13)
+    # on the grid of the damped field's polar scan
+    _assert_lanes_are_solve_ivp(PolarRHS(DAMPED), np.geomspace(0.01, 0.45, 64), 1e-13)
 

@@ -238,14 +238,18 @@ class _VanishingDenominator:
         return [c * s, c], [c - c, s]
 
 
+def _stand_in_kernel(stand_in, n: int):
+    """The order-3 jet kernel on a stand-in's n components R_0.., Q_0.., none structurally zero."""
+    return flow._jet_kernel(3, (False,) * n)(lambda c, s: sum(stand_in.components(c, s), []))
+
+
 def test_compiled_jet_rhs_keeps_the_division_check():
-    kernel = _compile_jet_rhs(_VanishingDenominator(), 3)
+    kernel = _stand_in_kernel(_VanishingDenominator(), 4)
     with pytest.raises(SingularDivisionError, match="vanishing constant term") as compiled:
         kernel(0.4, np.array([1.0, 0.0, 0.0]))
     with pytest.raises(SingularDivisionError) as direct:
         _jet_rhs_coeffs(_VanishingDenominator(), 3, math.cos(0.4), math.sin(0.4), [1.0, 0.0, 0.0])
     assert str(compiled.value) == str(direct.value)
-
 
 
 def test_extended_jet_keeps_the_division_check():
@@ -254,7 +258,7 @@ def test_extended_jet_keeps_the_division_check():
     with pytest.raises(SingularDivisionError) as extended:
         integrate_jet_extended(_VanishingDenominator(), order=3, dps=20)
     with pytest.raises(SingularDivisionError) as double:
-        _compile_jet_rhs(_VanishingDenominator(), 3)(0.0, np.array([1.0, 0.0, 0.0]))
+        _stand_in_kernel(_VanishingDenominator(), 4)(0.0, np.array([1.0, 0.0, 0.0]))
     assert str(extended.value) == str(double.value)
 
 
@@ -623,13 +627,15 @@ class _VanishingLater:
         return [c - c], [c**700]
 
 
-def test_a_stage_error_propagates_unchanged():
+def test_a_stage_error_propagates_unchanged(monkeypatch):
     edge = _ChartEdge()
     with pytest.raises(PolarChartError) as err:
         integrate_scalar(edge, 0.1, tol=1e-12)
     assert err.value is edge.raised
+    kernel = _stand_in_kernel(_VanishingLater(), 2)
+    monkeypatch.setattr(flow, "_compile_jet_rhs", lambda rhs, K: kernel)
     with pytest.raises(SingularDivisionError) as err:
-        integrate_jet(_VanishingLater(), order=3)
+        integrate_jet(PolarRHS(field23()), order=3)
     assert type(err.value) is SingularDivisionError and str(err.value) == jets.VANISHING
 
 

@@ -81,9 +81,11 @@ def test_report_rejects_indices_outside_its_order():
     ([0.0, 0.0], (-1,), "indices"),
     ([0.0, 0.0], (), "indices"),
     ([], (2,), "eps0"),
+    ([0.0, 0.0], (2, 4, 6), "jet order K=5 is below 6"),
 ])
 def test_jacobian_rejects_empty_or_nonpositive_input(eps0, indices, name):
-    # indices (0, 2) used to give a row of d(nu_4) labelled 0
+    # indices (0, 2) used to give a row of d(nu_4) labelled 0, and K = 5
+    # below index 6 used to be raised to 6 in silence
     solved = []
     family = lambda e: solved.append(e) or eq325_field(e[0], e[1])
     with pytest.raises(ValueError, match=name):
