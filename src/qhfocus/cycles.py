@@ -22,7 +22,7 @@ import numpy as np
 from . import flow
 from .dop853 import brentq
 from .errors import AlternationError, QhfocusError
-from .fields import normalize
+from .fields import WeightedField, normalize
 from .polar import PolarRHS
 
 POLAR = "polar"
@@ -136,9 +136,14 @@ def closure_error(
 ) -> float:
     """Re-integrate a reported cycle as a Cartesian orbit; section-point gap.
 
-    A polar root h corresponds to the Cartesian section point (h**p, 0).
+    A polar root h, a normalized radius, is the section point (scale_x * h**p, 0)
+    of a weighted field, p its own and scale_x of ``normalize``, else (h**p, 0).
     """
     x0 = h_star**p
+    if isinstance(cartesian_field, WeightedField):
+        if p != cartesian_field.p:
+            raise ValueError(f"p={p!r} is not the field's weight p={cartesian_field.p!r}")
+        x0 *= normalize(cartesian_field).scale_x
     crossing = flow.section_return(cartesian_field, x0, tol)
     return abs(crossing.x - x0)
 

@@ -29,6 +29,11 @@ RTOL_FLOOR = 1e-13
 _FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's default rtol
 
 
+def effective_rtol(tol: float) -> float:
+    """The rtol a solve at tolerance tol runs at, and reports: tol, floored at RTOL_FLOOR."""
+    return max(tol, RTOL_FLOOR)
+
+
 @lru_cache
 def _from_scipy(stem: str):
     """The module ``scipy/<stem>``, source or compiled, loaded alone by its file path.
@@ -152,7 +157,7 @@ def _first_step(fun, t0: float, t1: float, y, f, rtol: float, atol: float, direc
 
 def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
           t0: float = 0.0, event=None):
-    """DOP853 from t0 to t1 of either direction, at rtol max(tol, RTOL_FLOOR).
+    """DOP853 from t0 to t1 of either direction, at rtol ``effective_rtol(tol)``.
 
     scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
     step).  ``y`` is a list of floats, or a 1-D array of lanes: trajectories
@@ -170,7 +175,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
         raise ValueError(f"{what}: the span ({t0!r}, {t1!r}) must be finite")
     if not all(map(math.isfinite, y)):
         raise ValueError("All components of the initial state `y0` must be finite.")
-    rtol, n = max(tol, RTOL_FLOOR), len(y)
+    rtol, n = effective_rtol(tol), len(y)
     if isinstance(y, np.ndarray):
         step, extra = _lane_step, None
     else:

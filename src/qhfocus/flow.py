@@ -12,8 +12,9 @@ Three backends:
   one support or one shape reuse the code.  The extended-precision Taylor
   method records the whole right-hand side once per solve and sweeps it in
   fixed-point Taylor coefficients;
-* scalar: plain adaptive integration of dr/dtheta for the return map, of
-  one radius or of an array of them as one vector solve;
+* scalar: ``return_map``, the one scalar polar solve: r~(2*pi, h) over a
+  full turn of dr/dtheta, of one radius or of an array of them as one
+  vector solve (the tests check the flow identities on partial turns);
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
@@ -35,7 +36,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dop853, jets
-from .dop853 import RTOL_FLOOR
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
 from .polar import PolarRHS
@@ -161,106 +161,45 @@ class JetTrajectory:
         return np.array(dop853.state_at(self._steps, theta))
 
 
-def integrate_jet(
-    rhs: PolarRHS,
-    init: Sequence[float] | None = None,
-    tol: float = DEFAULT_TOL,
-    order: int | None = None,
-) -> JetTrajectory:
+def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
+                  order: int | None = None) -> JetTrajectory:
     """Transport the radius jet over one turn, theta from 0 to 2*pi.
 
-    ``init`` holds the initial coefficients c_1..c_K and defaults to the
-    identity jet (nu_1 = 1, nu_k = 0), matching the standard initial
-    condition; a shifted series g(h) may be supplied instead.
+    The jet starts from the identity (nu_1 = 1, nu_k = 0), the standard
+    initial condition of the focal values.
     """
     check_tol(tol)
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    y0 = np.asarray(init if init is not None else [1.0] + [0.0] * (K - 1), dtype=float)
-    if y0.size != K:
-        raise ValueError(f"initial jet order {y0.size} != requested order {K}")
-
-    solve = partial(dop853.solve, _compile_jet_rhs(rhs, K), 2 * np.pi, y0.tolist(), tol, tol,
-                    "jet integration")
+    solve = partial(dop853.solve, _compile_jet_rhs(rhs, K), 2 * np.pi, [1.0] + [0.0] * (K - 1),
+                    tol, tol, "jet integration")
     _, final, nfev, steps = solve()
-    stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
+    stats = IntegratorStats(nfev, steps, dop853.effective_rtol(tol))
     return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[3])
 
 
-def integrate_scalar(
-    rhs: PolarRHS,
-    h,
-    theta1: float = 2 * np.pi,
-    tol: float = DEFAULT_TOL,
-):
-    """r at theta1 for the scalar radius ODE started at (0, h).
+def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
+    """r~(2*pi, h): one full turn of the polar flow started at (0, h).
 
-    ``h`` is one radius, giving a float, or a 1-D array of radii, giving an
-    array: one DOP853 solve with a lane per radius, which any lane leaving
-    the chart stops.
+    The successive function is Delta(h) = return_map(rhs, h) - h.  ``h`` is
+    one radius, giving a float, or a 1-D array of radii, giving an array:
+    one DOP853 solve with a lane per radius, which any lane leaving the
+    chart stops.
     """
-    if not abs(theta1) < 4 * np.pi:
-        raise ValueError(f"theta span must be finite and below 4*pi, got {theta1!r}")
     check_tol(tol)
     lanes = np.ravel(h)
     rhs.check_radius(max(lanes.tolist(), key=abs))
-    if theta1 == 0:
-        return h
     if lanes.size == 1:
-        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
+        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], 2 * np.pi, [float(lanes[0])],
                                    tol, tol, "scalar integration")
         return r if np.ndim(h) == 0 else np.array([r])
     # the error norm is the RMS over the B lanes, so one lane may carry
     # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
-    # absolute bound at tol, as for one radius.  rtol stays max(tol,
-    # RTOL_FLOOR), the floor at the scans' usual tol 1e-13.  The lanes take
-    # scipy's numpy step, so the values are bitwise those of solve_ivp
-    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), theta1,
+    # absolute bound at tol, as for one radius; rtol stays effective_rtol(tol).
+    # The lanes take scipy's numpy step, bitwise that of solve_ivp
+    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), 2 * np.pi,
                             lanes.astype(float), tol, tol / math.sqrt(lanes.size),
                             "scalar integration")
     return r
-
-
-def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
-    """r~(2*pi, h): one full turn of the polar flow, for one radius or a 1-D array of them."""
-    return integrate_scalar(rhs, h, tol=tol)
-
-
-# -- functional identities of the flow ----------------------------------------
-
-
-def identity_residuals(
-    rhs: PolarRHS,
-    h: float,
-    theta_samples: Sequence[float],
-    tol: float = DEFAULT_TOL,
-) -> dict[str, list[float]]:
-    """Residuals of the flow identities applicable to the parity of (p, q).
-
-    Always includes the 2*pi composition identity; adds the half-turn identity
-    for odd/odd weights, the oddness-in-h residual for even/even, the
-    pi-reflection for odd p / even q, and the 2*pi-reflection for even p /
-    odd q.  Each reflection holds only for its own parity signature: the
-    chart identification (r, theta) ~ (-r, reflected theta) needs (-1)**p and
-    (-1)**q to land on the matching trigonometric signs.
-    """
-    p, q = rhs.field.p, rhs.field.q
-
-    def r(h0: float, theta: float) -> float:
-        return integrate_scalar(rhs, h0, theta, tol)
-
-    r2pi, rpi = r(h, 2 * np.pi), r(h, np.pi)
-    out = {"composition": [abs(r(h, th + 2 * np.pi) - r(r2pi, th)) for th in theta_samples]}
-    if p % 2 == 1 and q % 2 == 1:
-        out["half-turn"] = [abs(-r(h, th + np.pi) - r(-rpi, th)) for th in theta_samples]
-    if p % 2 == 0 and q % 2 == 0:
-        out["oddness"] = [abs(r(h, th) + r(-h, th)) for th in theta_samples]
-    if p % 2 == 1 and q % 2 == 0:
-        out["reflection-pi"] = [abs(-r(h, np.pi - th) - r(-rpi, th)) for th in theta_samples]
-    if p % 2 == 0 and q % 2 == 1:
-        out["reflection-2pi"] = [
-            abs(-r(h, 2 * np.pi - th) - r(-r2pi, th)) for th in theta_samples
-        ]
-    return out
 
 
 # -- Cartesian flows and the positive x-axis section ---------------------------
@@ -353,7 +292,7 @@ def section_return(
         t, state, n_run, s_run = solve(t_max, state, t0=t, event=(lambda t, z: z[1], direction))
         nfev, steps = nfev + n_pre + n_run, steps + s_pre + s_run
         if t < t_max and state[0] > 0:
-            stats = IntegratorStats(nfev, steps, max(tol, RTOL_FLOOR))
+            stats = IntegratorStats(nfev, steps, dop853.effective_rtol(tol))
             return SectionCrossing(state[0], state[1], t, direction, stats)
         # no crossing by t_max, or a same-direction one on the wrong half-axis: resume past it
     raise NoReturnError(

@@ -8,7 +8,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import flow
+from . import dop853, flow
 from .errors import QhfocusError, check_tol
 from .fields import Monomial, WeightedField, normalize, require_valid
 from .polar import PolarRHS
@@ -202,7 +202,7 @@ def focal_jacobian(
     rank = int(np.sum(sv > cut))
     ill = bool(0 < rank < sv.size and sv[rank - 1] / max(sv[rank], 1e-300) < 1e3)
     work = [sum(r.rhs_evals for r in reports), sum(r.steps for r in reports)]
-    return JacobianResult(J, indices, sv, rank, ill, *work, max(integ_tol, flow.RTOL_FLOOR),
+    return JacobianResult(J, indices, sv, rank, ill, *work, dop853.effective_rtol(integ_tol),
                           perf_counter() - t0)
 
 
@@ -303,7 +303,7 @@ def parity_survey(
     d = math.gcd(p, q)
     p, q = p // d, q // d
     rng = np.random.default_rng(seed)
-    res = SurveyResult(p, q, d, n_samples, 0, 0, integ_tol=max(integ_tol, flow.RTOL_FLOOR))
+    res = SurveyResult(p, q, d, n_samples, 0, 0, integ_tol=dop853.effective_rtol(integ_tol))
     for _ in range(n_samples):
         f = random_field(p, q, rng)
         try:

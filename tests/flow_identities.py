@@ -1,0 +1,59 @@
+"""The polar flow on partial turns, and the functional identities it satisfies.
+
+The package solves the polar ODE over full turns only (``flow.return_map``).
+The identities compare solves over partial turns of either direction, so
+the tests solve them here, as ``return_map`` solves a full turn.
+"""
+import math
+
+import numpy as np
+
+from qhfocus import dop853
+
+
+def partial_turn(rhs, h, theta1: float, tol: float):
+    """r at theta1 for the scalar radius ODE started at (0, h), theta1 of either sign.
+
+    One radius gives a float, a 1-D array of radii an array: one DOP853
+    solve with a lane per radius at atol tol / sqrt(B), as ``return_map``.
+    """
+    lanes = np.ravel(h)
+    rhs.check_radius(max(lanes.tolist(), key=abs))
+    if lanes.size == 1:
+        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
+                                   tol, tol, "scalar integration")
+        return r if np.ndim(h) == 0 else np.array([r])
+    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), theta1,
+                            lanes.astype(float), tol, tol / math.sqrt(lanes.size),
+                            "scalar integration")
+    return r
+
+
+def identity_residuals(rhs, h: float, theta_samples, tol: float) -> dict[str, list[float]]:
+    """Residuals of the flow identities applicable to the parity of (p, q).
+
+    Always includes the 2*pi composition identity; adds the half-turn identity
+    for odd/odd weights, the oddness-in-h residual for even/even, the
+    pi-reflection for odd p / even q, and the 2*pi-reflection for even p /
+    odd q.  Each reflection holds only for its own parity signature: the
+    chart identification (r, theta) ~ (-r, reflected theta) needs (-1)**p and
+    (-1)**q to land on the matching trigonometric signs.
+    """
+    p, q = rhs.field.p, rhs.field.q
+
+    def r(h0: float, theta: float) -> float:
+        return partial_turn(rhs, h0, theta, tol)
+
+    r2pi, rpi = r(h, 2 * np.pi), r(h, np.pi)
+    out = {"composition": [abs(r(h, th + 2 * np.pi) - r(r2pi, th)) for th in theta_samples]}
+    if p % 2 == 1 and q % 2 == 1:
+        out["half-turn"] = [abs(-r(h, th + np.pi) - r(-rpi, th)) for th in theta_samples]
+    if p % 2 == 0 and q % 2 == 0:
+        out["oddness"] = [abs(r(h, th) + r(-h, th)) for th in theta_samples]
+    if p % 2 == 1 and q % 2 == 0:
+        out["reflection-pi"] = [abs(-r(h, np.pi - th) - r(-rpi, th)) for th in theta_samples]
+    if p % 2 == 0 and q % 2 == 1:
+        out["reflection-2pi"] = [
+            abs(-r(h, 2 * np.pi - th) - r(-r2pi, th)) for th in theta_samples
+        ]
+    return out

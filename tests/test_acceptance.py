@@ -28,10 +28,12 @@ from qhfocus.casestudy import (
     verify_thm34,
 )
 from qhfocus.cycles import closure_error
-from qhfocus.flow import identity_residuals, integrate_jet, integrate_scalar, nu1_closed_form
+from qhfocus.flow import integrate_jet, nu1_closed_form, section_return
 from qhfocus.focal import random_field, structural_center
 from qhfocus.polar import PolarRHS
 from qhfocus.quadrature import trapezoid_periodic
+
+from flow_identities import identity_residuals, partial_turn
 
 RNG_SEED = 42
 
@@ -65,6 +67,26 @@ def two_cycle_run():
         "polar", field, 0.03, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-12
     )
     return eps, field, cycles
+
+
+def bracket_signs(field, cycle_set):
+    """Signs of the Cartesian displacement at each cycle's bracket ends, and whether all flip.
+
+    The closure gate holds at any radius, since a section point off the
+    cycle drifts little in one turn.  An independent gate: at the bracket
+    ends a, b the displacement ``section_return(field, x0).x - x0``, with
+    x0 = a**p and b**p, goes from + to - around a stable cycle and from -
+    to + around an unstable one.
+    """
+
+    def sign(h):
+        x0 = h**field.p
+        d = section_return(field, x0, 1e-13).x - x0
+        return "+" if d > 0 else "-" if d < 0 else "0"
+
+    signs = [sign(a) + sign(b) for a, b in (c.bracket for c in cycle_set.cycles)]
+    want = ["+-" if c.stability == "stable" else "-+" for c in cycle_set.cycles]
+    return signs, signs == want
 
 
 def test_criterion_1_quadrature_reproduction():
@@ -212,18 +234,21 @@ def test_criterion_7_functional_identities():
 def test_criterion_8_two_limit_cycles(two_cycle_run):
     eps, field, cycles = two_cycle_run
     closures = [closure_error(field, c.h_star, field.p, tol=1e-13) for c in cycles.cycles]
+    signs, signs_ok = bracket_signs(field, cycles)
     ok = (
         len(cycles.cycles) == 2
         and eps[0] > 0
         and eps[1] > 0
         and max(closures, default=np.inf) <= 1e-8
+        and signs_ok
     )
     report(
         8,
         ok,
         f"eps=({eps[0]:.3e}, {eps[1]:.3e}) [derived], cycles at "
         f"{[round(c.h_star, 6) for c in cycles.cycles]} (exactly 2), "
-        f"max Cartesian closure={max(closures, default=np.inf):.2e} (<=1e-8)",
+        f"max Cartesian closure={max(closures, default=np.inf):.2e} (<=1e-8), Cartesian"
+        f" displacement signs at the bracket ends {signs} (+- stable, -+ unstable)",
     )
 
 
@@ -286,10 +311,12 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
 
     stabilities = [c.stability for c in inner.cycles]
     closures = [closure_error(field, c.h_star, 1, tol=1e-13) for c in inner.cycles]
+    signs, signs_ok = bracket_signs(field, inner)
     ok = (
         len(inner.cycles) == 3
         and stabilities == ["unstable", "stable", "unstable"]
         and max(closures, default=np.inf) <= 1e-8
+        and signs_ok
         and len(outer.cycles) == 2
         and ext_consistent
     )
@@ -300,7 +327,8 @@ def test_criterion_10_damped_family_sign_chain(two_cycle_run):
         f" (-,+,-,+); damped family cycles={len(inner.cycles)} (=3) at"
         f" {[round(c.h_star, 4) for c in inner.cycles]}, stability {stabilities}"
         f" (unstable, stable, unstable), max Cartesian closure={max(closures, default=np.inf):.2e}"
-        f" (<=1e-8),"
+        f" (<=1e-8), Cartesian displacement signs at the bracket ends {signs}"
+        f" (+- stable, -+ unstable),"
         f" outer cycles={len(outer.cycles)} (=2); extended precision (dps=30)"
         f" confirms the outer chain to 1e-10 ({ext_consistent}) and a 4th"
         f" alternation level is {'resolved' if fourth_level_resolved else 'not resolvable'}"
@@ -319,7 +347,7 @@ def test_criterion_11_engine_sanity():
     h = 0.1
     e0 = energy(0.0, h)
     drift = max(
-        abs(energy(th, integrate_scalar(rhs, h, th, tol=1e-13)) - e0)
+        abs(energy(th, partial_turn(rhs, h, th, 1e-13)) - e0)
         for th in np.linspace(0.4, 2 * np.pi, 16)
     ) / e0
 

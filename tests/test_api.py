@@ -1,5 +1,6 @@
 """The demos: the package top level exports exactly the names they import
-from it, and the quick ones run to the end."""
+from it, and the quick ones run to the end.  The package's sources: no
+scipy import, and no public function or class that only the tests call."""
 import ast
 import os
 import subprocess
@@ -119,3 +120,25 @@ def test_no_module_of_the_package_imports_scipy():
             found += [f"{path.name}:{node.lineno} {name}" for name in names
                       if name == "scipy" or name.startswith("scipy.")]
     assert not found
+
+
+def test_every_public_function_and_class_has_a_caller_outside_the_tests():
+    # no public API that only tests call: each public module-level function
+    # or class of the package is referenced (by a name, an attribute or an
+    # import) in the package, the demos or the benchmark; parsed, not run
+    package = sorted((ROOT / "src" / "qhfocus").rglob("*.py"))
+    public, referenced = [], set()
+    for path in [*package, *sorted(DEMOS.glob("*.py")), *sorted((ROOT / "bench").glob("*.py"))]:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path in package:
+            public += [(path.stem, node.name) for node in tree.body
+                       if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                       and not node.name.startswith("_")]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                referenced.update(alias.name for alias in node.names)
+    assert [f"{module}.{name}" for module, name in public if name not in referenced] == []

@@ -184,6 +184,22 @@ def test_closure_error_on_unnormalized_center(unnormalized):
         assert closure_error(center, h, center.p) <= 1e-10
 
 
+def test_closure_error_starts_on_the_cycle_of_an_unnormalized_field(unnormalized):
+    # a polar h* is a normalized radius: its section point is scale_x * h***p,
+    # where the two cycles close to 3.3e-16 and 5.2e-14; at h**p they read
+    # 5.6e-13 and 2.8e-10
+    field = unnormalized(eq325_field(1.22167735e-08, 2.40634043e-04), 0.788, 13.92)
+    scan = find_cycles("polar", field, 0.03, 0.45, grid_n=64, tol=1e-13, noise_floor=1e-12)
+    assert len(scan.cycles) == 2
+    for c in scan.cycles:
+        assert closure_error(field, c.h_star, field.p, tol=1e-13) <= 1e-12
+
+
+def test_closure_error_rejects_another_weight():
+    with pytest.raises(ValueError, match="weight p=2"):
+        closure_error(field23(0.5, 1.0, -0.3, 1.0), 0.1, 1)
+
+
 def test_alternation_search_realizes_sign_chain():
     def chain(eps):
         # cheap analytic stand-in with the casestudy structure

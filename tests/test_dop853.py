@@ -19,6 +19,8 @@ from qhfocus.fields import normalize
 from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS
 
+from flow_identities import partial_turn
+
 
 def _both(f, a, b, finders=(scipy_brentq, dop853.brentq), **kwargs):
     """[scipy's, ``dop853.brentq``'s] outcome and evaluated points, for f on [a, b].
@@ -141,7 +143,9 @@ def test_section_events_are_located_as_scipy_locates_them(monkeypatch):
 
 
 def _assert_lanes_are_solve_ivp(rhs, radii, tol, theta1=2 * np.pi):
-    """One lane solve against ``solve_ivp`` at flow's tolerances, and flow's call against both."""
+    """One lane solve against ``solve_ivp`` at flow's tolerances, and ``return_map`` against both.
+
+    A partial turn checks the tests' ``partial_turn`` instead."""
     atol = tol / math.sqrt(radii.size)
     sol = solve_ivp(rhs, (0.0, theta1), radii, method="DOP853", rtol=max(tol, 1e-13), atol=atol)
     assert sol.success
@@ -150,7 +154,9 @@ def _assert_lanes_are_solve_ivp(rhs, radii, tol, theta1=2 * np.pi):
     assert t == theta1
     assert (nfev, steps) == (sol.nfev, len(sol.t) - 1)
     assert r.tobytes() == sol.y[:, -1].tobytes()
-    assert flow.integrate_scalar(rhs, radii, theta1, tol=tol).tobytes() == r.tobytes()
+    turn = (flow.return_map(rhs, radii, tol) if theta1 == 2 * np.pi
+            else partial_turn(rhs, radii, theta1, tol))
+    assert turn.tobytes() == r.tobytes()
 
 
 def test_lanes_are_solve_ivp_on_the_criterion_8_grid():

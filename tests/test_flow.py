@@ -18,15 +18,15 @@ from qhfocus.flow import (
     _jet_rhs_coeffs,
     default_order,
     estimate_period,
-    identity_residuals,
     integrate_jet,
     integrate_jet_extended,
-    integrate_scalar,
     nu1_closed_form,
     section_return,
 )
 from qhfocus.focal import focal_values, random_field
 from qhfocus.polar import PolarRHS
+
+from flow_identities import identity_residuals, partial_turn
 
 
 def leading_field(p, q):
@@ -74,7 +74,7 @@ def test_energy_conservation_on_hamiltonian_core():
     e0 = energy(0.0, h)
     drift = []
     for theta in np.linspace(0.5, 2 * np.pi, 12):
-        r = integrate_scalar(rhs, h, theta, tol=1e-13)
+        r = partial_turn(rhs, h, theta, 1e-13)
         drift.append(abs(energy(theta, r) - e0))
     assert max(drift) < 1e-10 * e0
 
@@ -531,22 +531,26 @@ def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
 
 
 def test_shifted_jet_transport_is_the_plain_solve():
+    # a shifted series g(h) starts the compiled jet right-hand side's solve
     rhs = PolarRHS(normalize(eq325_field(1.22e-8, 2.41e-4)).field)
     g = [1.0, 0.3, 0.0, -0.1, 0.0, 0.0, 0.0]
     sol = _plain_jet_solve(rhs, 7, g, 1e-12)
     _, final, nfev, steps, at = _written_out_dop853(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12)
-    traj = integrate_jet(rhs, init=g, tol=1e-12, order=7)
-    assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (sol.nfev, len(sol.t) - 1)
-    assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (nfev, steps)
-    assert _within_tol(traj.final, sol.y[:, -1], 1e-12)
-    assert traj.final.tobytes() == np.array(final).tobytes()
-    assert traj.at(2 * np.pi).tobytes() == traj.final.tobytes()
-    assert traj.at(0.0).tolist() == g
+    solve = lambda **kw: dop853.solve(_compile_jet_rhs(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12,
+                                      "jet integration", **kw)
+    _, shifted, n_rhs, n_steps = solve()
+    assert (n_rhs, n_steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
+    assert _within_tol(shifted, sol.y[:, -1], 1e-12)
+    assert np.array(shifted).tobytes() == np.array(final).tobytes()
+    dense_steps = solve(dense=True)[3]
+    state_at = lambda theta: np.array(dop853.state_at(dense_steps, theta))
+    assert state_at(2 * np.pi).tobytes() == np.array(shifted).tobytes()
+    assert state_at(0.0).tolist() == g
     dense = solve_ivp(_jet_fun(rhs, 7), (0.0, 2 * np.pi), g, method="DOP853",
                       rtol=1e-12, atol=1e-12, dense_output=True)
     for theta in (0.1, 1.0, np.pi, 5.5, *sol.t[3:5]):
-        assert traj.at(theta).tobytes() == np.array(at(theta)).tobytes()
-        assert _within_tol(traj.at(theta), dense.sol(theta), 1e-12)
+        assert state_at(theta).tobytes() == np.array(at(theta)).tobytes()
+        assert _within_tol(state_at(theta), dense.sol(theta), 1e-12)
 
 
 def test_scalar_and_jet_return_maps_agree():
@@ -560,7 +564,7 @@ def test_scalar_and_jet_return_maps_agree():
 
 def test_single_radius_return_map_is_the_plain_scalar_solve():
     # one radius, alone or as a batch of one, is the solve written out
-    # directly; the negative spans are those of identity_residuals
+    # directly; the partial turns, of either sign, are those of the identity tests
     rhs = PolarRHS(field23())
     fun = lambda t, y: [rhs(t, float(y[0]))]
     for h, tol, theta1 in ((0.05, 1e-12, 2 * np.pi), (0.2, 1e-13, 2 * np.pi),
@@ -572,8 +576,12 @@ def test_single_radius_return_map_is_the_plain_scalar_solve():
         stepper = dop853.solve(fun, theta1, [h], tol, tol, "scalar integration")
         assert stepper[2:] == (nfev, steps)
         assert _within_tol([r], sol.y[:, -1], tol)
-        assert integrate_scalar(rhs, h, theta1, tol=tol) == r
-        assert integrate_scalar(rhs, np.array([h]), theta1, tol=tol).tolist() == [r]
+        if theta1 == 2 * np.pi:
+            assert return_map(rhs, h, tol) == r
+            assert return_map(rhs, np.array([h]), tol).tolist() == [r]
+        else:
+            assert partial_turn(rhs, h, theta1, tol) == r
+            assert partial_turn(rhs, np.array([h]), theta1, tol).tolist() == [r]
 
 
 class _Blowup:
@@ -593,7 +601,7 @@ def test_step_underflow_names_the_solve():
                           method="DOP853", rtol=1e-12, atol=1e-12)
     assert not scipy_sol.success
     with pytest.raises(StiffnessError) as err:
-        integrate_scalar(_Blowup(), 1.0, tol=1e-12)
+        return_map(_Blowup(), 1.0, tol=1e-12)
     assert str(err.value) == f"scalar integration failed: {scipy_sol.message}"
 
 
@@ -603,7 +611,7 @@ def test_lane_step_underflow_names_the_solve():
                           rtol=1e-12, atol=1e-12 / math.sqrt(radii.size))
     assert not scipy_sol.success
     with pytest.raises(StiffnessError) as err:
-        integrate_scalar(_Blowup(), radii, tol=1e-12)
+        return_map(_Blowup(), radii, tol=1e-12)
     assert str(err.value) == f"scalar integration failed: {scipy_sol.message}"
 
 
@@ -630,7 +638,7 @@ class _VanishingLater:
 def test_a_stage_error_propagates_unchanged(monkeypatch):
     edge = _ChartEdge()
     with pytest.raises(PolarChartError) as err:
-        integrate_scalar(edge, 0.1, tol=1e-12)
+        return_map(edge, 0.1, tol=1e-12)
     assert err.value is edge.raised
     kernel = _stand_in_kernel(_VanishingLater(), 2)
     monkeypatch.setattr(flow, "_compile_jet_rhs", lambda rhs, K: kernel)
@@ -941,7 +949,8 @@ def test_nonfinite_initial_state_is_rejected(bad, deadline):
     deadline(20)
     rhs = PolarRHS(field23())
     with pytest.raises(ValueError, match=re.escape(NONFINITE_STATE)):
-        integrate_jet(rhs, init=[bad] + [0.0] * 6)
+        dop853.solve(_compile_jet_rhs(rhs, 7), 2 * np.pi, [bad] + [0.0] * 6, DEFAULT_TOL,
+                     DEFAULT_TOL, "jet integration")
     # an infinite radius is outside the chart, which the radius check says first
     with pytest.raises(ValueError if math.isnan(bad) else PolarChartError):
         return_map(rhs, bad)
@@ -957,13 +966,8 @@ def test_nonfinite_initial_state_is_rejected(bad, deadline):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_nonfinite_span_is_rejected(bad, deadline):
-    # integrate_scalar used to return h unchanged for theta1 = NaN
+    # a solve used to return its start unchanged for a span of NaN
     deadline(20)
-    rhs = PolarRHS(field23())
-    with pytest.raises(ValueError, match="theta span"):
-        integrate_scalar(rhs, 0.2, theta1=bad)
-    with pytest.raises(ValueError, match="theta span"):
-        integrate_scalar(rhs, np.array([0.1, 0.2]), theta1=bad)
     with pytest.raises(ValueError, match="span"):
         dop853.solve(lambda t, y: [-y[0]], bad, [1.0], 1e-12, 1e-12, "scalar integration")
     with pytest.raises(ValueError, match="span"):

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhfocus import Monomial, WeightedField, focal, focal_values, parity_survey
+from qhfocus import Monomial, WeightedField, dop853, flow, focal, focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
-from qhfocus.flow import DEFAULT_TOL, integrate_jet
+from qhfocus.flow import DEFAULT_TOL
 from qhfocus.focal import (
     SurveyResult,
     classify,
@@ -144,7 +144,8 @@ def shifted_focal_check(field: WeightedField, g: tuple[float, ...], K: int) -> S
     run's first nonzero focal index, with the value there matching to 1e-8
     relative."""
     standard = focal_values(field, K=K)
-    shifted = integrate_jet(PolarRHS(field), init=g, order=K).final
+    _, shifted, *_ = dop853.solve(flow._compile_jet_rhs(PolarRHS(field), K), 2 * np.pi, list(g),
+                                  DEFAULT_TOL, DEFAULT_TOL, "jet integration")
     # nu*_1 = nu_1, as g starts at h
     nu_star = [shifted[0], *(a - b for a, b in zip(shifted[1:], g[1:]))]
     first = classify(nu_star, field.p, field.q, DEFAULT_TOL).first_nonzero_index
