@@ -55,5 +55,5 @@ print()
 # -- step 4: close each cycle as a plain Cartesian orbit ----------------------
 
 for c in cycles.cycles:
-    err = closure_error(field, c.h_star, p=field.p, tol=1e-13)
+    err = closure_error(field, c.h_star, tol=1e-13)
     print(f"  cycle at h* = {c.h_star:.6f}: Cartesian closure gap = {err:.2e}")

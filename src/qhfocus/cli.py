@@ -47,7 +47,10 @@ def _parse_params(text: str | None) -> dict[str, float]:
         key, val = (part.strip() for part in piece.split("=", 1))
         if key in out:
             raise ValueError(f"--params sets {key!r} twice")
-        out[key] = float(val)
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ValueError(f"malformed --params entry {piece!r}, expected k=v") from None
     return out
 
 
@@ -168,7 +171,7 @@ def cmd_cycles(args) -> int:
         f"  integrator tol {args.tol:g}",
         f"  cycles found   {len(result.cycles)}",
     ]
-    closures = [closure_error(field, c.h_star, field.p, tol=args.tol) for c in result.cycles]
+    closures = [closure_error(field, c.h_star, tol=args.tol) for c in result.cycles]
     for c, err in zip(result.cycles, closures):
         lines.append(
             f"  h* = {c.h_star:.12f}  {c.stability:8s} residual {c.residual:.3e}"
@@ -237,35 +240,21 @@ def cmd_verify(args) -> int:
     ratios = casestudy.focal_ratio_constants()
     rng = np.random.default_rng(args.seed)
 
-    samples = rng.uniform(-1.0, 1.0, size=(3, 4))
-    errs = []
-    for a22, a50, b13, b41 in samples:
-        field = casestudy.field23(a22=a22, a50=a50, b13=b13, b41=b41)
-        rep = focal.focal_values(field, K=3, integ_tol=args.tol)
-        v2 = casestudy.predicted_V(field)[0]
-        if abs(v2) < 0.1:
-            continue
-        errs.append(abs(rep.nu(2) / (ratios["nu2_over_V2"] * v2) - 1.0))
-    row("nu2 / ((1/60) I2 V2)", 1.0 + max(errs), 1.0, 1e-8, max(errs) <= 1e-8)
-
-    errs = []
-    for _ in range(3):
-        a22, b13, b41 = rng.uniform(0.2, 1.0, size=3)
-        field = casestudy.field23(a22=a22, a50=-b41 / 5, b13=b13, b41=b41)
-        rep = focal.focal_values(field, K=5, integ_tol=args.tol)
-        v4 = casestudy.predicted_V(field)[1]
-        errs.append(abs(rep.nu(4) / (ratios["nu4_over_V4"] * v4) - 1.0))
-    row("nu4 / ((13/16800) I4 V4)", 1.0 + max(errs), 1.0, 1e-5, max(errs) <= 1e-5)
-
-    errs = []
-    for _ in range(2):
-        b13, b41 = rng.uniform(0.2, 1.0, size=2)
-        a22 = 0.6 * b13  # V4 = 0 slice
-        field = casestudy.field23(a22=a22, a50=-b41 / 5, b13=b13, b41=b41)
-        rep = focal.focal_values(field, K=7, integ_tol=args.tol)
-        v6 = casestudy.predicted_V(field)[2]
-        errs.append(abs(rep.nu(6) / (ratios["nu6_over_V6"] * v6) - 1.0))
-    row("nu6 / (c6 V6)", 1.0 + max(errs), 1.0, 1e-4, max(errs) <= 1e-4)
+    # label, k, jet order, bound, draws from U(lo, 1)**size, their (a22, a50, b13, b41), |V_k| floor
+    for label, k, K, bound, draws, lo, size, coeffs, floor in (
+        ("nu2 / ((1/60) I2 V2)", 2, 3, 1e-8, 3, -1.0, 4, lambda d: d, 0.1),
+        ("nu4 / ((13/16800) I4 V4)", 4, 5, 1e-5, 3, 0.2, 3, lambda d: (d[0], -d[2] / 5, *d[1:]), 0.0),
+        ("nu6 / (c6 V6)", 6, 7, 1e-4, 2, 0.2, 2, lambda d: (0.6 * d[0], -d[1] / 5, *d), 0.0),  # V4 = 0
+    ):
+        errs = []
+        for draw in rng.uniform(lo, 1.0, size=(draws, size)):
+            field = casestudy.field23(*coeffs(draw))
+            v = casestudy.predicted_V(field)[k // 2 - 1]
+            if abs(v) < floor:
+                continue
+            rep = focal.focal_values(field, K=K, integ_tol=args.tol)
+            errs.append(abs(rep.nu(k) / (ratios[f"nu{k}_over_V{k}"] * v) - 1.0))
+        row(label, 1.0 + max(errs), 1.0, bound, max(errs) <= bound)
 
     u2 = max(
         casestudy.verify_u2(

@@ -131,19 +131,21 @@ def find_cycles(
 def closure_error(
     cartesian_field,
     h_star: float,
-    p: int = 1,
+    p: int | None = None,
     tol: float = flow.DEFAULT_TOL,
 ) -> float:
     """Re-integrate a reported cycle as a Cartesian orbit; section-point gap.
 
     A polar root h, a normalized radius, is the section point (scale_x * h**p, 0)
-    of a weighted field, p its own and scale_x of ``normalize``, else (h**p, 0).
+    of a weighted field, p its own weight and scale_x of ``normalize``; a ``p``
+    given must be that weight.  Of a plain callable it is (h**p, 0), p = 1 by default.
     """
-    x0 = h_star**p
     if isinstance(cartesian_field, WeightedField):
-        if p != cartesian_field.p:
+        if p not in (None, cartesian_field.p):
             raise ValueError(f"p={p!r} is not the field's weight p={cartesian_field.p!r}")
-        x0 *= normalize(cartesian_field).scale_x
+        x0 = h_star**cartesian_field.p * normalize(cartesian_field).scale_x
+    else:
+        x0 = h_star ** (1 if p is None else p)
     crossing = flow.section_return(cartesian_field, x0, tol)
     return abs(crossing.x - x0)
 

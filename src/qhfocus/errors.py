@@ -2,10 +2,10 @@
 import math
 
 
-def check_tol(tol: float) -> None:
-    """Reject a solver or quadrature tolerance that is not positive and finite."""
+def check_tol(tol: float, name: str = "tolerance") -> None:
+    """Reject a tolerance, named ``name`` in the message, that is not positive and finite."""
     if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tolerance must be positive and finite, got {tol!r}")
+        raise ValueError(f"{name} must be positive and finite, got {tol!r}")
 
 
 class QhfocusError(Exception):

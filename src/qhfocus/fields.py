@@ -67,6 +67,8 @@ class WeightedField:
             object.__setattr__(self, "lambda1", float(self.p))
         if self.lambda2 is None:
             object.__setattr__(self, "lambda2", float(self.q))
+        if not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)):
+            raise ValueError(f"lambda1, lambda2 must be finite, got ({self.lambda1}, {self.lambda2})")
         object.__setattr__(self, "x_terms", _dedupe(self.x_terms))
         object.__setattr__(self, "y_terms", _dedupe(self.y_terms))
 

@@ -63,31 +63,18 @@ def _jet_coeffs(R: Sequence, Q: Sequence, K: int, nu: Sequence) -> list:
     """``_jet_rhs_coeffs`` from the components R_0..R_k, Q_0..Q_k at the angle.
 
     The radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k
-    starts at h**k: each power is summed from there, in the term order of
-    ``jets.mul_trunc``, and powers above the last one used are never formed.
-    Zero terms are added where ``jets.mul_trunc`` skips them, which leaves
-    every nonzero sum bit for bit as it was.
+    starts at h**k.  Level k reads r**k = ``jets.mul_trunc(r**(k-1), r)``,
+    formed there, so no power above the last level is formed.
     """
     n = K + 1
     zero = 0 * nu[0]
-    r = [zero, *nu]
-    num = [R[0]] + [zero] * K
-    den = [Q[0]] + [zero] * K
-    top = min(len(R), n)  # levels k > K multiply r**k, which starts beyond h**K
-    rk = r
-    for k in range(1, top):
-        Rk, Qk = R[k], Q[k]
+    r = rk = [zero, *nu]
+    num, den = [R[0]] + [zero] * K, [Q[0]] + [zero] * K
+    for k in range(1, min(len(R), n)):  # levels k > K multiply r**k, which starts beyond h**K
+        rk = rk if k == 1 else jets.mul_trunc(rk, r, n)
         for i in range(k, n):
-            num[i] = num[i] + Rk * rk[i]
-            den[i] = den[i] + Qk * rk[i]
-        if k + 1 < top:
-            nxt = [zero] * n
-            for m in range(k + 1, n):
-                acc = rk[k] * r[m - k]
-                for i in range(k + 1, m):
-                    acc = acc + rk[i] * r[m - i]
-                nxt[m] = acc
-            rk = nxt
+            num[i] = num[i] + R[k] * rk[i]
+            den[i] = den[i] + Q[k] * rk[i]
     quot = jets.div_trunc(num, den, n)
     return jets.mul_trunc(r, quot, n)[1:]
 

@@ -85,6 +85,7 @@ def classify(
     """Build a FocalReport from nu_1..nu_K of the return map: nu_1 off 1 makes a
     strong focus, else the first nonzero nu_k, k >= 2, decides.  The zero
     tolerance scales with the largest |nu_k|, k >= 2."""
+    check_tol(zero_tol, "zero tolerance")
     nu1, values = float(nu[0]), tuple(float(v) for v in nu[1:])
     K = len(values) + 1
     scale = max(1.0, max((abs(v) for v in values), default=0.0))
@@ -128,6 +129,7 @@ def focal_values(
     of ``integ_tol``; the report records the tolerance used either way.
     """
     check_tol(integ_tol)
+    check_tol(tol, "zero tolerance")  # before the solve is spent
     rhs, d = _prepare(field)
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +28,9 @@ q 3
 x 5 0 1.0
 y 4 1 1.0
 """
+
+
+SAMPLE_SYSTEM = Path(__file__).resolve().parents[1] / "demos" / "sample_system.txt"
 
 
 @pytest.fixture
@@ -317,6 +321,11 @@ def test_survey_rejects_nonpositive_samples(samples, capsys):
     assert "at least one sample" in capsys.readouterr().err
 
 
+def test_params_name_an_entry_whose_value_is_not_a_number(capsys):
+    assert main(["analyze", "--family", "eq325", "--params", "eps1=abc"]) == 1
+    assert "malformed --params entry 'eps1=abc', expected k=v" in capsys.readouterr().err
+
+
 def test_params_reject_a_repeated_key(capsys):
     assert main(["analyze", "--family", "eq325", "--params", "eps1=0.1,eps1=0.2"]) == 1
     assert "--params sets 'eps1' twice" in capsys.readouterr().err
@@ -440,6 +449,22 @@ def test_scheme_disagreement_is_a_reproduction_failure(command, capsys):
 def test_quad_nonpositive_tolerance_exits_1(tol, capsys):
     assert main(["quad", "--tol", tol]) == 1
     assert "tolerance must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("zero_tol", ["nan", "inf", "0", "-1"])
+def test_analyze_rejects_a_zero_tolerance_not_positive_and_finite(zero_tol, capsys):
+    # the sample is a weak focus of order 1; nan and inf printed
+    # center-candidate, 0 and -1 strong-focus, all with exit 0
+    assert main(["analyze", "--system", str(SAMPLE_SYSTEM), "--zero-tol", zero_tol]) == 1
+    assert "zero tolerance must be positive and finite" in capsys.readouterr().err
+
+
+def test_analyze_rejects_a_non_finite_lambda(tmp_path, capsys):
+    # it analyzed as center-candidate: normalize scaled the one term to 0
+    path = tmp_path / "infinite.txt"
+    path.write_text("p 2\nq 3\nlambda2 inf\ny 1 3 0.3\n", encoding="utf-8")
+    assert main(["analyze", "--system", str(path)]) == 1
+    assert "lambda1, lambda2 must be finite" in capsys.readouterr().err
 
 
 def test_analyze_extended_zero_tolerance_exits_1(system_file, capsys):

@@ -195,6 +195,11 @@ def test_closure_error_starts_on_the_cycle_of_an_unnormalized_field(unnormalized
         assert closure_error(field, c.h_star, field.p, tol=1e-13) <= 1e-12
 
 
+def test_closure_error_reads_the_weight_from_the_field():
+    field = field23(0.5, 1.0, -0.3, 1.0)
+    assert closure_error(field, 0.1) == closure_error(field, 0.1, field.p)
+
+
 def test_closure_error_rejects_another_weight():
     with pytest.raises(ValueError, match="weight p=2"):
         closure_error(field23(0.5, 1.0, -0.3, 1.0), 0.1, 1)

@@ -1,3 +1,6 @@
+import math
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -105,6 +108,13 @@ def test_validate_flags_nonpositive_lambda():
         require_valid(field23(lambda1=-1.0))
 
 
+@pytest.mark.parametrize("line", ["lambda1 inf", "lambda1 nan", "lambda2 inf", "lambda2 -inf"])
+def test_a_non_finite_lambda_is_rejected(line):
+    # lambda2 inf made normalize scale every term to 0: a bare center candidate
+    with pytest.raises(ValueError, match=r"lambda1, lambda2 must be finite, got \("):
+        parse_system(f"p 2\nq 3\n{line}\ny 1 3 0.3\n")
+
+
 def test_validate_names_every_violated_rule():
     f = field23()
     bad = WeightedField(
@@ -177,9 +187,13 @@ MONOMIALS = st.builds(
     st.lists(MONOMIALS, max_size=6),
 )
 def test_parse_format_round_trip_property(p, q, lam1, lam2, xs, ys):
-    f = WeightedField(
-        p=p, q=q, lambda1=lam1, lambda2=lam2, x_terms=tuple(xs), y_terms=tuple(ys)
-    )
+    build = partial(WeightedField, p=p, q=q, lambda1=lam1, lambda2=lam2,
+                    x_terms=tuple(xs), y_terms=tuple(ys))
+    if any(v is not None and not math.isfinite(v) for v in (lam1, lam2)):
+        with pytest.raises(ValueError, match="lambda1, lambda2 must be finite"):
+            build()
+        return
+    f = build()
     assert parse_system(format_system(f)) == f
 
 

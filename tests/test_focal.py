@@ -60,6 +60,16 @@ def test_strong_focus_comes_before_the_higher_values():
     assert classify([1.0 + 1e-12, 0.0, 0.5], 1, 1, integ_tol=1e-12).verdict == "weak-focus"
 
 
+@pytest.mark.parametrize("zero_tol", [float("nan"), float("inf"), 0.0, -1.0])
+def test_a_zero_tolerance_not_positive_and_finite_is_rejected(zero_tol):
+    # nan and inf made every value zero (a center candidate), 0 and -1 the
+    # rounding noise of nu_1 nonzero (a strong focus)
+    with pytest.raises(ValueError, match="zero tolerance must be positive and finite"):
+        classify([1.0, 0.5, 0.0], 2, 3, integ_tol=1e-12, zero_tol=zero_tol)
+    with pytest.raises(ValueError, match="zero tolerance must be positive and finite"):
+        focal_values(field23(0.7, 1.0, -0.3, 1.0), K=3, tol=zero_tol)
+
+
 def test_focal_report_parity_and_indices():
     rep = focal_values(field23(0.5, 1.0, -0.3, 1.0), K=7)
     assert rep.parity_class == "odd-sum"
