@@ -9,8 +9,9 @@ Subcommands
     survey     parity statistics over random fields at given weights
 
 Every report is plain UTF-8 text; ``--out`` additionally writes the text plus
-a JSON document and a CSV table next to it.  Exit status: 0 on success, 1 on
-usage, input or integration errors, 2 when a reproduction check fails.
+a JSON document and a CSV table next to it.  Only ``main`` writes a report and
+sets the exit status: 0 on success, 1 on usage, input or integration errors, 2
+when a reproduction check fails.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 from . import casestudy, focal
 from .cycles import find_cycles, closure_error
 from .errors import QhfocusError, ReproductionError
-from .fields import WeightedField, load_system, format_system, normalize
+from .fields import WeightedField, load_system, format_system
 from .polar import PolarRHS, rq_table
 from .quadrature import trapezoid_periodic, gauss_panels
 
@@ -60,12 +61,12 @@ def _family_values(args) -> tuple[casestudy.Family, dict[str, float]]:
 
 
 def _load_field(args) -> WeightedField:
-    if args.system:
-        return load_system(args.system)
-    if args.family:
+    if not args.system:
         family, values = _family_values(args)
         return family.field(**values)
-    raise ValueError("provide --system <path> or --family <name>")
+    if args.params:
+        raise ValueError("--params sets parameters of a --family, not of a --system file")
+    return load_system(args.system)
 
 
 def _json_value(obj):
@@ -88,10 +89,13 @@ def _emit(args, lines: list[str], doc: dict, rows: list[list]) -> None:
                 csv.writer(fh).writerows(rows)
 
 
+Report = tuple[list[str], dict, list[list], str | None]  # a cmd_*'s text, JSON, CSV, failure
+
+
 # -- analyze ----------------------------------------------------------------------
 
 
-def cmd_analyze(args) -> int:
+def cmd_analyze(args) -> Report:
     field = _load_field(args)
     report = focal.focal_values(
         field,
@@ -122,7 +126,7 @@ def cmd_analyze(args) -> int:
     rows = [["k", "nu_k", "tol"]]
     rows += [[k, report.nu(k), report.integ_tol] for k in indices]
     if args.rq_table:
-        table = rq_table(PolarRHS(normalize(field).field), np.linspace(0.0, 2 * np.pi, 181))
+        table = rq_table(PolarRHS(field), np.linspace(0.0, 2 * np.pi, 181))
         with Path(args.rq_table).open("w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(table.tolist())
         lines.append(f"  R/Q table of the normalized field written to {args.rq_table}")
@@ -143,16 +147,14 @@ def cmd_analyze(args) -> int:
         "system": format_system(field),
         "diagnostics": {"rhs_evals": report.rhs_evals, "steps": report.steps},
     }
-    _emit(args, lines, doc, rows)
-    return EXIT_OK
+    return lines, doc, rows, None
 
 
 # -- cycles -----------------------------------------------------------------------
 
 
-def cmd_cycles(args) -> int:
-    # the scan and the closure check both run in normalized coordinates
-    field = normalize(_load_field(args)).field
+def cmd_cycles(args) -> Report:
+    field = _load_field(args)
     coordinates = "normalized (lambda1=p, lambda2=q)"
     result = find_cycles(
         "polar",
@@ -193,14 +195,13 @@ def cmd_cycles(args) -> int:
             "indeterminate": result.indeterminate,
         },
     }
-    _emit(args, lines, doc, rows)
-    return EXIT_OK
+    return lines, doc, rows, None
 
 
 # -- verify -----------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args) -> Report:
     t0 = time.time()
     lines = ["case-study verification"]
     rows = [["row", "value", "target", "tol", "pass"]]
@@ -277,19 +278,14 @@ def cmd_verify(args) -> int:
     lines.append(f"  elapsed {time.time() - t0:.1f}s")
     doc["elapsed_seconds"] = time.time() - t0
     doc["failures"] = failures
-    _emit(args, lines, doc, rows)
-    if failures:
-        sys.stderr.write(
-            "reproduction failure in rows: " + ", ".join(failures) + "\n"
-        )
-        return EXIT_REPRODUCTION
-    return EXIT_OK
+    failure = "reproduction failure in rows: " + ", ".join(failures) if failures else None
+    return lines, doc, rows, failure
 
 
 # -- quad -------------------------------------------------------------------------
 
 
-def cmd_quad(args) -> int:
+def cmd_quad(args) -> Report:
     lines = ["reference integrals, two independent schemes"]
     rows = [["integral", "trapezoid", "gauss", "difference", "tol"]]
     doc = {"tol": args.tol, "integrals": {}}
@@ -312,17 +308,14 @@ def cmd_quad(args) -> int:
             "trapezoid_nodes": a.nodes_used,
             "gauss_nodes": b.nodes_used,
         }
-    _emit(args, lines, doc, rows)
-    if worst > 1e-10:
-        sys.stderr.write("quadrature schemes disagree beyond 1e-10 relative\n")
-        return EXIT_REPRODUCTION
-    return EXIT_OK
+    failure = "quadrature schemes disagree beyond 1e-10 relative" if worst > 1e-10 else None
+    return lines, doc, rows, failure
 
 
 # -- jacobian ---------------------------------------------------------------------
 
 
-def cmd_jacobian(args) -> int:
+def cmd_jacobian(args) -> Report:
     family, values = _family_values(args)
     names = list(family.jacobian_params)
     indices = family.jacobian_indices
@@ -353,14 +346,13 @@ def cmd_jacobian(args) -> int:
         "tol": args.tol,
         **dataclasses.asdict(res),
     }
-    _emit(args, lines, doc, rows)
-    return EXIT_OK
+    return lines, doc, rows, None
 
 
 # -- survey -----------------------------------------------------------------------
 
 
-def cmd_survey(args) -> int:
+def cmd_survey(args) -> Report:
     pairs = []
     for entry in args.weights.split(","):
         try:
@@ -371,12 +363,10 @@ def cmd_survey(args) -> int:
     lines = [f"parity survey, seed {args.seed}, {args.samples} samples per weight pair"]
     rows = [["p", "q", "expected_parity", "samples", "skipped", "unresolved", "parity_ok"]]
     doc = {"seed": args.seed, "tol": args.tol, "results": []}
-    all_ok = True
     for p, q in pairs:
         res = focal.parity_survey(
             p, q, n_samples=args.samples, seed=args.seed, integ_tol=args.tol
         )
-        all_ok = all_ok and res.parity_ok
         lines.append(
             f"  ({p}:{q}) expected {res.expected_parity} indices: "
             f"{res.n_samples} sampled, {res.n_skipped} skipped, "
@@ -387,8 +377,9 @@ def cmd_survey(args) -> int:
             [p, q, res.expected_parity, res.n_samples, res.n_skipped, res.n_unresolved, res.parity_ok]
         )
         doc["results"].append({**dataclasses.asdict(res), "expected_parity": res.expected_parity})
-    _emit(args, lines, doc, rows)
-    return EXIT_OK if all_ok else EXIT_REPRODUCTION
+    failed = [f"{p}:{q}" for p, q, *_, ok in rows[1:] if not ok]
+    failure = "parity failure at weights " + ", ".join(failed) if failed else None
+    return lines, doc, rows, failure
 
 
 # -- entry point ------------------------------------------------------------------
@@ -401,60 +392,49 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, tol_default=1e-12):
+    def command(name, fn, about, tol_default=1e-12):
+        p = sub.add_parser(name, help=about)
         p.add_argument("--tol", type=float, default=tol_default, help="integrator tolerance")
         p.add_argument("--out", help="write report text here, plus .json and .csv siblings")
+        p.set_defaults(fn=fn)
+        return p
 
-    def family(p, required=False):
-        p.add_argument(
-            "--family", choices=sorted(casestudy.FAMILIES), required=required,
-            help="named parameter family",
-        )
-        p.add_argument("--params", help="family parameters, k=v,...")
+    def source(p, system=True):
+        # one field source: --system or --family, or for jacobian --family alone
+        group = p.add_mutually_exclusive_group(required=True)
+        if system:
+            group.add_argument("--system", help="system description file")
+        group.add_argument("--family", choices=sorted(casestudy.FAMILIES),
+                           help="named parameter family")
+        p.add_argument("--params", help="family parameters, k=v,... (with --family)")
 
-    def source(p):
-        p.add_argument("--system", help="system description file")
-        family(p)
-
-    p = sub.add_parser("analyze", help="focal values and classification")
-    common(p)
+    p = command("analyze", cmd_analyze, "focal values and classification")
     source(p)
     p.add_argument("--order", type=int, default=None, help="jet truncation order K")
     p.add_argument("--zero-tol", type=float, default=1e-9, help="focal-value zero threshold")
     p.add_argument("--precision", choices=["double", "extended"], default="double")
     p.add_argument("--rq-table", help="write the angular R/Q component table to this CSV")
-    p.set_defaults(fn=cmd_analyze)
 
-    p = sub.add_parser("cycles", help="displacement scan and cycle isolation")
-    common(p, tol_default=1e-13)
+    p = command("cycles", cmd_cycles, "displacement scan and cycle isolation", tol_default=1e-13)
     source(p)
     p.add_argument("--h-min", type=float, required=True)
     p.add_argument("--h-max", type=float, required=True)
     p.add_argument("--grid", type=int, default=48, help="scan grid size")
     p.add_argument("--noise-floor", type=float, default=None)
-    p.set_defaults(fn=cmd_cycles)
 
-    p = sub.add_parser("verify", help="case-study claim table")
-    common(p)
+    p = command("verify", cmd_verify, "case-study claim table")
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("quad", help="reference integrals under both schemes")
-    common(p)
-    p.set_defaults(fn=cmd_quad)
+    command("quad", cmd_quad, "reference integrals under both schemes")
 
-    p = sub.add_parser("jacobian", help="focal-value jacobian of a family")
-    common(p)
-    family(p, required=True)
+    p = command("jacobian", cmd_jacobian, "focal-value jacobian of a family")
+    source(p, system=False)
     p.add_argument("--order", type=int, default=None)
-    p.set_defaults(fn=cmd_jacobian)
 
-    p = sub.add_parser("survey", help="parity statistics over random fields")
-    common(p)
+    p = command("survey", cmd_survey, "parity statistics over random fields")
     p.add_argument("--weights", default="1:1,1:2,2:3,3:4", help="comma list of p:q pairs")
     p.add_argument("--samples", type=int, default=20)
     p.add_argument("--seed", type=int, default=42)
-    p.set_defaults(fn=cmd_survey)
 
     return parser
 
@@ -465,13 +445,18 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on a usage error, but 2 is a reproduction failure
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        return args.fn(args)
+        lines, doc, rows, failure = args.fn(args)
+        _emit(args, lines, doc, rows)
     except ReproductionError as exc:
         sys.stderr.write(f"reproduction failure: {exc}\n")
         return EXIT_REPRODUCTION
     except (QhfocusError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_INPUT
+    if failure:
+        sys.stderr.write(failure + "\n")
+        return EXIT_REPRODUCTION
+    return EXIT_OK
 
 
 if __name__ == "__main__":

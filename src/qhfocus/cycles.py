@@ -31,7 +31,7 @@ CARTESIAN = "cartesian"
 
 def _displacement_fn(backend: str, system, tol: float) -> Callable[[float], float]:
     if backend == POLAR:
-        rhs = PolarRHS(normalize(system).field)
+        rhs = PolarRHS(system)
         return lambda h: flow.return_map(rhs, h, tol) - h
     if backend == CARTESIAN:
         return lambda x0: flow.section_return(system, x0, tol).x - x0
@@ -92,8 +92,8 @@ def find_cycles(
     if noise_floor is not None and not 0 <= noise_floor < math.inf:
         raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor!r}")
     displacement = _displacement_fn(backend, system, tol)
-    # the values of one radius at a time, so no point is integrated twice:
-    # brentq often ends on a point it has evaluated
+    # one radius at a time, each once: brentq often ends on a point it has evaluated, and
+    # a polar bracket's ends, from the grid's lanes, are integrated again on purpose
     seen: dict[float, float] = {}
 
     def delta(h: float) -> float:
@@ -177,6 +177,8 @@ def alternation_search(
         raise ValueError("need one box per tunable chain entry")
     if any(g < 10 for g in gaps):
         raise ValueError("magnitude gaps below 10 do not separate cycle roots")
+    if scan_n < 1:
+        raise ValueError(f"scan_n must be at least 1, got {scan_n!r}")
     eps = np.zeros(len(box))
     chain = list(chain_fn(eps))
     if len(chain) < len(target_signs):

@@ -16,10 +16,6 @@ class InvalidFieldError(QhfocusError):
     """A vector field does not satisfy the weighted-homogeneity contract."""
 
 
-class NormalizationError(QhfocusError):
-    """Normalization requested with nonpositive leading coefficients."""
-
-
 class PolarChartError(QhfocusError):
     """The polar chart broke down (denominator vanished or radius too large)."""
 

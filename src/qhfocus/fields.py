@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
-from .errors import InvalidFieldError, NormalizationError
+from .errors import InvalidFieldError
 
 
 @dataclass(frozen=True)
@@ -153,9 +153,8 @@ def normalize(f: WeightedField) -> NormalizationResult:
     scale_x = (q/lambda2)**(1/(2q)), scale_y = (p/lambda1)**(1/(2p)).
     """
     if f.lambda1 <= 0 or f.lambda2 <= 0:
-        raise NormalizationError(
-            f"leading coefficients must be positive, got ({f.lambda1}, {f.lambda2})"
-        )
+        raise InvalidFieldError(f"field violates {RULE_POSITIVE_LAMBDA}: leading coefficients "
+                                f"must be positive, got ({f.lambda1}, {f.lambda2})")
     sx = (f.q / f.lambda2) ** (1.0 / (2 * f.q))
     sy = (f.p / f.lambda1) ** (1.0 / (2 * f.p))
     ts = sx * sy

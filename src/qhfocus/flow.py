@@ -148,6 +148,13 @@ class JetTrajectory:
         return np.array(dop853.state_at(self._steps, theta))
 
 
+def _check_positive_ints(**values) -> None:
+    """The one rule for the jet order and the digits of both jet solves."""
+    for name, value in values.items():
+        if not (isinstance(value, (int, np.integer)) and value >= 1):
+            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+
+
 def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
                   order: int | None = None) -> JetTrajectory:
     """Transport the radius jet over one turn, theta from 0 to 2*pi.
@@ -157,6 +164,7 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     """
     check_tol(tol)
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
+    _check_positive_ints(order=K)
     solve = partial(dop853.solve, _compile_jet_rhs(rhs, K), 2 * np.pi, [1.0] + [0.0] * (K - 1),
                     tol, tol, "jet integration")
     _, final, nfev, steps = solve()
@@ -173,6 +181,8 @@ def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
     chart stops.
     """
     check_tol(tol)
+    if np.ndim(h) > 1:
+        raise ValueError(f"h must be one radius or a 1-D array of radii, got shape {np.shape(h)}")
     lanes = np.ravel(h)
     rhs.check_radius(max(lanes.tolist(), key=abs))
     if lanes.size == 1:
@@ -387,9 +397,7 @@ def integrate_jet_extended(
     from mpmath import mp
 
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    for name, value in (("dps", dps), ("order", K)):
-        if not (isinstance(value, (int, np.integer)) and value >= 1):
-            raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    _check_positive_ints(dps=dps, order=K)
     with mp.workdps(dps):
         tol = mp.mpf(10) ** -dps
     log_tol = float(mp.log(tol))

@@ -10,7 +10,8 @@ import numpy as np
 
 from . import dop853, flow
 from .errors import QhfocusError, check_tol
-from .fields import Monomial, WeightedField, normalize, require_valid
+# bench/tracing.py wraps focal.normalize by name; PolarRHS does the normalizing
+from .fields import Monomial, WeightedField, normalize
 from .polar import PolarRHS
 
 DEFAULT_ZERO_TOL = 1e-9
@@ -65,25 +66,15 @@ def _parity_class(p: int, q: int) -> str:
     return EVEN_SUM if (p + q) % 2 == 0 else ODD_SUM
 
 
-def _prepare(field: WeightedField) -> tuple[PolarRHS, int]:
-    """Validate, normalize, and build the polar RHS; returns gcd of weights."""
-    require_valid(field)
-    d = math.gcd(field.p, field.q)
-    if not field.normalized:
-        field = normalize(field).field
-    return PolarRHS(field), d
-
-
 def classify(
     nu: Sequence[float],
     p: int,
     q: int,
     integ_tol: float,
     zero_tol: float = DEFAULT_ZERO_TOL,
-    weight_gcd: int = 1,
 ) -> FocalReport:
-    """Build a FocalReport from nu_1..nu_K of the return map: nu_1 off 1 makes a
-    strong focus, else the first nonzero nu_k, k >= 2, decides.  The zero
+    """Build a FocalReport from nu_1..nu_K of the return map at weights p:q: nu_1 off 1
+    makes a strong focus, else the first nonzero nu_k, k >= 2, decides.  The zero
     tolerance scales with the largest |nu_k|, k >= 2."""
     check_tol(zero_tol, "zero tolerance")
     nu1, values = float(nu[0]), tuple(float(v) for v in nu[1:])
@@ -102,7 +93,7 @@ def classify(
         focus_order=None,
         verdict=CENTER_CANDIDATE if first is None else INDETERMINATE,
         integ_tol=integ_tol,
-        weight_gcd=weight_gcd,
+        weight_gcd=math.gcd(p, q),
         order=K,
         nu1=nu1,
     )
@@ -125,12 +116,14 @@ def focal_values(
 ) -> FocalReport:
     """nu_1(2*pi)..nu_K(2*pi) by jet transport over one full turn.
 
-    The extended-precision solve runs at its own tolerance 10**-dps in place
-    of ``integ_tol``; the report records the tolerance used either way.
+    ``field`` may be unnormalized: ``PolarRHS`` charts its normalized field,
+    whose focal values these are.  The extended-precision solve runs at its
+    own tolerance 10**-dps in place of ``integ_tol``; the report records the
+    tolerance used either way.
     """
     check_tol(integ_tol)
     check_tol(tol, "zero tolerance")  # before the solve is spent
-    rhs, d = _prepare(field)
+    rhs = PolarRHS(field)
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:
         raise ValueError("focal analysis needs jet order K >= 3")
@@ -141,7 +134,7 @@ def focal_values(
         final, stats = traj.final, traj.stats
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
-    report = classify(final, field.p, field.q, stats.tol, zero_tol=tol, weight_gcd=d)
+    report = classify(final, field.p, field.q, stats.tol, zero_tol=tol)
     return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps)
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import jets
 from .errors import InvalidFieldError, PolarChartError
-from .fields import RULE_MONODROMY, Monomial, WeightedField, require_valid
+from .fields import RULE_MONODROMY, Monomial, WeightedField, normalize, require_valid
 
 DENOM_FLOOR = 1e-12
 # angles at which Q_0 > 0 and the denominator's radial roots are checked
@@ -33,16 +33,12 @@ _CIRCLE = np.linspace(0.0, 2 * np.pi, 720, endpoint=False)
 
 
 class PolarRHS:
-    """Cached polar components of a validated, normalized field with Q_0 > 0."""
+    """Cached polar components of a valid field with Q_0 > 0, charted with lambda = (p, q):
+    an unnormalized field as ``normalize(field).field``, which ``self.field`` then holds."""
 
     def __init__(self, field: WeightedField):
         require_valid(field)
-        if not field.normalized:
-            raise InvalidFieldError(
-                "polar analysis requires normalized leading coefficients; "
-                "call fields.normalize first"
-            )
-        self.field = field
+        self.field = field = field if field.normalized else normalize(field).field
         p, q = field.p, field.q
         by_k: dict[int, tuple[list[Monomial], list[Monomial]]] = {}
         for side, (terms, lead) in enumerate(((field.x_terms, field.x_lead_weight),

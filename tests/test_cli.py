@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 from pathlib import Path
@@ -5,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qhfocus import casestudy
+from qhfocus import casestudy, cli
 from qhfocus.casestudy import (
     FAMILIES,
     b_integrand_factory,
@@ -272,6 +273,15 @@ def test_jacobian_rejects_an_order_below_the_highest_index(capsys):
     assert "jet order K=4 is below 6" in capsys.readouterr().err
 
 
+def test_survey_names_a_parity_failure_on_stderr(capsys):
+    # at tol 1e-3 one 1:1 field has its first nonzero value at the even index 2;
+    # the survey exited 2 with nothing on stderr
+    assert main(["survey", "--weights", "1:1", "--samples", "3", "--seed", "1", "--tol", "1e-3"]) == 2
+    captured = capsys.readouterr()
+    assert "parity_ok=False" in captured.out
+    assert captured.err == "parity failure at weights 1:1\n"
+
+
 def test_survey_seed_determinism(capsys):
     args = ["survey", "--weights", "2:3", "--samples", "4", "--seed", "9"]
     assert main(args) == 0
@@ -335,6 +345,30 @@ def test_missing_input_source_exits_1(capsys):
     assert main(["analyze"]) == 1
 
 
+@pytest.mark.parametrize("params", ["eps1=0.3", "bogus=1"])
+def test_params_need_a_family(params, capsys):
+    # the file was analyzed and --params silently dropped, with exit 0
+    assert main(["analyze", "--system", str(SAMPLE_SYSTEM), "--params", params]) == 1
+    err = capsys.readouterr().err
+    assert "--params" in err and "--family" in err and "--system" in err
+
+
+def test_commands_leave_output_and_exit_status_to_main():
+    # one way out: a cmd_* returns its report and failure line, and only main
+    # prints them (through _emit and sys.stderr) and names an exit status
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    found = []
+    for fn in tree.body:
+        if not (isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")):
+            continue
+        for node in ast.walk(fn):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name == "_emit" or name == "stderr" or (name or "").startswith("EXIT_"):
+                found.append(f"{fn.name}:{node.lineno} {name}")
+    assert [fn.name for fn in tree.body if getattr(fn, "name", "").startswith("cmd_")]
+    assert found == []
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -345,6 +379,10 @@ def test_missing_input_source_exits_1(capsys):
         ["jacobian"],
         ["analyze", "--bogus"],
         ["cycles", "--family", "eq325", "--h-max", "0.45"],
+        # these ran on the file and dropped the family, with exit 0
+        ["analyze", "--system", str(SAMPLE_SYSTEM), "--family", "eq325"],
+        ["cycles", "--system", str(SAMPLE_SYSTEM), "--family", "eq325",
+         "--h-min", "0.03", "--h-max", "0.45"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

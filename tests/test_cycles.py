@@ -4,7 +4,7 @@ import pytest
 from qhfocus import Monomial, WeightedField, alternation_search, find_cycles, flow, focal_values
 from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.cycles import closure_error
-from qhfocus.errors import AlternationError, StiffnessError
+from qhfocus.errors import AlternationError, InvalidFieldError, StiffnessError
 from qhfocus.flow import return_map, section_return
 from qhfocus.polar import PolarRHS
 
@@ -195,6 +195,16 @@ def test_closure_error_starts_on_the_cycle_of_an_unnormalized_field(unnormalized
         assert closure_error(field, c.h_star, field.p, tol=1e-13) <= 1e-12
 
 
+def test_a_nonpositive_lambda_raises_one_type_on_every_path():
+    # closure_error and section_return reach normalize first, which raised
+    # NormalizationError where focal_values and find_cycles raised InvalidFieldError
+    field = WeightedField(p=2, q=3, lambda1=-1.0, x_terms=field23(0.5, 1.0, -0.3, 1.0).x_terms)
+    for call in (lambda: closure_error(field, 0.1), lambda: section_return(field, 0.01),
+                 lambda: focal_values(field), lambda: find_cycles("polar", field, 0.05, 0.2)):
+        with pytest.raises(InvalidFieldError, match="positive-lambda"):
+            call()
+
+
 def test_closure_error_reads_the_weight_from_the_field():
     field = field23(0.5, 1.0, -0.3, 1.0)
     assert closure_error(field, 0.1) == closure_error(field, 0.1, field.p)
@@ -257,6 +267,15 @@ def test_alternation_search_validates_gaps():
     with pytest.raises(ValueError):
         alternation_search(
             lambda e: [e[0], 1.0], [1, 1], box=[(1e-8, 1e-2)], gap=[2.0]
+        )
+
+
+@pytest.mark.parametrize("scan_n", [0, -1])
+def test_alternation_search_rejects_an_empty_scan(scan_n):
+    # an empty scan raised AlternationError, blaming the box
+    with pytest.raises(ValueError, match=f"scan_n must be at least 1, got {scan_n}"):
+        alternation_search(
+            lambda e: [0.1 * e[0], 2.0e-6], [1, 1], box=[(1e-10, 1e-3)], gap=[10.0], scan_n=scan_n
         )
 
 

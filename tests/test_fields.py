@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhfocus import Monomial, WeightedField
-from qhfocus.errors import InvalidFieldError, NormalizationError
+from qhfocus.errors import InvalidFieldError
 from qhfocus.fields import (
     RULE_LEADING_DEGENERACY,
     RULE_POSITIVE_LAMBDA,
@@ -159,7 +159,7 @@ def test_normalize_preserves_dynamics_up_to_scaling():
 
 
 def test_normalize_rejects_nonpositive_lambda():
-    with pytest.raises(NormalizationError):
+    with pytest.raises(InvalidFieldError, match=RULE_POSITIVE_LAMBDA):
         normalize(field23(lambda1=-1.0))
 
 

@@ -562,6 +562,13 @@ def test_scalar_and_jet_return_maps_agree():
         assert jet == pytest.approx(scalar, abs=5 * h**8)
 
 
+def test_return_map_rejects_a_2d_array_of_radii():
+    # a 2x2 array gave 4 radii back, flattened, where one radius or a 1-D array is promised
+    rhs = PolarRHS(field23())
+    with pytest.raises(ValueError, match=r"1-D array of radii, got shape \(2, 2\)"):
+        return_map(rhs, np.full((2, 2), 0.05))
+
+
 def test_single_radius_return_map_is_the_plain_scalar_solve():
     # one radius, alone or as a batch of one, is the solve written out
     # directly; the partial turns, of either sign, are those of the identity tests
@@ -1083,6 +1090,21 @@ def test_loaded_tableau_is_scipys_dop853():
             "E5": table.E5, "D": table.D, "A_EXTRA": table.A[13:], "C_EXTRA": table.C[13:]}
     for name, value in ours.items():
         np.testing.assert_array_equal(value, getattr(DOP853, name), err_msg=name)
+
+
+@pytest.mark.parametrize("order", [0, -2, 5.5])
+def test_both_jet_solves_reject_an_order_that_is_not_a_positive_integer(order):
+    # integrate_jet raised IndexError at order 0, and focal_values(K=5.5) a
+    # TypeError from inside the solve; both solves now run one check
+    message = re.escape(f"order must be a positive integer, got {order!r}")
+    rhs = PolarRHS(field23())
+    for solve in (integrate_jet, integrate_jet_extended):
+        with pytest.raises(ValueError, match=message):
+            solve(rhs, order=order)
+    if order >= 3:
+        for precision in ("double", "extended"):
+            with pytest.raises(ValueError, match=message):
+                focal_values(field23(), K=order, precision=precision)
 
 
 @pytest.mark.parametrize("kwargs", [{"dps": 0}, {"dps": -3}, {"dps": 2.5}, {"order": 0}])

@@ -6,6 +6,7 @@ import pytest
 from qhfocus import Monomial, WeightedField, find_cycles, focal_values
 from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.errors import InvalidFieldError, PolarChartError
+from qhfocus.fields import normalize
 from qhfocus.flow import return_map
 from qhfocus.focal import random_field
 from qhfocus.polar import DENOM_FLOOR, PolarRHS, rq_table
@@ -92,13 +93,21 @@ def test_weighted_scaling_identity():
         )
 
 
-def test_unnormalized_field_rejected():
+def test_unnormalized_field_is_charted_normalized():
+    # the chart of a field with lambda off (p, q) is that of its normalized field, bitwise
     f = field23()
     skew = WeightedField(
         p=2, q=3, lambda1=5.0, lambda2=3.0, x_terms=f.x_terms, y_terms=f.y_terms
     )
-    with pytest.raises(InvalidFieldError):
-        PolarRHS(skew)
+    rhs, normalized = PolarRHS(skew), PolarRHS(normalize(skew).field)
+    assert rhs.field == normalized.field and rhs.field.normalized
+    for theta in (0.0, 0.4, 1.9, 3.3, 5.1):
+        c, s = math.cos(theta), math.sin(theta)
+        assert rhs.components(c, s) == normalized.components(c, s)
+        assert rhs(theta, 0.2) == normalized(theta, 0.2)
+    radii = np.array([0.05, 0.1, 0.2])
+    assert return_map(rhs, 0.1, 1e-12) == return_map(normalized, 0.1, 1e-12)
+    assert np.array_equal(return_map(rhs, radii, 1e-12), return_map(normalized, radii, 1e-12))
 
 
 def test_low_weight_term_rejected():
