@@ -225,26 +225,29 @@ _PERIOD_ANGLES = 256
 
 
 @lru_cache(maxsize=64)
-def _period_model(field: WeightedField) -> tuple[np.ndarray, list, np.ndarray]:
+def _period_model(field: WeightedField) -> tuple[np.ndarray, list, np.ndarray, float, float]:
     """The parts of ``estimate_period`` that do not depend on h, once per field.
 
-    nu_1 of the leading part, Q_0..Q_k and p cos^2 + q sin^2 on the angles;
-    a damped field's ``PolarRHS`` checks Q_0 on 720 angles when it is built."""
+    nu_1 of the leading part, Q_0..Q_k of the normalized field and
+    p cos^2 + q sin^2 on the angles, then the normalization's scale_x and
+    time_scale; a damped field's ``PolarRHS`` checks Q_0 on 720 angles when
+    it is built."""
     p, q = field.p, field.q
     thetas = np.linspace(0.0, 2 * np.pi, _PERIOD_ANGLES, endpoint=False)
     c, s = np.cos(thetas), np.sin(thetas)
-    _, Q = PolarRHS(field).components(c, s)
-    return nu1_closed_form(p, q, thetas), Q, p * c**2 + q * s**2
+    n = normalize(field)
+    _, Q = PolarRHS(n.field).components(c, s)
+    return nu1_closed_form(p, q, thetas), Q, p * c**2 + q * s**2, n.scale_x, n.time_scale
 
 
 def estimate_period(field: WeightedField, h: float) -> float:
-    """Cartesian period of one polar revolution at radius ~ h via quadrature.
+    """Cartesian period of one polar revolution at radius ~ h via quadrature, in normalized time.
 
     Uses dtheta/dt = r**(2pq-p-q) * sum Q_k r**k / (p cos^2 + q sin^2) along
     the orbit r = h * nu_1(theta) of the leading part, on 256 angles.
     """
     p, q = field.p, field.q
-    nu1, Q, weight = _period_model(field)
+    nu1, Q, weight, *_ = _period_model(field)
     r = h * nu1
     den = sum(Qk * r**k for k, Qk in enumerate(Q))
     acc = np.sum(weight / (r ** (2 * p * q - p - q) * den))
@@ -267,9 +270,9 @@ def section_return(
     check_tol(tol)
     if isinstance(cartesian_field, WeightedField):
         # the period is estimated in normalized coordinates and mapped back
-        n = normalize(cartesian_field)
-        h = (x0 / n.scale_x) ** (1.0 / cartesian_field.p)
-        t_max = 20.0 * n.time_scale * estimate_period(n.field, h)
+        *_, scale_x, time_scale = _period_model(cartesian_field)
+        h = (x0 / scale_x) ** (1.0 / cartesian_field.p)
+        t_max = 20.0 * time_scale * estimate_period(cartesian_field, h)
         fun = _cartesian_rhs(cartesian_field)
     else:
         t_max, fun = 1e6, lambda t, z: cartesian_field(*z)

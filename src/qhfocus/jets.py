@@ -5,7 +5,8 @@ coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type.  The jet transports run them on the recording
 variables ``_Var``: the double-precision jet kernel once per order and
 pattern of zero components, the extended one once per solve.  A recorded
-program is evaluated on floats or on fixed-point Taylor series in theta.
+program keeps only the lines that an output or a division guard reads, and
+is evaluated on floats or on fixed-point Taylor series in theta.
 ``polar.PolarRHS`` records its components with the coefficients as inputs,
 and ``flow.section_return`` a weighted field's velocities, on the same
 variables; ``source`` writes each program as Python code on floats.
@@ -113,10 +114,30 @@ class _Abs(_Var):
 def record(fn: Callable, *inputs: str):
     """fn called on recording variables named ``inputs``: its lines ``(dest, op, a, b)``, and its result.
 
-    A guard ``|a| < b`` is a line with dest None."""
+    A guard ``|a| < b`` is a line with dest None.  Only the lines that the
+    result (variables, also in nested lists and tuples) or a guard reads are
+    kept, in recorded order, so a dead line costs no evaluator anything."""
     code: dict[tuple, str | None] = {}
     out = fn(*(_Var(code, name) for name in inputs))
-    return [(dest, *line) for line, dest in code.items()], out
+    return _live(code, set(_names(out))), out
+
+
+def _live(code: dict, live: set) -> list[tuple]:
+    """The lines of ``code`` that a guard or a value named in ``live`` reads, in order."""
+    program = []
+    for line, dest in reversed(code.items()):
+        if dest is None or dest in live:
+            live.update(x for x in line[1:] if isinstance(x, str))
+            program.append((dest, *line))
+    return program[::-1]
+
+
+def _names(out) -> Iterable[str]:
+    if isinstance(out, _Var):
+        yield out.name
+    elif isinstance(out, (list, tuple)):
+        for x in out:
+            yield from _names(x)
 
 
 def source(program: list[tuple], keep: Iterable[str] = ()) -> list[str]:

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField, alternation_search, find_cycles, flow, focal_values
+from qhfocus import (Monomial, WeightedField, alternation_search, find_cycles, flow, focal_values,
+                     polar)
 from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.cycles import closure_error
 from qhfocus.errors import AlternationError, InvalidFieldError, StiffnessError
+from qhfocus.fields import normalize
 from qhfocus.flow import return_map, section_return
 from qhfocus.polar import PolarRHS
 
@@ -174,6 +176,26 @@ def test_cartesian_scan_builds_the_period_model_once(monkeypatch, fresh_caches):
     assert len(result.cycles) == 1
     assert result.grid_n + result.cycles[0].evals > 16
     assert len(built) == 1
+
+
+def test_cartesian_scan_normalizes_each_field_once(monkeypatch, fresh_caches, unnormalized):
+    # section_return reads scale_x and time_scale from the field's period model,
+    # so the 16 grid points of a scan and its refinement share one normalize
+    calls = []
+
+    def counted(field):
+        calls.append(field)
+        return normalize(field)
+
+    for module in (flow, polar):
+        monkeypatch.setattr(module, "normalize", counted)
+    damped = eq329_weighted(
+        a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2
+    )
+    for field in (damped, unnormalized(damped, 0.788, 1.92)):
+        calls.clear()
+        find_cycles("cartesian", field, 0.09, 0.11, grid_n=16, tol=1e-12)
+        assert calls == [field]
 
 
 def test_closure_error_on_unnormalized_center(unnormalized):

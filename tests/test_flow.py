@@ -380,6 +380,51 @@ def test_recorder_folds_exact_identities(monkeypatch):
     assert sweep() == folded
 
 
+def test_jet_programs_hold_only_lines_an_output_or_a_guard_reads(monkeypatch, fresh_caches):
+    # random fields at four weights, one 1:1 and one 3:4 with an empty middle
+    # weight level, the criterion-8 field and the damped 1:1 field
+    rng = np.random.default_rng(3)
+    fields = [random_field(p, q, rng) for p, q in ((1, 1), (1, 2), (2, 3), (3, 4))]
+    assert [bool(xs or ys) for xs, ys in PolarRHS(fields[0])._levels] == [True, False, True]
+    assert not all(xs or ys for xs, ys in PolarRHS(fields[3])._levels[:-1])
+    fields += [normalize(eq325_field(1.22e-8, 2.41e-4)).field,
+               eq329_weighted(a50=-0.2, b41=1.0, a22=0.3, b13=0.1, delta0=0.02, delta1=0.1)]
+    cases = [(f, K) for i, f in enumerate(fields) for K in (3 + i % 4, 9 - i % 3)]
+    record, recorded = jets.record, []
+
+    def recording(fn, *inputs):
+        program, out = record(fn, *inputs)
+        recorded.append((program, out))
+        return program, out
+
+    def solves():
+        return [(integrate_jet(PolarRHS(f), 1e-12, K), integrate_jet_extended(
+                 PolarRHS(f), theta1=0.5, order=K, dps=20)) for f, K in cases]
+
+    monkeypatch.setattr(jets, "record", recording)
+    pruned = solves()
+    # the components, a kernel of _jet_coeffs per shape and the whole of _jet_rhs_coeffs per solve
+    assert len(recorded) == 3 * len(cases)
+    for program, out in recorded:
+        reads = {x for _, _, a, b in program for x in (a, b)} | set(_output_names(out))
+        assert [line for line in program if line[0] is not None and line[0] not in reads] == []
+    # pruning off: every recorded line runs, and the solves give bitwise the same results
+    monkeypatch.setattr(jets, "_live", lambda code, live: [(d, *line) for line, d in code.items()])
+    flow._jet_kernel.cache_clear()
+    for (jet, ext), (plain_jet, plain_ext) in zip(pruned, solves()):
+        assert (jet.final.tobytes(), jet.stats) == (plain_jet.final.tobytes(), plain_jet.stats)
+        assert ext == plain_ext
+    lines = [len(program) for program, _ in recorded]
+    assert sum(lines[3 * len(cases):]) > sum(lines[: 3 * len(cases)])
+
+
+def _output_names(out):
+    """The names of the recording variables in a recorded function's result, also nested."""
+    if isinstance(out, (list, tuple)):
+        return [name for x in out for name in _output_names(x)]
+    return [out.name] if isinstance(out, jets._Var) else []
+
+
 def _plain_jet_solve(rhs, K, y0, tol):
     """The double-precision jet solve written out: scipy's DOP853 on _jet_rhs_coeffs over floats."""
     return solve_ivp(

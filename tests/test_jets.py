@@ -81,3 +81,32 @@ def test_fused_program_is_the_line_by_line_program():
     fused = function("x, y", [*source(program, [out.name]), f"return {out.name}"])
     assert fused(0.7, -0.0).hex() == chain(0.7, -0.0).hex()
     assert fused(-1.3, 2.2).hex() == chain(-1.3, 2.2).hex()
+
+
+def test_record_keeps_only_what_an_output_or_a_guard_reads():
+    def fn(x, y):
+        dead = x * y
+        dead = dead + 3.0  # the product is read only by this dead sum: both go
+        guarded = x - y  # no output reads it, but a guard does
+        if abs(guarded) < 1e-300:
+            raise AssertionError("a recorded guard is assumed false")
+        quotient = y / guarded
+        return [quotient, (x + y, [x / 2.0])]
+
+    program, out = record(fn, "x", "y")
+    assert [line[1:] for line in program] == [
+        ("-", "x", "y"), ("abs<", "v2", 1e-300), ("/", "y", "v2"), ("+", "x", "y"),
+        ("/", "x", 2.0),
+    ]
+    assert program[1][0] is None  # the guard, in its place between its value and the division
+    names = [out[0].name, out[1][0].name, out[1][1][0].name]
+    assert names == [line[0] for line in program if line[1] != "abs<"][1:]
+
+    def line_by_line(x, y):
+        return [y / (x - y), x + y, x / 2.0]
+
+    pruned = function("x, y", [*source(program, names), f"return [{', '.join(names)}]"])
+    for x, y in ((0.7, -0.3), (1.3e-5, 2.2), (-4.0, 1.0 / 3.0)):
+        assert [v.hex() for v in pruned(x, y)] == [v.hex() for v in line_by_line(x, y)]
+    with pytest.raises(SingularDivisionError):
+        pruned(0.5, 0.5)
