@@ -119,25 +119,19 @@ def record(fn: Callable, *inputs: str):
     kept, in recorded order, so a dead line costs no evaluator anything."""
     code: dict[tuple, str | None] = {}
     out = fn(*(_Var(code, name) for name in inputs))
-    return _live(code, set(_names(out))), out
-
-
-def _live(code: dict, live: set) -> list[tuple]:
-    """The lines of ``code`` that a guard or a value named in ``live`` reads, in order."""
-    program = []
+    live, program = set(_names(out)), []
     for line, dest in reversed(code.items()):
         if dest is None or dest in live:
             live.update(x for x in line[1:] if isinstance(x, str))
             program.append((dest, *line))
-    return program[::-1]
+    return program[::-1], out
 
 
-def _names(out) -> Iterable[str]:
-    if isinstance(out, _Var):
-        yield out.name
-    elif isinstance(out, (list, tuple)):
-        for x in out:
-            yield from _names(x)
+def _names(out) -> list[str]:
+    """The names of the variables in ``out``, a variable or lists and tuples nesting them."""
+    if isinstance(out, (list, tuple)):
+        return [name for x in out for name in _names(x)]
+    return [out.name] if isinstance(out, _Var) else []
 
 
 def source(program: list[tuple], keep: Iterable[str] = ()) -> list[str]:

@@ -390,18 +390,25 @@ def test_jet_programs_hold_only_lines_an_output_or_a_guard_reads(monkeypatch, fr
     fields += [normalize(eq325_field(1.22e-8, 2.41e-4)).field,
                eq329_weighted(a50=-0.2, b41=1.0, a22=0.3, b13=0.1, delta0=0.02, delta1=0.1)]
     cases = [(f, K) for i, f in enumerate(fields) for K in (3 + i % 4, 9 - i % 3)]
-    record, recorded = jets.record, []
+    recorded = []
 
-    def recording(fn, *inputs):
-        program, out = record(fn, *inputs)
-        recorded.append((program, out))
-        return program, out
+    def logged(record):
+        def recording(fn, *inputs):
+            recorded.append(record(fn, *inputs))
+            return recorded[-1]
+        return recording
+
+    def unpruned(fn, *inputs):
+        """The recorder as it was before it pruned: every recorded line."""
+        code = {}
+        out = fn(*(jets._Var(code, name) for name in inputs))
+        return [(dest, *line) for line, dest in code.items()], out
 
     def solves():
         return [(integrate_jet(PolarRHS(f), 1e-12, K), integrate_jet_extended(
                  PolarRHS(f), theta1=0.5, order=K, dps=20)) for f, K in cases]
 
-    monkeypatch.setattr(jets, "record", recording)
+    monkeypatch.setattr(jets, "record", logged(jets.record))
     pruned = solves()
     # the components, a kernel of _jet_coeffs per shape and the whole of _jet_rhs_coeffs per solve
     assert len(recorded) == 3 * len(cases)
@@ -409,7 +416,7 @@ def test_jet_programs_hold_only_lines_an_output_or_a_guard_reads(monkeypatch, fr
         reads = {x for _, _, a, b in program for x in (a, b)} | set(_output_names(out))
         assert [line for line in program if line[0] is not None and line[0] not in reads] == []
     # pruning off: every recorded line runs, and the solves give bitwise the same results
-    monkeypatch.setattr(jets, "_live", lambda code, live: [(d, *line) for line, d in code.items()])
+    monkeypatch.setattr(jets, "record", logged(unpruned))
     flow._jet_kernel.cache_clear()
     for (jet, ext), (plain_jet, plain_ext) in zip(pruned, solves()):
         assert (jet.final.tobytes(), jet.stats) == (plain_jet.final.tobytes(), plain_jet.stats)
