@@ -393,9 +393,10 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 110 times slower than the double-precision path (eq325 field, K=7:
-    1.7 s at dps=30 against 15 ms at tol 1e-13 on a 2-core Xeon); meant for
-    hierarchies that collapse below machine epsilon.
+    About 115 times slower than the double-precision path (criterion-8 eq325
+    field, K=7: 1.5 s at dps=30 against 13 ms at tol 1e-13, medians of 35
+    runs on a shared 2-core Xeon); meant for hierarchies that collapse below
+    machine epsilon.
     """
     from mpmath import mp
 
