@@ -232,14 +232,10 @@ def u2_closed_form(theta, field: WeightedField):
 
 
 def verify_u2(theta_samples: Sequence[float], field: WeightedField) -> list[float]:
-    """Residual |nu_2/nu_1 - u_2(theta)| at each sample from jet transport."""
-    rhs = PolarRHS(field)
-    traj = flow.integrate_jet(rhs, order=3)
-    out = []
-    for theta in theta_samples:
-        nu1, nu2 = traj.at(theta)[:2]
-        out.append(abs(nu2 / nu1 - float(u2_closed_form(theta, field))))
-    return out
+    """Residual |nu_2/nu_1 - u_2(theta)| at each sample, nu_1 and nu_2 read from the
+    panel interpolants of the successive quadrature."""
+    nu1, nu2 = flow.successive_quadrature(PolarRHS(field), order=3).at(theta_samples)[:2]
+    return np.abs(nu2 / nu1 - u2_closed_form(theta_samples, field)).tolist()
 
 
 # -- perturbation families ----------------------------------------------------------

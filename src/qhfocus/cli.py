@@ -145,7 +145,8 @@ def cmd_analyze(args) -> Report:
         "values": {str(k): report.nu(k) for k in indices},
         "structural": struct,
         "system": format_system(field),
-        "diagnostics": {"rhs_evals": report.rhs_evals, "steps": report.steps},
+        "diagnostics": {"rhs_evals": report.rhs_evals, "steps": report.steps,
+                        "error_estimate": report.error_estimate},
     }
     return lines, doc, rows, None
 

@@ -2,16 +2,20 @@
 
 Three backends:
 
-* jet transport: the radius ODE is integrated with the radius replaced by a
-  truncated series in the initial radius h, carrying nu_1..nu_K in one
-  error-controlled pass.  Its right-hand side is recorded as straight-line
-  programs with two evaluators.  For DOP853 on floats it is two compiled
-  functions: the field's components, compiled once per monomial support
-  (``polar.Recording``), and the jet kernel, compiled once per order and
-  pattern of structurally zero components (``_jet_kernel``), so fields of
-  one support or one shape reuse the code.  The extended-precision Taylor
-  method records the whole right-hand side once per solve and sweeps it in
-  fixed-point Taylor coefficients;
+* jet transport: the radius ODE with the radius replaced by a truncated
+  series in the initial radius h, whose coefficients nu_1..nu_K give the
+  focal values.  The jet ODE is triangular, so in double precision
+  ``successive_quadrature`` takes the levels as K - 1 successive spectral
+  quadratures on Chebyshev panels (``spectral``), each to its own relative
+  accuracy; the integrands come from one staged program per order and
+  pattern of zero components (``_staged_levels``), run on arrays of
+  nodes.  ``integrate_jet`` solves the same ODE by DOP853 with
+  one absolute tolerance on every level, on two compiled functions: the
+  field's components, compiled once per monomial support
+  (``polar.Recording``), and the jet kernel, compiled once per shape
+  (``_jet_kernel``).  The extended-precision Taylor method records the
+  whole right-hand side once per solve and sweeps it in fixed-point Taylor
+  coefficients;
 * scalar: ``return_map``, the one scalar polar solve: r~(2*pi, h) over a
   full turn of dr/dtheta, of one radius or of an array of them as one
   vector solve (the tests check the flow identities on partial turns);
@@ -20,10 +24,10 @@ Three backends:
   the independent reference for the polar return map of weighted fields.
   A weighted field's velocities are recorded once per field.
 
-Every double-precision solve runs ``dop853.solve``: the jet, one radius
-and the Cartesian section on lists of floats, several radii as lanes of
-one array, bitwise as ``solve_ivp`` takes them.  So no path imports
-``scipy.integrate`` or ``scipy.optimize``.
+Every double-precision ODE solve runs ``dop853.solve``: the DOP853 jet,
+one radius and the Cartesian section on lists of floats, several radii as
+lanes of one array, bitwise as ``solve_ivp`` takes them.  So no path
+imports ``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -35,7 +39,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import dop853, jets
+from . import dop853, jets, spectral
 from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
 from .fields import WeightedField, normalize
 from .polar import PolarRHS
@@ -93,6 +97,12 @@ def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
     return _jet_kernel(K, tuple(v == "z" for v in rec.out))(rec.compiled("nonzero"))
 
 
+def _component_names(zero: tuple[bool, ...]) -> list[str]:
+    """R0..R<k>, Q0..Q<k> as recording inputs, with z for each entry ``zero`` flags."""
+    n = len(zero) // 2
+    return ["z" if zr else f"{'RQ'[i // n]}{i % n}" for i, zr in enumerate(zero)]
+
+
 @lru_cache(maxsize=64)
 def _jet_kernel(K: int, zero: tuple[bool, ...]) -> Callable:
     """``_jet_coeffs`` at order K as code: make(nonzero) -> f(theta, y), compiled once per shape.
@@ -105,8 +115,7 @@ def _jet_kernel(K: int, zero: tuple[bool, ...]) -> Callable:
     output its sign on floats.  A guard that holds raises as
     ``jets.div_trunc`` does.
     """
-    n = len(zero) // 2
-    inputs = ["z" if zr else f"{'RQ'[i // n]}{i % n}" for i, zr in enumerate(zero)]
+    n, inputs = len(zero) // 2, _component_names(zero)
     ys = [f"y{i}" for i in range(K)]
     program, out = jets.record(lambda *x: _jet_coeffs(x[:n], x[n : 2 * n], K, x[2 * n :]),
                                *inputs, *ys)
@@ -116,6 +125,61 @@ def _jet_kernel(K: int, zero: tuple[bool, ...]) -> Callable:
              f"    ({components}) = nonzero(cos(theta), sin(theta))", "    z = 0 * y0", *("    " + line for line in jets.source(program, out)),
              f"    return [{', '.join(v + ' + z' for v in out)}]", "return f"]
     return jets.function("nonzero", lines, cos=math.cos, sin=math.sin)
+
+
+def _staged_recording(K: int, zero: tuple[bool, ...]) -> tuple[list[str], list[tuple], list[str]]:
+    """The recording behind ``_staged_levels``: its inputs, its lines and the names of P_2..P_K.
+
+    Level k of the jet ODE is nu_k' = (R_0/Q_0) nu_k + P_k(theta; nu_1..nu_(k-1)).
+    One recording holds K - 1 calls of ``_jet_coeffs``: call k runs at order
+    k with nu_k the structural zero z, so its output k is P_k (the zero fold
+    drops the nu_k term), and the calls share their common lines.  The
+    inputs are R_0..R_k, Q_0..Q_k, z where ``zero`` flags one as zero, and
+    y0..y<K-2> (nu_1..nu_(K-1)).
+    """
+    n, inputs = len(zero) // 2, _component_names(zero)
+
+    def levels(*x):
+        R, Q, nu = x[:n], x[n : 2 * n], x[2 * n :]
+        z = 0 * nu[0]
+        return [_jet_coeffs(R, Q, k, [*nu[: k - 1], z])[k - 1] for k in range(2, K + 1)]
+
+    program, out = jets.record(levels, *inputs, *(f"y{i}" for i in range(K - 1)))
+    return inputs, program, [v.name for v in out]
+
+
+@lru_cache(maxsize=64)
+def _staged_levels(K: int, zero: tuple[bool, ...]) -> Callable:
+    """P_2..P_K of ``_staged_recording`` as one generator, compiled once per shape.
+
+    The generator f(<the components that ``zero`` does not flag>, y0) runs
+    on arrays of nodes: it yields P_2 and is sent nu_2, ..., and yields P_K.
+    A line runs once, right after the last nu it reads is sent, and each
+    array is dropped after its last read, so a sweep holds only the live
+    ones.  The recorded guards, |Q_0| < tiny (every division of
+    ``jets.div_trunc`` is by Q_0), are left to the caller, which checks Q_0
+    on all nodes at once.
+    """
+    inputs, program, out = _staged_recording(K, zero)
+    stage, stages = {f"y{s}": s for s in range(K - 1)}, [[] for _ in out]
+    for line in program:
+        if line[0] is not None:
+            reads = [x for x in line[2:] if isinstance(x, str)]
+            stage[line[0]] = max((stage.get(x, 0) for x in reads), default=0)
+            stages[stage[line[0]]].append((line, reads))
+    # one statement per line, as every name is kept, and the names each one reads
+    body = []
+    for s, part in enumerate(stages):
+        lines = [line for line, _ in part]
+        body += zip(jets.source(lines, [line[0] for line in lines]), (reads for _, reads in part))
+        body.append((f"y{s + 1} = yield {out[s]}" if s + 2 < K else f"yield {out[s]}", [out[s]]))
+    dead = [[] for _ in body]
+    for name, i in {x: i for i, (_, reads) in enumerate(body) for x in reads}.items():
+        dead[i].append(name)
+    lines = ["z = 0 * y0"]
+    for (statement, _), names in zip(body, dead):
+        lines += [statement] + [f"del {', '.join(names)}"] * bool(names)
+    return jets.function(", ".join([x for x in inputs if x != "z"] + ["y0"]), lines)
 
 
 @dataclass
@@ -170,6 +234,67 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     _, final, nfev, steps = solve()
     stats = IntegratorStats(nfev, steps, dop853.effective_rtol(tol))
     return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[3])
+
+
+@dataclass(frozen=True)
+class JetQuadrature:
+    """nu_1..nu_K over one turn by successive quadrature, on the accepted panels.
+
+    ``error`` holds the estimate of each of nu_2(2*pi)..nu_K(2*pi), and
+    ``stats`` the nodes of the staged program evaluated over every panel set
+    tried, the accepted panels and the relative tolerance."""
+
+    order: int
+    stats: IntegratorStats
+    final: np.ndarray
+    error: np.ndarray
+    panels: spectral.Panels
+    on_nodes: np.ndarray  # nu_1..nu_K on the accepted panels' nodes, one row per level
+
+    def at(self, theta) -> np.ndarray:
+        """[nu_1(theta), ..., nu_K(theta)], 0 <= theta <= 2*pi, from the panel interpolants."""
+        return self.panels.interpolate(self.on_nodes, theta)
+
+
+def successive_quadrature(rhs: PolarRHS, tol: float = DEFAULT_TOL,
+                          order: int | None = None) -> JetQuadrature:
+    """The radius jet over one turn as K - 1 successive quadratures, from the identity jet.
+
+    nu_1 = exp(int R_0/Q_0), and level k, nu_k' = (R_0/Q_0) nu_k + P_k, is
+    nu_k = nu_1 int P_k/nu_1 by variation of constants: every integrand is
+    analytic and periodic, since Q_0 > 0 on the circle.  Each panel set
+    evaluates ``rhs.components`` once on its nodes, as arrays, and the staged
+    program of ``_staged_levels`` once, sending each nu_k as it is integrated, and
+    ``spectral.refine`` doubles the panels until every level settles to
+    ``dop853.effective_rtol(tol)`` times max(1, max_k |nu_k(2*pi)|).  Q_0
+    at or below tiny on a node raises as ``jets.div_trunc`` does.
+    """
+    check_tol(tol)
+    K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
+    _check_positive_ints(order=K)
+
+    def sweep(panels: spectral.Panels) -> tuple[np.ndarray, np.ndarray]:
+        _, cos, sin = panels.nodes
+        R, Q = rhs.components(cos, sin)
+        if not Q[0].min() > jets.TINY:
+            raise SingularDivisionError(jets.VANISHING)
+        # the shape: the components that vanish on every node, as the structurally zero ones do
+        zero = tuple(x.min() == x.max() == 0.0 for x in R + Q)
+        log_nu1, total = panels.integrate(R[0] / Q[0])
+        nu = [np.exp(log_nu1)]
+        final = [math.exp(total)]
+        program = _staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), nu[0])
+        for k in range(2, K + 1):
+            P = next(program) if k == 2 else program.send(nu[-1])
+            lift, total = panels.integrate(P / nu[0])
+            nu.append(nu[0] * lift)
+            final.append(final[0] * total)
+        return np.array(final), np.array(nu)
+
+    panels, final, error, on_nodes, evals = spectral.refine(
+        sweep, dop853.effective_rtol(tol), [f"nu_{k}" for k in range(1, K + 1)])
+    stats = IntegratorStats(evals, panels.count, dop853.effective_rtol(tol))
+    return JetQuadrature(K, stats, final, error[1:], panels, on_nodes)
 
 
 def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
@@ -393,10 +518,10 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 115 times slower than the double-precision path (criterion-8 eq325
-    field, K=7: 1.5 s at dps=30 against 13 ms at tol 1e-13, medians of 35
-    runs on a shared 2-core Xeon); meant for hierarchies that collapse below
-    machine epsilon.
+    About 700 times slower than the double-precision path, the successive
+    quadrature (criterion-8 eq325 field, K=7: 1.6 s at dps=30 against 2.4 ms
+    at tol 1e-13, medians of 15 runs on a shared 2-core Xeon); meant for
+    hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp
 

@@ -38,11 +38,14 @@ class FocalReport:
     integ_tol: float  # local error tolerance the integrator solved to
     weight_gcd: int = 1
     order: int = 0
-    # integrator work: RHS evaluations and accepted steps (Taylor coefficients
-    # of the jet RHS and Taylor steps under extended precision)
+    # integrator work.  Double precision: nodes at which the staged jet program
+    # ran, summed over the panel sets tried, and the panels accepted.  Extended
+    # precision: Taylor coefficients of the jet RHS and Taylor steps
     rhs_evals: int | None = None
     steps: int | None = None
     nu1: float = 1.0  # nu_1(2*pi): 1 but for terms at the leading weight
+    # double precision: the error estimate of each of nu_2..nu_K; None when extended
+    error_estimate: tuple[float, ...] | None = None
 
     def nu(self, k: int) -> float:
         """nu_k(2*pi) for 1 <= k <= order."""
@@ -114,12 +117,18 @@ def focal_values(
     precision: str = "double",
     dps: int = 30,
 ) -> FocalReport:
-    """nu_1(2*pi)..nu_K(2*pi) by jet transport over one full turn.
+    """nu_1(2*pi)..nu_K(2*pi) of the radius jet over one full turn.
 
-    ``field`` may be unnormalized: ``PolarRHS`` charts its normalized field,
-    whose focal values these are.  The extended-precision solve runs at its
-    own tolerance 10**-dps in place of ``integ_tol``; the report records the
-    tolerance used either way.
+    Double precision runs ``flow.successive_quadrature``: the jet ODE is
+    triangular, so the levels are K - 1 successive spectral quadratures on
+    Chebyshev panels, doubled until each level settles to
+    ``dop853.effective_rtol(integ_tol)`` times max(1, max_k |nu_k|).  The
+    report gives that relative tolerance, the per-level ``error_estimate``,
+    the nodes evaluated (``rhs_evals``) and the panels accepted (``steps``).
+    Extended precision runs the Taylor jet transport at its own tolerance
+    10**-dps in place of ``integ_tol``, and reports it.  ``field`` may be
+    unnormalized: ``PolarRHS`` charts its normalized field, whose focal
+    values these are.
     """
     check_tol(integ_tol)
     check_tol(tol, "zero tolerance")  # before the solve is spent
@@ -127,15 +136,16 @@ def focal_values(
     K = K if K is not None else flow.default_order(field.p, field.q)
     if K < 3:
         raise ValueError("focal analysis needs jet order K >= 3")
+    error = None
     if precision == "extended":
         final, stats = flow.integrate_jet_extended(rhs, order=K, dps=dps)
     elif precision == "double":
-        traj = flow.integrate_jet(rhs, tol=integ_tol, order=K)
-        final, stats = traj.final, traj.stats
+        jet = flow.successive_quadrature(rhs, tol=integ_tol, order=K)
+        final, stats, error = jet.final, jet.stats, tuple(map(float, jet.error))
     else:
         raise ValueError(f"unknown precision mode {precision!r}")
     report = classify(final, field.p, field.q, stats.tol, zero_tol=tol)
-    return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps)
+    return replace(report, rhs_evals=stats.n_rhs_evals, steps=stats.n_steps, error_estimate=error)
 
 
 # -- parameter Jacobians -------------------------------------------------------

@@ -3,13 +3,15 @@
 A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type.  The jet transports run them on the recording
-variables ``_Var``: the double-precision jet kernel once per order and
-pattern of zero components, the extended one once per solve.  A recorded
-program keeps only the lines that an output or a division guard reads, and
-is evaluated on floats or on fixed-point Taylor series in theta.
-``polar.PolarRHS`` records its components with the coefficients as inputs,
-and ``flow.section_return`` a weighted field's velocities, on the same
-variables; ``source`` writes each program as Python code on floats.
+variables ``_Var``: the staged program of the successive quadrature and the
+DOP853 jet kernel once per order and pattern of zero components, the
+extended one once per solve.  A recorded program keeps only the lines that
+an output or a division guard reads, and is evaluated on floats, on arrays
+of nodes or on fixed-point Taylor series in theta.  ``polar.PolarRHS``
+records its components with the coefficients as inputs, and
+``flow.section_return`` a weighted field's velocities, on the same
+variables; ``source`` writes each program as Python code on floats or
+arrays.
 """
 from __future__ import annotations
 
@@ -18,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import SingularDivisionError
 
-_TINY = 1e-300
+TINY = 1e-300
 VANISHING = "division by a jet with vanishing constant term"
 # parentheses nested in one emitted statement; Python's parser refuses about 200
 _MAX_DEPTH = 50
@@ -37,7 +39,7 @@ def mul_trunc(a: Sequence, b: Sequence, n: int) -> list:
 
 def div_trunc(a: Sequence, b: Sequence, n: int) -> list:
     """Coefficients 0..n-1 of a/b; requires b[0] != 0."""
-    if abs(b[0]) < _TINY:
+    if abs(b[0]) < TINY:
         raise SingularDivisionError(VANISHING)
     out = [0 * a[0]] * n
     for m in range(n):

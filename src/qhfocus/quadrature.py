@@ -83,15 +83,22 @@ class FourierAntiderivative:
         xs = np.linspace(0.0, TWO_PI, n, endpoint=False)
         coeffs = np.fft.rfft(np.asarray(g(xs), dtype=float)) / n
         self.mean = float(coeffs[0].real)
-        self._c = coeffs[1:]
         self._k = np.arange(1, len(coeffs))
+        # int_0^t e^{ik s} ds = (e^{ikt} - 1)/(ik); rfft needs the 2*Re fold
+        self._d = coeffs[1:] / (1j * self._k)
         self.n = n
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        phase = np.exp(1j * np.outer(np.atleast_1d(theta), self._k))
-        # int_0^t e^{ik s} ds = (e^{ikt} - 1)/(ik); rfft needs the 2*Re fold
-        osc = 2.0 * np.real((phase - 1.0) @ (self._c / (1j * self._k)))
+        d, m = self._d, theta.size
+        if theta.ndim == 1 and np.array_equal(theta, np.linspace(0.0, TWO_PI, m, endpoint=False)):
+            # the equispaced grid: e^{ik t_j} depends on k mod m only, so the
+            # folded coefficients give sum_k d_k e^{ik t_j} by one inverse FFT
+            folded = np.zeros(-(-(self._k[-1] + 1) // m) * m, dtype=complex)
+            folded[self._k] = d
+            osc = 2.0 * np.real(m * np.fft.ifft(folded.reshape(-1, m).sum(axis=0)) - d.sum())
+        else:
+            osc = 2.0 * np.real((np.exp(1j * np.outer(np.atleast_1d(theta), self._k)) - 1.0) @ d)
         out = self.mean * np.atleast_1d(theta) + osc
         return out if np.ndim(theta) else float(out[0])
 

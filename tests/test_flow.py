@@ -567,19 +567,20 @@ def _focal_fields():
         yield pytest.param(random_field(p, q, np.random.default_rng(0)), id=f"{p}:{q}-0")
 
 
-# scipy's solve is the reference for the method: same steps, same evaluations,
-# end states within tol of each other (its stage sums round in another order).
-# The written-out solve is the bitwise oracle.
+# The DOP853 jet transport, the independent check of the focal values in demo
+# 01: scipy's solve is the reference for the method, with the same steps, the
+# same evaluations and end states within tol of each other (its stage sums round
+# in another order).  The written-out solve is the bitwise oracle.
 @pytest.mark.parametrize("field", _focal_fields())
 def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
     K, tol = default_order(field.p, field.q), 1e-13
     rhs, y0 = PolarRHS(normalize(field).field), [1.0] + [0.0] * (K - 1)
     sol = _plain_jet_solve(rhs, K, y0, tol)
     _, final, nfev, steps, _ = _written_out_dop853(_jet_fun(rhs, K), 2 * np.pi, y0, tol, tol)
-    rep = focal_values(field, integ_tol=tol)
-    assert (rep.rhs_evals, rep.steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
-    assert _within_tol([rep.nu1, *rep.values], sol.y[:, -1], tol)
-    assert np.array([rep.nu1, *rep.values]).tobytes() == np.array(final).tobytes()
+    traj = integrate_jet(PolarRHS(field), tol=tol, order=K)
+    assert (traj.stats.n_rhs_evals, traj.stats.n_steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
+    assert _within_tol(traj.final, sol.y[:, -1], tol)
+    assert traj.final.tobytes() == np.array(final).tobytes()
 
 
 def test_shifted_jet_transport_is_the_plain_solve():

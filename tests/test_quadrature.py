@@ -66,6 +66,18 @@ def test_fourier_antiderivative_matches_exact():
         assert F(t) == pytest.approx(exact(t), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [64, 2048])
+def test_fourier_antiderivative_on_the_trapezoid_grid_is_the_pointwise_sum(n):
+    # the equispaced grid takes one inverse FFT, folding the coefficients on a
+    # grid coarser than n; one angle at a time takes the outer-product sum
+    g = lambda t: np.exp(np.sin(t)) / (2 + np.cos(3 * t)) ** 0.75
+    F = FourierAntiderivative(g, n)
+    for m in (8, 32, 48, 1024, 4096):
+        grid = np.linspace(0.0, TWO_PI, m, endpoint=False)
+        pointwise = np.array([F(t) for t in grid])
+        assert np.max(np.abs(F(grid) - pointwise)) <= 1e-14
+
+
 def test_ode_antiderivative_matches_fourier():
     f = lambda t: np.exp(np.cos(t)) * np.sin(2 * t)
     F1 = FourierAntiderivative(f, n=512)

@@ -1,0 +1,134 @@
+"""Chebyshev panels, and the focal values as successive quadratures on them."""
+import numpy as np
+import pytest
+
+from qhfocus import Monomial, WeightedField, focal_values, jets
+from qhfocus.casestudy import eq325_field, eq329_weighted, field23
+from qhfocus.errors import QuadratureError
+from qhfocus.flow import (
+    _jet_coeffs, _staged_levels, _staged_recording, default_order, successive_quadrature,
+)
+from qhfocus.focal import random_field
+from qhfocus.polar import PolarRHS
+from qhfocus.spectral import N, Panels
+
+
+def test_panels_integrate_and_interpolate_to_rounding():
+    # exp(sin) is entire: 8 panels of 32 points resolve it to rounding
+    panels = Panels(8)
+    theta, cos, sin = panels.nodes
+    assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
+    assert theta.shape == (8 * N,) and np.all(np.diff(theta) > 0)
+    assert 0 < theta[0] and theta[-1] < 2 * np.pi
+    cumulative, total = panels.integrate(np.cos(theta) * np.exp(np.sin(theta)))
+    assert np.max(np.abs(cumulative - np.expm1(np.sin(theta)))) <= 1e-14
+    assert abs(total) <= 1e-14
+    at = np.array([0.0, 0.3, theta[5], np.pi, 2 * np.pi])
+    values = np.stack([np.exp(np.sin(theta)), np.cos(3 * theta)])
+    assert np.max(np.abs(panels.interpolate(values, at) - [np.exp(np.sin(at)), np.cos(3 * at)])) <= 1e-14
+    assert panels.interpolate(values, theta[5])[0] == values[0, 5]  # a node gives its own value
+    with pytest.raises(ValueError, match="outside the turn"):
+        panels.interpolate(values, 7.0)
+
+
+@pytest.fixture(scope="module")
+def criterion_8():
+    """The criterion-8 field, its double report and its dps-30 solve at K = 7."""
+    field = eq325_field(1.221677348996793e-08, 2.4063404265252253e-04)
+    return field, focal_values(field, K=7, integ_tol=1e-13), focal_values(field, K=7, precision="extended")
+
+
+def _oracle_fields():
+    damped = eq329_weighted(0.0, 1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4, delta2=2.72e-2)
+    yield pytest.param(damped, 8, 30, id="criterion-10")
+    yield pytest.param(field23(0.5, 1.0, -0.3, 1.0), 5, 20, id="field23")
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        for seed in range(5):
+            yield pytest.param(random_field(p, q, np.random.default_rng(seed)), 5, 20,
+                               id=f"{p}:{q}-{seed}")
+
+
+def _within_estimate(dbl, ext):
+    err = np.abs(np.array(dbl.values) - np.array(ext.values, dtype=float))
+    assert len(dbl.error_estimate) == dbl.order - 1
+    assert np.all(err <= dbl.error_estimate), (err, dbl.error_estimate)
+    assert abs(dbl.nu1 - float(ext.nu1)) <= max(dbl.error_estimate)
+
+
+def test_criterion_8_values_lie_within_their_estimates_of_dps_30(criterion_8):
+    _, dbl, ext = criterion_8
+    _within_estimate(dbl, ext)
+    # nu_2 = 1.34e-9 is right to 1e-6 relative; DOP853 at tol 1e-13 was 1.4e-4 off
+    assert abs(dbl.nu(2) / float(ext.nu(2)) - 1) <= 1e-6
+    assert (dbl.steps, dbl.rhs_evals) == (16, (8 + 16) * N)
+
+
+@pytest.mark.parametrize("field, K, dps", _oracle_fields())
+def test_values_lie_within_their_estimates_of_the_extended_solve(field, K, dps):
+    _within_estimate(focal_values(field, K=K, integ_tol=1e-13),
+                     focal_values(field, K=K, precision="extended", dps=dps))
+
+
+@pytest.mark.parametrize("field", [
+    eq325_field(1.22e-8, 2.41e-4),
+    eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02),
+    *(random_field(p, q, np.random.default_rng(3)) for p, q in ((1, 1), (1, 2), (2, 3), (3, 4))),
+])
+def test_staged_program_yields_the_jet_coefficients_with_the_upper_levels_zero(field):
+    # level k of the jet ODE is (R_0/Q_0) nu_k + P_k: the generator's P_k is
+    # output k of _jet_coeffs on floats with nu_k..nu_K at 0, bitwise
+    K = 7
+    rec = PolarRHS(field).recording()
+    zero = tuple(v == "z" for v in rec.out)
+    theta = np.array([0.1, 1.7, 2.9, 5.3])
+    parts = rec.compiled("nonzero")(np.cos(theta), np.sin(theta))
+    nu = np.random.default_rng(0).uniform(-1, 1, (K, theta.size))
+    program = _staged_levels(K, zero)(*parts, nu[0])
+    staged = [next(program)] + [program.send(nu[k]) for k in range(1, K - 1)]
+    for i in range(theta.size):
+        flat = iter(float(p[i]) for p in parts)
+        comps = [0.0 if z else next(flat) for z in zero]
+        R, Q = comps[: len(zero) // 2], comps[len(zero) // 2 :]
+        for k in range(2, K + 1):
+            levels = [float(v) for v in nu[: k - 1, i]] + [0.0] * (K - k + 1)
+            assert staged[k - 2][i] == _jet_coeffs(R, Q, K, levels)[k - 1]
+    # the levels share their lines: no more than one recording of _jet_coeffs at order K
+    n = len(zero) // 2
+    inputs, staged_lines, _ = _staged_recording(K, zero)
+    kernel, _ = jets.record(lambda *x: _jet_coeffs(x[:n], x[n : 2 * n], K, x[2 * n :]),
+                            *inputs, *(f"y{i}" for i in range(K)))
+    assert len(staged_lines) <= len(kernel)
+
+
+def _near_monodromy_limit(beta: float) -> WeightedField:
+    """A 1:1 field whose terms at the leading weight make Q_0 = 1 + beta sin(2 theta)."""
+    return WeightedField(p=1, q=1, x_terms=(
+        Monomial(1, 0, -beta), Monomial(3, 0, 0.4), Monomial(1, 2, -0.3), Monomial(2, 1, 0.5),
+    ), y_terms=(
+        Monomial(0, 1, beta), Monomial(2, 1, 0.2), Monomial(0, 3, 0.7), Monomial(3, 0, -0.6),
+    ))
+
+
+def test_fields_near_the_monodromy_limit_need_more_panels_or_are_refused():
+    # min Q_0 = 0.01: the strip of analyticity narrows, and the estimate takes
+    # the panels from 16 to 64, where it holds against dps 30
+    field = _near_monodromy_limit(0.99)
+    dbl = focal_values(field, K=4, integ_tol=1e-13)
+    assert dbl.steps == 64
+    _within_estimate(dbl, focal_values(field, K=4, precision="extended"))
+    # min Q_0 = 1e-5: no level settles within the panel cap, and the refusal names one
+    with pytest.raises(QuadratureError, match=r"nu_\d did not settle .* within 1024 panels"):
+        successive_quadrature(PolarRHS(_near_monodromy_limit(0.99999)), tol=1e-13, order=4)
+
+
+def test_a_pass_compiles_one_staged_program_per_shape(fresh_caches):
+    fields = [random_field(p, q, np.random.default_rng(seed))
+              for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)]
+    shapes = {(default_order(f.p, f.q), tuple(v == "z" for v in PolarRHS(f).recording().out))
+              for f in fields}
+    for field in fields:
+        focal_values(field)
+    assert _staged_levels.cache_info().misses == len(shapes) < len(fields)
+    for field in fields:  # a second pass compiles nothing
+        focal_values(field)
+    assert _staged_levels.cache_info().misses == len(shapes)
