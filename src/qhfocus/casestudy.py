@@ -234,7 +234,7 @@ def u2_closed_form(theta, field: WeightedField):
 def verify_u2(theta_samples: Sequence[float], field: WeightedField) -> list[float]:
     """Residual |nu_2/nu_1 - u_2(theta)| at each sample, nu_1 and nu_2 read from the
     panel interpolants of the successive quadrature."""
-    nu1, nu2 = flow.successive_quadrature(PolarRHS(field), order=3).at(theta_samples)[:2]
+    nu1, nu2 = flow.integrate_jet(PolarRHS(field), order=3).at(theta_samples)[:2]
     return np.abs(nu2 / nu1 - u2_closed_form(theta_samples, field)).tolist()
 
 

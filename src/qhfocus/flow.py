@@ -5,16 +5,12 @@ Three backends:
 * jet transport: the radius ODE with the radius replaced by a truncated
   series in the initial radius h, whose coefficients nu_1..nu_K give the
   focal values.  The jet ODE is triangular, so in double precision
-  ``successive_quadrature`` takes the levels as K - 1 successive spectral
+  ``integrate_jet`` takes the levels as K - 1 successive spectral
   quadratures on Chebyshev panels (``spectral``), each to its own relative
   accuracy; the integrands come from one staged program per order and
   pattern of zero components (``_staged_levels``), run on arrays of
-  nodes.  ``integrate_jet`` solves the same ODE by DOP853 with
-  one absolute tolerance on every level, on two compiled functions: the
-  field's components, compiled once per monomial support
-  (``polar.Recording``), and the jet kernel, compiled once per shape
-  (``_jet_kernel``).  The extended-precision Taylor method records the
-  whole right-hand side once per solve and sweeps it in fixed-point Taylor
+  nodes.  The extended-precision Taylor method records the whole
+  right-hand side once per solve and sweeps it in fixed-point Taylor
   coefficients;
 * scalar: ``return_map``, the one scalar polar solve: r~(2*pi, h) over a
   full turn of dr/dtheta, of one radius or of an array of them as one
@@ -24,10 +20,10 @@ Three backends:
   the independent reference for the polar return map of weighted fields.
   A weighted field's velocities are recorded once per field.
 
-Every double-precision ODE solve runs ``dop853.solve``: the DOP853 jet,
-one radius and the Cartesian section on lists of floats, several radii as
-lanes of one array, bitwise as ``solve_ivp`` takes them.  So no path
-imports ``scipy.integrate`` or ``scipy.optimize``.
+Every double-precision ODE solve runs ``dop853.solve``: one radius and the
+Cartesian section on lists of floats, several radii as lanes of one array,
+bitwise as ``solve_ivp`` takes them.  So no path imports
+``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -83,48 +79,10 @@ def _jet_coeffs(R: Sequence, Q: Sequence, K: int, nu: Sequence) -> list:
     return jets.mul_trunc(r, quot, n)[1:]
 
 
-def _compile_jet_rhs(rhs: PolarRHS, K: int) -> Callable:
-    """``_jet_rhs_coeffs`` on floats at order K, as one straight-line function f(theta, y).
-
-    f is the kernel of ``_jet_kernel``, recorded and compiled once per shape,
-    on the field's components, recorded once per ``PolarRHS`` and compiled
-    once per support (``polar.Recording``).  Both run recorded programs as
-    ``jets.source`` writes them, so f does the same float operations on the
-    same operands as ``_jet_rhs_coeffs`` (a product's factors may be
-    swapped, which floats do not notice) and returns bitwise equal values.
-    """
-    rec = rhs.recording()
-    return _jet_kernel(K, tuple(v == "z" for v in rec.out))(rec.compiled("nonzero"))
-
-
 def _component_names(zero: tuple[bool, ...]) -> list[str]:
     """R0..R<k>, Q0..Q<k> as recording inputs, with z for each entry ``zero`` flags."""
     n = len(zero) // 2
     return ["z" if zr else f"{'RQ'[i // n]}{i % n}" for i, zr in enumerate(zero)]
-
-
-@lru_cache(maxsize=64)
-def _jet_kernel(K: int, zero: tuple[bool, ...]) -> Callable:
-    """``_jet_coeffs`` at order K as code: make(nonzero) -> f(theta, y), compiled once per shape.
-
-    The shape is K and ``zero``, which flags the structurally zero entries of
-    R_0..R_k, Q_0..Q_k; ``nonzero(c, s)`` gives the others, in that order.
-    The kernel is ``_jet_coeffs`` recorded with them as inputs, next to
-    y0..y<K-1> (nu) and z.  ``jets.mul_trunc`` starts each output at
-    0 * nu_1, an add the zero fold drops: f adds it last, which gives a zero
-    output its sign on floats.  A guard that holds raises as
-    ``jets.div_trunc`` does.
-    """
-    n, inputs = len(zero) // 2, _component_names(zero)
-    ys = [f"y{i}" for i in range(K)]
-    program, out = jets.record(lambda *x: _jet_coeffs(x[:n], x[n : 2 * n], K, x[2 * n :]),
-                               *inputs, *ys)
-    out = [v.name for v in out]
-    components = "".join(x + ", " for x in inputs if x != "z")
-    lines = ["def f(theta, y):", f"    {', '.join(ys)}, = y",
-             f"    ({components}) = nonzero(cos(theta), sin(theta))", "    z = 0 * y0", *("    " + line for line in jets.source(program, out)),
-             f"    return [{', '.join(v + ' + z' for v in out)}]", "return f"]
-    return jets.function("nonzero", lines, cos=math.cos, sin=math.sin)
 
 
 def _staged_recording(K: int, zero: tuple[bool, ...]) -> tuple[list[str], list[tuple], list[str]]:
@@ -189,29 +147,6 @@ class IntegratorStats:
     tol: float  # the tolerance the solver ran at
 
 
-@dataclass
-class JetTrajectory:
-    """Jet solution nu_1(theta)..nu_K(theta) over one turn [0, 2*pi].
-
-    ``final`` is the solver's end state.  The dense steps behind ``at`` are
-    built on first use by repeating the solve with dense output, which takes
-    the same steps, and read by ``dop853.state_at``: ``final`` at 2*pi.
-    """
-
-    order: int
-    stats: IntegratorStats
-    final: np.ndarray
-    _dense_solve: Callable[[], list]
-    _steps: list | None = None  # the dense solve's steps
-
-    def at(self, theta: float) -> np.ndarray:
-        """The radius-jet coefficients [nu_1(theta), ..., nu_K(theta)], 0 <= theta <= 2*pi."""
-        if not 0.0 <= theta <= 2 * np.pi:  # checked before a dense solve is spent on it
-            raise ValueError(f"theta={theta!r} lies outside the solved turn [0, 2*pi]")
-        self._steps = self._steps or self._dense_solve()
-        return np.array(dop853.state_at(self._steps, theta))
-
-
 def _check_positive_ints(**values) -> None:
     """The one rule for the jet order and the digits of both jet solves."""
     for name, value in values.items():
@@ -219,25 +154,8 @@ def _check_positive_ints(**values) -> None:
             raise ValueError(f"{name} must be a positive integer, got {value!r}")
 
 
-def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
-                  order: int | None = None) -> JetTrajectory:
-    """Transport the radius jet over one turn, theta from 0 to 2*pi.
-
-    The jet starts from the identity (nu_1 = 1, nu_k = 0), the standard
-    initial condition of the focal values.
-    """
-    check_tol(tol)
-    K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
-    _check_positive_ints(order=K)
-    solve = partial(dop853.solve, _compile_jet_rhs(rhs, K), 2 * np.pi, [1.0] + [0.0] * (K - 1),
-                    tol, tol, "jet integration")
-    _, final, nfev, steps = solve()
-    stats = IntegratorStats(nfev, steps, dop853.effective_rtol(tol))
-    return JetTrajectory(K, stats, np.array(final), lambda: solve(dense=True)[3])
-
-
 @dataclass(frozen=True)
-class JetQuadrature:
+class JetTrajectory:
     """nu_1..nu_K over one turn by successive quadrature, on the accepted panels.
 
     ``error`` holds the estimate of each of nu_2(2*pi)..nu_K(2*pi), and
@@ -256,8 +174,8 @@ class JetQuadrature:
         return self.panels.interpolate(self.on_nodes, theta)
 
 
-def successive_quadrature(rhs: PolarRHS, tol: float = DEFAULT_TOL,
-                          order: int | None = None) -> JetQuadrature:
+def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
+                  order: int | None = None) -> JetTrajectory:
     """The radius jet over one turn as K - 1 successive quadratures, from the identity jet.
 
     nu_1 = exp(int R_0/Q_0), and level k, nu_k' = (R_0/Q_0) nu_k + P_k, is
@@ -294,7 +212,7 @@ def successive_quadrature(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     panels, final, error, on_nodes, evals = spectral.refine(
         sweep, dop853.effective_rtol(tol), [f"nu_{k}" for k in range(1, K + 1)])
     stats = IntegratorStats(evals, panels.count, dop853.effective_rtol(tol))
-    return JetQuadrature(K, stats, final, error[1:], panels, on_nodes)
+    return JetTrajectory(K, stats, final, error[1:], panels, on_nodes)
 
 
 def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):

@@ -119,7 +119,7 @@ def focal_values(
 ) -> FocalReport:
     """nu_1(2*pi)..nu_K(2*pi) of the radius jet over one full turn.
 
-    Double precision runs ``flow.successive_quadrature``: the jet ODE is
+    Double precision runs ``flow.integrate_jet``: the jet ODE is
     triangular, so the levels are K - 1 successive spectral quadratures on
     Chebyshev panels, doubled until each level settles to
     ``dop853.effective_rtol(integ_tol)`` times max(1, max_k |nu_k|).  The
@@ -140,7 +140,7 @@ def focal_values(
     if precision == "extended":
         final, stats = flow.integrate_jet_extended(rhs, order=K, dps=dps)
     elif precision == "double":
-        jet = flow.successive_quadrature(rhs, tol=integ_tol, order=K)
+        jet = flow.integrate_jet(rhs, tol=integ_tol, order=K)
         final, stats, error = jet.final, jet.stats, tuple(map(float, jet.error))
     else:
         raise ValueError(f"unknown precision mode {precision!r}")

@@ -3,15 +3,14 @@
 A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type.  The jet transports run them on the recording
-variables ``_Var``: the staged program of the successive quadrature and the
-DOP853 jet kernel once per order and pattern of zero components, the
-extended one once per solve.  A recorded program keeps only the lines that
-an output or a division guard reads, and is evaluated on floats, on arrays
-of nodes or on fixed-point Taylor series in theta.  ``polar.PolarRHS``
-records its components with the coefficients as inputs, and
-``flow.section_return`` a weighted field's velocities, on the same
-variables; ``source`` writes each program as Python code on floats or
-arrays.
+variables ``_Var``: the staged program of the successive quadrature once
+per order and pattern of zero components, the extended one once per solve.
+A recorded program keeps only the lines that an output or a division guard
+reads, and is evaluated on floats, on arrays of nodes or on fixed-point
+Taylor series in theta.  ``polar.PolarRHS`` records its components with the
+coefficients as inputs, and ``flow.section_return`` a weighted field's
+velocities, on the same variables; ``source`` writes each program as Python
+code on floats or arrays.
 """
 from __future__ import annotations
 
@@ -60,8 +59,9 @@ class _Var:
     the name of its value, or reuses the same line; operands are names or
     floats.  ``z``, the structural zero ``0 * x``, is the only variable
     ``bool`` reports as false, so ``mul_trunc`` skips the terms it skips on
-    floats and ``x + z`` folds to x.  The exact identities fold as well:
-    ``x**0`` is the float 1.0, and ``x**1`` and ``1 * x`` are x."""
+    floats, ``x + z`` folds to x and ``z / x`` to z.  The exact identities
+    fold as well: ``x**0`` is the float 1.0, and ``x**1`` and ``1 * x`` are
+    x."""
 
     __slots__ = ("code", "name")
 
@@ -92,7 +92,7 @@ class _Var:
     __mul__ = __rmul__  # products commute on floats: a constant factor records on the left
 
     def __truediv__(self, other) -> _Var:
-        return self._op(self, "/", other)
+        return self._op(self, "/", other) if self else self
 
     def __pow__(self, n: int) -> _Var | float:
         return 1.0 if n == 0 else self if n == 1 else self._op(self, "**", n)

@@ -9,9 +9,8 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 part and any terms at its weight.
 
 The components are recorded once per ``PolarRHS`` with the coefficients as
-named inputs (``Recording``), so their compiled code, the scalar dr/dtheta
-and the components the jet kernel reads, is shared by every field of one
-monomial support.
+named inputs (``Recording``), so their compiled code, the scalar dr/dtheta,
+is shared by every field of one monomial support.
 """
 from __future__ import annotations
 
@@ -89,7 +88,7 @@ class PolarRHS:
     def __call__(self, theta: float, r):
         """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii."""
         if self._rhs is None:
-            self._rhs = self.recording().compiled("rhs")
+            self._rhs = self.recording().compiled()
         return self._rhs(theta, r)
 
     def recording(self) -> Recording:
@@ -173,8 +172,8 @@ class Recording:
 
     ``body`` holds the recorded lines as ``jets.source`` writes them, and
     ``out`` the names of R_0..R_k, Q_0..Q_k, where z is a structural zero.
-    The text depends only on the monomial support, so each function of it
-    is compiled once per support, and ``compiled`` binds ``coefs`` as closure
+    The text depends only on the monomial support, so its function is
+    compiled once per support, and ``compiled`` binds ``coefs`` as closure
     cells.
     """
 
@@ -182,36 +181,30 @@ class Recording:
     out: tuple[str, ...]
     coefs: tuple[float, ...]
 
-    def compiled(self, kind: str) -> Callable:
-        """The function ``kind`` of ``_support_code`` on this field's coefficients."""
-        return _support_code(kind, len(self.coefs), self.body, self.out)(*self.coefs)
+    def compiled(self) -> Callable:
+        """``_support_code`` on this field's coefficients: f(theta, r) = dr/dtheta."""
+        return _support_code(len(self.coefs), self.body, self.out)(*self.coefs)
 
 
 @lru_cache(maxsize=128)
-def _support_code(kind: str, n: int, body: tuple[str, ...], out: tuple[str, ...]) -> Callable:
-    """make(a0, ..., a<n-1>) -> f, the function ``kind`` of a recording, compiled once per text.
+def _support_code(n: int, body: tuple[str, ...], out: tuple[str, ...]) -> Callable:
+    """make(a0, ..., a<n-1>) -> f(theta, r) = dr/dtheta of a recording, compiled once per text.
 
-    ``kind`` "rhs" is f(theta, r) = dr/dtheta: it adds R_k r**k and Q_k r**k
-    into num and den in order of k, with r**k built by repeated products, on
-    a float r or elementwise on an array, and returns r * num / den bitwise
-    as the component lists give it (the recorder may swap a product's
-    factors and fold exact identities and the zero 0 * c, which no nonzero
-    sum sees).  ``kind`` "nonzero" is f(c, s), the tuple of the components
-    that are not structurally zero, in order.
+    f adds R_k r**k and Q_k r**k into num and den in order of k, with r**k
+    built by repeated products, on a float r or elementwise on an array, and
+    returns r * num / den bitwise as the component lists give it (the
+    recorder may swap a product's factors and fold exact identities and the
+    zero 0 * c, which no nonzero sum sees).
     """
-    if kind == "nonzero":
-        lines = ["def f(c, s):", "    z = 0 * c", *body,
-                 f"    return ({''.join(v + ', ' for v in out if v != 'z')})"]
-    else:
-        lines = ["def f(theta, r):", "    c, s = cos(theta), sin(theta)", "    z = 0 * c", *body,
-                 "    num = den = 0.0", "    rk = 1.0"]
-        levels = len(out) // 2
-        for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
-            lines += ["    rk *= r"] * (k > 0) + [f"    num += {Rk} * rk", f"    den += {Qk} * rk"]
-        lines += ["    small = abs(den) < DENOM_FLOOR",
-                  "    if small.any() if isinstance(small, ndarray) else small:",
-                  "        raise _breakdown(theta, r, den)",
-                  "    return r * num / den"]
+    lines = ["def f(theta, r):", "    c, s = cos(theta), sin(theta)", "    z = 0 * c", *body,
+             "    num = den = 0.0", "    rk = 1.0"]
+    levels = len(out) // 2
+    for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
+        lines += ["    rk *= r"] * (k > 0) + [f"    num += {Rk} * rk", f"    den += {Qk} * rk"]
+    lines += ["    small = abs(den) < DENOM_FLOOR",
+              "    if small.any() if isinstance(small, ndarray) else small:",
+              "        raise _breakdown(theta, r, den)",
+              "    return r * num / den"]
     params = ", ".join(f"a{i}" for i in range(n))
     return jets.function(params, [*lines, "return f"], cos=math.cos, sin=math.sin,
                          ndarray=np.ndarray, DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)

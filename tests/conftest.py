@@ -54,7 +54,7 @@ def fresh_caches():
     A test that counts recordings, compilations, builds or quadratures starts
     from empty caches, so the tests run before it cannot change its counts;
     they are emptied again after it, so no test reads what one patched in."""
-    caches = (flow._jet_kernel, flow._staged_levels, polar._support_code, flow._period_model,
+    caches = (flow._staged_levels, polar._support_code, flow._period_model,
               flow._cartesian_rhs, casestudy._reference_quadrature)
     for cache in caches:
         cache.cache_clear()

@@ -1,7 +1,9 @@
 """The demos: the package top level exports exactly the names they import
 from it, and the quick ones run to the end.  The package's sources: no
-scipy import, and no public function or class that only the tests call."""
+scipy import, and no public function or class that only the tests call.
+The benchmark's tracer: every function it wraps by name exists."""
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
@@ -10,6 +12,8 @@ from pathlib import Path
 import pytest
 
 import qhfocus
+from qhfocus import flow
+from qhfocus.casestudy import eq325_field
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = ROOT / "demos"
@@ -142,3 +146,18 @@ def test_every_public_function_and_class_has_a_caller_outside_the_tests():
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 referenced.update(alias.name for alias in node.names)
     assert [f"{module}.{name}" for module, name in public if name not in referenced] == []
+
+
+def test_the_benchmark_tracer_installs_on_the_package():
+    # bench/tracing.py wraps functions of the package by name, so deleting or
+    # renaming one breaks ``bench/run.py --trace 1``; a traced focal analysis
+    # counts its jet solve in the integrate_jet span, and leaving restores it
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer, original = tracing.Tracer(), flow.integrate_jet
+    with tracer.install(), tracer.traced_pass(0):
+        qhfocus.focal_values(eq325_field(0.01, 0.0))
+    assert flow.integrate_jet is original
+    assert tracer.calls["flow.integrate_jet"] == 1
+    assert tracer.counters["flow.integrate_jet.rhs_evals"] > 0

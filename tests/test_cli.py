@@ -282,13 +282,13 @@ def test_jacobian_rejects_an_order_below_the_highest_index(capsys):
 def test_survey_names_a_parity_failure_on_stderr(capsys, monkeypatch):
     # a solver off by 1e-3 in nu_2 gives a 1:1 field its first nonzero value at
     # the even index 2; the survey exited 2 with nothing on stderr
-    quadrature = flow.successive_quadrature
+    quadrature = flow.integrate_jet
 
     def off(*args, **kwargs):
         jet = quadrature(*args, **kwargs)
         return dataclasses.replace(jet, final=jet.final + np.eye(jet.order)[1] * 1e-3)
 
-    monkeypatch.setattr(flow, "successive_quadrature", off)
+    monkeypatch.setattr(flow, "integrate_jet", off)
     assert main(["survey", "--weights", "1:1", "--samples", "3", "--seed", "1"]) == 2
     captured = capsys.readouterr()
     assert "parity_ok=False" in captured.out

@@ -1,3 +1,4 @@
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,8 +155,11 @@ def shifted_focal_check(field: WeightedField, g: tuple[float, ...], K: int) -> S
     run's first nonzero focal index, with the value there matching to 1e-8
     relative."""
     standard = focal_values(field, K=K)
-    _, shifted, *_ = dop853.solve(flow._compile_jet_rhs(PolarRHS(field), K), 2 * np.pi, list(g),
-                                  DEFAULT_TOL, DEFAULT_TOL, "jet integration")
+    rhs = PolarRHS(field)
+    # DOP853 on the uncompiled jet right-hand side, independent of the quadrature
+    _, shifted, *_ = dop853.solve(
+        lambda t, y: flow._jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), y), 2 * np.pi,
+        list(g), DEFAULT_TOL, DEFAULT_TOL, "jet integration")
     # nu*_1 = nu_1, as g starts at h
     nu_star = [shifted[0], *(a - b for a, b in zip(shifted[1:], g[1:]))]
     first = classify(nu_star, field.p, field.q, DEFAULT_TOL).first_nonzero_index

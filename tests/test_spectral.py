@@ -6,7 +6,7 @@ from qhfocus import Monomial, WeightedField, focal_values, jets
 from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.errors import QuadratureError
 from qhfocus.flow import (
-    _jet_coeffs, _staged_levels, _staged_recording, default_order, successive_quadrature,
+    _jet_coeffs, _staged_levels, _staged_recording, default_order, integrate_jet,
 )
 from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS
@@ -78,10 +78,11 @@ def test_staged_program_yields_the_jet_coefficients_with_the_upper_levels_zero(f
     # level k of the jet ODE is (R_0/Q_0) nu_k + P_k: the generator's P_k is
     # output k of _jet_coeffs on floats with nu_k..nu_K at 0, bitwise
     K = 7
-    rec = PolarRHS(field).recording()
-    zero = tuple(v == "z" for v in rec.out)
+    rhs = PolarRHS(field)
+    zero = tuple(v == "z" for v in rhs.recording().out)
     theta = np.array([0.1, 1.7, 2.9, 5.3])
-    parts = rec.compiled("nonzero")(np.cos(theta), np.sin(theta))
+    R, Q = rhs.components(np.cos(theta), np.sin(theta))
+    parts = [x for x, zr in zip(R + Q, zero) if not zr]
     nu = np.random.default_rng(0).uniform(-1, 1, (K, theta.size))
     program = _staged_levels(K, zero)(*parts, nu[0])
     staged = [next(program)] + [program.send(nu[k]) for k in range(1, K - 1)]
@@ -118,14 +119,22 @@ def test_fields_near_the_monodromy_limit_need_more_panels_or_are_refused():
     _within_estimate(dbl, focal_values(field, K=4, precision="extended"))
     # min Q_0 = 1e-5: no level settles within the panel cap, and the refusal names one
     with pytest.raises(QuadratureError, match=r"nu_\d did not settle .* within 1024 panels"):
-        successive_quadrature(PolarRHS(_near_monodromy_limit(0.99999)), tol=1e-13, order=4)
+        integrate_jet(PolarRHS(_near_monodromy_limit(0.99999)), tol=1e-13, order=4)
 
 
 def test_a_pass_compiles_one_staged_program_per_shape(fresh_caches):
     fields = [random_field(p, q, np.random.default_rng(seed))
               for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)]
-    shapes = {(default_order(f.p, f.q), tuple(v == "z" for v in PolarRHS(f).recording().out))
-              for f in fields}
+    # levels 1 and 3 are empty: R_1, Q_1, R_3 and Q_3 are structurally zero
+    fields.append(WeightedField(p=1, q=1, x_terms=(Monomial(3, 0, -0.4),),
+                                y_terms=(Monomial(0, 5, 0.3),)))
+    zeros = [tuple(v == "z" for v in PolarRHS(f).recording().out) for f in fields]
+    # R_0 of a 1:1 field is c s (c**0 - s**0), which folds to the structural
+    # zero, while Q_0 is never zero
+    assert all(zero[0] == (f.p == f.q == 1) and not zero[len(zero) // 2]
+               for f, zero in zip(fields, zeros))
+    assert zeros[-1] == (True, True, False, True, False, False, True, False, True, False)
+    shapes = {(default_order(f.p, f.q), zero) for f, zero in zip(fields, zeros)}
     for field in fields:
         focal_values(field)
     assert _staged_levels.cache_info().misses == len(shapes) < len(fields)
