@@ -25,7 +25,7 @@ from .fields import Monomial, WeightedField
 from .polar import PolarRHS
 from .quadrature import (
     FourierAntiderivative,
-    OdeAntiderivative,
+    PanelAntiderivative,
     QuadResult,
     cross_checked,
 )
@@ -99,8 +99,8 @@ def _f2_fourier() -> FourierAntiderivative:
 
 
 @functools.lru_cache(maxsize=None)
-def _f2_ode() -> OdeAntiderivative:
-    return OdeAntiderivative(lambda t: float(f2_integrand(t)))
+def _f2_panels() -> PanelAntiderivative:
+    return PanelAntiderivative(f2_integrand)
 
 
 @functools.lru_cache(maxsize=None)
@@ -124,13 +124,14 @@ def reference_integrands() -> dict[str, tuple[Callable, Callable]]:
     """The trapezoid-side and the Gauss-side integrand of each reference integral.
 
     The two sides differ only for IB, which nests f2: the trapezoid side takes
-    it from the Fourier antiderivative, the Gauss side from the ODE one.
+    it from the Fourier antiderivative, the Gauss side from the one on
+    Chebyshev panels.
     """
     return {
         "I2": (g2_integrand, g2_integrand),
         "I4": (nu4_integrand, nu4_integrand),
         "IA": (a_integrand, a_integrand),
-        "IB": (b_integrand_factory(_f2_fourier()), b_integrand_factory(_f2_ode())),
+        "IB": (b_integrand_factory(_f2_fourier()), b_integrand_factory(_f2_panels())),
     }
 
 

@@ -3,8 +3,8 @@
 scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) under
 scipy's step control.  ``solve`` is the driver: a list of floats runs a
 step generated as code per state size, and an array of lanes runs scipy's
-own numpy step, so it takes ``solve_ivp``'s steps to the bit.  ``state_at``
-reads the interpolants a dense solve keeps, and ``brentq`` is scipy's.  The
+own numpy step, so it takes ``solve_ivp``'s steps to the bit, and locates
+an event on a step's dense interpolant.  ``brentq`` is scipy's.  The
 package reads two files from scipy, the tableau and the compiled Brent
 routine, each loaded alone by its file path, so it imports neither
 ``scipy.integrate`` nor ``scipy.optimize``.
@@ -14,9 +14,7 @@ from __future__ import annotations
 import importlib.machinery
 import importlib.util
 import math
-from bisect import bisect_left
 from functools import lru_cache, partial
-from operator import itemgetter
 from pathlib import Path
 from typing import Callable
 
@@ -64,7 +62,7 @@ def _code(n: int, dense: bool = False) -> Callable:
     ``step(fun, t, h, y, f, rtol, atol)`` returns y_new, fun(t + h, y_new), the
     sums of squared E5 and E3 errors over atol + max(|y|, |y_new|) * rtol and
     the 13 stages; ``dense(fun, t, h, y, y_new, stages)`` the interpolant's rows,
-    compiled only when asked for.  A sum runs in stage order, skipping zeros."""
+    which an event is located on.  A sum runs in stage order, skipping zeros."""
     lin = lambda coefs, i: " + ".join(f"{float(a)!r} * k{s}_{i}" for s, a in enumerate(coefs) if a)
     vec = lambda term: ", ".join(map(term, range(n)))
     ks = lambda s: vec(lambda i: f"k{s}_{i}") + f", = k{s}"
@@ -102,18 +100,6 @@ def _interpolate(t: float, t_new: float, y: list, F: list, at: float) -> list:
             acc = (acc + row[i]) * (1 - x if j % 2 else x)
         out.append(acc + yi)
     return out
-
-
-def state_at(steps: list, t: float) -> list:
-    """The state at t from the steps of a forward dense ``solve``.
-
-    A step's end reads its end state, so the span's end reads the solve's.
-    t outside the solved span, or NaN, raises a ValueError."""
-    if not steps[0][0] <= t <= steps[-1][1]:
-        raise ValueError(f"t={t!r} lies outside the solved span "
-                         f"[{steps[0][0]!r}, {steps[-1][1]!r}]")
-    t0, t1, y, y_new, F = steps[bisect_left(steps, t, key=itemgetter(1))]
-    return y_new if t == t1 else _interpolate(t0, t1, y, F, t)
 
 
 def _lane_step(fun, t, h, y, f, rtol, atol):
@@ -155,22 +141,21 @@ def _first_step(fun, t0: float, t1: float, y, f, rtol: float, atol: float, direc
     return float(min(100 * h0, h1, abs(t1 - t0)))
 
 
-def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
-          t0: float = 0.0, event=None):
+def solve(fun, t1: float, y, tol: float, atol: float, what: str, t0: float = 0.0,
+          event=None):
     """DOP853 from t0 to t1 of either direction, at rtol ``effective_rtol(tol)``.
 
     scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
     step).  ``y`` is a list of floats, or a 1-D array of lanes: trajectories
     under one step size and one RMS error norm, as ``solve_ivp`` takes
     them, with a ``fun`` that maps an array to an array.  Lanes run scipy's
-    numpy step (``_lane_step``), keep no dense output and locate no event.
+    numpy step (``_lane_step``) and locate no event.
     ``event`` = (g, direction) is a terminal event located as scipy's ODE
     solvers locate one: after each step, the sign test of
     ``find_active_events`` on g(t, y); on a hit, ``brentq`` at xtol = rtol =
     4 eps on g along the step's dense interpolant (3 more evaluations), whose
     value at the root is the end state.  Returns the end time (t1 or the
-    event's root), the end state, nfev and the steps: their number, or with
-    ``dense`` the steps for ``state_at``."""
+    event's root), the end state, nfev and the number of steps."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"{what}: the span ({t0!r}, {t1!r}) must be finite")
     if not all(map(math.isfinite, y)):
@@ -179,10 +164,10 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
     if isinstance(y, np.ndarray):
         step, extra = _lane_step, None
     else:
-        step, extra = _code(n), (_code(n, True) if dense or event else None)
+        step, extra = _code(n), (_code(n, True) if event else None)
     direction = 1.0 if t1 > t0 else -1.0
     f = fun(t0, y)
-    h_abs, t, nfev, steps = _first_step(fun, t0, t1, y, f, rtol, atol, direction), t0, 2, []
+    h_abs, t, nfev, steps = _first_step(fun, t0, t1, y, f, rtol, atol, direction), t0, 2, 0
     if event is not None:
         g, g_dir = event
         g_old = g(t0, y)
@@ -203,7 +188,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
                 h_abs *= min(1.0, factor) if rejected else factor
                 break
             h_abs, rejected = h_abs * max(0.2, 0.9 * err ** -0.125), True
-        steps.append((t, t_new, y, y_new, extra(fun, t, h, y, y_new, k)) if dense else None)
+        steps += 1
         if event is not None:
             g_new = g(t_new, y_new)
             up, down = g_old <= 0 <= g_new, g_new <= 0 <= g_old
@@ -214,7 +199,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, dense=False,
                 break
             g_old = g_new
         t, y, f = t_new, y_new, f_new
-    return t, y, nfev, steps if dense else len(steps)
+    return t, y, nfev, steps
 
 
 def brentq(f, a: float, b: float, xtol: float) -> float:

@@ -130,7 +130,8 @@ def _staged_levels(K: int, zero: tuple[bool, ...]) -> Callable:
     for s, part in enumerate(stages):
         lines = [line for line, _ in part]
         body += zip(jets.source(lines, [line[0] for line in lines]), (reads for _, reads in part))
-        body.append((f"y{s + 1} = yield {out[s]}" if s + 2 < K else f"yield {out[s]}", [out[s]]))
+        # + z, +0.0 as nu_1 > 0: _jet_coeffs's float sums start at 0.0, the recorded ones not
+        body.append((f"y{s + 1} = " * (s + 2 < K) + f"yield {out[s]} + z", [out[s], "z"]))
     dead = [[] for _ in body]
     for name, i in {x: i for i, (_, reads) in enumerate(body) for x in reads}.items():
         dead[i].append(name)

@@ -7,10 +7,10 @@ variables ``_Var``: the staged program of the successive quadrature once
 per order and pattern of zero components, the extended one once per solve.
 A recorded program keeps only the lines that an output or a division guard
 reads, and is evaluated on floats, on arrays of nodes or on fixed-point
-Taylor series in theta.  ``polar.PolarRHS`` records its components with the
-coefficients as inputs, and ``flow.section_return`` a weighted field's
-velocities, on the same variables; ``source`` writes each program as Python
-code on floats or arrays.
+Taylor series in theta.  ``polar.PolarRHS`` records its components, and
+``flow.section_return`` a weighted field's velocities, on the same
+variables, with the coefficients as float literals; ``source`` writes each
+program as Python code on floats or arrays.
 """
 from __future__ import annotations
 

@@ -8,17 +8,13 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
 part and any terms at its weight.
 
-The components are recorded once per ``PolarRHS`` with the coefficients as
-named inputs (``Recording``), so their compiled code, the scalar dr/dtheta,
-is shared by every field of one monomial support.
+The scalar dr/dtheta is compiled once per ``PolarRHS`` from its components,
+recorded with the coefficients as float literals, as ``flow`` records a
+field's Cartesian velocities.
 """
 from __future__ import annotations
 
-import copy
 import math
-from dataclasses import dataclass
-from functools import lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -53,7 +49,6 @@ class PolarRHS:
             for k in range(0 if self._level0 else 1, k_max + 1)
         )
         self._safe_radius: float | None = None
-        self._recording: Recording | None = None  # recording(), on first use
         self._rhs = None  # __call__'s compiled code, on the first call
         if self._level0:
             q0 = self.components(np.cos(_CIRCLE), np.sin(_CIRCLE))[1][0]
@@ -86,29 +81,34 @@ class PolarRHS:
         return R, Q
 
     def __call__(self, theta: float, r):
-        """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii."""
+        """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii.
+
+        Compiled on the first call from ``recording``: r * num / den, num and
+        den summing R_k r**k and Q_k r**k in order of k, bitwise as from the
+        component lists (the recorder may swap a product's factors and fold
+        exact identities and the zero 0 * c, which no nonzero sum sees)."""
         if self._rhs is None:
-            self._rhs = self.recording().compiled()
+            body, out = self.recording()
+            levels = len(out) // 2
+            lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c", *body, "num = den = 0.0"]
+            for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
+                lines += ["rk *= r" if k else "rk = 1.0", f"num += {Rk} * rk", f"den += {Qk} * rk"]
+            lines += ["small = abs(den) < DENOM_FLOOR",
+                      "if small.any() if isinstance(small, ndarray) else small:",
+                      "    raise _breakdown(theta, r, den)",
+                      "return r * num / den"]
+            self._rhs = jets.function("theta, r", lines, cos=math.cos, sin=math.sin,
+                                      ndarray=np.ndarray, DENOM_FLOOR=DENOM_FLOOR,
+                                      _breakdown=_breakdown)
         return self._rhs(theta, r)
 
-    def recording(self) -> Recording:
-        """``components`` recorded on the first call, with the coefficients as inputs."""
-        if self._recording is None:
-            coefs = [a for level in self._levels for side in level for a, _, _ in side]
-            program, (R, Q) = jets.record(self._with_coefficients, "c", "s",
-                                          *(f"a{i}" for i in range(len(coefs))))
-            out = tuple(v.name for v in R + Q)
-            body = tuple("    " + line for line in jets.source(program, out))
-            # numpy scalars would make every operation of the compiled code a numpy one
-            self._recording = Recording(body, out, tuple(map(float, coefs)))
-        return self._recording
-
-    def _with_coefficients(self, c, s, *coefs):
-        """``components`` with the coefficients of ``_levels`` replaced by ``coefs``, in order."""
-        view, it = copy.copy(self), iter(coefs)
-        view._levels = tuple(tuple(tuple((next(it), k, j) for _, k, j in side) for side in level)
-                             for level in self._levels)
-        return view.components(c, s)
+    def recording(self) -> tuple[list[str], tuple[str, ...]]:
+        """``components`` recorded on c, s with the coefficients as float literals: its
+        lines as ``jets.source`` writes them, and the names of R_0..R_k, Q_0..Q_k, where z
+        is a structural zero."""
+        program, (R, Q) = jets.record(self.components, "c", "s")
+        out = tuple(v.name for v in R + Q)
+        return jets.source(program, out), out
 
     # -- validity neighborhood ------------------------------------------------
 
@@ -164,50 +164,6 @@ class PolarRHS:
                 f"radius {r!r} outside the valid polar neighborhood "
                 f"(limit {self.safe_radius()!r})"
             )
-
-
-@dataclass(frozen=True)
-class Recording:
-    """``components(c, s, *coefs)`` recorded once, with the coefficients as inputs a0, a1, ...
-
-    ``body`` holds the recorded lines as ``jets.source`` writes them, and
-    ``out`` the names of R_0..R_k, Q_0..Q_k, where z is a structural zero.
-    The text depends only on the monomial support, so its function is
-    compiled once per support, and ``compiled`` binds ``coefs`` as closure
-    cells.
-    """
-
-    body: tuple[str, ...]
-    out: tuple[str, ...]
-    coefs: tuple[float, ...]
-
-    def compiled(self) -> Callable:
-        """``_support_code`` on this field's coefficients: f(theta, r) = dr/dtheta."""
-        return _support_code(len(self.coefs), self.body, self.out)(*self.coefs)
-
-
-@lru_cache(maxsize=128)
-def _support_code(n: int, body: tuple[str, ...], out: tuple[str, ...]) -> Callable:
-    """make(a0, ..., a<n-1>) -> f(theta, r) = dr/dtheta of a recording, compiled once per text.
-
-    f adds R_k r**k and Q_k r**k into num and den in order of k, with r**k
-    built by repeated products, on a float r or elementwise on an array, and
-    returns r * num / den bitwise as the component lists give it (the
-    recorder may swap a product's factors and fold exact identities and the
-    zero 0 * c, which no nonzero sum sees).
-    """
-    lines = ["def f(theta, r):", "    c, s = cos(theta), sin(theta)", "    z = 0 * c", *body,
-             "    num = den = 0.0", "    rk = 1.0"]
-    levels = len(out) // 2
-    for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
-        lines += ["    rk *= r"] * (k > 0) + [f"    num += {Rk} * rk", f"    den += {Qk} * rk"]
-    lines += ["    small = abs(den) < DENOM_FLOOR",
-              "    if small.any() if isinstance(small, ndarray) else small:",
-              "        raise _breakdown(theta, r, den)",
-              "    return r * num / den"]
-    params = ", ".join(f"a{i}" for i in range(n))
-    return jets.function(params, [*lines, "return f"], cos=math.cos, sin=math.sin,
-                         ndarray=np.ndarray, DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)
 
 
 def _breakdown(theta, r, den) -> PolarChartError:

@@ -6,8 +6,8 @@ Two deliberately independent schemes are provided for every task:
   (spectrally accurate for smooth periodic integrands) vs. composite
   Gauss-Legendre panels with panel doubling;
 * cumulative integrals: a Fourier antiderivative built from one FFT of the
-  integrand vs. an error-controlled ODE solve of F' = g on the package's
-  DOP853 (``dop853``), which reads only its tableau in scipy's files.
+  integrand vs. cumulative integrals on Chebyshev panels (``spectral``)
+  with panel doubling, interpolated between the nodes.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import dop853
+from . import spectral
 from .errors import QuadratureError, SchemeDisagreementError, check_tol
 
 TWO_PI = 2 * np.pi
@@ -103,20 +103,30 @@ class FourierAntiderivative:
         return out if np.ndim(theta) else float(out[0])
 
 
-class OdeAntiderivative:
-    """F(theta) = int_0^theta g on [0, 2*pi] by one dense DOP853 solve at tolerance 1e-13.
+class PanelAntiderivative:
+    """F(theta) = int_0^theta g on [0, 2*pi], for g analytic on the turn, on Chebyshev panels.
 
-    theta outside [0, 2*pi] raises a ValueError."""
+    ``spectral.refine`` doubles the panels until F at the ends of the first
+    panel set settles to 1e-13.  Between the nodes F is theta times the
+    interpolant of F / theta, the mean of g over [0, theta], which is as
+    smooth as g, so F(0) is 0.  theta outside [0, 2*pi] raises a ValueError.
+    """
 
-    def __init__(self, g: Callable[[float], float]):
-        # a float, as a numpy scalar would make each operation of the step a numpy one
-        *_, self._steps = dop853.solve(lambda t, y: [float(g(t))], TWO_PI, [0.0], 1e-13, 1e-13,
-                                       "antiderivative solve", dense=True)
+    def __init__(self, g: Callable[[np.ndarray], np.ndarray]):
+        ends = np.linspace(0.0, TWO_PI, spectral.FIRST_PANELS + 1)[1:]
+
+        def sweep(panels: spectral.Panels) -> tuple[np.ndarray, np.ndarray]:
+            theta = panels.nodes[0]
+            mean = panels.integrate(np.asarray(g(theta), dtype=float))[0] / theta
+            return ends * panels.interpolate(mean, ends), mean
+
+        self._panels, _, _, self._mean, _ = spectral.refine(
+            sweep, 1e-13, [f"F({t:.4f})" for t in ends])
 
     def __call__(self, theta):
         theta = np.asarray(theta, dtype=float)
-        out = np.array([dop853.state_at(self._steps, t)[0] for t in theta.ravel().tolist()])
-        return out.reshape(theta.shape) if theta.ndim else float(out[0])
+        out = theta * self._panels.interpolate(self._mean, theta)
+        return out if theta.ndim else float(out)
 
 
 def cross_checked(f: Callable, g: Callable, tol: float = 1e-12) -> QuadResult:

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qhfocus import Monomial, casestudy, flow, polar
+from qhfocus import Monomial, casestudy, flow
 
 
 @pytest.fixture(scope="session")
@@ -54,8 +54,8 @@ def fresh_caches():
     A test that counts recordings, compilations, builds or quadratures starts
     from empty caches, so the tests run before it cannot change its counts;
     they are emptied again after it, so no test reads what one patched in."""
-    caches = (flow._staged_levels, polar._support_code, flow._period_model,
-              flow._cartesian_rhs, casestudy._reference_quadrature)
+    caches = (flow._staged_levels, flow._period_model, flow._cartesian_rhs,
+              casestudy._reference_quadrature)
     for cache in caches:
         cache.cache_clear()
     yield

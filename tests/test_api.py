@@ -12,7 +12,6 @@ from pathlib import Path
 import pytest
 
 import qhfocus
-from qhfocus import flow
 from qhfocus.casestudy import eq325_field
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -58,7 +57,7 @@ from qhfocus import Monomial, WeightedField, find_cycles, focal_values, return_m
 from qhfocus.casestudy import compute_reference_constants, eq325_field
 from qhfocus.cycles import closure_error
 from qhfocus.polar import PolarRHS
-from qhfocus.quadrature import OdeAntiderivative
+from qhfocus.quadrature import PanelAntiderivative
 
 
 def assert_unloaded(what):
@@ -68,8 +67,8 @@ def assert_unloaded(what):
 
 focal_values(eq325_field(0.01, 0.0))
 focal_values(eq325_field(0.01, 0.0), precision="extended", dps=20)
-# the reference integrals of verify and quad, whose Gauss side nests an ODE antiderivative
-assert abs(OdeAntiderivative(np.cos)(np.pi)) <= 1e-12
+# the reference integrals of verify and quad, whose Gauss side nests a panel antiderivative
+assert abs(PanelAntiderivative(np.cos)(np.pi)) <= 1e-12
 compute_reference_constants()
 assert_unloaded("focal values or reference integrals")
 
@@ -155,9 +154,17 @@ def test_the_benchmark_tracer_installs_on_the_package():
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "bench" / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    tracer, original = tracing.Tracer(), flow.integrate_jet
+    # Each traced name must be the package object's own attribute: getattr on
+    # a class also finds a base's, and a deleted PolarRHS.__call__ would wrap
+    # type.__call__, whose restoring makes every instance call the constructor
+    targets = [(owner, attr) for _, owners, attr in tracing.SPANS for owner in owners]
+    targets += [(owner, attr) for _, owner, attr in tracing.LEAVES]
+    assert [f"{owner.__name__}.{attr}" for owner, attr in targets if attr not in vars(owner)] == []
+    originals = [vars(owner)[attr] for owner, attr in targets]
+    tracer = tracing.Tracer()
     with tracer.install(), tracer.traced_pass(0):
         qhfocus.focal_values(eq325_field(0.01, 0.0))
-    assert flow.integrate_jet is original
+    assert all(vars(owner)[attr] is original
+               for (owner, attr), original in zip(targets, originals))
     assert tracer.calls["flow.integrate_jet"] == 1
     assert tracer.counters["flow.integrate_jet.rhs_evals"] > 0

@@ -20,7 +20,7 @@ from qhfocus.cycles import closure_error, find_cycles
 from qhfocus.fields import load_system, normalize
 from qhfocus.focal import focal_jacobian, focal_values, parity_survey
 from qhfocus.polar import PolarRHS, rq_table
-from qhfocus.quadrature import OdeAntiderivative, cross_checked, gauss_panels, trapezoid_periodic
+from qhfocus.quadrature import PanelAntiderivative, cross_checked, gauss_panels, trapezoid_periodic
 
 SYSTEM_31 = """\
 # 2:3 weighted system
@@ -166,12 +166,12 @@ def test_quad_schemes_agree(capsys):
 
 def test_quad_ib_schemes_share_no_backend(tmp_path, capsys):
     # IB nests f2: the trapezoid side takes it from the Fourier antiderivative,
-    # the Gauss side from the ODE antiderivative
+    # the Gauss side from the one on Chebyshev panels
     out = tmp_path / "quad.txt"
     assert main(["quad", "--out", str(out)]) == 0
     ib = json.loads(out.with_suffix(".json").read_text())["integrals"]["IB"]
-    f2_ode = OdeAntiderivative(lambda t: float(f2_integrand(t)))
-    assert ib["gauss"] == gauss_panels(b_integrand_factory(f2_ode), tol=1e-12).value
+    f2_panels = PanelAntiderivative(f2_integrand)
+    assert ib["gauss"] == gauss_panels(b_integrand_factory(f2_panels), tol=1e-12).value
     assert ib["trapezoid"] == trapezoid_periodic(b_integrand_factory(nested_f2), tol=1e-12).value
 
 

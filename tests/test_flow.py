@@ -206,13 +206,13 @@ def _kernel_cases():
 def test_compiled_jet_rhs_is_bitwise_the_oracle(field, K, nu):
     # the compiled jet right-hand side is the staged program of the successive
     # quadrature, run on arrays of angles: its P_k is the oracle's level k on
-    # the same components with nu_k..nu_K at 0, bitwise but for the sign of a
-    # zero, which the staged program does not fix.  (numpy's power on an array
-    # may round a component otherwise than on one angle.)
+    # the same components with nu_k..nu_K at 0, bitwise, also the sign of a
+    # zero.  (numpy's power on an array may round a component otherwise than
+    # on one angle.)
     rhs = PolarRHS(field)
     theta = np.array([0.0, np.pi / 2, np.pi, 1.5 * np.pi, 2 * np.pi, 0.3, 4.0])
     R, Q = rhs.components(np.cos(theta), np.sin(theta))
-    zero = tuple(v == "z" for v in rhs.recording().out)
+    zero = tuple(v == "z" for v in rhs.recording()[1])
     lanes = [np.full(theta.size, v) for v in nu]
     program = flow._staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), lanes[0])
     staged = [next(program)] + [program.send(lanes[k]) for k in range(1, K - 1)]
@@ -221,7 +221,7 @@ def test_compiled_jet_rhs_is_bitwise_the_oracle(field, K, nu):
             levels = np.array(nu[: k - 1] + [0.0] * (K - k + 1))
             at_angle = _Components([x[i] for x in R], [x[i] for x in Q])
             oracle = _parent_jet_rhs(at_angle, K, np.cos(t), np.sin(t), levels)[k - 1]
-            assert staged[k - 2][i] == oracle  # equal nonzero floats are equal bits
+            assert float(staged[k - 2][i]).hex() == float(oracle).hex()
 
 
 class _Components:
@@ -272,31 +272,33 @@ def _counted_exec(monkeypatch) -> list:
 
 
 def test_fields_of_one_support_share_their_compiled_code(fresh_caches, monkeypatch):
-    # eq325 at two parameter points: one monomial support, other coefficients;
-    # numpy parameters, as a search passes them, still compile to float code
+    # eq325 at two parameter points: one monomial support, other coefficients
     first, second = (PolarRHS(normalize(eq325_field(*eps)).field)
-                     for eps in (np.array([1.22e-8, 2.41e-4]), (-3.0e-3, 0.05)))
+                     for eps in ((1.22e-8, 2.41e-4), (-3.0e-3, 0.05)))
     built = _counted_exec(monkeypatch)
     trajs = [integrate_jet(first, order=7)]
-    first(0.3, 0.1)
-    assert len(built) == 2  # the staged program, the scalar right-hand side
+    assert len(built) == 1  # the staged program
     trajs.append(integrate_jet(second, order=7))
-    second(0.3, 0.1)
-    assert len(built) == 2  # the second field of the support compiles nothing
-    assert second._rhs.__code__ is first._rhs.__code__
+    assert len(built) == 1  # the second field of the support compiles nothing
     # the shared staged program runs on each field's own components, as a fresh compile does
     flow._staged_levels.cache_clear()
     assert trajs[1].final.tobytes() == integrate_jet(second, order=7).final.tobytes()
     assert trajs[1].final.tolist() != trajs[0].final.tolist()
-    for theta in (0.0, np.pi / 2, np.pi, 0.3, 4.0):
-        # the scalar right-hand side sums the cache-hit field's own components
-        num = den = 0.0
-        rk = 1.0
-        for Rk, Qk in zip(*second.components(math.cos(theta), math.sin(theta))):
-            num, den, rk = num + Rk * rk, den + Qk * rk, rk * 0.1
-        assert second(theta, 0.1).hex() == (0.1 * num / den).hex()
-    assert second(0.3, 0.1) != first(0.3, 0.1)
-    assert type(first(0.3, 0.1)) is float
+
+
+def test_scalar_rhs_is_bitwise_the_component_sum():
+    # one field per weight pair, the 2:3 one with numpy parameters, as a
+    # search passes them, which still compile to float code
+    fields = [random_field(p, q, np.random.default_rng(0)) for p, q in ((1, 1), (1, 2), (3, 4))]
+    fields.append(normalize(eq325_field(*np.array([1.22e-8, 2.41e-4]))).field)
+    for rhs in map(PolarRHS, fields):
+        for theta in (0.0, np.pi / 2, np.pi, 0.3, 4.0):
+            num = den = 0.0
+            rk = 1.0
+            for Rk, Qk in zip(*rhs.components(math.cos(theta), math.sin(theta))):
+                num, den, rk = num + Rk * rk, den + Qk * rk, rk * 0.1
+            assert rhs(theta, 0.1).hex() == (0.1 * num / den).hex()
+        assert type(rhs(0.3, 0.1)) is float
 
 
 def _unfolded(monkeypatch):
@@ -320,7 +322,7 @@ def test_recorder_folds_exact_identities(monkeypatch):
 
     program, kept = identities()
     assert kept == []
-    text = "\n".join(jets.source(program) + list(rhs.recording().body))
+    text = "\n".join(jets.source(program) + rhs.recording()[0])
     for pattern in ("** 0.0", "** 1.0", "1.0 *"):
         assert pattern not in text
     # the Taylor sweep gives bitwise the values of the unfolded recording, on
@@ -347,7 +349,7 @@ def test_recorder_folds_a_division_of_the_zero(monkeypatch, fresh_caches):
     def programs(field, K):
         """The staged program at order K and the Taylor sweep's recording."""
         rhs = PolarRHS(field)
-        zero = tuple(v == "z" for v in rhs.recording().out)
+        zero = tuple(v == "z" for v in rhs.recording()[1])
         taylor, _ = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
                                 "c", "s", *(f"y{i}" for i in range(K)))
         return flow._staged_recording(K, zero)[1], taylor
@@ -448,9 +450,8 @@ def _written_out_dop853(fun, t1, y, tol, atol, t0=0.0, event=None):
     which g changes sign in that direction, as ``solve_ivp``'s test has it,
     at the root ``brentq`` finds at xtol = rtol = 4 eps on the step's
     interpolant (3 more evaluations, which nfev counts).
-    Returns the end time, the end state, nfev as scipy counts it, the
-    accepted steps, and theta -> state: a step's end state at its end, else
-    DOP853's interpolant in scipy's ``Dop853DenseOutput`` order.
+    Returns the end time, the end state, nfev as scipy counts it and the
+    accepted steps.
     """
     A, B, C = DOP853.A.tolist(), DOP853.B.tolist(), DOP853.C.tolist()
     E3, E5, D = DOP853.E3.tolist(), DOP853.E5.tolist(), DOP853.D.tolist()
@@ -478,10 +479,6 @@ def _written_out_dop853(fun, t1, y, tol, atol, t0=0.0, event=None):
                 acc *= x if m % 2 == 0 else 1 - x
             out.append(acc + ys[j][i])
         return out
-
-    def at(theta):
-        j = next(j for j in range(len(Fs)) if theta <= ts[j + 1])
-        return ys[j + 1] if theta == ts[j + 1] else interpolate(j, theta)
 
     f = list(fun(t0, y))
     w = [atol + abs(v) * rtol for v in y]
@@ -545,7 +542,7 @@ def _written_out_dop853(fun, t1, y, tol, atol, t0=0.0, event=None):
                 break
             g_old = g_new
 
-    return t, y, nfev, len(Fs), at
+    return t, y, nfev, len(Fs)
 
 
 def _within_tol(a, b, tol):
@@ -573,7 +570,7 @@ def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
     K, tol = default_order(field.p, field.q), 1e-13
     rhs, y0 = PolarRHS(normalize(field).field), [1.0] + [0.0] * (K - 1)
     sol = _plain_jet_solve(rhs, K, y0, tol)
-    _, final, nfev, steps, _ = _written_out_dop853(_jet_fun(rhs, K), 2 * np.pi, y0, tol, tol)
+    _, final, nfev, steps = _written_out_dop853(_jet_fun(rhs, K), 2 * np.pi, y0, tol, tol)
     _, plain, n_rhs, n_steps = dop853.solve(_jet_fun(rhs, K), 2 * np.pi, y0, tol, tol,
                                             "jet integration")
     assert (n_rhs, n_steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
@@ -584,26 +581,16 @@ def test_focal_values_are_the_plain_solve_on_the_jet_rhs(field):
 
 def test_shifted_jet_transport_is_the_plain_solve():
     # a shifted series g(h) starts the solve of the jet right-hand side, as
-    # test_focal's shifted check runs it, with DOP853's dense output
+    # test_focal's shifted check runs it
     rhs = PolarRHS(normalize(eq325_field(1.22e-8, 2.41e-4)).field)
     g = [1.0, 0.3, 0.0, -0.1, 0.0, 0.0, 0.0]
     sol = _plain_jet_solve(rhs, 7, g, 1e-12)
-    _, final, nfev, steps, at = _written_out_dop853(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12)
-    solve = lambda **kw: dop853.solve(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12,
-                                      "jet integration", **kw)
-    _, shifted, n_rhs, n_steps = solve()
+    _, final, nfev, steps = _written_out_dop853(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12)
+    _, shifted, n_rhs, n_steps = dop853.solve(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12,
+                                              "jet integration")
     assert (n_rhs, n_steps) == (sol.nfev, len(sol.t) - 1) == (nfev, steps)
     assert _within_tol(shifted, sol.y[:, -1], 1e-12)
     assert np.array(shifted).tobytes() == np.array(final).tobytes()
-    dense_steps = solve(dense=True)[3]
-    state_at = lambda theta: np.array(dop853.state_at(dense_steps, theta))
-    assert state_at(2 * np.pi).tobytes() == np.array(shifted).tobytes()
-    assert state_at(0.0).tolist() == g
-    dense = solve_ivp(_jet_fun(rhs, 7), (0.0, 2 * np.pi), g, method="DOP853",
-                      rtol=1e-12, atol=1e-12, dense_output=True)
-    for theta in (0.1, 1.0, np.pi, 5.5, *sol.t[3:5]):
-        assert state_at(theta).tobytes() == np.array(at(theta)).tobytes()
-        assert _within_tol(state_at(theta), dense.sol(theta), 1e-12)
 
 
 def test_scalar_and_jet_return_maps_agree():
@@ -631,7 +618,7 @@ def test_single_radius_return_map_is_the_plain_scalar_solve():
                            (0.3, 1e-10, 2 * np.pi), (0.05, 1e-12, -1.0), (0.2, 1e-13, -2.0),
                            (0.1, 1e-12, np.pi - 2.0)):
         sol = solve_ivp(fun, (0.0, theta1), [h], method="DOP853", rtol=max(tol, 1e-13), atol=tol)
-        _, (r,), nfev, steps, _ = _written_out_dop853(fun, theta1, [h], tol, tol)
+        _, (r,), nfev, steps = _written_out_dop853(fun, theta1, [h], tol, tol)
         assert (nfev, steps) == (sol.nfev, len(sol.t) - 1)
         stepper = dop853.solve(fun, theta1, [h], tol, tol, "scalar integration")
         assert stepper[2:] == (nfev, steps)
@@ -855,7 +842,7 @@ def _written_out_section_return(field, x0, tol):
     """The oracle on the written-out DOP853, the bitwise reference."""
 
     def solve(fun, t0, t1, y, atol, event):
-        return _written_out_dop853(fun, t1, y, tol, atol, t0, event)[:4]
+        return _written_out_dop853(fun, t1, y, tol, atol, t0, event)
 
     return _section_oracle(solve, field, x0, tol)
 

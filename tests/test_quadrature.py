@@ -1,10 +1,15 @@
+import json
+
 import numpy as np
 import pytest
+from mpmath import mp
 
+from qhfocus.casestudy import f2_integrand
+from qhfocus.cli import main
 from qhfocus.errors import QuadratureError
 from qhfocus.quadrature import (
     FourierAntiderivative,
-    OdeAntiderivative,
+    PanelAntiderivative,
     cross_checked,
     gauss_panels,
     trapezoid_periodic,
@@ -81,22 +86,43 @@ def test_fourier_antiderivative_on_the_trapezoid_grid_is_the_pointwise_sum(n):
 def test_ode_antiderivative_matches_fourier():
     f = lambda t: np.exp(np.cos(t)) * np.sin(2 * t)
     F1 = FourierAntiderivative(f, n=512)
-    F2 = OdeAntiderivative(f)
+    F2 = PanelAntiderivative(f)
     for t in np.linspace(0.3, TWO_PI, 9):
         assert F1(t) == pytest.approx(F2(t), abs=1e-11)
 
 
 @pytest.mark.parametrize("theta", [-1.0, 10.0, TWO_PI + 1e-9, float("nan")])
 def test_ode_antiderivative_rejects_arguments_outside_its_span(theta):
-    # the solve covers [0, 2*pi] only: -1 used to give -2.84e10 and 10 gave
-    # -0.865 for sin 10 = -0.544, extrapolated without a warning
-    F = OdeAntiderivative(np.cos)
-    with pytest.raises(ValueError, match="outside the solved span"):
+    # the panels cover [0, 2*pi] only: an ODE solve once gave -2.84e10 at -1
+    # and -0.865 at 10 for sin 10 = -0.544, extrapolated without a warning
+    F = PanelAntiderivative(np.cos)
+    with pytest.raises(ValueError, match="outside the turn"):
         F(theta)
-    with pytest.raises(ValueError, match="outside the solved span"):
+    with pytest.raises(ValueError, match="outside the turn"):
         F(np.array([0.5, theta]))
     assert F(0.0) == 0.0
     assert F(TWO_PI) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_panel_antiderivative_of_f2_is_the_mpmath_quadrature(tmp_path, capsys):
+    # the Gauss side of IB nests f2 from the panels, the trapezoid side from
+    # the Fourier antiderivative: both near the rounding floor, so quad's
+    # two IB columns agree to it
+    F = PanelAntiderivative(f2_integrand)
+    thetas = [0.1, 1.0, 2.0, 3.5, 5.0, TWO_PI]
+    with mp.workdps(30):
+        def f2(t):
+            c, s = mp.cos(t), mp.sin(t)
+            return c**7 * s**2 * (2 * c**2 + 3 * s**2) / (c**6 + s**4) ** (mp.mpf(25) / 12)
+
+        exact = [mp.quad(f2, mp.linspace(0, mp.mpf(t), 9)) for t in thetas]
+        errors = [abs(float(F(t) - e)) for t, e in zip(thetas, exact)]
+    assert max(errors) <= 1e-14
+    assert np.array_equal(F(np.array(thetas)), [F(t) for t in thetas])
+    out = tmp_path / "quad.txt"
+    assert main(["quad", "--out", str(out)]) == 0
+    ib = json.loads(out.with_suffix(".json").read_text())["integrals"]["IB"]
+    assert abs(ib["gauss"] - ib["trapezoid"]) <= 1e-15
 
 
 def test_quadrature_result_reports_nodes():

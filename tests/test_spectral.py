@@ -79,7 +79,7 @@ def test_staged_program_yields_the_jet_coefficients_with_the_upper_levels_zero(f
     # output k of _jet_coeffs on floats with nu_k..nu_K at 0, bitwise
     K = 7
     rhs = PolarRHS(field)
-    zero = tuple(v == "z" for v in rhs.recording().out)
+    zero = tuple(v == "z" for v in rhs.recording()[1])
     theta = np.array([0.1, 1.7, 2.9, 5.3])
     R, Q = rhs.components(np.cos(theta), np.sin(theta))
     parts = [x for x, zr in zip(R + Q, zero) if not zr]
@@ -128,7 +128,7 @@ def test_a_pass_compiles_one_staged_program_per_shape(fresh_caches):
     # levels 1 and 3 are empty: R_1, Q_1, R_3 and Q_3 are structurally zero
     fields.append(WeightedField(p=1, q=1, x_terms=(Monomial(3, 0, -0.4),),
                                 y_terms=(Monomial(0, 5, 0.3),)))
-    zeros = [tuple(v == "z" for v in PolarRHS(f).recording().out) for f in fields]
+    zeros = [tuple(v == "z" for v in PolarRHS(f).recording()[1]) for f in fields]
     # R_0 of a 1:1 field is c s (c**0 - s**0), which folds to the structural
     # zero, while Q_0 is never zero
     assert all(zero[0] == (f.p == f.q == 1) and not zero[len(zero) // 2]
