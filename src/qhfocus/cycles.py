@@ -74,16 +74,16 @@ def find_cycles(
 ) -> CycleSet:
     """Scan Delta on a geometric grid, bracket sign changes, refine by Brent's method.
 
-    The polar grid is one vector solve of ``flow.return_map``.  Samples
+    The polar grid is one ``flow.return_map`` call on all its radii.  Samples
     below the noise floor carry no trustworthy sign, so they are treated as
     indeterminate and listed in ``CycleSet.indeterminate``; a bracket is
     formed between the nearest determinate samples of opposite sign on
     either side of the crossing.
     Each bracket goes to one ``dop853.brentq`` call, scipy's ``brentq``,
     which stops once it has narrowed the bracket to tol * max(1, b); one
-    that fails to converge raises.  It reads one solver: a polar root
-    re-integrates its bracket ends one radius at a time, as the grid's
-    lanes share one step size and so differ in the last digits.
+    that fails to converge raises.  It reads one map: a polar root
+    re-evaluates its bracket ends one radius at a time, as a lane's panel
+    count depends on the radii swept with it, and so its last digits.
     """
     if not 0 < h_lo < h_hi < math.inf:
         raise ValueError(f"need 0 < h_lo < h_hi, both finite, got {h_lo!r}, {h_hi!r}")
@@ -93,7 +93,7 @@ def find_cycles(
         raise ValueError(f"noise_floor must be finite and nonnegative, got {noise_floor!r}")
     displacement = _displacement_fn(backend, system, tol)
     # one radius at a time, each once: brentq often ends on a point it has evaluated, and
-    # a polar bracket's ends, from the grid's lanes, are integrated again on purpose
+    # a polar bracket's ends, from the grid's lanes, are evaluated again on purpose
     seen: dict[float, float] = {}
 
     def delta(h: float) -> float:

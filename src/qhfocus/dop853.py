@@ -1,10 +1,10 @@
-"""DOP853 and Brent's method, for every solve and root search of the package.
+"""DOP853 and Brent's method, for the Cartesian solves and every root search.
 
 scipy's DOP853 pair (Hairer, Norsett & Wanner, Solving ODEs I, II.10) under
 scipy's step control.  ``solve`` is the driver: a list of floats runs a
-step generated as code per state size, and an array of lanes runs scipy's
-own numpy step, so it takes ``solve_ivp``'s steps to the bit, and locates
-an event on a step's dense interpolant.  ``brentq`` is scipy's.  The
+step generated as code per state size, so it takes ``solve_ivp``'s steps
+to the bit, and locates an event on a step's dense interpolant; the polar
+chart runs on Chebyshev panels instead.  ``brentq`` is scipy's.  The
 package reads two files from scipy, the tableau and the compiled Brent
 routine, each loaded alone by its file path, so it imports neither
 ``scipy.integrate`` nor ``scipy.optimize``.
@@ -18,11 +18,9 @@ from functools import lru_cache, partial
 from pathlib import Path
 from typing import Callable
 
-import numpy as np
-
 from .errors import StiffnessError
 
-# every DOP853 solve's rtol floor, which keeps the two drivers comparable
+# the rtol floor of every DOP853 solve and panel quadrature
 RTOL_FLOOR = 1e-13
 _FOUR_EPS = 4 * math.ulp(1.0)  # scipy's event root tolerance, and brentq's default rtol
 
@@ -102,41 +100,15 @@ def _interpolate(t: float, t_new: float, y: list, F: list, at: float) -> list:
     return out
 
 
-def _lane_step(fun, t, h, y, f, rtol, atol):
-    """scipy's ``rk_step`` and ``DOP853._estimate_error_norm`` on an array of lanes.
-
-    The same numpy calls on the same layout (``np.dot`` over the rows of K,
-    ``np.linalg.norm`` for the sums), so it returns bitwise what scipy
-    computes, in the form of a generated step: y_new, fun(t + h, y_new), the
-    squared E5 and E3 norms and the 13 stages."""
-    D = _tableau()
-    K = np.empty((16, y.size))[:13]  # scipy's K: rows 0-12 of its K_extended
-    K[0] = f
-    for s in range(1, 12):
-        K[s] = fun(t + D.C[s] * h, y + np.dot(K[:s].T, D.A[s, :s]) * h)
-    y_new = y + h * np.dot(K[:-1].T, D.B)
-    K[-1] = f_new = fun(t + h, y_new)
-    scale = atol + np.maximum(np.abs(y), np.abs(y_new)) * rtol
-    norm2 = lambda e: float(np.linalg.norm(np.dot(K.T, e) / scale) ** 2)
-    return y_new, f_new, norm2(D.E5), norm2(D.E3), K
-
-
-def _first_step(fun, t0: float, t1: float, y, f, rtol: float, atol: float, direction: float):
-    """scipy's ``select_initial_step`` for the error estimator of order 7.
-
-    On lanes in scipy's numpy calls, on a list in plain float loops."""
-    if isinstance(y, np.ndarray):
-        scale = atol + np.abs(y) * rtol
-        rms = lambda x: np.linalg.norm(x / scale) / x.size**0.5
-        ahead, change = (lambda h: y + h * f), (lambda f1: f1 - f)
-    else:
-        scale = [atol + abs(v) * rtol for v in y]
-        rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / len(x)**0.5
-        ahead = lambda h: [v + h * g for v, g in zip(y, f)]
-        change = lambda f1: [b - a for a, b in zip(f, f1)]
+def _first_step(fun, t0: float, t1: float, y: list, f: list, rtol: float, atol: float,
+                direction: float):
+    """scipy's ``select_initial_step`` for the error estimator of order 7, in plain float loops."""
+    scale = [atol + abs(v) * rtol for v in y]
+    rms = lambda x: math.sqrt(sum((v / w) * (v / w) for v, w in zip(x, scale))) / len(x)**0.5
     d0, d1 = rms(y), rms(f)
     h0 = min(1e-6 if d0 < 1e-5 or d1 < 1e-5 else 0.01 * d0 / d1, abs(t1 - t0))
-    d2 = rms(change(fun(t0 + h0 * direction, ahead(h0 * direction)))) / h0
+    f1 = fun(t0 + h0 * direction, [v + h0 * direction * g for v, g in zip(y, f)])
+    d2 = rms([b - a for a, b in zip(f, f1)]) / h0
     h1 = max(1e-6, h0 * 1e-3) if d1 <= 1e-15 and d2 <= 1e-15 else (0.01 / max(d1, d2)) ** (1 / 8)
     return float(min(100 * h0, h1, abs(t1 - t0)))
 
@@ -146,10 +118,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, t0: float = 0.0
     """DOP853 from t0 to t1 of either direction, at rtol ``effective_rtol(tol)``.
 
     scipy's step control, hence scipy's steps and nfev (2 + 12 per attempted
-    step).  ``y`` is a list of floats, or a 1-D array of lanes: trajectories
-    under one step size and one RMS error norm, as ``solve_ivp`` takes
-    them, with a ``fun`` that maps an array to an array.  Lanes run scipy's
-    numpy step (``_lane_step``) and locate no event.
+    step).  ``y`` and ``fun``'s values are lists of floats.
     ``event`` = (g, direction) is a terminal event located as scipy's ODE
     solvers locate one: after each step, the sign test of
     ``find_active_events`` on g(t, y); on a hit, ``brentq`` at xtol = rtol =
@@ -161,10 +130,7 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, t0: float = 0.0
     if not all(map(math.isfinite, y)):
         raise ValueError("All components of the initial state `y0` must be finite.")
     rtol, n = effective_rtol(tol), len(y)
-    if isinstance(y, np.ndarray):
-        step, extra = _lane_step, None
-    else:
-        step, extra = _code(n), (_code(n, True) if event else None)
+    step, extra = _code(n), (_code(n, True) if event else None)
     direction = 1.0 if t1 > t0 else -1.0
     f = fun(t0, y)
     h_abs, t, nfev, steps = _first_step(fun, t0, t1, y, f, rtol, atol, direction), t0, 2, 0
@@ -215,7 +181,7 @@ def brentq(f, a: float, b: float, xtol: float) -> float:
 
     def fx(x: float):
         value = f(x)
-        if np.isnan(value):
+        if math.isnan(value):
             raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
         return value
 

@@ -12,18 +12,17 @@ Three backends:
   nodes.  The extended-precision Taylor method records the whole
   right-hand side once per solve and sweeps it in fixed-point Taylor
   coefficients;
-* scalar: ``return_map``, the one scalar polar solve: r~(2*pi, h) over a
-  full turn of dr/dtheta, of one radius or of an array of them as one
-  vector solve (the tests check the flow identities on partial turns);
+* return map: ``return_map``, r~(2*pi, h) over a full turn, by Newton's
+  method for log(r/h) on the same Chebyshev panels, with radii as lanes
+  (the tests check the flow identities on partial turns);
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
   A weighted field's velocities are recorded once per field.
 
-Every double-precision ODE solve runs ``dop853.solve``: one radius and the
-Cartesian section on lists of floats, several radii as lanes of one array,
-bitwise as ``solve_ivp`` takes them.  So no path imports
-``scipy.integrate`` or ``scipy.optimize``.
+The polar chart runs on panels only, and the Cartesian section on
+``dop853.solve`` on lists of floats, bitwise as ``solve_ivp`` takes them.
+So no path imports ``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
 
@@ -36,9 +35,10 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dop853, jets, spectral
-from .errors import NoReturnError, SingularDivisionError, StiffnessError, check_tol
+from .errors import (NoReturnError, PolarChartError, SingularDivisionError, StiffnessError,
+                     check_tol)
 from .fields import WeightedField, normalize
-from .polar import PolarRHS
+from .polar import DENOM_FLOOR, PolarRHS
 
 DEFAULT_TOL = 1e-12
 
@@ -216,31 +216,66 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     return JetTrajectory(K, stats, final, error[1:], panels, on_nodes)
 
 
+_LANES = 8  # radii per sweep: a sweep holds a few arrays of _LANES x nodes at once
+
+
 def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
     """r~(2*pi, h): one full turn of the polar flow started at (0, h).
 
     The successive function is Delta(h) = return_map(rhs, h) - h.  ``h`` is
-    one radius, giving a float, or a 1-D array of radii, giving an array:
-    one DOP853 solve with a lane per radius, which any lane leaving the
-    chart stops.
+    one radius, giving a float, or a 1-D array of radii, giving an array.
+    w = log(r/h) solves w = int g, g = num/den, num = sum R_k r**k, den =
+    sum Q_k r**k at r = h e**w, on Chebyshev panels with up to _LANES radii
+    as lanes.  Newton's method runs from w = 0 over the turn (``run``), and
+    Delta = h expm1(int_0^2pi g) settles, as ``spectral.refine`` doubles the
+    panels, to ``dop853.effective_rtol(tol)`` max(1, |Delta|).
     """
     check_tol(tol)
     if np.ndim(h) > 1:
         raise ValueError(f"h must be one radius or a 1-D array of radii, got shape {np.shape(h)}")
-    lanes = np.ravel(h)
-    rhs.check_radius(max(lanes.tolist(), key=abs))
-    if lanes.size == 1:
-        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], 2 * np.pi, [float(lanes[0])],
-                                   tol, tol, "scalar integration")
-        return r if np.ndim(h) == 0 else np.array([r])
-    # the error norm is the RMS over the B lanes, so one lane may carry
-    # sqrt(B) times the error accepted: atol = tol / sqrt(B) keeps each lane's
-    # absolute bound at tol, as for one radius; rtol stays effective_rtol(tol).
-    # The lanes take scipy's numpy step, bitwise that of solve_ivp
-    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), 2 * np.pi,
-                            lanes.astype(float), tol, tol / math.sqrt(lanes.size),
-                            "scalar integration")
-    return r
+    radii = np.ravel(h).astype(float)
+    rhs.check_radius(max(radii.tolist(), key=abs))
+    if not np.isfinite(radii).all():
+        raise ValueError(f"h must be finite, got {h!r}")
+
+    def run(panels: spectral.Panels, h: np.ndarray, w0: np.ndarray, lo: int, hi: int):
+        """w at the end of panels lo..hi-1 from w0 at their start: ``rhs.components`` on
+        their nodes, then Newton steps gap + E int a gap/E from w = w0, with a = dg/dw = r (num'
+        - g den')/den, gap = w0 + int g - w and E = exp(int a), until none exceeds 1e-15
+        max(1, |w|).  Where they leave the chart (non-finite, or den <= DENOM_FLOOR) or do
+        not settle in 32 steps, the halves run in turn; on one panel PolarChartError."""
+        R, Q = rhs.components(*(x[lo * spectral.N : hi * spectral.N] for x in panels.nodes[1:]))
+        w = w0 + 0 * R[0]
+        with np.errstate(all="ignore"):  # a non-finite iterate is off the chart
+            for _ in range(32):  # Newton steps: 3 to 5 on most turns tried, 23 at most
+                r = h * np.exp(w)
+                num, den, dnum, dden = R[-1] + 0 * r, Q[-1] + 0 * r, 0 * r, 0 * r
+                for Rk, Qk in zip(R[-2::-1], Q[-2::-1]):  # Horner, with the r-derivatives
+                    dnum, dden = dnum * r + num, dden * r + den
+                    num, den = num * r + Rk, den * r + Qk
+                if (off := ~(np.isfinite(r) & (den > DENOM_FLOOR)).all(axis=1)).any():
+                    break
+                g = num / den
+                W, total = panels.integrate(g)
+                gap, a = w0 + W - w, r * (dnum - g * dden) / den
+                E = np.exp(panels.integrate(a)[0])
+                w = w + (step := gap + E * panels.integrate(a * gap / E)[0])
+                if not (off := ~(abs(step).max(axis=1) <= 1e-15 * max(1.0, abs(w).max()))).any():
+                    return w0 + total[:, None]
+        if hi - lo > 1:
+            return run(panels, h, run(panels, h, w0, lo, (lo + hi) // 2), (lo + hi) // 2, hi)
+        raise PolarChartError(f"polar chart breakdown: Newton's method on the turn from "
+                              f"r={h[off, 0].tolist()} left the chart or did not settle")
+
+    def sweep(panels: spectral.Panels, h: np.ndarray) -> tuple[np.ndarray, None]:
+        return h[:, 0] * np.expm1(run(panels, h, 0 * h, 0, panels.count)[:, 0]), None
+
+    rtol, delta = dop853.effective_rtol(tol), []
+    for chunk in np.split(radii, range(_LANES, radii.size, _LANES)):
+        delta += spectral.refine(partial(sweep, h=chunk[:, None]), rtol,
+                                 [f"Delta({x!r})" for x in chunk.tolist()])[1].tolist()
+    r = radii + delta
+    return float(r[0]) if np.ndim(h) == 0 else r
 
 
 # -- Cartesian flows and the positive x-axis section ---------------------------

@@ -8,9 +8,9 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
 part and any terms at its weight.
 
-The scalar dr/dtheta is compiled once per ``PolarRHS`` from its components,
-recorded with the coefficients as float literals, as ``flow`` records a
-field's Cartesian velocities.
+The package reads the components on Chebyshev nodes.  The scalar dr/dtheta,
+the tests' reference, is compiled once per ``PolarRHS`` from its
+components, recorded with the coefficients as float literals.
 """
 from __future__ import annotations
 
@@ -80,26 +80,21 @@ class PolarRHS:
             Q[0] += Q.pop(1)
         return R, Q
 
-    def __call__(self, theta: float, r):
-        """dr/dtheta at (theta, r), for a float r or elementwise for an array of radii.
-
-        Compiled on the first call from ``recording``: r * num / den, num and
-        den summing R_k r**k and Q_k r**k in order of k, bitwise as from the
-        component lists (the recorder may swap a product's factors and fold
-        exact identities and the zero 0 * c, which no nonzero sum sees)."""
+    def __call__(self, theta: float, r: float) -> float:
+        """dr/dtheta at (theta, r): r * num / den, compiled on the first call from
+        ``recording``, num and den summing R_k r**k and Q_k r**k in order of k, bitwise
+        as from the component lists (the recorder may swap a product's factors and
+        fold exact identities and the zero 0 * c, which no nonzero sum sees)."""
         if self._rhs is None:
             body, out = self.recording()
             levels = len(out) // 2
             lines = ["c, s = cos(theta), sin(theta)", "z = 0 * c", *body, "num = den = 0.0"]
             for k, (Rk, Qk) in enumerate(zip(out[:levels], out[levels:])):
                 lines += ["rk *= r" if k else "rk = 1.0", f"num += {Rk} * rk", f"den += {Qk} * rk"]
-            lines += ["small = abs(den) < DENOM_FLOOR",
-                      "if small.any() if isinstance(small, ndarray) else small:",
-                      "    raise _breakdown(theta, r, den)",
+            lines += ["if abs(den) < DENOM_FLOOR:", "    raise _breakdown(theta, r, den)",
                       "return r * num / den"]
             self._rhs = jets.function("theta, r", lines, cos=math.cos, sin=math.sin,
-                                      ndarray=np.ndarray, DENOM_FLOOR=DENOM_FLOOR,
-                                      _breakdown=_breakdown)
+                                      DENOM_FLOOR=DENOM_FLOOR, _breakdown=_breakdown)
         return self._rhs(theta, r)
 
     def recording(self) -> tuple[list[str], tuple[str, ...]]:

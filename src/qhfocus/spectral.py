@@ -11,7 +11,8 @@ the first halved, and the antiderivatives of T_m.  The error falls
 geometrically in N for a function analytic near the panel (L. N.
 Trefethen, Approximation Theory and Approximation Practice, SIAM 2013), and
 doubling P shows how far it has fallen.  Barycentric interpolation on the
-same points gives the function between the nodes.
+same points gives the function between the nodes.  ``flow`` runs its focal
+values and its return map (radii as lanes) on these panels.
 """
 from __future__ import annotations
 
@@ -84,12 +85,14 @@ class Panels:
         """The count * N nodes in increasing order, panel by panel, their cosines and sines."""
         return _nodes(self.count)
 
-    def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float]:
-        """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes."""
-        local = np.einsum("pj,ij->pi", f.reshape(self.count, N), _integral(self.count))
-        ends = np.cumsum(local[:, N])
-        local[1:, :N] += ends[:-1, None]  # each panel starts from the integral up to it
-        return local[:, :N].ravel(), float(ends[-1])
+    def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
+        """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes: a float, or
+        an array of them where f has leading axes, its lanes, each integrated as alone."""
+        lanes = f.shape[:-1]
+        local = np.einsum("...pj,ij->...pi", f.reshape(*lanes, -1, N), _integral(self.count))
+        ends = np.cumsum(local[..., N], axis=-1)
+        local[..., 1:, :N] += ends[..., :-1, None]  # each panel starts from the integral up to it
+        return local[..., :N].reshape(f.shape), ends[..., -1] if lanes else float(ends[-1])
 
     def interpolate(self, values: np.ndarray, theta) -> np.ndarray:
         """Rows of ``values`` (functions on the nodes) at the angles ``theta`` in [0, 2*pi]:

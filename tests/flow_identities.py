@@ -1,31 +1,23 @@
 """The polar flow on partial turns, and the functional identities it satisfies.
 
-The package solves the polar ODE over full turns only (``flow.return_map``).
-The identities compare solves over partial turns of either direction, so
-the tests solve them here, as ``return_map`` solves a full turn.
+The package solves the polar ODE over full turns only (``flow.return_map``,
+on Chebyshev panels).  The identities compare solves over partial turns of
+either direction, so the tests solve them here, by DOP853 on the scalar
+dr/dtheta: an independent integrator, which the tests also hold
+``return_map`` against.
 """
-import math
-
 import numpy as np
 
 from qhfocus import dop853
 
 
-def partial_turn(rhs, h, theta1: float, tol: float):
+def partial_turn(rhs, h: float, theta1: float, tol: float) -> float:
     """r at theta1 for the scalar radius ODE started at (0, h), theta1 of either sign.
 
-    One radius gives a float, a 1-D array of radii an array: one DOP853
-    solve with a lane per radius at atol tol / sqrt(B), as ``return_map``.
-    """
-    lanes = np.ravel(h)
-    rhs.check_radius(max(lanes.tolist(), key=abs))
-    if lanes.size == 1:
-        _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(lanes[0])],
-                                   tol, tol, "scalar integration")
-        return r if np.ndim(h) == 0 else np.array([r])
-    _, r, *_ = dop853.solve(lambda t, y: np.asarray(rhs(t, y), dtype=float), theta1,
-                            lanes.astype(float), tol, tol / math.sqrt(lanes.size),
-                            "scalar integration")
+    One DOP853 solve of ``rhs``'s dr/dtheta, at rtol and atol tol."""
+    rhs.check_radius(h)
+    _, (r,), *_ = dop853.solve(lambda t, y: [rhs(t, y[0])], theta1, [float(h)], tol, tol,
+                               "scalar integration")
     return r
 
 

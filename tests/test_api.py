@@ -1,5 +1,5 @@
 """The demos: the package top level exports exactly the names they import
-from it, and the quick ones run to the end.  The package's sources: no
+from it, and each runs to the end.  The package's sources: no
 scipy import, and no public function or class that only the tests call.
 The benchmark's tracer: every function it wraps by name exists."""
 import ast
@@ -32,11 +32,9 @@ def test_top_level_exports_are_the_demo_imports():
     assert all(hasattr(qhfocus, name) for name in qhfocus.__all__)
 
 
-# 02 and 05 are left out: they repeat the calls of acceptance criteria 8 and
-# 10 one for one and take 6 and 12 s, where each of these takes under 2 s
-@pytest.mark.parametrize(
-    "name", ["01_focal_analysis.py", "03_center_certificates.py", "04_reference_integrals.py"]
-)
+# 02 and 05 are the only end-to-end runs of the polar scans, as a script
+# under warnings as errors
+@pytest.mark.parametrize("name", sorted(path.name for path in DEMOS.glob("*.py")))
 def test_demo_runs(name):
     proc = subprocess.run(
         [sys.executable, "-W", "error", str(DEMOS / name)],
@@ -72,7 +70,7 @@ assert abs(PanelAntiderivative(np.cos)(np.pi)) <= 1e-12
 compute_reference_constants()
 assert_unloaded("focal values or reference integrals")
 
-# the cycle scans: a polar grid of lanes, Brent refinement and section events
+# the cycle scans: a polar grid in lanes on panels, Brent refinement and section events
 hopf = WeightedField(  # a stable cycle at h = 0.2
     p=1, q=1,
     x_terms=(Monomial(1, 0, 0.04), Monomial(3, 0, -1.0), Monomial(1, 2, -1.0)),

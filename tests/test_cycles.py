@@ -53,6 +53,17 @@ def test_hopf_field_polar_scan_and_strong_focus(eps):
     assert rep.nu(1) == pytest.approx(np.exp(2 * np.pi * eps), rel=1e-12)
 
 
+@pytest.mark.parametrize("eps", [0.04, 2.0, -2.0])
+def test_hopf_field_return_map_is_the_closed_form(eps):
+    # r' = r (eps - r**2) at theta' = 1: 1/r**2 = 1/eps + (1/h**2 - 1/eps) e**(-2 eps theta).
+    # At |eps| = 2 the radius moves by up to e**(4 pi) over the turn, where
+    # Newton's method on the whole turn fails and the panels run in halves
+    radii = np.array([0.01, 0.1, 0.5, 2.0])
+    exact = (1 / eps + (1 / radii**2 - 1 / eps) * np.exp(-4 * np.pi * eps)) ** -0.5
+    turn = return_map(PolarRHS(hopf_field(eps)), radii, tol=1e-12)
+    assert np.all(np.abs(turn - exact) <= 1e-12 * np.maximum(1.0, exact))
+
+
 def test_damped_polar_scan_matches_the_cartesian_reference():
     # criterion 10's damped field: the polar chart and the section return agree
     field = eq329_weighted(
@@ -116,6 +127,14 @@ def test_polar_scan_integrates_its_grid_in_one_solve(monkeypatch):
     assert radii[0] == result.grid_n
     assert radii[1:] == [1] * sum(c.evals for c in result.cycles)
     assert result.grid_s > 0 and result.refine_s > 0
+
+
+def test_criterion_8_roots_are_the_series_roots():
+    # the series sum nu_k h**k with dps-30 nu has the real roots 0.0894151 and
+    # 0.2902039 for every K from 13 to 15
+    scan = find_cycles("polar", eq325_field(1.22167735e-08, 2.40634043e-04), 0.03, 0.45,
+                       grid_n=64, tol=1e-13, noise_floor=1e-12)
+    assert [c.h_star for c in scan.cycles] == pytest.approx([0.0894151, 0.2902039], abs=1e-6)
 
 
 def test_scan_never_integrates_a_point_twice(monkeypatch):
