@@ -8,17 +8,21 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
 part and any terms at its weight.
 
-The package reads the components on Chebyshev nodes.  The scalar dr/dtheta,
-the tests' reference, is compiled once per ``PolarRHS`` from its
-components, recorded with the coefficients as float literals.
+The package reads the components on Chebyshev nodes, where the powers of
+cos(theta) and sin(theta) come from ``spectral``'s tables, bitwise as
+``**`` gives them.  The scalar dr/dtheta, the tests' reference, is compiled
+once per ``PolarRHS`` from its components, recorded with the coefficients
+as float literals.
 """
 from __future__ import annotations
 
 import math
+import operator
+from functools import partial
 
 import numpy as np
 
-from . import jets
+from . import jets, spectral
 from .errors import InvalidFieldError, PolarChartError
 from .fields import RULE_MONODROMY, Monomial, WeightedField, normalize, require_valid
 
@@ -61,18 +65,21 @@ class PolarRHS:
     # -- component evaluation ------------------------------------------------
 
     def components(self, cos_t, sin_t) -> tuple[list, list]:
-        """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type."""
+        """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type.  The powers
+        of a ``Panels.span``'s cosines and sines come from ``spectral``'s tables, bitwise
+        as ``**`` takes them, and of anything else from ``**``."""
         p, q = self.field.p, self.field.q
         c, s = cos_t, sin_t
+        cp, sp = (spectral.powers(x) or partial(operator.pow, x) for x in (c, s))
         zero = 0 * c
-        R = [c * s * (q * c ** (2 * q - 2) - p * s ** (2 * p - 2))]
-        Q = [p * q * (c ** (2 * q) + s ** (2 * p))]
+        R = [c * s * (q * cp(2 * q - 2) - p * sp(2 * p - 2))]
+        Q = [p * q * (cp(2 * q) + sp(2 * p))]
         for xs, ys in self._levels:
             xm = ym = zero
             for a, k, j in xs:
-                xm = xm + a * c**k * s**j
+                xm = xm + a * cp(k) * sp(j)
             for a, k, j in ys:
-                ym = ym + a * c**k * s**j
+                ym = ym + a * cp(k) * sp(j)
             R.append(c * xm + s * ym)
             Q.append(-q * s * xm + p * c * ym)
         if self._level0:

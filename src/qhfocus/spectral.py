@@ -13,6 +13,12 @@ Trefethen, Approximation Theory and Approximation Practice, SIAM 2013), and
 doubling P shows how far it has fallen.  Barycentric interpolation on the
 same points gives the function between the nodes.  ``flow`` runs its focal
 values and its return map (radii as lanes) on these panels.
+
+The nodes never change, so each panel count keeps read-only tables of the
+powers of its cosines and sines, built once by the same ``**`` that a sweep
+would take and bounded as a cache.  ``Panels.nodes`` and ``Panels.span``
+hand out the node arrays, and ``powers`` reads the tables for them, which
+``polar.PolarRHS.components`` does in place of ``**``.
 """
 from __future__ import annotations
 
@@ -70,6 +76,42 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
+# the cosines and sines of every span handed out, by id: (the array, its panel count, 1 for
+# cosines or 2 for sines, its nodes' slice); holding the array keeps its id its own
+_SPANS: dict[int, tuple[np.ndarray, int, int, slice]] = {}
+
+
+@lru_cache(maxsize=None)
+def _span(count: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of panels lo..hi-1 of ``count``, their cosines and sines: views of
+    ``_nodes``, or its own arrays for the whole turn, with the cosines and sines in _SPANS."""
+    whole = _nodes(count)
+    out = whole if (lo, hi) == (0, count) else tuple(a[lo * N : hi * N] for a in whole)
+    for which in (1, 2):
+        _SPANS[id(out[which])] = (out[which], count, which, slice(lo * N, hi * N))
+    return out
+
+
+@lru_cache(maxsize=64)
+def _power(count: int, which: int, k: int) -> np.ndarray:
+    """The cosines (``which`` 1) or sines (2) of ``count`` panels to the power k, read-only:
+    the same ``**`` on the same array as a sweep would take, so bitwise its powers.  Random
+    fields at 1:1 to 3:4 and quintic 2:3 fields read 34 powers, at 8 and 16 panels; one
+    power at MAX_PANELS takes 256 KB."""
+    out = _nodes(count)[which] ** k
+    out.setflags(write=False)
+    return out
+
+
+def powers(x) -> Callable[[int], np.ndarray] | None:
+    """k -> x**k read from the tables where x is the cosines or sines of a ``Panels.span``,
+    sliced to its panels (a power acts node by node); None for any other x."""
+    if (entry := _SPANS.get(id(x))) is None:
+        return None
+    _, count, which, nodes = entry
+    return lambda k: _power(count, which, k)[nodes]
+
+
 @dataclass(frozen=True)
 class Panels:
     """``count`` equal panels of N first-kind Chebyshev points on [0, 2*pi]."""
@@ -83,7 +125,11 @@ class Panels:
     @property
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The count * N nodes in increasing order, panel by panel, their cosines and sines."""
-        return _nodes(self.count)
+        return _span(self.count, 0, self.count)
+
+    def span(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``nodes`` on panels lo..hi-1 alone, whose powers ``powers`` reads from the tables."""
+        return _span(self.count, lo, hi)
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes: a float, or

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField, focal_values, jets
+from qhfocus import Monomial, WeightedField, focal_values, jets, spectral
 from qhfocus.casestudy import eq325_field, eq329_weighted, field23
 from qhfocus.errors import QuadratureError
 from qhfocus.flow import (
@@ -141,3 +141,44 @@ def test_a_pass_compiles_one_staged_program_per_shape(fresh_caches):
     for field in fields:  # a second pass compiles nothing
         focal_values(field)
     assert _staged_levels.cache_info().misses == len(shapes)
+
+
+def _table_fields():
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        yield pytest.param(random_field(p, q, np.random.default_rng(0)), id=f"{p}:{q}")
+    yield pytest.param(eq325_field(1.22e-08, 2.41e-04), id="eq325")
+    # terms at the leading weight: R_0 += R.pop(1) adds level 0 in place
+    yield pytest.param(_near_monodromy_limit(0.5), id="leading-weight")
+
+
+@pytest.mark.parametrize("field", _table_fields())
+def test_components_on_panels_read_the_power_tables_bitwise(field):
+    rhs = PolarRHS(field)
+    for count in (8, 16, 32, 64, 128):
+        panels = Panels(count)
+        for lo, hi in ((0, count), (0, count // 2), (count // 2, count), (1, 3), (count - 1, count)):
+            _, cos, sin = panels.span(lo, hi)
+            assert cos.tobytes() == panels.nodes[1][lo * N : hi * N].tobytes()
+            assert sin.tobytes() == panels.nodes[2][lo * N : hi * N].tobytes()
+            copies = np.array(cos), np.array(sin)  # writable, so plain ** takes their powers
+            assert spectral.powers(cos) and spectral.powers(sin)
+            assert spectral.powers(copies[0]) is spectral.powers(copies[1]) is None
+            R, Q = rhs.components(cos, sin)
+            plain = rhs.components(*copies)
+            assert [x.tobytes() for x in R + Q] == [x.tobytes() for x in plain[0] + plain[1]]
+        # the tables are still the powers: nothing wrote into one
+        for k in range(2 * max(field.p, field.q) + 1):
+            assert spectral.powers(panels.nodes[1])(k).tobytes() == (panels.nodes[1] ** k).tobytes()
+            assert spectral.powers(panels.nodes[2])(k).tobytes() == (panels.nodes[2] ** k).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        spectral.powers(Panels(8).nodes[1])(3)[0] = 0.0
+
+
+def test_a_second_field_of_a_support_builds_no_power(fresh_caches):
+    focal_values(eq325_field(1.22e-08, 2.41e-04))
+    built = spectral._power.cache_info().misses
+    assert built > 0
+    read = spectral._power.cache_info().hits
+    focal_values(eq325_field(-3.0e-08, 1.0e-04))
+    assert spectral._power.cache_info().misses == built
+    assert spectral._power.cache_info().hits > read
