@@ -160,7 +160,7 @@ def test_components_on_panels_read_the_power_tables_bitwise(field):
             _, cos, sin = panels.span(lo, hi)
             assert cos.tobytes() == panels.nodes[1][lo * N : hi * N].tobytes()
             assert sin.tobytes() == panels.nodes[2][lo * N : hi * N].tobytes()
-            copies = np.array(cos), np.array(sin)  # writable, so plain ** takes their powers
+            copies = np.array(cos), np.array(sin)  # writable copies, not spans: plain ** powers
             assert spectral.powers(cos) and spectral.powers(sin)
             assert spectral.powers(copies[0]) is spectral.powers(copies[1]) is None
             R, Q = rhs.components(cos, sin)
