@@ -1059,26 +1059,61 @@ def _pinned_extended_cases():
     # the values of the lazy-series Taylor integrator this one replaced, read
     # to the last bit at dps 20
     yield pytest.param(
-        field23(), 3, 1825, 73,
+        field23(), 3, 20, 1825, 73,
         ["0.99999999999999999999915", "0.65702928855007091051142", "0.43168748601261234166846"],
         id="field23",
     )
     damped = normalize(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02)).field
     yield pytest.param(
-        damped, 8, 975, 39,
+        damped, 8, 20, 975, 39,
         ["0.98751225652365601427798", "0.0", "0.004595527608596279305264",
          "7.98873549279055188333e-7", "0.021401642956214345758346",
          "-0.0000019626703962908853433814", "0.0086964091555108694469343",
          "-0.0000027350008111134886349751"],
         id="damped",
     )
+    # the values of the sweep that Taylor-expanded the components by products
+    # of the cosine and sine series, one random field per weight pair at the
+    # default order, a second quintic 2:3 field and the criterion-8 field
+    random = {
+        (1, 1): (1150, 46, ["1.0", "-5.6797985175912849989644e-29", "0.49614160261921578740333",
+                            "0.028858897573206017542211", "0.3069075014208014558693",
+                            "0.031323918577529318396481", "-0.086673373213311977091416",
+                            "0.018169085454838874742926"]),
+        (1, 2): (1600, 64, ["1.0", "0.90082002703461482817374", "0.81147672110664418990171",
+                            "0.42275595965002521812429", "-0.060779849697675688383444",
+                            "-0.7820522427910313152245", "-1.6287930492385063617628"]),
+        (2, 3): (1950, 78, ["1.0", "0.52116251745658605556148", "0.27161036960168636509598",
+                            "0.17665772097950424044699", "0.12865776203113541680114",
+                            "0.10196817548284085437601", "0.085352463692449216272982"]),
+        (3, 4): (2200, 88, ["1.0", "0.0", "0.0", "-0.037070219046092291134501",
+                            "-1.0014833502003091817058e-21", "0.0",
+                            "0.0027484022802505273078538"]),
+    }
+    for (p, q), (evals, steps, expect) in random.items():
+        yield pytest.param(random_field(p, q, np.random.default_rng(0)), default_order(p, q), 20,
+                           evals, steps, expect, id=f"random-{p}:{q}")
+    yield pytest.param(
+        field23(0.5, 1, -0.3, 1), 5, 20, 1850, 74,
+        ["0.99999999999999999999915", "0.24091073913502600173636", "0.058037984230584548742051",
+         "0.021726667403293077554191", "0.008965747282105472623881"],
+        id="field23-K5",
+    )
+    yield pytest.param(
+        normalize(eq325_field(1.22e-8, 2.41e-4)).field, 7, 30, 3060, 85,
+        ["1.0", "0.00000000133595955146620565469629623337475",
+         "1.78478792315386964751062143219855e-18", "-0.000000183309982981740216362851043342577",
+         "-7.34684167930690140734785110378698e-16", "0.00000196203162233429365106960293927048",
+         "7.76898792660767150396348745631735e-14"],
+        id="criterion-8",
+    )
 
 
-@pytest.mark.parametrize("field, K, n_rhs_evals, n_steps, expect", _pinned_extended_cases())
-def test_extended_jet_values_are_pinned(field, K, n_rhs_evals, n_steps, expect):
-    nu, stats = integrate_jet_extended(PolarRHS(field), order=K, dps=20)
+@pytest.mark.parametrize("field, K, dps, n_rhs_evals, n_steps, expect", _pinned_extended_cases())
+def test_extended_jet_values_are_pinned(field, K, dps, n_rhs_evals, n_steps, expect):
+    nu, stats = integrate_jet_extended(PolarRHS(field), order=K, dps=dps)
     assert (stats.n_rhs_evals, stats.n_steps) == (n_rhs_evals, n_steps)
-    with mp.workdps(20):
+    with mp.workdps(dps):
         assert nu == [mp.mpf(v) for v in expect]
 
 
