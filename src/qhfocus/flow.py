@@ -9,9 +9,10 @@ Three backends:
   quadratures on Chebyshev panels (``spectral``), each to its own relative
   accuracy; the integrands come from one staged program per order and
   pattern of zero components (``_staged_levels``), run on arrays of
-  nodes.  The extended-precision Taylor method records the whole
-  right-hand side once per solve and sweeps it in fixed-point Taylor
-  coefficients;
+  nodes.  The extended-precision Taylor method takes the components'
+  Taylor series from their Fourier coefficients, got once per solve, and
+  sweeps only the jet lines of ``_jet_coeffs``, recorded once per solve,
+  in fixed-point Taylor coefficients;
 * return map: ``return_map``, r~(2*pi, h) over a full turn, by Newton's
   method for log(r/h) on the same Chebyshev panels, with radii as lanes
   (the tests check the flow identities on partial turns);
@@ -35,8 +36,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import dop853, jets, spectral
-from .errors import (NoReturnError, PolarChartError, SingularDivisionError, StiffnessError,
-                     check_tol)
+from .errors import (NoReturnError, PolarChartError, QuadratureError, SingularDivisionError,
+                     StiffnessError, check_tol)
 from .fields import WeightedField, normalize
 from .polar import DENOM_FLOOR, PolarRHS
 
@@ -382,14 +383,109 @@ def section_return(
 # -- extended precision --------------------------------------------------------
 
 _GUARD_BITS = 32
+_OFF_GRID = 1  # the aliasing check's angle, in radians: n of it is no multiple of pi/2 for n > 0
+
+
+def _fixed(x, bits: int) -> int:
+    """x * 2**bits rounded to an integer, at a working precision above ``bits``."""
+    from mpmath import mp
+
+    return int(mp.nint(mp.ldexp(x, bits)))
+
+
+def _degree_bound(field: WeightedField) -> int:
+    """D, a bound on the degree of the components in cos and sin, so on their frequencies:
+    2q and 2p in R_0 and Q_0, and k + j + 1 in the R_k, Q_k of a monomial x**k y**j."""
+    return max(2 * field.p, 2 * field.q, *(t.k + t.j + 1 for t in field.x_terms + field.y_terms))
+
+
+def _fourier_series(rhs: PolarRHS, bits: int) -> tuple[tuple[bool, ...], list]:
+    """The components' Fourier coefficients, fixed-point at 2**-(bits + _GUARD_BITS), and
+    which components vanish.
+
+    A component F is a trigonometric polynomial of degree D = ``_degree_bound`` or less,
+    F(theta) = sum_n Re(f_n e**(i n theta)) over n = 0..D, so one ``components`` call on
+    the 2D + 2 angles theta_j = 2 pi j / (2D + 2) gives its f_n by a discrete Fourier
+    transform, exact but for rounding; the cosines and sines of the n theta_j are those of
+    the angles again.  The call runs on object arrays of mpf at bits + _GUARD_BITS bits.
+    Returns the pattern of components that vanish on every angle, as the structurally zero
+    ones do, and per component None for those, else the lists of Re f_n and Im f_n.
+
+    An understated D would alias silently, so the same call also takes the components at
+    the angle ``_OFF_GRID``, off the grid.  There the series must give them to within their
+    rounding: a few units of 2**-(bits + _GUARD_BITS) times 1 + max |F| in each f_n and in
+    each e**(i n theta) formed by n products, which 8 (D + 1)**2 (1 + max |F|) units bound;
+    otherwise QuadratureError.
+    """
+    from mpmath import mp
+
+    D, fine = _degree_bound(rhs.field), bits + _GUARD_BITS
+    N = 2 * D + 2
+    with mp.workprec(fine):
+        angles = [mp.cos_sin(2 * mp.pi * j / N) for j in range(N)] + [mp.cos_sin(_OFF_GRID)]
+        R, Q = rhs.components(*(np.array(x, dtype=object) for x in zip(*angles)))
+        zero = tuple(not any(F) for F in R + Q)
+        samples = [None if zr else [_fixed(x, fine) for x in F] for F, zr in zip(R + Q, zero)]
+        cos, sin = ([_fixed(x, fine) for x in xs] for xs in zip(*angles))
+    # f_n = (1/N) sum_j F(theta_j) e**(-i n theta_j), doubled for n > 0: its real parts, then
+    # its imaginary ones
+    rows = [[(2 - (n == 0)) * sign * x[j * n % N] for j in range(N)]
+            for sign, x in ((1, cos), (-1, sin)) for n in range(D + 1)]
+    fourier = []
+    for i, F in enumerate(samples):
+        if F is None:
+            fourier.append(None)
+            continue
+        f = [sum(map(operator.mul, F, row)) // (N << fine) for row in rows]
+        fourier.append((f[: D + 1], f[D + 1 :]))
+        (value,), = _taylor_series(fourier[-1:], cos[N], sin[N], 1, fine, fine)
+        if abs(value - F[N]) > 8 * (D + 1) ** 2 * ((1 << fine) + max(map(abs, F))) >> fine:
+            name = _component_names((False,) * len(zero))[i]
+            raise QuadratureError(
+                f"the Fourier series of {name} to degree {D} misses its value at theta="
+                f"{_OFF_GRID} by {math.ldexp(abs(value - F[N]), -fine):.3g}: the degree "
+                f"bound is too low")
+    return zero, fourier
+
+
+@lru_cache(maxsize=16)
+def _taylor_weights(D: int, M: int, shift: int) -> list[tuple[list[int], int]]:
+    """Per j < M, the n**j of n = 0..D, signed as Re(i**j g) = (Re g, -Im g, -Re g, Im g)[j % 4]
+    takes its part of g, and its divisor j! * 2**shift."""
+    return [([(1, -1, -1, 1)[j % 4] * n**j for n in range(D + 1)], math.factorial(j) << shift)
+            for j in range(M)]
+
+
+def _taylor_series(fourier: list, c0: int, s0: int, M: int, scale: int,
+                   bits: int) -> list[list[int]]:
+    """Coefficients 0..M-1 of each component's Taylor series in theta - theta0, fixed-point at
+    2**-bits, from its Fourier coefficients and c0, s0, the cosine and sine of theta0, all
+    three at 2**-scale.
+
+    With g_n = f_n e**(i n theta0), coefficient j is sum_n n**j / j! Re(i**j g_n).  The
+    e**(i n theta0) come by n complex products at 2**-scale, and the sums of products over
+    n are exact before the one rounding of each coefficient."""
+    D = len(fourier[0][0]) - 1
+    C, S, cn, sn = [], [], 1 << scale, 0
+    for _ in range(D + 1):
+        C.append(cn)
+        S.append(sn)
+        cn, sn = (cn * c0 - sn * s0) >> scale, (cn * s0 + sn * c0) >> scale
+    out = []
+    for a, b in fourier:
+        re = [x * c - y * s for x, y, c, s in zip(a, b, C, S)]
+        im = [x * s + y * c for x, y, c, s in zip(a, b, C, S)]
+        out.append([sum(map(operator.mul, w, im if j % 2 else re)) // f
+                    for j, (w, f) in enumerate(_taylor_weights(D, M, 2 * scale - bits))])
+    return out
 
 
 def _taylor_rule(op: str, d: list, a, b, bits: int) -> Callable[[int], None]:
     """The rule appending coefficient m of d = a op b, on fixed-point Taylor coefficients.
 
-    a and b are lists holding coefficients 0..m, but a product's a may be a
-    float factor and a guard |a| < b has a float bound b: a guard appends
-    nothing and is checked on coefficient 0."""
+    a and b are lists holding coefficients 0..m or more, but a product's b holds exactly
+    0..m, and a guard |a| < b has a float bound b: a guard appends nothing and is checked
+    on coefficient 0."""
     app = d.append
     if op == "+":
         return lambda m: app(a[m] + b[m])
@@ -402,49 +498,40 @@ def _taylor_rule(op: str, d: list, a, b, bits: int) -> Callable[[int], None]:
             if m == 0 and math.ldexp(abs(a[0]), -bits) < b:
                 raise SingularDivisionError(jets.VANISHING)
         return guard
-    if isinstance(a, float):  # a constant factor, exact but for one rounding
-        num, den = a.as_integer_ratio()
-        shift = den.bit_length() - 1
-        return lambda m: app((num * b[m]) >> shift)
     return lambda m: app(sum(map(operator.mul, a, reversed(b))) >> bits)
 
 
-def _taylor_program(rhs: PolarRHS, K: int, bits: int) -> tuple[list[list], list[Callable]]:
-    """The recorded jet right-hand side as rules on Taylor series in theta - theta0.
+def _taylor_program(K: int, zero: tuple[bool, ...], M: int, bits: int
+                    ) -> tuple[list[tuple[int, list]], list[list], list[list], list[Callable]]:
+    """The jet lines of ``_jet_coeffs`` as rules on Taylor series in theta - theta0.
 
-    Coefficients are fixed-point integers: c stands for c / 2**bits.  Returns
-    the coefficient lists, led by those of c, s, z, one and nu that a step
-    seeds with coefficient 0, and the rules.  Calling each rule in order with
-    m = 0, 1, ... appends coefficient m of every line, then coefficient m + 1
-    of c, s, z, one and nu: c' = -s, s' = c, and nu_i' is output i."""
-    program, out = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
-                               "c", "s", *(f"y{i}" for i in range(K)))
-    out = [v.name for v in out]
-    coef = {name: [] for name in ["c", "s", "z", "one", *(f"y{i}" for i in range(K))]}
-    lists, rules = list(coef.values()), []
-    pows: dict[str, list[list]] = {}  # x**0, x**1, ... per base, each power x**(n-1) * x
-
-    def line(op: str, a, b) -> list:
-        d = []
-        lists.append(d)
-        rules.append(_taylor_rule(op, d, a, b, bits))
-        return d
-
+    Coefficients are fixed-point integers: c stands for c / 2**bits.  The recording's
+    inputs are R_0..R_k, Q_0..Q_k, named and zero-folded by ``zero`` as in
+    ``_staged_recording``, and nu; a structural zero's series is M zeros.  Returns the
+    components the lines read, as (index in R + Q, list), whose lists a step fills whole
+    with coefficients 0..M-1, the lists of nu, which it seeds with coefficient 0, the lists
+    of the lines, which it empties, and the rules.  Calling each rule in order with
+    m = 0, 1, ... appends coefficient m of every line, then coefficient m + 1 of nu:
+    nu_i' is output i."""
+    n, names = len(zero) // 2, _component_names(zero)
+    program, out = jets.record(lambda *x: _jet_coeffs(x[:n], x[n : 2 * n], K, x[2 * n :]),
+                               *names, *(f"y{i}" for i in range(K)))
+    coef = {name: [] for name in [*names, *(f"y{i}" for i in range(K))]}
+    coef["z"] = [0] * M
+    reads = {x for line in program for x in line[2:]}
+    series = [(i, coef[x]) for i, x in enumerate(names) if x in reads and x != "z"]
+    full = {id(d) for _, d in series}
+    lines, rules = [], []
     for dest, op, a, b in program:
-        if op == "**":
-            chain = pows.setdefault(a, [coef["one"], coef[a]])
-            while len(chain) <= b:
-                chain.append(line("*", chain[-1], chain[1]))
-            coef[dest] = chain[int(b)]
-        else:  # a guard's dest is None, and its list stays empty
-            # a float in a sum is a constant, as a product with the one series
-            coef[dest] = line(op, *(coef[x] if isinstance(x, str) else
-                                    line("*", x, coef["one"]) if op in "+-" else x for x in (a, b)))
-    c, s, z, one, *nu = lists[: K + 4]
-    rules += [lambda m: c.append(-s[m] // (m + 1)), lambda m: s.append(c[m] // (m + 1))]
-    rules += [lambda m, k=k: k.append(0) for k in (z, one)]
-    rules += [lambda m, n=n, f=coef[o]: n.append(f[m] // (m + 1)) for n, o in zip(nu, out)]
-    return lists, rules
+        a, b = (coef[x] if isinstance(x, str) else x for x in (a, b))
+        if op == "*" and id(b) in full:  # map(mul, a, reversed(b)) stops where the line does
+            a, b = b, a
+        coef[dest] = d = []  # a guard's dest is None, and its list stays empty
+        lines.append(d)
+        rules.append(_taylor_rule(op, d, a, b, bits))
+    nu = [coef[f"y{i}"] for i in range(K)]
+    rules += [lambda m, n=n, f=coef[o.name]: n.append(f[m] // (m + 1)) for n, o in zip(nu, out)]
+    return series, nu, lines, rules
 
 
 def integrate_jet_extended(
@@ -461,8 +548,13 @@ def integrate_jet_extended(
     precision, and the last step lands on it exactly.
 
     Each step expands the solution in theta to order M (Jorba & Zou,
-    Experimental Math. 14, 2005) by sweeping the recorded jet right-hand
-    side in Taylor coefficients (``_taylor_program``).  With the local
+    Experimental Math. 14, 2005) by sweeping the jet lines of
+    ``_jet_coeffs``, recorded once per solve, in Taylor coefficients
+    (``_taylor_program``).  The components they read are trigonometric
+    polynomials, whose Taylor series at each step come in closed form from
+    their Fourier coefficients: ``_fourier_series`` takes those once per
+    solve, from one ``components`` call, and checks them off its grid, and
+    ``_taylor_series`` expands them at each step.  With the local
     tolerance tol = 10**-dps, M = ceil(-ln(tol) / 2 + 1), and the step h is
     the largest at which the last two terms, max_i |coefficient j of nu_i|
     * h**j for j = M - 1 and M, stay below tol.  All sums and products are
@@ -487,25 +579,25 @@ def integrate_jet_extended(
     log_tol = float(mp.log(tol))
     M = math.ceil(-log_tol / 2 + 1)
     bits = math.ceil(dps * math.log2(10)) + _GUARD_BITS
-
-    def fixed(x) -> int:
-        return int(mp.nint(mp.ldexp(x, bits)))
-
     with mp.workprec(bits + _GUARD_BITS):
-        end = fixed(2 * mp.pi if theta1 is None else theta1)
+        end = _fixed(2 * mp.pi if theta1 is None else theta1, bits)
     if end <= 0:
         raise ValueError(f"theta1={theta1!r} must be positive")
-    lists, rules = _taylor_program(rhs, K, bits)
-    nu = lists[4 : K + 4]
+    zero, fourier = _fourier_series(rhs, bits)
+    series, nu, lines, rules = _taylor_program(K, zero, M, bits)
+    read = [fourier[i] for i, _ in series]
     state = [1 << bits] + [0] * (K - 1)
     theta = steps = 0
     while theta < end:
         with mp.workprec(bits + _GUARD_BITS):
-            c0, s0 = map(fixed, mp.cos_sin(mp.ldexp(theta, -bits)))
-        for coefs in lists:
+            c0, s0 = (_fixed(x, bits + _GUARD_BITS) for x in mp.cos_sin(mp.ldexp(theta, -bits)))
+        for (_, coefs), taylor in zip(series, _taylor_series(read, c0, s0, M,
+                                                             bits + _GUARD_BITS, bits)):
+            coefs[:] = taylor
+        for coefs in lines:
             coefs.clear()
-        for coefs, x0 in zip(lists, (c0, s0, 0, 1 << bits, *state)):
-            coefs.append(x0)
+        for coefs, x0 in zip(nu, state):
+            coefs[:] = [x0]
         for m in range(M):
             for rule in rules:
                 rule(m)

@@ -4,13 +4,15 @@ A series c_0 + c_1 h + ... + c_{n-1} h**(n-1) is the list of its
 coefficients.  Both operations are exact truncated-ring arithmetic, generic
 over the coefficient type.  The jet transports run them on the recording
 variables ``_Var``: the staged program of the successive quadrature once
-per order and pattern of zero components, the extended one once per solve.
-A recorded program keeps only the lines that an output or a division guard
-reads, and is evaluated on floats, on arrays of nodes or on fixed-point
-Taylor series in theta.  ``polar.PolarRHS`` records its components, and
-``flow.section_return`` a weighted field's velocities, on the same
-variables, with the coefficients as float literals; ``source`` writes each
-program as Python code on floats or arrays.
+per order and pattern of zero components, and the extended solve's jet
+lines, on the components as inputs, once per solve.  A recorded program
+keeps only the lines that an output or a division guard reads, and is
+evaluated on floats, on arrays of nodes or on fixed-point Taylor series in
+theta, where the components' series come from their Fourier coefficients.
+``polar.PolarRHS`` records its components, and ``flow.section_return`` a
+weighted field's velocities, on the same variables, with the coefficients
+as float literals; ``source`` writes each program as Python code on floats
+or arrays.
 """
 from __future__ import annotations
 

@@ -17,8 +17,9 @@ values and its return map (radii as lanes) on these panels.
 The nodes never change, so each panel count keeps read-only tables of the
 powers of its cosines and sines, built once by the same ``**`` that a sweep
 would take and bounded as a cache.  ``Panels.nodes`` and ``Panels.span``
-hand out the node arrays, and ``powers`` reads the tables for them, which
-``polar.PolarRHS.components`` does in place of ``**``.
+hand out the node arrays, of which the last few are kept, and ``powers``
+reads the tables for them, which ``polar.PolarRHS.components`` does in place
+of ``**``.
 """
 from __future__ import annotations
 
@@ -76,19 +77,29 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return out
 
 
-# the cosines and sines of every span handed out, by id: (the array, its panel count, 1 for
-# cosines or 2 for sines, its nodes' slice); holding the array keeps its id its own
+_MAX_SPANS = 16  # spans kept: a turn off the chart halves its panels down to single ones
+# the last _MAX_SPANS spans handed out, least recently used first: (count, lo, hi) -> the nodes,
+# their cosines and their sines
+_SPAN_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# the cosines and sines of the spans kept, by id: (the array, its panel count, 1 for cosines
+# or 2 for sines, its nodes' slice); holding the array keeps its id its own
 _SPANS: dict[int, tuple[np.ndarray, int, int, slice]] = {}
 
 
-@lru_cache(maxsize=None)
 def _span(count: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The nodes of panels lo..hi-1 of ``count``, their cosines and sines: views of
-    ``_nodes``, or its own arrays for the whole turn, with the cosines and sines in _SPANS."""
-    whole = _nodes(count)
-    out = whole if (lo, hi) == (0, count) else tuple(a[lo * N : hi * N] for a in whole)
-    for which in (1, 2):
-        _SPANS[id(out[which])] = (out[which], count, which, slice(lo * N, hi * N))
+    ``_nodes``, or its own arrays for the whole turn.  The last _MAX_SPANS used are kept, with
+    their cosines and sines in _SPANS, and a span dropped leaves _SPANS with it."""
+    out = _SPAN_CACHE.pop((count, lo, hi), None)
+    if out is None:
+        whole = _nodes(count)
+        out = whole if (lo, hi) == (0, count) else tuple(a[lo * N : hi * N] for a in whole)
+        for which in (1, 2):
+            _SPANS[id(out[which])] = (out[which], count, which, slice(lo * N, hi * N))
+        if len(_SPAN_CACHE) == _MAX_SPANS:
+            for a in _SPAN_CACHE.pop(next(iter(_SPAN_CACHE)))[1:]:
+                del _SPANS[id(a)]
+    _SPAN_CACHE[count, lo, hi] = out
     return out
 
 

@@ -9,8 +9,8 @@ from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from qhfocus import Monomial, WeightedField, dop853, flow, jets, return_map, spectral
-from qhfocus.errors import (NoReturnError, PolarChartError, QhfocusError, SingularDivisionError,
-                            StiffnessError)
+from qhfocus.errors import (NoReturnError, PolarChartError, QhfocusError, QuadratureError,
+                            SingularDivisionError, StiffnessError)
 from qhfocus.fields import normalize
 from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.flow import (
@@ -236,7 +236,10 @@ class _Components:
 
 
 class _VanishingDenominator:
-    """A stand-in right-hand side whose Q_0 is zero, though not structurally so."""
+    """A stand-in right-hand side whose Q_0 is zero, though not structurally so; its
+    components have degree 2 in cos and sin at most, as those of a 1:1 field."""
+
+    field = leading_field(1, 1)
 
     def components(self, c, s):
         return [c * s, c], [c - c, s]
@@ -1057,7 +1060,7 @@ def test_extended_jet_ends_at_the_true_two_pi():
 
 def _pinned_extended_cases():
     # the values of the lazy-series Taylor integrator this one replaced, read
-    # to the last bit at dps 20
+    # to the last bit at dps 20, but for the damped field's nu_4 (below)
     yield pytest.param(
         field23(), 3, 20, 1825, 73,
         ["0.99999999999999999999915", "0.65702928855007091051142", "0.43168748601261234166846"],
@@ -1067,16 +1070,23 @@ def _pinned_extended_cases():
     yield pytest.param(
         damped, 8, 20, 975, 39,
         ["0.98751225652365601427798", "0.0", "0.004595527608596279305264",
-         "7.98873549279055188333e-7", "0.021401642956214345758346",
+         "7.9887354927905518833381e-7", "0.021401642956214345758346",
          "-0.0000019626703962908853433814", "0.0086964091555108694469343",
          "-0.0000027350008111134886349751"],
         id="damped",
     )
     # the values of the sweep that Taylor-expanded the components by products
     # of the cosine and sine series, one random field per weight pair at the
-    # default order, a second quintic 2:3 field and the criterion-8 field
+    # default order, a second quintic 2:3 field and the criterion-8 field.
+    # Taking the components' series from their Fourier coefficients, with one
+    # rounding per coefficient, moved five entries by rounding alone.  Against
+    # the same solve with 96 guard bits in place of 32 (the same steps): the
+    # damped nu_4 moved by one unit of its 70-bit mantissa, onto that solve's
+    # value; the 1:1 field's nu_2, a parity zero, from -36 to -31 units of
+    # 2**-99 (the wide solve's is 0); the criterion-8 nu_2 by one unit of
+    # 2**-132 toward it, and its nu_5 and nu_7 by one unit away
     random = {
-        (1, 1): (1150, 46, ["1.0", "-5.6797985175912849989644e-29", "0.49614160261921578740333",
+        (1, 1): (1150, 46, ["1.0", "-4.8909376123702731935527e-29", "0.49614160261921578740333",
                             "0.028858897573206017542211", "0.3069075014208014558693",
                             "0.031323918577529318396481", "-0.086673373213311977091416",
                             "0.018169085454838874742926"]),
@@ -1101,10 +1111,10 @@ def _pinned_extended_cases():
     )
     yield pytest.param(
         normalize(eq325_field(1.22e-8, 2.41e-4)).field, 7, 30, 3060, 85,
-        ["1.0", "0.00000000133595955146620565469629623337475",
+        ["1.0", "0.00000000133595955146620565469629623337493",
          "1.78478792315386964751062143219855e-18", "-0.000000183309982981740216362851043342577",
-         "-7.34684167930690140734785110378698e-16", "0.00000196203162233429365106960293927048",
-         "7.76898792660767150396348745631735e-14"],
+         "-7.3468416793069014073478529404969e-16", "0.00000196203162233429365106960293927048",
+         "7.76898792660767150396348743795025e-14"],
         id="criterion-8",
     )
 
@@ -1115,6 +1125,66 @@ def test_extended_jet_values_are_pinned(field, K, dps, n_rhs_evals, n_steps, exp
     assert (stats.n_rhs_evals, stats.n_steps) == (n_rhs_evals, n_steps)
     with mp.workdps(dps):
         assert nu == [mp.mpf(v) for v in expect]
+
+
+def _field_with_23_monomials() -> WeightedField:
+    """A 2:3 field with 23 of the 25 monomials of extra weight 1 to 5 (X: 2k + 3j = 10..14,
+    Y: 2k + 3j = 11..15), coefficients uniform in [-0.5, 0.5]."""
+    rng = np.random.default_rng(23)
+    pool = [(side, k, j) for side, lead in ((0, 9), (1, 10)) for k in range(8) for j in range(6)
+            if lead < 2 * k + 3 * j <= lead + 5]
+    terms = ([], [])
+    for i in sorted(rng.choice(len(pool), size=23, replace=False)):
+        side, k, j = pool[i]
+        terms[side].append(Monomial(k, j, rng.uniform(-0.5, 0.5)))
+    assert len(pool) == 25
+    return WeightedField(p=2, q=3, x_terms=tuple(terms[0]), y_terms=tuple(terms[1]))
+
+
+def _fourier_fields():
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        yield pytest.param(random_field(p, q, np.random.default_rng(0)), id=f"{p}:{q}")
+    yield pytest.param(normalize(eq325_field(1.22e-8, 2.41e-4)).field, id="eq325")
+    yield pytest.param(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02), id="damped-eq329")
+    # terms at the leading weight make Q_0 = 1 + sin(2 theta) / 2
+    leading = WeightedField(p=1, q=1, x_terms=(
+        Monomial(1, 0, -0.5), Monomial(3, 0, 0.4), Monomial(1, 2, -0.3),
+    ), y_terms=(Monomial(0, 1, 0.5), Monomial(2, 1, 0.2), Monomial(0, 3, 0.7)))
+    yield pytest.param(leading, id="leading-weight")
+    yield pytest.param(_field_with_23_monomials(), id="23-monomials")
+
+
+@pytest.mark.parametrize("field", _fourier_fields())
+def test_components_taylor_series_come_from_their_fourier_series(field):
+    # the solve's own check passes: the series meet the components at the
+    # angle 1, off the grid, so the degree bound does not alias
+    rhs, bits = PolarRHS(field), 99
+    fine = bits + flow._GUARD_BITS
+    zero, fourier = flow._fourier_series(rhs, bits)
+    # the components that vanish on every angle are the structural zeros
+    assert zero == tuple(name == "z" for name in rhs.recording()[1])
+    assert [f is None for f in fourier] == list(zero)
+    # the Taylor series at theta0, summed at theta0 + 0.1 in mpf, is the component
+    # there to 1e-25 (its rounding is 2**-99 times a few, its truncation negligible)
+    nonzero = [f for f in fourier if f is not None]
+    for theta0 in (0.0, 2.0, 5.5):
+        with mp.workprec(fine):
+            c0, s0 = (flow._fixed(x, fine) for x in mp.cos_sin(theta0))
+            series = flow._taylor_series(nonzero, c0, s0, 25, fine, bits)
+            R, Q = rhs.components(*mp.cos_sin(theta0 + mp.mpf("0.1")))
+            for F, coefs in zip([F for F, zr in zip(R + Q, zero) if not zr], series):
+                taylor = sum(mp.ldexp(c, -bits) * mp.mpf("0.1") ** j for j, c in enumerate(coefs))
+                assert abs(taylor - F) <= 1e-25 * max(1, abs(F))
+
+
+@pytest.mark.parametrize("field", _fourier_fields())
+def test_an_understated_degree_bound_is_refused(field, monkeypatch):
+    # each field's bound is tight: one lower, its top frequency aliases onto the
+    # grid, and the check off the grid sees it before the first step
+    bound = flow._degree_bound
+    monkeypatch.setattr(flow, "_degree_bound", lambda field: bound(field) - 1)
+    with pytest.raises(QuadratureError, match="degree bound is too low"):
+        integrate_jet_extended(PolarRHS(field), order=3, dps=20)
 
 
 def test_extended_jet_records_the_right_hand_side_once(monkeypatch):

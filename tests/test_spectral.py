@@ -4,9 +4,9 @@ import pytest
 
 from qhfocus import Monomial, WeightedField, focal_values, jets, spectral
 from qhfocus.casestudy import eq325_field, eq329_weighted, field23
-from qhfocus.errors import QuadratureError
+from qhfocus.errors import PolarChartError, QuadratureError
 from qhfocus.flow import (
-    _jet_coeffs, _staged_levels, _staged_recording, default_order, integrate_jet,
+    _jet_coeffs, _staged_levels, _staged_recording, default_order, integrate_jet, return_map,
 )
 from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS
@@ -182,3 +182,28 @@ def test_a_second_field_of_a_support_builds_no_power(fresh_caches):
     focal_values(eq325_field(-3.0e-08, 1.0e-04))
     assert spectral._power.cache_info().misses == built
     assert spectral._power.cache_info().hits > read
+
+
+def test_a_turn_off_the_chart_leaves_the_spans_bounded(monkeypatch):
+    # return_map halves the panels of a turn that leaves the chart down to
+    # single ones, at every count up to MAX_PANELS: 23 spans on this field
+    rhs = PolarRHS(random_field(1, 1, np.random.default_rng(0)))
+    made = []
+    span = spectral._span
+
+    def counted(count, lo, hi):
+        made.append((count, lo, hi))
+        return span(count, lo, hi)
+
+    monkeypatch.setattr(spectral, "_span", counted)
+    with pytest.raises(PolarChartError):
+        return_map(rhs, 0.9 * rhs.safe_radius())
+    assert len(set(made)) > spectral._MAX_SPANS
+    assert len(spectral._SPAN_CACHE) <= spectral._MAX_SPANS
+    # the registry lists the cosines and sines of the spans kept, each under its own id
+    kept = {id(a) for out in spectral._SPAN_CACHE.values() for a in out[1:]}
+    assert set(spectral._SPANS) == kept
+    assert all(key == id(entry[0]) for key, entry in spectral._SPANS.items())
+    # a span dropped and asked for again is built anew and read from the tables again
+    theta, cos, sin = Panels(1024).span(0, 1)
+    assert spectral.powers(cos)(3).tobytes() == (cos**3).tobytes()
