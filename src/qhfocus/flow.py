@@ -564,11 +564,12 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 1,700 times slower than the double-precision path, the successive
-    quadrature (criterion-8 eq325 field, K=7: 0.90-0.99 s at dps=30 against
-    0.51-0.58 ms for ``integrate_jet`` at tol 1e-13, the medians of 15 and of
-    201 calls in one process, in each of three processes, on a shared 2-core
-    Xeon); meant for hierarchies that collapse below machine epsilon.
+    About 1,100 to 1,200 times slower than the double-precision path, the
+    successive quadrature (criterion-8 eq325 field, K=7: 0.79-0.83 s at
+    dps=30 against 0.65-0.75 ms for ``integrate_jet`` at tol 1e-13, the
+    medians of 15 extended calls, each followed by 13 double ones, in one
+    process, in each of three processes, on a shared 2-core Xeon); meant
+    for hierarchies that collapse below machine epsilon.
     """
     from mpmath import mp
 
@@ -579,7 +580,8 @@ def integrate_jet_extended(
     log_tol = float(mp.log(tol))
     M = math.ceil(-log_tol / 2 + 1)
     bits = math.ceil(dps * math.log2(10)) + _GUARD_BITS
-    with mp.workprec(bits + _GUARD_BITS):
+    fine = bits + _GUARD_BITS  # the scale of the components' Fourier coefficients
+    with mp.workprec(fine):
         end = _fixed(2 * mp.pi if theta1 is None else theta1, bits)
     if end <= 0:
         raise ValueError(f"theta1={theta1!r} must be positive")
@@ -589,10 +591,9 @@ def integrate_jet_extended(
     state = [1 << bits] + [0] * (K - 1)
     theta = steps = 0
     while theta < end:
-        with mp.workprec(bits + _GUARD_BITS):
-            c0, s0 = (_fixed(x, bits + _GUARD_BITS) for x in mp.cos_sin(mp.ldexp(theta, -bits)))
-        for (_, coefs), taylor in zip(series, _taylor_series(read, c0, s0, M,
-                                                             bits + _GUARD_BITS, bits)):
+        with mp.workprec(fine):
+            c0, s0 = (_fixed(x, fine) for x in mp.cos_sin(mp.ldexp(theta, -bits)))
+        for (_, coefs), taylor in zip(series, _taylor_series(read, c0, s0, M, fine, bits)):
             coefs[:] = taylor
         for coefs in lines:
             coefs.clear()

@@ -204,6 +204,8 @@ def test_a_turn_off_the_chart_leaves_the_spans_bounded(monkeypatch):
     kept = {id(a) for out in spectral._SPAN_CACHE.values() for a in out[1:]}
     assert set(spectral._SPANS) == kept
     assert all(key == id(entry[0]) for key, entry in spectral._SPANS.items())
-    # a span dropped and asked for again is built anew and read from the tables again
-    theta, cos, sin = Panels(1024).span(0, 1)
+    # the first span, dropped since, is built anew when asked for, and read from the tables
+    count, lo, hi = made[0]
+    assert made[0] not in spectral._SPAN_CACHE
+    _, cos, _ = Panels(count).span(lo, hi)
     assert spectral.powers(cos)(3).tobytes() == (cos**3).tobytes()
