@@ -9,8 +9,9 @@ Three backends:
   quadratures on Chebyshev panels (``spectral``), each to its own relative
   accuracy; the integrands come from one staged program per order and
   pattern of zero components (``_staged_levels``), run on arrays of
-  nodes.  The extended-precision Taylor method takes the components'
-  Taylor series from their Fourier coefficients, got once per solve, and
+  nodes.  The extended-precision Taylor method records the components
+  once per solve, takes their Taylor series from their Fourier
+  coefficients and their values from the recording in fixed point, and
   sweeps only the jet lines of ``_jet_coeffs``, recorded once per solve,
   in fixed-point Taylor coefficients;
 * return map: ``return_map``, r~(2*pi, h) over a full turn, by Newton's
@@ -55,13 +56,9 @@ def nu1_closed_form(p: int, q: int, theta):
     return (c ** (2 * q) + s ** (2 * p)) ** (-1.0 / (2 * p * q))
 
 
-def _jet_rhs_coeffs(rhs: PolarRHS, K: int, cos_t, sin_t, nu: Sequence) -> list:
-    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, generic over the number type."""
-    return _jet_coeffs(*rhs.components(cos_t, sin_t), K, nu)
-
-
 def _jet_coeffs(R: Sequence, Q: Sequence, K: int, nu: Sequence) -> list:
-    """``_jet_rhs_coeffs`` from the components R_0..R_k, Q_0..Q_k at the angle.
+    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients, from the components R_0..R_k,
+    Q_0..Q_k at the angle, generic over the number type.
 
     The radius jet r = nu_1 h + ... + nu_K h**K has valuation 1, so r**k
     starts at h**k.  Level k reads r**k = ``jets.mul_trunc(r**(k-1), r)``,
@@ -393,59 +390,90 @@ def _fixed(x, bits: int) -> int:
     return int(mp.nint(mp.ldexp(x, bits)))
 
 
-def _degree_bound(field: WeightedField) -> int:
-    """D, a bound on the degree of the components in cos and sin, so on their frequencies:
-    2q and 2p in R_0 and Q_0, and k + j + 1 in the R_k, Q_k of a monomial x**k y**j."""
-    return max(2 * field.p, 2 * field.q, *(t.k + t.j + 1 for t in field.x_terms + field.y_terms))
+def _fixed_components(program: list[tuple], out: Sequence[str], c, s, bits: int) -> list:
+    """The components named ``out`` in the recording ``program`` of ``components`` on c, s,
+    at the cosines c and sines s, fixed-point integers at 2**-bits or object arrays of them.
+
+    The lines round as a sweep of the lines' Taylor series rounds coefficient 0: a product
+    of two values, and each product of the power x**n = x**(n-1) * x from x**0 = 1, rounds
+    down to 2**-bits, and a float constant, exact, rounds down once as a factor and once as
+    a term.
+    """
+    val = {"c": c, "s": s, "z": 0 * c}
+
+    def operand(x):  # a name's value, or a constant term at 2**-bits
+        if isinstance(x, str):
+            return val[x]
+        num, den = x.as_integer_ratio()
+        return (num << bits) >> (den.bit_length() - 1)
+
+    for dest, op, a, b in program:
+        if op == "**":
+            y = 1 << bits
+            for _ in range(int(b)):
+                y = (y * val[a]) >> bits
+        elif op == "*" and isinstance(a, float):  # the recorder puts a constant factor first
+            num, den = a.as_integer_ratio()
+            y = (num * val[b]) >> (den.bit_length() - 1)
+        elif op == "*":
+            y = (val[a] * val[b]) >> bits
+        elif op == "+":
+            y = operand(a) + operand(b)
+        elif op == "-":
+            y = operand(a) - operand(b)
+        else:
+            raise ValueError(f"no fixed-point rule for the recorded line {op!r}")
+        val[dest] = y
+    return [val[x] for x in out]
 
 
-def _fourier_series(rhs: PolarRHS, bits: int) -> tuple[tuple[bool, ...], list]:
-    """The components' Fourier coefficients, fixed-point at 2**-(bits + _GUARD_BITS), and
-    which components vanish.
+def _fourier_series(program: list[tuple], out: Sequence[str], D: int, bits: int) -> list:
+    """The Fourier coefficients of the components named ``out`` in the recording ``program``,
+    fixed-point at 2**-(bits + _GUARD_BITS): per component None for the structural zero z,
+    else the lists of Re f_n and Im f_n, n = 0..D.
 
-    A component F is a trigonometric polynomial of degree D = ``_degree_bound`` or less,
-    F(theta) = sum_n Re(f_n e**(i n theta)) over n = 0..D, so one ``components`` call on
-    the 2D + 2 angles theta_j = 2 pi j / (2D + 2) gives its f_n by a discrete Fourier
-    transform, exact but for rounding; the cosines and sines of the n theta_j are those of
-    the angles again.  The call runs on object arrays of mpf at bits + _GUARD_BITS bits.
-    Returns the pattern of components that vanish on every angle, as the structurally zero
-    ones do, and per component None for those, else the lists of Re f_n and Im f_n.
+    A component F is a trigonometric polynomial of degree D or less, D a bound such as
+    ``PolarRHS.degree``, F(theta) = sum_n Re(f_n e**(i n theta)) over n = 0..D, so its
+    values on the 2D + 2 angles theta_j = 2 pi j / (2D + 2) give its f_n by a discrete
+    Fourier transform, exact but for rounding; the cosines and sines of the n theta_j are
+    those of the angles again.  The values come from ``_fixed_components`` at
+    2**-(bits + _GUARD_BITS), on object arrays of all the angles at once.
 
-    An understated D would alias silently, so the same call also takes the components at
-    the angle ``_OFF_GRID``, off the grid.  There the series must give them to within their
-    rounding: a few units of 2**-(bits + _GUARD_BITS) times 1 + max |F| in each f_n and in
-    each e**(i n theta) formed by n products, which 8 (D + 1)**2 (1 + max |F|) units bound;
-    otherwise QuadratureError.
+    An understated D would alias silently, so the values are also taken at the angle
+    ``_OFF_GRID``, off the grid.  There the series must give each component to less than
+    one unit of 2**-bits, the solve's own scale, which leaves the 2**_GUARD_BITS between
+    the two scales to the rounding of the values and of the series; otherwise
+    QuadratureError.
     """
     from mpmath import mp
 
-    D, fine = _degree_bound(rhs.field), bits + _GUARD_BITS
-    N = 2 * D + 2
+    fine, N = bits + _GUARD_BITS, 2 * D + 2
     with mp.workprec(fine):
         angles = [mp.cos_sin(2 * mp.pi * j / N) for j in range(N)] + [mp.cos_sin(_OFF_GRID)]
-        R, Q = rhs.components(*(np.array(x, dtype=object) for x in zip(*angles)))
-        zero = tuple(not any(F) for F in R + Q)
-        samples = [None if zr else [_fixed(x, fine) for x in F] for F, zr in zip(R + Q, zero)]
         cos, sin = ([_fixed(x, fine) for x in xs] for xs in zip(*angles))
+    named = [x for x in out if x != "z"]
+    values = dict(zip(named, _fixed_components(
+        program, named, *(np.array(x, dtype=object) for x in (cos, sin)), fine)))
     # f_n = (1/N) sum_j F(theta_j) e**(-i n theta_j), doubled for n > 0: its real parts, then
     # its imaginary ones
     rows = [[(2 - (n == 0)) * sign * x[j * n % N] for j in range(N)]
             for sign, x in ((1, cos), (-1, sin)) for n in range(D + 1)]
     fourier = []
-    for i, F in enumerate(samples):
-        if F is None:
+    for i, x in enumerate(out):
+        if x == "z":
             fourier.append(None)
             continue
+        F = values[x]
         f = [sum(map(operator.mul, F, row)) // (N << fine) for row in rows]
         fourier.append((f[: D + 1], f[D + 1 :]))
         (value,), = _taylor_series(fourier[-1:], cos[N], sin[N], 1, fine, fine)
-        if abs(value - F[N]) > 8 * (D + 1) ** 2 * ((1 << fine) + max(map(abs, F))) >> fine:
-            name = _component_names((False,) * len(zero))[i]
+        if abs(value - F[N]) >> _GUARD_BITS:
+            name = _component_names((False,) * len(out))[i]
             raise QuadratureError(
                 f"the Fourier series of {name} to degree {D} misses its value at theta="
                 f"{_OFF_GRID} by {math.ldexp(abs(value - F[N]), -fine):.3g}: the degree "
                 f"bound is too low")
-    return zero, fourier
+    return fourier
 
 
 @lru_cache(maxsize=16)
@@ -456,11 +484,11 @@ def _taylor_weights(D: int, M: int, shift: int) -> list[tuple[list[int], int]]:
             for j in range(M)]
 
 
-def _taylor_series(fourier: list, c0: int, s0: int, M: int, scale: int,
-                   bits: int) -> list[list[int]]:
-    """Coefficients 0..M-1 of each component's Taylor series in theta - theta0, fixed-point at
-    2**-bits, from its Fourier coefficients and c0, s0, the cosine and sine of theta0, all
-    three at 2**-scale.
+def _taylor_series(fourier: list, c0: int, s0: int, M: int, scale: int, bits: int,
+                   first: int = 0) -> list[list[int]]:
+    """Coefficients first..M-1 of each component's Taylor series in theta - theta0,
+    fixed-point at 2**-bits, from its Fourier coefficients and c0, s0, the cosine and sine
+    of theta0, all three at 2**-scale.
 
     With g_n = f_n e**(i n theta0), coefficient j is sum_n n**j / j! Re(i**j g_n).  The
     e**(i n theta0) come by n complex products at 2**-scale, and the sums of products over
@@ -471,12 +499,13 @@ def _taylor_series(fourier: list, c0: int, s0: int, M: int, scale: int,
         C.append(cn)
         S.append(sn)
         cn, sn = (cn * c0 - sn * s0) >> scale, (cn * s0 + sn * c0) >> scale
+    weights = _taylor_weights(D, M, 2 * scale - bits)[first:]
     out = []
     for a, b in fourier:
         re = [x * c - y * s for x, y, c, s in zip(a, b, C, S)]
         im = [x * s + y * c for x, y, c, s in zip(a, b, C, S)]
         out.append([sum(map(operator.mul, w, im if j % 2 else re)) // f
-                    for j, (w, f) in enumerate(_taylor_weights(D, M, 2 * scale - bits))])
+                    for j, (w, f) in enumerate(weights, first)])
     return out
 
 
@@ -551,10 +580,16 @@ def integrate_jet_extended(
     Experimental Math. 14, 2005) by sweeping the jet lines of
     ``_jet_coeffs``, recorded once per solve, in Taylor coefficients
     (``_taylor_program``).  The components they read are trigonometric
-    polynomials, whose Taylor series at each step come in closed form from
-    their Fourier coefficients: ``_fourier_series`` takes those once per
-    solve, from one ``components`` call, and checks them off its grid, and
-    ``_taylor_series`` expands them at each step.  With the local
+    polynomials of degree ``rhs.degree`` at most, recorded once per solve
+    (one ``components`` call).  ``_fourier_series`` takes their Fourier
+    coefficients once per solve, from the recording run in fixed point on
+    2 * degree + 2 angles, and checks them off that grid.  At each step,
+    coefficients 1..M-1 of their Taylor series come in closed form from
+    those (``_taylor_series``), and coefficient 0, their value, from the
+    recording run in fixed point (``_fixed_components``).  That value
+    carries most of the rounding that reaches nu, and it rounds as the
+    earlier sweep of the cosine and sine series did, so the pinned values
+    hold to the bit.  With the local
     tolerance tol = 10**-dps, M = ceil(-ln(tol) / 2 + 1), and the step h is
     the largest at which the last two terms, max_i |coefficient j of nu_i|
     * h**j for j = M - 1 and M, stay below tol.  All sums and products are
@@ -585,16 +620,21 @@ def integrate_jet_extended(
         end = _fixed(2 * mp.pi if theta1 is None else theta1, bits)
     if end <= 0:
         raise ValueError(f"theta1={theta1!r} must be positive")
-    zero, fourier = _fourier_series(rhs, bits)
-    series, nu, lines, rules = _taylor_program(K, zero, M, bits)
-    read = [fourier[i] for i, _ in series]
+    program, (R, Q) = jets.record(rhs.components, "c", "s")
+    out = [v.name for v in R + Q]
+    series, nu, lines, rules = _taylor_program(K, tuple(x == "z" for x in out), M, bits)
+    fourier = _fourier_series(program, out, rhs.degree, bits)
+    read, named = [fourier[i] for i, _ in series], [out[i] for i, _ in series]
     state = [1 << bits] + [0] * (K - 1)
     theta = steps = 0
     while theta < end:
         with mp.workprec(fine):
-            c0, s0 = (_fixed(x, fine) for x in mp.cos_sin(mp.ldexp(theta, -bits)))
-        for (_, coefs), taylor in zip(series, _taylor_series(read, c0, s0, M, fine, bits)):
-            coefs[:] = taylor
+            cs = mp.cos_sin(mp.ldexp(theta, -bits))
+            c0, s0 = (_fixed(x, fine) for x in cs)
+            values = _fixed_components(program, named, *(_fixed(x, bits) for x in cs), bits)
+        for (_, coefs), value, taylor in zip(series, values,
+                                             _taylor_series(read, c0, s0, M, fine, bits, 1)):
+            coefs[:] = [value, *taylor]
         for coefs in lines:
             coefs.clear()
         for coefs, x0 in zip(nu, state):

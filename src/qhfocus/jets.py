@@ -8,7 +8,8 @@ per order and pattern of zero components, and the extended solve's jet
 lines, on the components as inputs, once per solve.  A recorded program
 keeps only the lines that an output or a division guard reads, and is
 evaluated on floats, on arrays of nodes or on fixed-point Taylor series in
-theta, where the components' series come from their Fourier coefficients.
+theta, where the components' series come from their Fourier coefficients
+and their values from the components' recording run in fixed point.
 ``polar.PolarRHS`` records its components, and ``flow.section_return`` a
 weighted field's velocities, on the same variables, with the coefficients
 as float literals; ``source`` writes each program as Python code on floats

@@ -52,6 +52,10 @@ class PolarRHS:
             tuple(tuple((t.c, t.k, t.j) for t in side) for side in by_k.get(k, ((), ())))
             for k in range(0 if self._level0 else 1, k_max + 1)
         )
+        # a bound on the components' degree in cos and sin, so on their frequencies: 2q and
+        # 2p in R_0 and Q_0, and k + j + 1 in the R_k, Q_k of a monomial x**k y**j
+        self.degree = max(2 * p, 2 * q, *(k + j + 1 for level in self._levels
+                                          for side in level for _, k, j in side))
         self._safe_radius: float | None = None
         self._rhs = None  # __call__'s compiled code, on the first call
         if self._level0:

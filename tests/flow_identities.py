@@ -5,10 +5,20 @@ on Chebyshev panels).  The identities compare solves over partial turns of
 either direction, so the tests solve them here, by DOP853 on the scalar
 dr/dtheta: an independent integrator, which the tests also hold
 ``return_map`` against.
+
+It also holds the jet right-hand side on one angle, ``jet_rhs_coeffs``,
+which the tests solve by DOP853 and by mpmath as references.
 """
 import numpy as np
 
-from qhfocus import dop853
+from qhfocus import dop853, flow
+
+
+def jet_rhs_coeffs(rhs, K: int, cos_t, sin_t, nu) -> list:
+    """d(nu)/dtheta for the c_1..c_K radius-jet coefficients at the angle with cosine cos_t
+    and sine sin_t, generic over the number type: ``flow._jet_coeffs`` on ``rhs``'s
+    components there."""
+    return flow._jet_coeffs(*rhs.components(cos_t, sin_t), K, nu)
 
 
 def partial_turn(rhs, h: float, theta1: float, tol: float) -> float:

@@ -15,7 +15,6 @@ from qhfocus.fields import normalize
 from qhfocus.casestudy import eq325_field, eq329_weighted
 from qhfocus.flow import (
     DEFAULT_TOL,
-    _jet_rhs_coeffs,
     default_order,
     estimate_period,
     integrate_jet,
@@ -26,7 +25,7 @@ from qhfocus.flow import (
 from qhfocus.focal import focal_values, random_field
 from qhfocus.polar import PolarRHS
 
-from flow_identities import identity_residuals, partial_turn
+from flow_identities import identity_residuals, jet_rhs_coeffs, partial_turn
 
 
 def leading_field(p, q):
@@ -165,13 +164,13 @@ def test_jet_rhs_kernel_matches_oracle(p, q, seed, theta, nu1, tail):
     K = default_order(p, q)
     nu = [nu1, *tail[: K - 1]]
     c, s = math.cos(theta), math.sin(theta)
-    fast = np.array(_jet_rhs_coeffs(rhs, K, c, s, nu))
+    fast = np.array(jet_rhs_coeffs(rhs, K, c, s, nu))
     # the oracle runs on numpy scalars, as the solver once handed them over
     oracle = _parent_jet_rhs(rhs, K, np.cos(theta), np.sin(theta), np.array(nu))
     assert fast.tobytes() == np.array(oracle, dtype=float).tobytes()
 
     with mp.workdps(30):
-        exact = _jet_rhs_coeffs(rhs, K, mp.mpf(c), mp.mpf(s), [mp.mpf(v) for v in nu])
+        exact = jet_rhs_coeffs(rhs, K, mp.mpf(c), mp.mpf(s), [mp.mpf(v) for v in nu])
         assert all(isinstance(v, mp.mpf) for v in exact)
         err = [abs(float(e - mp.mpf(v))) for e, v in zip(exact, fast)]
     scale = _rounding_scale(rhs, K, c, s, nu)
@@ -239,7 +238,7 @@ class _VanishingDenominator:
     """A stand-in right-hand side whose Q_0 is zero, though not structurally so; its
     components have degree 2 in cos and sin at most, as those of a 1:1 field."""
 
-    field = leading_field(1, 1)
+    degree = 2
 
     def components(self, c, s):
         return [c * s, c], [c - c, s]
@@ -249,7 +248,7 @@ def test_compiled_jet_rhs_keeps_the_division_check():
     with pytest.raises(SingularDivisionError, match="vanishing constant term") as compiled:
         integrate_jet(_VanishingDenominator(), order=3)
     with pytest.raises(SingularDivisionError) as direct:
-        _jet_rhs_coeffs(_VanishingDenominator(), 3, math.cos(0.4), math.sin(0.4), [1.0, 0.0, 0.0])
+        jet_rhs_coeffs(_VanishingDenominator(), 3, math.cos(0.4), math.sin(0.4), [1.0, 0.0, 0.0])
     assert str(compiled.value) == str(direct.value)
 
 
@@ -319,7 +318,7 @@ def test_recorder_folds_exact_identities(monkeypatch):
     rhs = PolarRHS(random_field(2, 3, np.random.default_rng(0)))
 
     def identities():
-        program, _ = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, 7, c, s, nu),
+        program, _ = jets.record(lambda c, s, *nu: jet_rhs_coeffs(rhs, 7, c, s, nu),
                                  "c", "s", *(f"y{i}" for i in range(7)))
         return program, [line for line in program if line[1] == "**" and line[3] in (0.0, 1.0)
                          or line[1] == "*" and line[2] == 1.0]
@@ -354,7 +353,7 @@ def test_recorder_folds_a_division_of_the_zero(monkeypatch, fresh_caches):
         """The staged program at order K and the Taylor sweep's recording."""
         rhs = PolarRHS(field)
         zero = tuple(v == "z" for v in rhs.recording()[1])
-        taylor, _ = jets.record(lambda c, s, *nu: _jet_rhs_coeffs(rhs, K, c, s, nu),
+        taylor, _ = jets.record(lambda c, s, *nu: jet_rhs_coeffs(rhs, K, c, s, nu),
                                 "c", "s", *(f"y{i}" for i in range(K)))
         return flow._staged_recording(K, zero)[1], taylor
 
@@ -411,8 +410,9 @@ def test_jet_programs_hold_only_lines_an_output_or_a_guard_reads(monkeypatch, fr
 
     monkeypatch.setattr(jets, "record", logged(jets.record))
     pruned = solves()
-    # the staged levels of _jet_coeffs per shape and the whole of _jet_rhs_coeffs per solve
-    assert len(recorded) == 2 * len(cases)
+    # the staged levels of _jet_coeffs per shape, and the components and the jet
+    # lines of _jet_coeffs per extended solve
+    assert len(recorded) == 3 * len(cases)
     for program, out in recorded:
         reads = {x for _, _, a, b in program for x in (a, b)} | set(_output_names(out))
         assert [line for line in program if line[0] is not None and line[0] not in reads] == []
@@ -423,7 +423,7 @@ def test_jet_programs_hold_only_lines_an_output_or_a_guard_reads(monkeypatch, fr
         assert (jet.final.tobytes(), jet.stats) == (plain_jet.final.tobytes(), plain_jet.stats)
         assert ext == plain_ext
     lines = [len(program) for program, _ in recorded]
-    assert sum(lines[2 * len(cases):]) > sum(lines[: 2 * len(cases)])
+    assert sum(lines[3 * len(cases):]) > sum(lines[: 3 * len(cases)])
 
 
 def _output_names(out):
@@ -434,14 +434,14 @@ def _output_names(out):
 
 
 def _plain_jet_solve(rhs, K, y0, tol):
-    """The double-precision jet solve written out: scipy's DOP853 on _jet_rhs_coeffs over floats."""
+    """The double-precision jet solve written out: scipy's DOP853 on jet_rhs_coeffs over floats."""
     return solve_ivp(
         _jet_fun(rhs, K), (0.0, 2 * np.pi), y0, method="DOP853", rtol=max(tol, 1e-13), atol=tol,
     )
 
 
 def _jet_fun(rhs, K):
-    return lambda t, y: _jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), np.asarray(y).tolist())
+    return lambda t, y: jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), np.asarray(y).tolist())
 
 
 def _written_out_dop853(fun, t1, y, tol, atol, t0=0.0, event=None):
@@ -1048,7 +1048,7 @@ def test_extended_jet_ends_at_the_true_two_pi():
     rhs = PolarRHS(field23())
     with mp.workdps(20):
         sol = mp.odefun(
-            lambda theta, nu: _jet_rhs_coeffs(rhs, 3, *mp.cos_sin(theta), nu),
+            lambda theta, nu: jet_rhs_coeffs(rhs, 3, *mp.cos_sin(theta), nu),
             0, [mp.mpf(1), mp.mpf(0), mp.mpf(0)], tol=mp.mpf(10) ** -15, degree=20,
         )
         ref = sol(2 * mp.pi)
@@ -1060,7 +1060,7 @@ def test_extended_jet_ends_at_the_true_two_pi():
 
 def _pinned_extended_cases():
     # the values of the lazy-series Taylor integrator this one replaced, read
-    # to the last bit at dps 20, but for the damped field's nu_4 (below)
+    # to the last bit at dps 20
     yield pytest.param(
         field23(), 3, 20, 1825, 73,
         ["0.99999999999999999999915", "0.65702928855007091051142", "0.43168748601261234166846"],
@@ -1070,23 +1070,16 @@ def _pinned_extended_cases():
     yield pytest.param(
         damped, 8, 20, 975, 39,
         ["0.98751225652365601427798", "0.0", "0.004595527608596279305264",
-         "7.9887354927905518833381e-7", "0.021401642956214345758346",
+         "7.98873549279055188333e-7", "0.021401642956214345758346",
          "-0.0000019626703962908853433814", "0.0086964091555108694469343",
          "-0.0000027350008111134886349751"],
         id="damped",
     )
     # the values of the sweep that Taylor-expanded the components by products
     # of the cosine and sine series, one random field per weight pair at the
-    # default order, a second quintic 2:3 field and the criterion-8 field.
-    # Taking the components' series from their Fourier coefficients, with one
-    # rounding per coefficient, moved five entries by rounding alone.  Against
-    # the same solve with 96 guard bits in place of 32 (the same steps): the
-    # damped nu_4 moved by one unit of its 70-bit mantissa, onto that solve's
-    # value; the 1:1 field's nu_2, a parity zero, from -36 to -31 units of
-    # 2**-99 (the wide solve's is 0); the criterion-8 nu_2 by one unit of
-    # 2**-132 toward it, and its nu_5 and nu_7 by one unit away
+    # default order, a second quintic 2:3 field and the criterion-8 field
     random = {
-        (1, 1): (1150, 46, ["1.0", "-4.8909376123702731935527e-29", "0.49614160261921578740333",
+        (1, 1): (1150, 46, ["1.0", "-5.6797985175912849989644e-29", "0.49614160261921578740333",
                             "0.028858897573206017542211", "0.3069075014208014558693",
                             "0.031323918577529318396481", "-0.086673373213311977091416",
                             "0.018169085454838874742926"]),
@@ -1111,10 +1104,10 @@ def _pinned_extended_cases():
     )
     yield pytest.param(
         normalize(eq325_field(1.22e-8, 2.41e-4)).field, 7, 30, 3060, 85,
-        ["1.0", "0.00000000133595955146620565469629623337493",
+        ["1.0", "0.00000000133595955146620565469629623337475",
          "1.78478792315386964751062143219855e-18", "-0.000000183309982981740216362851043342577",
-         "-7.3468416793069014073478529404969e-16", "0.00000196203162233429365106960293927048",
-         "7.76898792660767150396348743795025e-14"],
+         "-7.34684167930690140734785110378698e-16", "0.00000196203162233429365106960293927048",
+         "7.76898792660767150396348745631735e-14"],
         id="criterion-8",
     )
 
@@ -1160,31 +1153,53 @@ def test_components_taylor_series_come_from_their_fourier_series(field):
     # angle 1, off the grid, so the degree bound does not alias
     rhs, bits = PolarRHS(field), 99
     fine = bits + flow._GUARD_BITS
-    zero, fourier = flow._fourier_series(rhs, bits)
-    # the components that vanish on every angle are the structural zeros
-    assert zero == tuple(name == "z" for name in rhs.recording()[1])
-    assert [f is None for f in fourier] == list(zero)
+    program, (R, Q) = jets.record(rhs.components, "c", "s")
+    out = [v.name for v in R + Q]
+    fourier = flow._fourier_series(program, out, rhs.degree, bits)
+    # the structural zeros have no series
+    assert [f is None for f in fourier] == [x == "z" for x in out]
     # the Taylor series at theta0, summed at theta0 + 0.1 in mpf, is the component
-    # there to 1e-25 (its rounding is 2**-99 times a few, its truncation negligible)
+    # there to 1e-25 (its rounding is 2**-99 times a few, its truncation
+    # negligible), and so is the fixed-point value at theta0 that the solve takes
+    # for coefficient 0
+    named = [x for x in out if x != "z"]
     nonzero = [f for f in fourier if f is not None]
     for theta0 in (0.0, 2.0, 5.5):
         with mp.workprec(fine):
             c0, s0 = (flow._fixed(x, fine) for x in mp.cos_sin(theta0))
             series = flow._taylor_series(nonzero, c0, s0, 25, fine, bits)
-            R, Q = rhs.components(*mp.cos_sin(theta0 + mp.mpf("0.1")))
-            for F, coefs in zip([F for F, zr in zip(R + Q, zero) if not zr], series):
+            values = flow._fixed_components(
+                program, named, *(flow._fixed(x, bits) for x in mp.cos_sin(theta0)), bits)
+            at = [[F for F, x in zip(R + Q, out) if x != "z"]
+                  for R, Q in (rhs.components(*mp.cos_sin(theta0 + t)) for t in (0, mp.mpf("0.1")))]
+            for F0, F, value, coefs in zip(*at, values, series):
+                assert abs(mp.ldexp(value, -bits) - F0) <= 1e-25 * max(1, abs(F0))
                 taylor = sum(mp.ldexp(c, -bits) * mp.mpf("0.1") ** j for j, c in enumerate(coefs))
                 assert abs(taylor - F) <= 1e-25 * max(1, abs(F))
 
 
 @pytest.mark.parametrize("field", _fourier_fields())
-def test_an_understated_degree_bound_is_refused(field, monkeypatch):
+def test_an_understated_degree_bound_is_refused(field):
     # each field's bound is tight: one lower, its top frequency aliases onto the
     # grid, and the check off the grid sees it before the first step
-    bound = flow._degree_bound
-    monkeypatch.setattr(flow, "_degree_bound", lambda field: bound(field) - 1)
+    rhs = PolarRHS(field)
+    rhs.degree -= 1
     with pytest.raises(QuadratureError, match="degree bound is too low"):
-        integrate_jet_extended(PolarRHS(field), order=3, dps=20)
+        integrate_jet_extended(rhs, order=3, dps=20)
+
+
+@pytest.mark.parametrize("A", [1.0, 1e3, 1e6])
+def test_a_component_zero_but_not_structurally_passes_the_aliasing_check(A):
+    # x' = -y (1 - A r**2), y' = x (1 - A r**2) only turns faster or slower with r:
+    # R_2 = 0 though its terms of size A do not cancel structurally, and every
+    # nu_k, k > 1, is zero, but for the rounding of terms of size A at 2**-99.  R_2's
+    # Fourier series meet its rounding noise off the grid to far below a unit of
+    # the solve's scale
+    field = WeightedField(p=1, q=1, x_terms=(Monomial(2, 1, A), Monomial(0, 3, A)),
+                          y_terms=(Monomial(3, 0, -A), Monomial(1, 2, -A)))
+    nu, _ = integrate_jet_extended(PolarRHS(field), order=4, dps=20)
+    assert abs(nu[0] - 1) < 1e-24
+    assert all(abs(v) < 1e-27 * A for v in nu[1:])
 
 
 def test_extended_jet_records_the_right_hand_side_once(monkeypatch):

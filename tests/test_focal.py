@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from qhfocus import Monomial, WeightedField, dop853, flow, focal, focal_values, parity_survey
+from qhfocus import Monomial, WeightedField, dop853, focal, focal_values, parity_survey
 from qhfocus.casestudy import eq325_field, field23
 from qhfocus.errors import InvalidFieldError, QhfocusError
 from qhfocus.fields import parse_system, require_valid
@@ -18,6 +18,8 @@ from qhfocus.focal import (
     structural_center,
 )
 from qhfocus.polar import PolarRHS
+
+from flow_identities import jet_rhs_coeffs
 
 
 def test_first_focal_value_sign_tracks_v2():
@@ -158,7 +160,7 @@ def shifted_focal_check(field: WeightedField, g: tuple[float, ...], K: int) -> S
     rhs = PolarRHS(field)
     # DOP853 on the uncompiled jet right-hand side, independent of the quadrature
     _, shifted, *_ = dop853.solve(
-        lambda t, y: flow._jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), y), 2 * np.pi,
+        lambda t, y: jet_rhs_coeffs(rhs, K, math.cos(t), math.sin(t), y), 2 * np.pi,
         list(g), DEFAULT_TOL, DEFAULT_TOL, "jet integration")
     # nu*_1 = nu_1, as g starts at h
     nu_star = [shifted[0], *(a - b for a, b in zip(shifted[1:], g[1:]))]
