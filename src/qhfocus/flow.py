@@ -179,10 +179,12 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
 
     nu_1 = exp(int R_0/Q_0), and level k, nu_k' = (R_0/Q_0) nu_k + P_k, is
     nu_k = nu_1 int P_k/nu_1 by variation of constants: every integrand is
-    analytic and periodic, since Q_0 > 0 on the circle.  Each panel set
-    evaluates ``rhs.components`` once on its nodes, as arrays, and the staged
-    program of ``_staged_levels`` once, sending each nu_k as it is integrated, and
-    ``spectral.refine`` doubles the panels until every level settles to
+    analytic and periodic, since Q_0 > 0 on the circle.  Each sweep of
+    ``spectral.refine`` evaluates ``rhs.components`` once on the nodes of its
+    panel sets, as arrays, and the staged program of ``_staged_levels`` once,
+    sending each nu_k as it is integrated, set by set; the first sweep takes
+    8 and 16 panels together, so a field that settles at 16 panels is one
+    sweep.  ``refine`` doubles the panels until every level settles to
     ``dop853.effective_rtol(tol)`` times max(1, max_k |nu_k(2*pi)|).  Q_0
     at or below tiny on a node raises as ``jets.div_trunc`` does.
     """
@@ -190,23 +192,23 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
     _check_positive_ints(order=K)
 
-    def sweep(panels: spectral.Panels) -> tuple[np.ndarray, np.ndarray]:
-        _, cos, sin = panels.nodes
+    def sweep(sets: spectral.PanelSets) -> list[tuple[np.ndarray, np.ndarray]]:
+        _, cos, sin = sets.nodes
         R, Q = rhs.components(cos, sin)
         if not Q[0].min() > jets.TINY:
             raise SingularDivisionError(jets.VANISHING)
         # the shape: the components that vanish on every node, as the structurally zero ones do
         zero = tuple(not x.any() for x in R + Q)
-        log_nu1, total = panels.integrate(R[0] / Q[0])
+        log_nu1, total = sets.integrate(R[0] / Q[0])
         nu = [np.exp(log_nu1)]
-        final = [math.exp(total)]
+        final = [np.array([math.exp(t) for t in total])]
         program = _staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), nu[0])
         for k in range(2, K + 1):
             P = next(program) if k == 2 else program.send(nu[-1])
-            lift, total = panels.integrate(P / nu[0])
+            lift, total = sets.integrate(P / nu[0])
             nu.append(nu[0] * lift)
             final.append(final[0] * total)
-        return np.array(final), np.array(nu)
+        return list(zip(np.stack(final, axis=1), sets.split(np.array(nu))))
 
     panels, final, error, on_nodes, evals = spectral.refine(
         sweep, dop853.effective_rtol(tol), [f"nu_{k}" for k in range(1, K + 1)])
@@ -265,8 +267,9 @@ def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
         raise PolarChartError(f"polar chart breakdown: Newton's method on the turn from "
                               f"r={h[off, 0].tolist()} left the chart or did not settle")
 
-    def sweep(panels: spectral.Panels, h: np.ndarray) -> tuple[np.ndarray, None]:
-        return h[:, 0] * np.expm1(run(panels, h, 0 * h, 0, panels.count)[:, 0]), None
+    def sweep(sets: spectral.PanelSets, h: np.ndarray):
+        for panels in sets:
+            yield h[:, 0] * np.expm1(run(panels, h, 0 * h, 0, panels.count)[:, 0]), None
 
     rtol, delta = dop853.effective_rtol(tol), []
     for chunk in np.split(radii, range(_LANES, radii.size, _LANES)):
@@ -471,7 +474,7 @@ def _fourier_series(program: list[tuple], out: Sequence[str], D: int, bits: int)
             name = _component_names((False,) * len(out))[i]
             raise QuadratureError(
                 f"the Fourier series of {name} to degree {D} misses its value at theta="
-                f"{_OFF_GRID} by {math.ldexp(abs(value - F[N]), -fine):.3g}: the degree "
+                f"{_OFF_GRID} by {abs(value - F[N]) / (1 << fine):.3g}: the degree "
                 f"bound is too low")
     return fourier
 
@@ -523,8 +526,10 @@ def _taylor_rule(op: str, d: list, a, b, bits: int) -> Callable[[int], None]:
     if op == "/":
         return lambda m: app(((a[m] << bits) - sum(map(operator.mul, b[1:], reversed(d)))) // b[0])
     if op == "abs<":
+        num, den = b.as_integer_ratio()  # exact at any scale, where a float of a[0] overflows
+
         def guard(m):
-            if m == 0 and math.ldexp(abs(a[0]), -bits) < b:
+            if m == 0 and abs(a[0]) * den < num << bits:
                 raise SingularDivisionError(jets.VANISHING)
         return guard
     return lambda m: app(sum(map(operator.mul, a, reversed(b))) >> bits)
@@ -647,9 +652,10 @@ def integrate_jet_extended(
             top = max(abs(n[j]) for n in nu)
             if top:
                 log_h = min(log_h, (log_tol - math.log(top) + bits * math.log(2)) / j)
-        step = min(int(math.ldexp(math.exp(log_h), bits)), end - theta)
+        num, den = math.exp(log_h).as_integer_ratio()
+        step = min((num << bits) // den, end - theta)
         if step < 1:
-            raise StiffnessError(f"Taylor step underflow at theta={math.ldexp(theta, -bits)!r}")
+            raise StiffnessError(f"Taylor step underflow at theta={theta / (1 << bits)!r}")
         state = [_horner(n, step, bits) for n in nu]
         theta += step
         steps += 1

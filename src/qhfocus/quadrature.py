@@ -115,10 +115,11 @@ class PanelAntiderivative:
     def __init__(self, g: Callable[[np.ndarray], np.ndarray]):
         ends = np.linspace(0.0, TWO_PI, spectral.FIRST_PANELS + 1)[1:]
 
-        def sweep(panels: spectral.Panels) -> tuple[np.ndarray, np.ndarray]:
-            theta = panels.nodes[0]
-            mean = panels.integrate(np.asarray(g(theta), dtype=float))[0] / theta
-            return ends * panels.interpolate(mean, ends), mean
+        def sweep(sets: spectral.PanelSets):
+            for panels in sets:
+                theta = panels.nodes[0]
+                mean = panels.integrate(np.asarray(g(theta), dtype=float))[0] / theta
+                yield ends * panels.interpolate(mean, ends), mean
 
         self._panels, _, _, self._mean, _ = spectral.refine(
             sweep, 1e-13, [f"F({t:.4f})" for t in ends])

@@ -12,20 +12,23 @@ geometrically in N for a function analytic near the panel (L. N.
 Trefethen, Approximation Theory and Approximation Practice, SIAM 2013), and
 doubling P shows how far it has fallen.  Barycentric interpolation on the
 same points gives the function between the nodes.  ``flow`` runs its focal
-values and its return map (radii as lanes) on these panels.
+values and its return map (radii as lanes) on these panels.  ``refine``
+sweeps the first two panel sets, 8 and 16 panels, as one (``PanelSets``):
+one evaluation on their nodes together, each set integrated on its own.
 
-The nodes never change, so each panel count keeps read-only tables of the
+The nodes never change, so each block of panel counts, the pair of 8 and 16
+panels or a count alone, keeps one array of nodes and read-only tables of the
 powers of its cosines and sines, built once by the same ``**`` that a sweep
-would take and bounded as a cache.  ``Panels.nodes`` and ``Panels.span``
-hand out the node arrays, of which the last few are kept, and ``powers``
-reads the tables for them, which ``polar.PolarRHS.components`` does in place
-of ``**``.
+would take and bounded as a cache.  ``Panels.nodes``, ``Panels.span`` and
+``PanelSets.nodes`` hand out views of those arrays, of which the last few are
+kept, and ``powers`` reads the tables for them, which
+``polar.PolarRHS.components`` does in place of ``**``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .errors import QuadratureError
 TWO_PI = 2 * np.pi
 N = 32  # first-kind Chebyshev points per panel
 FIRST_PANELS, MAX_PANELS = 8, 1024
+PAIR = (FIRST_PANELS, 2 * FIRST_PANELS)  # the panel sets of ``refine``'s first sweep
 ROUNDING = 8 * np.finfo(float).eps  # the rounding floor of ``refine``'s estimate
 
 
@@ -66,11 +70,19 @@ def _integral(count: int) -> np.ndarray:
     return _reference()[1] * (np.pi / count)
 
 
+def _place(count: int) -> tuple[tuple[int, ...], int]:
+    """The block of ``count``, the panel counts whose nodes share one array with its own (PAIR,
+    or count alone), and the index of its first node in that array."""
+    block = PAIR if count in PAIR else (count,)
+    return block, N * sum(block[: block.index(count)])
+
+
 @lru_cache(maxsize=None)
-def _nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes of ``count`` panels, their cosines and their sines."""
-    starts = np.arange(count) * (2 * np.pi / count)
-    theta = (starts[:, None] + (np.pi / count) * (_reference()[0] + 1)).ravel()
+def _nodes(block: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the panel counts of ``block``, count after count, their cosines and sines."""
+    theta = np.concatenate([
+        (np.arange(count)[:, None] * (2 * np.pi / count)
+         + (np.pi / count) * (_reference()[0] + 1)).ravel() for count in block])
     out = theta, np.cos(theta), np.sin(theta)
     for a in out:  # every caller shares them
         a.setflags(write=False)
@@ -78,49 +90,51 @@ def _nodes(count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 _MAX_SPANS = 16  # spans kept: a turn off the chart halves its panels down to single ones
-# the last _MAX_SPANS spans handed out, least recently used first: (count, lo, hi) -> the nodes,
-# their cosines and their sines
-_SPAN_CACHE: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-# the cosines and sines of the spans kept, by id: (the array, its panel count, 1 for cosines
-# or 2 for sines, its nodes' slice); holding the array keeps its id its own
-_SPANS: dict[int, tuple[np.ndarray, int, int, slice]] = {}
+# the last _MAX_SPANS spans handed out, least recently used first: (block, lo, hi) -> the
+# nodes, their cosines and their sines
+_SPAN_CACHE: dict[tuple[tuple[int, ...], int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+# the cosines and sines of the spans kept, by id: (the array, its block, 1 for cosines or 2
+# for sines, its nodes' slice); holding the array keeps its id its own
+_SPANS: dict[int, tuple[np.ndarray, tuple[int, ...], int, slice]] = {}
 
 
-def _span(count: int, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes of panels lo..hi-1 of ``count``, their cosines and sines: views of
-    ``_nodes``, or its own arrays for the whole turn.  The last _MAX_SPANS used are kept, with
-    their cosines and sines in _SPANS, and a span dropped leaves _SPANS with it."""
-    out = _SPAN_CACHE.pop((count, lo, hi), None)
+def _span(block: tuple[int, ...], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes lo..hi-1 of ``block``'s arrays, their cosines and sines: views of ``_nodes``,
+    or its own arrays for the whole block.  The last _MAX_SPANS used are kept, with their
+    cosines and sines in _SPANS, and a span dropped leaves _SPANS with it."""
+    out = _SPAN_CACHE.pop((block, lo, hi), None)
     if out is None:
-        whole = _nodes(count)
-        out = whole if (lo, hi) == (0, count) else tuple(a[lo * N : hi * N] for a in whole)
+        whole = _nodes(block)
+        out = whole if (lo, hi) == (0, whole[0].size) else tuple(a[lo:hi] for a in whole)
         for which in (1, 2):
-            _SPANS[id(out[which])] = (out[which], count, which, slice(lo * N, hi * N))
+            _SPANS[id(out[which])] = (out[which], block, which, slice(lo, hi))
         if len(_SPAN_CACHE) == _MAX_SPANS:
             for a in _SPAN_CACHE.pop(next(iter(_SPAN_CACHE)))[1:]:
                 del _SPANS[id(a)]
-    _SPAN_CACHE[count, lo, hi] = out
+    _SPAN_CACHE[block, lo, hi] = out
     return out
 
 
 @lru_cache(maxsize=64)
-def _power(count: int, which: int, k: int) -> np.ndarray:
-    """The cosines (``which`` 1) or sines (2) of ``count`` panels to the power k, read-only:
-    the same ``**`` on the same array as a sweep would take, so bitwise its powers.  Random
-    fields at 1:1 to 3:4 and quintic 2:3 fields read 34 powers, at 8 and 16 panels; one
-    power at MAX_PANELS takes 256 KB."""
-    out = _nodes(count)[which] ** k
+def _power(block: tuple[int, ...], which: int, k: int) -> np.ndarray:
+    """The cosines (``which`` 1) or sines (2) of ``block``'s nodes to the power k, read-only:
+    the same ``**`` on the same nodes as a sweep would take, so bitwise its powers.  The
+    panel sets of PAIR share one table per power, read by the sweeps of ``refine`` and by
+    ``Panels.span``.  Random fields at 1:1 to 3:4 and quintic 2:3 fields read 17 powers of
+    PAIR; one power at MAX_PANELS takes 256 KB."""
+    out = _nodes(block)[which] ** k
     out.setflags(write=False)
     return out
 
 
 def powers(x) -> Callable[[int], np.ndarray] | None:
-    """k -> x**k read from the tables where x is the cosines or sines of a ``Panels.span``,
-    sliced to its panels (a power acts node by node); None for any other x."""
+    """k -> x**k read from the tables where x is the cosines or sines of a ``Panels.span`` or
+    of ``PanelSets.nodes``, sliced to its nodes (a power acts node by node); None for any
+    other x."""
     if (entry := _SPANS.get(id(x))) is None:
         return None
-    _, count, which, nodes = entry
-    return lambda k: _power(count, which, k)[nodes]
+    _, block, which, nodes = entry
+    return lambda k: _power(block, which, k)[nodes]
 
 
 @dataclass(frozen=True)
@@ -136,18 +150,19 @@ class Panels:
     @property
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The count * N nodes in increasing order, panel by panel, their cosines and sines."""
-        return _span(self.count, 0, self.count)
+        return self.span(0, self.count)
 
     def span(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``nodes`` on panels lo..hi-1 alone, whose powers ``powers`` reads from the tables."""
-        return _span(self.count, lo, hi)
+        block, start = _place(self.count)
+        return _span(block, start + lo * N, start + hi * N)
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes: a float, or
         an array of them where f has leading axes, its lanes, each integrated as alone."""
         lanes = f.shape[:-1]
         local = np.einsum("...pj,ij->...pi", f.reshape(*lanes, -1, N), _integral(self.count))
-        ends = np.cumsum(local[..., N], axis=-1)
+        ends = local[..., N].cumsum(axis=-1)
         local[..., 1:, :N] += ends[..., :-1, None]  # each panel starts from the integral up to it
         return local[..., :N].reshape(f.shape), ends[..., -1] if lanes else float(ends[-1])
 
@@ -171,35 +186,66 @@ class Panels:
         return out.reshape(values.shape[:-1] + theta.shape)
 
 
-def refine(sweep: Callable[[Panels], tuple[np.ndarray, object]], rtol: float,
+class PanelSets(tuple):
+    """Panel sets, consecutive in their block, swept as one: ``nodes`` holds their nodes set
+    after set, and ``integrate`` integrates each set on its own, so every value is the one a
+    sweep of that set alone would give."""
+
+    @property
+    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The nodes of the sets, set after set, their cosines and sines; ``Panels.nodes`` of a
+        single set, and one array for PAIR, whose powers ``powers`` reads from the tables."""
+        block, start = _place(self[0].count)
+        return _span(block, start, start + N * sum(panels.count for panels in self))
+
+    def split(self, f: np.ndarray) -> list[np.ndarray]:
+        """f on ``nodes`` as one view per set, along its last axis."""
+        out, hi = [], 0
+        for panels in self:
+            lo, hi = hi, hi + panels.count * N
+            out.append(f[..., lo:hi])
+        return out
+
+    def integrate(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``Panels.integrate`` of each set on its part of f (without lanes): the integrals at
+        the nodes, set after set, and the array of each set's int_0^{2*pi} f."""
+        parts = [panels.integrate(x) for panels, x in zip(self, self.split(f))]
+        return np.concatenate([c for c, _ in parts]), np.array([total for _, total in parts])
+
+
+def refine(sweep: Callable[[PanelSets], Iterable[tuple[np.ndarray, object]]], rtol: float,
            names: Sequence[str]) -> tuple[Panels, np.ndarray, np.ndarray, object, int]:
     """Double the panels from FIRST_PANELS until ``sweep``'s values settle.
 
-    ``sweep(panels)`` returns the values and whatever else the caller keeps
-    of the sweep.  Each value's error estimate is its change from P to 2P
-    panels plus ROUNDING times the scale, max(1, max |value|), and the
-    values on 2P panels are accepted when every estimate is within rtol
-    times the scale.  The convergence is geometric, so the change bounds
-    the error of the coarser values, and with it that of the finer ones.
-    The two sweeps round at different nodes, so the change also carries
-    their rounding noise, a few eps of the integrands' size; the floor,
-    8 eps of the scale, covers two roundings that happen to agree.  Returns the accepted panels, values, estimates and
-    sweep output, and the nodes evaluated over all sweeps.  Past MAX_PANELS
-    it raises QuadratureError naming (from ``names``) the first value that
-    did not settle.
+    ``sweep(sets)`` returns, set by set of the ``PanelSets`` ``sets``, the
+    values and whatever else the caller keeps of that set.  The first call
+    sweeps the two sets of PAIR as one, FIRST_PANELS and twice as many,
+    and each later call the next doubling alone.  Each value's error
+    estimate is its change from P to 2P panels plus ROUNDING times the
+    scale, max(1, max |value|), and the values on 2P panels are accepted
+    when every estimate is within rtol times the scale.  The convergence is
+    geometric, so the change bounds the error of the coarser values, and
+    with it that of the finer ones.  The two sets round at different nodes,
+    so the change also carries their rounding noise, a few eps of the
+    integrands' size; the floor, 8 eps of the scale, covers two roundings
+    that happen to agree.  Returns the accepted panels, values, estimates
+    and sweep output, and the nodes evaluated over all sets.  Past
+    MAX_PANELS it raises QuadratureError naming (from ``names``) the first
+    value that did not settle.
     """
-    panels, previous, evals = Panels(FIRST_PANELS), None, 0
+    sets, previous, evals = PanelSets(map(Panels, PAIR)), None, 0
     while True:
-        values, kept = sweep(panels)
-        evals += panels.count * N
-        if previous is not None:
-            scale = max(1.0, float(np.max(np.abs(values))))
-            error = np.abs(values - previous) + ROUNDING * scale
-            if np.all(error <= rtol * scale):
-                return panels, values, error, kept, evals
-            if 2 * panels.count > MAX_PANELS:
-                i = int(np.argmax(error > rtol * scale))
-                raise QuadratureError(
-                    f"{names[i]} did not settle to rtol={rtol!r} within {MAX_PANELS} panels: "
-                    f"it moved by {error[i]:.3g} at {panels.count}")
-        previous, panels = values, Panels(2 * panels.count)
+        for panels, (values, kept) in zip(sets, sweep(sets)):
+            evals += panels.count * N
+            if previous is not None:
+                scale = max(1.0, float(np.max(np.abs(values))))
+                error = np.abs(values - previous) + ROUNDING * scale
+                if np.all(error <= rtol * scale):
+                    return panels, values, error, kept, evals
+                if 2 * panels.count > MAX_PANELS:
+                    i = int(np.argmax(error > rtol * scale))
+                    raise QuadratureError(
+                        f"{names[i]} did not settle to rtol={rtol!r} within {MAX_PANELS} "
+                        f"panels: it moved by {error[i]:.3g} at {panels.count}")
+            previous = values
+        sets = PanelSets([Panels(2 * panels.count)])

@@ -1120,6 +1120,20 @@ def test_extended_jet_values_are_pinned(field, K, dps, n_rhs_evals, n_steps, exp
         assert nu == [mp.mpf(v) for v in expect]
 
 
+def test_extended_jet_runs_on_a_scale_beyond_the_float_range():
+    # at dps 300 the fixed-point scale 2**bits passes 2**1024: the division guard, the step
+    # and the messages keep to integers, where a float of one overflows
+    rhs = PolarRHS(field23(0.5, 1, -0.3, 1))
+    nu, stats = integrate_jet_extended(rhs, theta1=0.001, order=3, dps=300)
+    coarse, _ = integrate_jet_extended(rhs, theta1=0.001, order=3, dps=290)
+    assert stats.n_steps == 1
+    with mp.workdps(300):
+        assert max(abs(a - b) for a, b in zip(nu, coarse)) <= mp.mpf(10) ** -289
+    rhs.degree -= 1
+    with pytest.raises(QuadratureError, match="degree bound is too low"):
+        integrate_jet_extended(rhs, theta1=0.001, order=3, dps=300)
+
+
 def _field_with_23_monomials() -> WeightedField:
     """A 2:3 field with 23 of the 25 monomials of extra weight 1 to 5 (X: 2k + 3j = 10..14,
     Y: 2k + 3j = 11..15), coefficients uniform in [-0.5, 0.5]."""

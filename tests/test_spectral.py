@@ -1,15 +1,20 @@
 """Chebyshev panels, and the focal values as successive quadratures on them."""
+import hashlib
+
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField, focal_values, jets, spectral
-from qhfocus.casestudy import eq325_field, eq329_weighted, field23
+from qhfocus import Monomial, WeightedField, flow, focal_values, jets, spectral
+from qhfocus.casestudy import eq325_field, eq329_weighted, f2_integrand, field23
 from qhfocus.errors import PolarChartError, QuadratureError
+from qhfocus.fields import normalize
 from qhfocus.flow import (
-    _jet_coeffs, _staged_levels, _staged_recording, default_order, integrate_jet, return_map,
+    DEFAULT_TOL, _jet_coeffs, _staged_levels, _staged_recording, default_order, integrate_jet,
+    return_map,
 )
 from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS
+from qhfocus.quadrature import PanelAntiderivative
 from qhfocus.spectral import N, Panels
 
 
@@ -191,9 +196,9 @@ def test_a_turn_off_the_chart_leaves_the_spans_bounded(monkeypatch):
     made = []
     span = spectral._span
 
-    def counted(count, lo, hi):
-        made.append((count, lo, hi))
-        return span(count, lo, hi)
+    def counted(block, lo, hi):
+        made.append((block, lo, hi))
+        return span(block, lo, hi)
 
     monkeypatch.setattr(spectral, "_span", counted)
     with pytest.raises(PolarChartError):
@@ -205,7 +210,146 @@ def test_a_turn_off_the_chart_leaves_the_spans_bounded(monkeypatch):
     assert set(spectral._SPANS) == kept
     assert all(key == id(entry[0]) for key, entry in spectral._SPANS.items())
     # the first span, dropped since, is built anew when asked for, and read from the tables
-    count, lo, hi = made[0]
     assert made[0] not in spectral._SPAN_CACHE
-    _, cos, _ = Panels(count).span(lo, hi)
+    _, cos, _ = spectral._span(*made[0])
     assert spectral.powers(cos)(3).tobytes() == (cos**3).tobytes()
+
+
+# -- the first two panel sets swept as one, every float as two separate sweeps gave it --
+
+_ANGLES = np.array([0.0, 0.7, 2.0, np.pi, 4.4, 2 * np.pi])
+
+
+def _digest(*arrays) -> str:
+    """The first 16 hex digits of the SHA-256 of the arrays' float64 bytes, in order."""
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
+def _jet_cases():
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        for seed in range(3):
+            field = random_field(p, q, np.random.default_rng(seed))
+            yield pytest.param(field, None, DEFAULT_TOL, id=f"{p}:{q}-{seed}")
+    yield pytest.param(eq325_field(1.221677348996793e-08, 2.4063404265252253e-04), 7, 1e-13,
+                       id="criterion-8")
+    yield pytest.param(eq329_weighted(0.0, 1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4,
+                                      delta2=2.72e-2), 8, 1e-13, id="damped")
+    # settled only past 16 panels: refinement goes on one set at a time
+    yield pytest.param(_near_monodromy_limit(0.95), 4, 1e-13, id="32-panels")
+    yield pytest.param(_near_monodromy_limit(0.99), 4, 1e-13, id="64-panels")
+
+
+# frozen from 8 and 16 panels swept one after the other: the report's rhs_evals and steps,
+# and the digest of its values and error_estimate, then of the jet's final, error and
+# at(_ANGLES)
+_JET_PINS = {
+    "1:1-0": (768, 16, '93f9f2169bb7f141', '7b0080b85ac1c6ef'),
+    "1:1-1": (768, 16, '782f2fd3189e7d22', 'b8d26ce87f098be9'),
+    "1:1-2": (768, 16, '93408a6690cb043d', '2231650a307516df'),
+    "1:2-0": (768, 16, 'b64ad5de08a4d743', 'edb5f859fe19d5ea'),
+    "1:2-1": (768, 16, '244a38a45797c1d5', 'faaccde4073ed1c3'),
+    "1:2-2": (768, 16, '7bd074c99868ee30', '58b4e99ab15cd143'),
+    "2:3-0": (768, 16, 'db2f0e721ca9d8ef', '012788d4287879cb'),
+    "2:3-1": (768, 16, 'eaff4c213b9d9c0d', 'c131e4139144fa92'),
+    "2:3-2": (768, 16, 'c5add07ffe38a587', 'b99a3c4775531a97'),
+    "3:4-0": (768, 16, '8d32c5646a6e3713', '72baa507461a0d4e'),
+    "3:4-1": (768, 16, 'd2a668ae9fcb7965', 'f7ec1dea56457af9'),
+    "3:4-2": (768, 16, '5ba7127b8a20cd2d', 'fb110135d2a2a204'),
+    "criterion-8": (768, 16, '22c1a8288d211461', '037b4b58082cabe8'),
+    "damped": (768, 16, '38778493c62ca3af', '3f2775d3c57186c2'),
+    "32-panels": (1792, 32, '6d25561f1652a39e', '2d9db5a8dc3c92c0'),
+    "64-panels": (3840, 64, 'eebd99816a975ac5', '788c4b336d9f62af'),
+}
+
+
+@pytest.mark.parametrize("field, K, tol", _jet_cases())
+def test_focal_values_are_those_of_separate_sweeps(request, field, K, tol):
+    report = focal_values(field, K=K, integ_tol=tol)
+    jet = integrate_jet(PolarRHS(field), tol=tol, order=K)
+    assert (report.rhs_evals, report.steps, _digest(report.values, report.error_estimate),
+            _digest(jet.final, jet.error, jet.at(_ANGLES))) == _JET_PINS[request.node.callspec.id]
+
+
+def _return_map_cases():
+    rhs = PolarRHS(normalize(eq325_field(1.22167735e-08, 2.40634043e-04)).field)
+    yield pytest.param(rhs, np.geomspace(0.03, 0.45, 64), 1e-13, id="criterion-8-grid")
+    yield pytest.param(rhs, 0.2, 1e-13, id="criterion-8-one")
+    for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
+        rhs = PolarRHS(random_field(p, q, np.random.default_rng(0)))
+        h_max = min(0.3, rhs.safe_radius())
+        yield pytest.param(rhs, np.geomspace(h_max / 10, h_max, 8), DEFAULT_TOL, id=f"{p}:{q}")
+
+
+# frozen from 8 and 16 panels swept one after the other: the digest of the returned radii
+_RETURN_MAP_PINS = {
+    "criterion-8-grid": "f3cb34cca47ec558",
+    "criterion-8-one": "d41e46d25babc246",
+    "1:1": "af8b52b99d1cee47",
+    "1:2": "0a75292c462536df",
+    "2:3": "470605fd9979594c",
+    "3:4": "208423082a86fff8",
+}
+
+
+@pytest.mark.parametrize("rhs, h, tol", _return_map_cases())
+def test_return_maps_are_those_of_separate_sweeps(request, rhs, h, tol):
+    assert _digest(return_map(rhs, h, tol)) == _RETURN_MAP_PINS[request.node.callspec.id]
+
+
+# frozen likewise: the digest of F on the angles of _ANGLES and on 0.1, 0.2, ..., 6.2
+_ANTIDERIVATIVE_PINS = {
+    "f2": "7dd887b223e5560b",
+    "cos": "4e44e24105499681",
+    "exp-cos": "2f9b081a373b2a66",
+}
+
+
+@pytest.mark.parametrize("name, g", [
+    ("f2", f2_integrand), ("cos", np.cos), ("exp-cos", lambda t: np.exp(np.cos(t)) * np.sin(2 * t)),
+])
+def test_panel_antiderivatives_are_those_of_separate_sweeps(name, g):
+    F = PanelAntiderivative(g)
+    thetas = np.concatenate([_ANGLES, np.arange(1, 63) / 10])
+    assert _digest(F(thetas), [F(t) for t in thetas]) == _ANTIDERIVATIVE_PINS[name]
+
+
+@pytest.mark.parametrize("field, steps, sizes", [
+    pytest.param(eq325_field(1.22e-08, 2.41e-04), 16, [(8 + 16) * N], id="16-panels"),
+    pytest.param(_near_monodromy_limit(0.95), 32, [(8 + 16) * N, 32 * N], id="32-panels"),
+])
+def test_the_first_two_panel_sets_are_one_sweep(monkeypatch, field, steps, sizes):
+    # 8 and 16 panels: one components call on their nodes, one run of the staged program;
+    # each later doubling is a sweep of its own
+    rhs = PolarRHS(field)
+    calls, runs = [], []
+    components, staged = PolarRHS.components, flow._staged_levels
+    monkeypatch.setattr(PolarRHS, "components",
+                        lambda self, c, s: calls.append(c.size) or components(self, c, s))
+    monkeypatch.setattr(flow, "_staged_levels",
+                        lambda K, zero: lambda *x: runs.append(K) or staged(K, zero)(*x))
+    jet = integrate_jet(rhs, tol=1e-13, order=4)
+    assert (jet.stats.n_steps, jet.stats.n_rhs_evals) == (steps, sum(sizes))
+    assert calls == sizes and runs == [4] * len(sizes)
+
+
+def test_a_second_pass_builds_no_power(fresh_caches):
+    # a pass over survey-like fields and a return map: the tables the pair's sweeps read
+    # leave room for those of the map's spans
+    fields = [random_field(p, q, np.random.default_rng(seed))
+              for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)]
+    fields += [field23(*c) for c in ((0.5, 1.0, -0.3, 1.0), (0.0, -0.6, 0.2, 0.0),
+                                     (0.4, 0.0, 0.0, 0.7), (0.0, 0.8, -0.5, 0.3))]
+    rhs = PolarRHS(normalize(eq325_field(1.22167735e-08, 2.40634043e-04)).field)
+
+    def one_pass():
+        for field in fields:
+            focal_values(field)
+        return_map(rhs, np.geomspace(0.03, 0.45, 16), 1e-13)
+
+    one_pass()
+    built = spectral._power.cache_info().misses
+    one_pass()
+    assert spectral._power.cache_info().misses == built
