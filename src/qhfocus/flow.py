@@ -604,9 +604,9 @@ def integrate_jet_extended(
     ``n_rhs_evals`` counts the Taylor coefficients of the right-hand side:
     M per step.
 
-    About 1,200 to 1,500 times slower than the double-precision path, the
-    successive quadrature (criterion-8 eq325 field, K=7: 0.68-0.87 s at
-    dps=30 against 0.49-0.72 ms for ``integrate_jet`` at tol 1e-13, the
+    About 1,600 times slower than the double-precision path, the
+    successive quadrature (criterion-8 eq325 field, K=7: 0.75-0.86 s at
+    dps=30 against 0.47-0.53 ms for ``integrate_jet`` at tol 1e-13, the
     medians of 15 extended calls, each followed by 13 double ones, in one
     process, in each of three processes, on a shared 2-core Xeon); meant
     for hierarchies that collapse below machine epsilon.

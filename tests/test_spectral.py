@@ -244,7 +244,8 @@ def _jet_cases():
 
 # frozen from 8 and 16 panels swept one after the other: the report's rhs_evals and steps,
 # and the digest of its values and error_estimate, then of the jet's final, error and
-# at(_ANGLES)
+# at(_ANGLES).  The digests are of numpy 2.4's exp, cos and sin on an x86-64 Xeon; where
+# those round otherwise, they are refrozen from the commit before the joint sweep.
 _JET_PINS = {
     "1:1-0": (768, 16, '93f9f2169bb7f141', '7b0080b85ac1c6ef'),
     "1:1-1": (768, 16, '782f2fd3189e7d22', 'b8d26ce87f098be9'),
