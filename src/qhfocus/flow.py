@@ -527,9 +527,10 @@ def _taylor_rule(op: str, d: list, a, b, bits: int) -> Callable[[int], None]:
         return lambda m: app(((a[m] << bits) - sum(map(operator.mul, b[1:], reversed(d)))) // b[0])
     if op == "abs<":
         num, den = b.as_integer_ratio()  # exact at any scale, where a float of a[0] overflows
+        bound = num << bits
 
         def guard(m):
-            if m == 0 and abs(a[0]) * den < num << bits:
+            if m == 0 and abs(a[0]) * den < bound:
                 raise SingularDivisionError(jets.VANISHING)
         return guard
     return lambda m: app(sum(map(operator.mul, a, reversed(b))) >> bits)
