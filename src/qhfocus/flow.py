@@ -193,8 +193,7 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
     _check_positive_ints(order=K)
 
     def sweep(sets: spectral.PanelSets) -> list[tuple[np.ndarray, np.ndarray]]:
-        _, cos, sin = sets.nodes
-        R, Q = rhs.components(cos, sin)
+        R, Q = rhs.components(*sets.nodes[1:])
         if not Q[0].min() > jets.TINY:
             raise SingularDivisionError(jets.VANISHING)
         # the shape: the components that vanish on every node, as the structurally zero ones do
@@ -202,7 +201,8 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
         log_nu1, total = sets.integrate(R[0] / Q[0])
         nu = [np.exp(log_nu1)]
         final = [np.array([math.exp(t) for t in total])]
-        program = _staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), nu[0])
+        if K > 1:  # P_2..P_K; nu_1 alone needs none
+            program = _staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), nu[0])
         for k in range(2, K + 1):
             P = next(program) if k == 2 else program.send(nu[-1])
             lift, total = sets.integrate(P / nu[0])
@@ -226,25 +226,30 @@ def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
     one radius, giving a float, or a 1-D array of radii, giving an array.
     w = log(r/h) solves w = int g, g = num/den, num = sum R_k r**k, den =
     sum Q_k r**k at r = h e**w, on Chebyshev panels with up to _LANES radii
-    as lanes.  Newton's method runs from w = 0 over the turn (``run``), and
-    Delta = h expm1(int_0^2pi g) settles, as ``spectral.refine`` doubles the
-    panels, to ``dop853.effective_rtol(tol)`` max(1, |Delta|).
+    as lanes.  A sweep of ``spectral.refine`` evaluates ``rhs.components``
+    once on its nodes, and Newton's method runs from w = 0 over the turn of
+    each panel set (``run``).  Delta = h expm1(int_0^2pi g) settles, as
+    ``refine`` doubles the panels, to ``dop853.effective_rtol(tol)``
+    max(1, |Delta|).
     """
     check_tol(tol)
     if np.ndim(h) > 1:
         raise ValueError(f"h must be one radius or a 1-D array of radii, got shape {np.shape(h)}")
     radii = np.ravel(h).astype(float)
-    rhs.check_radius(max(radii.tolist(), key=abs))
+    if not radii.size:
+        raise ValueError("h must hold at least one radius")
     if not np.isfinite(radii).all():
         raise ValueError(f"h must be finite, got {h!r}")
+    rhs.check_radius(max(radii.tolist(), key=abs))
 
-    def run(panels: spectral.Panels, h: np.ndarray, w0: np.ndarray, lo: int, hi: int):
-        """w at the end of panels lo..hi-1 from w0 at their start: ``rhs.components`` on
-        their nodes, then Newton steps gap + E int a gap/E from w = w0, with a = dg/dw = r (num'
-        - g den')/den, gap = w0 + int g - w and E = exp(int a), until none exceeds 1e-15
-        max(1, |w|).  Where they leave the chart (non-finite, or den <= DENOM_FLOOR) or do
-        not settle in 32 steps, the halves run in turn; on one panel PolarChartError."""
-        R, Q = rhs.components(*panels.span(lo, hi)[1:])
+    def run(panels: spectral.Panels, RQ: tuple, h: np.ndarray, w0: np.ndarray, lo: int, hi: int):
+        """w at the end of panels lo..hi-1 from w0 at their start: RQ, the lists R_0..R_k and
+        Q_0..Q_k on the nodes of ``panels``, sliced to those panels, then Newton steps gap + E
+        int a gap/E from w = w0, with a = dg/dw = r (num' - g den')/den, gap = w0 + int g - w
+        and E = exp(int a), until none exceeds 1e-15 max(1, |w|).  Where they leave the chart
+        (non-finite, or den <= DENOM_FLOOR) or do not settle in 32 steps, the halves run in
+        turn; on one panel PolarChartError."""
+        R, Q = ([x[lo * spectral.N : hi * spectral.N] for x in part] for part in RQ)
         w = w0 + 0 * R[0]
         with np.errstate(all="ignore"):  # a non-finite iterate is off the chart
             for _ in range(32):  # Newton steps: 3 to 5 on most turns tried, 23 at most
@@ -263,13 +268,15 @@ def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
                 if not (off := ~(abs(step).max(axis=1) <= 1e-15 * max(1.0, abs(w).max()))).any():
                     return w0 + total[:, None]
         if hi - lo > 1:
-            return run(panels, h, run(panels, h, w0, lo, (lo + hi) // 2), (lo + hi) // 2, hi)
+            mid = (lo + hi) // 2
+            return run(panels, RQ, h, run(panels, RQ, h, w0, lo, mid), mid, hi)
         raise PolarChartError(f"polar chart breakdown: Newton's method on the turn from "
                               f"r={h[off, 0].tolist()} left the chart or did not settle")
 
     def sweep(sets: spectral.PanelSets, h: np.ndarray):
-        for panels in sets:
-            yield h[:, 0] * np.expm1(run(panels, h, 0 * h, 0, panels.count)[:, 0]), None
+        R, Q = (zip(*map(sets.split, x)) for x in rhs.components(*sets.nodes[1:]))
+        for panels, RQ in zip(sets, zip(R, Q)):
+            yield h[:, 0] * np.expm1(run(panels, RQ, h, 0 * h, 0, panels.count)[:, 0]), None
 
     rtol, delta = dop853.effective_rtol(tol), []
     for chunk in np.split(radii, range(_LANES, radii.size, _LANES)):
@@ -616,6 +623,8 @@ def integrate_jet_extended(
 
     K = order if order is not None else default_order(rhs.field.p, rhs.field.q)
     _check_positive_ints(dps=dps, order=K)
+    if theta1 is not None and not mp.isfinite(theta1):
+        raise ValueError(f"theta1={theta1!r} must be finite")
     with mp.workdps(dps):
         tol = mp.mpf(10) ** -dps
     log_tol = float(mp.log(tol))

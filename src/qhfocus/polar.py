@@ -8,9 +8,10 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 2pq - q + k (x side) and 2pq - p + k (y side).  R_0 and Q_0 hold the leading
 part and any terms at its weight.
 
-The package reads the components on Chebyshev nodes, where the powers of
-cos(theta) and sin(theta) come from ``spectral``'s tables, bitwise as
-``**`` gives them.  The scalar dr/dtheta, the tests' reference, is compiled
+The package reads the components on a sweep's Chebyshev nodes, one
+``spectral.PanelSets.nodes`` array per sweep, where the powers of cos(theta)
+and sin(theta) come from ``spectral``'s tables, bitwise as ``**`` gives
+them.  The scalar dr/dtheta, the tests' reference, is compiled
 once per ``PolarRHS`` from its components, recorded with the coefficients
 as float literals.
 """
@@ -70,8 +71,8 @@ class PolarRHS:
 
     def components(self, cos_t, sin_t) -> tuple[list, list]:
         """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type.  The powers
-        of a ``Panels.span``'s cosines and sines come from ``spectral``'s tables, bitwise
-        as ``**`` takes them, and of anything else from ``**``."""
+        of the cosines and sines of a ``spectral.PanelSets.nodes`` come from ``spectral``'s
+        tables, bitwise as ``**`` takes them, and of anything else from ``**``."""
         p, q = self.field.p, self.field.q
         c, s = cos_t, sin_t
         cp, sp = (spectral.powers(x) or partial(operator.pow, x) for x in (c, s))

@@ -116,8 +116,7 @@ class PanelAntiderivative:
         ends = np.linspace(0.0, TWO_PI, spectral.FIRST_PANELS + 1)[1:]
 
         def sweep(sets: spectral.PanelSets):
-            for panels in sets:
-                theta = panels.nodes[0]
+            for panels, theta in zip(sets, sets.split(sets.nodes[0])):
                 mean = panels.integrate(np.asarray(g(theta), dtype=float))[0] / theta
                 yield ends * panels.interpolate(mean, ends), mean
 

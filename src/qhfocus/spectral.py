@@ -16,18 +16,18 @@ values and its return map (radii as lanes) on these panels.  ``refine``
 sweeps the first two panel sets, 8 and 16 panels, as one (``PanelSets``):
 one evaluation on their nodes together, each set integrated on its own.
 
-The nodes never change, so each block of panel counts, the pair of 8 and 16
-panels or a count alone, keeps one array of nodes and read-only tables of the
-powers of its cosines and sines, built once by the same ``**`` that a sweep
-would take and bounded as a cache.  ``Panels.nodes``, ``Panels.span`` and
-``PanelSets.nodes`` hand out views of those arrays, of which the last few are
-kept, and ``powers`` reads the tables for them, which
+The nodes never change, so each sweep's panel counts, the pair of 8 and 16
+panels or a count alone, keep one array of nodes, ``PanelSets.nodes``, and
+read-only tables of the powers of its cosines and sines, built once by the
+same ``**`` that a sweep would take and bounded as a cache.  ``powers``
+reads the tables for those arrays, and for no other, which
 ``polar.PolarRHS.components`` does in place of ``**``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -70,71 +70,41 @@ def _integral(count: int) -> np.ndarray:
     return _reference()[1] * (np.pi / count)
 
 
-def _place(count: int) -> tuple[tuple[int, ...], int]:
-    """The block of ``count``, the panel counts whose nodes share one array with its own (PAIR,
-    or count alone), and the index of its first node in that array."""
-    block = PAIR if count in PAIR else (count,)
-    return block, N * sum(block[: block.index(count)])
+# the arrays of every ``_nodes`` call, by id: (the array, its counts, its place in the call's
+# output: 0 the nodes, 1 the cosines, 2 the sines); ``_nodes`` keeps them, so no id is reused
+_REGISTRY: dict[int, tuple[np.ndarray, tuple[int, ...], int]] = {}
 
 
 @lru_cache(maxsize=None)
-def _nodes(block: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The nodes of the panel counts of ``block``, count after count, their cosines and sines."""
+def _nodes(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The nodes of the panel counts ``counts``, count after count, their cosines and sines:
+    read-only, and listed in _REGISTRY."""
     theta = np.concatenate([
         (np.arange(count)[:, None] * (2 * np.pi / count)
-         + (np.pi / count) * (_reference()[0] + 1)).ravel() for count in block])
+         + (np.pi / count) * (_reference()[0] + 1)).ravel() for count in counts])
     out = theta, np.cos(theta), np.sin(theta)
-    for a in out:  # every caller shares them
+    for which, a in enumerate(out):  # every caller shares them
         a.setflags(write=False)
-    return out
-
-
-_MAX_SPANS = 16  # spans kept: a turn off the chart halves its panels down to single ones
-# the last _MAX_SPANS spans handed out, least recently used first: (block, lo, hi) -> the
-# nodes, their cosines and their sines
-_SPAN_CACHE: dict[tuple[tuple[int, ...], int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-# the cosines and sines of the spans kept, by id: (the array, its block, 1 for cosines or 2
-# for sines, its nodes' slice); holding the array keeps its id its own
-_SPANS: dict[int, tuple[np.ndarray, tuple[int, ...], int, slice]] = {}
-
-
-def _span(block: tuple[int, ...], lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Nodes lo..hi-1 of ``block``'s arrays, their cosines and sines: views of ``_nodes``,
-    or its own arrays for the whole block.  The last _MAX_SPANS used are kept, with their
-    cosines and sines in _SPANS, and a span dropped leaves _SPANS with it."""
-    out = _SPAN_CACHE.pop((block, lo, hi), None)
-    if out is None:
-        whole = _nodes(block)
-        out = whole if (lo, hi) == (0, whole[0].size) else tuple(a[lo:hi] for a in whole)
-        for which in (1, 2):
-            _SPANS[id(out[which])] = (out[which], block, which, slice(lo, hi))
-        if len(_SPAN_CACHE) == _MAX_SPANS:
-            for a in _SPAN_CACHE.pop(next(iter(_SPAN_CACHE)))[1:]:
-                del _SPANS[id(a)]
-    _SPAN_CACHE[block, lo, hi] = out
+        _REGISTRY[id(a)] = (a, counts, which)
     return out
 
 
 @lru_cache(maxsize=64)
-def _power(block: tuple[int, ...], which: int, k: int) -> np.ndarray:
-    """The cosines (``which`` 1) or sines (2) of ``block``'s nodes to the power k, read-only:
-    the same ``**`` on the same nodes as a sweep would take, so bitwise its powers.  The
-    panel sets of PAIR share one table per power, read by the sweeps of ``refine`` and by
-    ``Panels.span``.  Random fields at 1:1 to 3:4 and quintic 2:3 fields read 17 powers of
-    PAIR; one power at MAX_PANELS takes 256 KB."""
-    out = _nodes(block)[which] ** k
+def _power(counts: tuple[int, ...], which: int, k: int) -> np.ndarray:
+    """Array ``which`` of ``_nodes(counts)`` (1 the cosines, 2 the sines) to the power k,
+    read-only: the same ``**`` on the same nodes as a sweep would take, so bitwise its
+    powers.  Random fields at 1:1 to 3:4 and quintic 2:3 fields read 17 powers of PAIR; one
+    power at MAX_PANELS takes 256 KB."""
+    out = _nodes(counts)[which] ** k
     out.setflags(write=False)
     return out
 
 
 def powers(x) -> Callable[[int], np.ndarray] | None:
-    """k -> x**k read from the tables where x is the cosines or sines of a ``Panels.span`` or
-    of ``PanelSets.nodes``, sliced to its nodes (a power acts node by node); None for any
-    other x."""
-    if (entry := _SPANS.get(id(x))) is None:
-        return None
-    _, block, which, nodes = entry
-    return lambda k: _power(block, which, k)[nodes]
+    """k -> x**k read from the tables where x is an array of a sweep's ``PanelSets.nodes``,
+    its cosines or sines; None for any other x, a copy or a slice of them too."""
+    entry = _REGISTRY.get(id(x))
+    return None if entry is None else partial(_power, *entry[1:])
 
 
 @dataclass(frozen=True)
@@ -142,20 +112,6 @@ class Panels:
     """``count`` equal panels of N first-kind Chebyshev points on [0, 2*pi]."""
 
     count: int
-
-    @property
-    def half_width(self) -> float:
-        return np.pi / self.count
-
-    @property
-    def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The count * N nodes in increasing order, panel by panel, their cosines and sines."""
-        return self.span(0, self.count)
-
-    def span(self, lo: int, hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``nodes`` on panels lo..hi-1 alone, whose powers ``powers`` reads from the tables."""
-        block, start = _place(self.count)
-        return _span(block, start + lo * N, start + hi * N)
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes: a float, or
@@ -173,9 +129,9 @@ class Panels:
         if not np.all((0.0 <= theta) & (theta <= TWO_PI)):
             raise ValueError(f"theta={theta!r} lies outside the turn [0, 2*pi]")
         x, _, barycentric = _reference()
-        flat = theta.ravel()
-        panel = np.minimum((flat / (2 * self.half_width)).astype(int), self.count - 1)
-        local = (flat - panel * 2 * self.half_width) / self.half_width - 1.0
+        flat, half_width = theta.ravel(), np.pi / self.count
+        panel = np.minimum((flat / (2 * half_width)).astype(int), self.count - 1)
+        local = (flat - panel * 2 * half_width) / half_width - 1.0
         diff = local[:, None] - x
         hit = diff == 0.0
         diff[hit] = 1.0  # a node: its own value, below
@@ -187,24 +143,20 @@ class Panels:
 
 
 class PanelSets(tuple):
-    """Panel sets, consecutive in their block, swept as one: ``nodes`` holds their nodes set
-    after set, and ``integrate`` integrates each set on its own, so every value is the one a
-    sweep of that set alone would give."""
+    """Panel sets swept as one: ``nodes`` holds their nodes set after set, and ``integrate``
+    integrates each set on its own, so every value is the one a sweep of that set alone would
+    give."""
 
     @property
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The nodes of the sets, set after set, their cosines and sines; ``Panels.nodes`` of a
-        single set, and one array for PAIR, whose powers ``powers`` reads from the tables."""
-        block, start = _place(self[0].count)
-        return _span(block, start, start + N * sum(panels.count for panels in self))
+        """The nodes of the sets, set after set, each set's in increasing order, their cosines
+        and sines: the sweep's one array of each, whose powers ``powers`` reads from the tables."""
+        return _nodes(tuple(panels.count for panels in self))
 
     def split(self, f: np.ndarray) -> list[np.ndarray]:
         """f on ``nodes`` as one view per set, along its last axis."""
-        out, hi = [], 0
-        for panels in self:
-            lo, hi = hi, hi + panels.count * N
-            out.append(f[..., lo:hi])
-        return out
+        ends = accumulate((panels.count * N for panels in self), initial=0)
+        return [f[..., lo:hi] for lo, hi in pairwise(ends)]
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``Panels.integrate`` of each set on its part of f (without lanes): the integrals at

@@ -975,14 +975,13 @@ def test_nonfinite_initial_state_is_rejected(bad, deadline):
     with pytest.raises(ValueError, match=re.escape(NONFINITE_STATE)):
         dop853.solve(_jet_fun(rhs, 7), 2 * np.pi, [bad] + [0.0] * 6, DEFAULT_TOL,
                      DEFAULT_TOL, "jet integration")
-    # an infinite radius is outside the chart, which the radius check says first
-    with pytest.raises(ValueError if math.isnan(bad) else PolarChartError):
-        return_map(rhs, bad)
-    with pytest.raises(ValueError if math.isnan(bad) else PolarChartError):
-        return_map(rhs, np.array([0.1, bad]))
-    # a leading part alone has no chart limit
-    with pytest.raises(ValueError, match="h must be finite"):
-        return_map(PolarRHS(leading_field(2, 3)), bad)
+    # a non-finite radius is refused before the radius check, on a chart with a limit or
+    # without one (the check used to say PolarChartError for an infinite radius on the first)
+    for chart in (rhs, PolarRHS(leading_field(2, 3))):
+        with pytest.raises(ValueError, match="h must be finite"):
+            return_map(chart, bad)
+        with pytest.raises(ValueError, match="h must be finite"):
+            return_map(chart, np.array([0.1, bad]))
     with pytest.raises(ValueError, match="positive x-axis"):
         section_return(lambda x, y: (-y, x), bad)
     with pytest.raises(ValueError, match="positive x-axis"):
@@ -1132,6 +1131,37 @@ def test_extended_jet_runs_on_a_scale_beyond_the_float_range():
     rhs.degree -= 1
     with pytest.raises(QuadratureError, match="degree bound is too low"):
         integrate_jet_extended(rhs, theta1=0.001, order=3, dps=300)
+
+
+@pytest.mark.parametrize("field", [
+    pytest.param(WeightedField(p=1, q=1, x_terms=(Monomial(2, 0, 0.3),)), id="bounded-chart"),
+    pytest.param(WeightedField(p=1, q=1), id="unbounded-chart"),
+])
+def test_return_map_refuses_no_radius_and_nonfinite_ones_before_the_chart_check(field):
+    # no radius raised "max() arg is an empty sequence", and an infinite one PolarChartError
+    # where the chart has a finite safe radius
+    rhs = PolarRHS(field)
+    with pytest.raises(ValueError, match="h must hold at least one radius"):
+        return_map(rhs, np.array([]))
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="h must be finite"):
+            return_map(rhs, bad)
+
+
+def test_jet_of_order_one_is_nu_1_alone():
+    # order 1 raised IndexError, building a staged program for no level
+    rhs = PolarRHS(field23(0.5, 1, -0.3, 1))
+    jet, third = integrate_jet(rhs, order=1), integrate_jet(rhs, order=3)
+    assert jet.final.shape == (1,) and jet.error.shape == (0,)
+    assert abs(jet.final[0] - third.final[0]) <= 1e-14
+
+
+@pytest.mark.parametrize("theta1", [math.nan, math.inf, -math.inf])
+def test_extended_jet_refuses_a_nonfinite_end(monkeypatch, theta1):
+    # mpmath raised "cannot convert inf or nan to int"; the refusal comes before the recording
+    monkeypatch.setattr(jets, "record", lambda *a: pytest.fail("recorded"))
+    with pytest.raises(ValueError, match=re.escape(f"theta1={theta1!r} must be finite")):
+        integrate_jet_extended(PolarRHS(field23()), theta1=theta1, order=3)
 
 
 def _field_with_23_monomials() -> WeightedField:

@@ -15,13 +15,13 @@ from qhfocus.flow import (
 from qhfocus.focal import random_field
 from qhfocus.polar import PolarRHS
 from qhfocus.quadrature import PanelAntiderivative
-from qhfocus.spectral import N, Panels
+from qhfocus.spectral import N, Panels, PanelSets
 
 
 def test_panels_integrate_and_interpolate_to_rounding():
     # exp(sin) is entire: 8 panels of 32 points resolve it to rounding
     panels = Panels(8)
-    theta, cos, sin = panels.nodes
+    theta, cos, sin = PanelSets([panels]).nodes
     assert np.array_equal(cos, np.cos(theta)) and np.array_equal(sin, np.sin(theta))
     assert theta.shape == (8 * N,) and np.all(np.diff(theta) > 0)
     assert 0 < theta[0] and theta[-1] < 2 * np.pi
@@ -159,24 +159,25 @@ def _table_fields():
 @pytest.mark.parametrize("field", _table_fields())
 def test_components_on_panels_read_the_power_tables_bitwise(field):
     rhs = PolarRHS(field)
-    for count in (8, 16, 32, 64, 128):
-        panels = Panels(count)
-        for lo, hi in ((0, count), (0, count // 2), (count // 2, count), (1, 3), (count - 1, count)):
-            _, cos, sin = panels.span(lo, hi)
-            assert cos.tobytes() == panels.nodes[1][lo * N : hi * N].tobytes()
-            assert sin.tobytes() == panels.nodes[2][lo * N : hi * N].tobytes()
-            copies = np.array(cos), np.array(sin)  # writable copies, not spans: plain ** powers
-            assert spectral.powers(cos) and spectral.powers(sin)
-            assert spectral.powers(copies[0]) is spectral.powers(copies[1]) is None
-            R, Q = rhs.components(cos, sin)
-            plain = rhs.components(*copies)
-            assert [x.tobytes() for x in R + Q] == [x.tobytes() for x in plain[0] + plain[1]]
+    for counts in (spectral.PAIR, (32,), (64,), (128,)):
+        sets = PanelSets(map(Panels, counts))
+        _, cos, sin = sets.nodes
+        # a set's nodes are those of its own sweep alone, bitwise
+        for panels, part in zip(sets, sets.split(cos)):
+            assert part.tobytes() == PanelSets([panels]).nodes[1].tobytes()
+        copies = np.array(cos), np.array(sin)  # writable copies: plain ** powers
+        assert spectral.powers(cos) and spectral.powers(sin)
+        assert spectral.powers(copies[0]) is spectral.powers(copies[1]) is None
+        assert spectral.powers(cos[N:]) is spectral.powers(sin[: 2 * N]) is None  # slices too
+        R, Q = rhs.components(cos, sin)
+        plain = rhs.components(*copies)
+        assert [x.tobytes() for x in R + Q] == [x.tobytes() for x in plain[0] + plain[1]]
         # the tables are still the powers: nothing wrote into one
         for k in range(2 * max(field.p, field.q) + 1):
-            assert spectral.powers(panels.nodes[1])(k).tobytes() == (panels.nodes[1] ** k).tobytes()
-            assert spectral.powers(panels.nodes[2])(k).tobytes() == (panels.nodes[2] ** k).tobytes()
+            assert spectral.powers(cos)(k).tobytes() == (cos**k).tobytes()
+            assert spectral.powers(sin)(k).tobytes() == (sin**k).tobytes()
     with pytest.raises(ValueError, match="read-only"):
-        spectral.powers(Panels(8).nodes[1])(3)[0] = 0.0
+        spectral.powers(PanelSets([Panels(8)]).nodes[1])(3)[0] = 0.0
 
 
 def test_a_second_field_of_a_support_builds_no_power(fresh_caches):
@@ -189,30 +190,38 @@ def test_a_second_field_of_a_support_builds_no_power(fresh_caches):
     assert spectral._power.cache_info().hits > read
 
 
-def test_a_turn_off_the_chart_leaves_the_spans_bounded(monkeypatch):
-    # return_map halves the panels of a turn that leaves the chart down to
-    # single ones, at every count up to MAX_PANELS: 23 spans on this field
+def _counted_components(monkeypatch) -> list[int]:
+    """The sizes of the cosine arrays of the ``components`` calls made from here on."""
+    calls, components = [], PolarRHS.components
+    monkeypatch.setattr(PolarRHS, "components",
+                        lambda self, c, s: calls.append(c.size) or components(self, c, s))
+    return calls
+
+
+def test_return_map_evaluates_the_components_once_per_sweep(monkeypatch):
+    # the criterion-8 grid: 8 chunks of 8 radii, each settled by the first sweep (16 calls
+    # when each panel set of the pair had its own)
+    rhs = PolarRHS(normalize(eq325_field(1.22167735e-08, 2.40634043e-04)).field)
+    rhs.safe_radius()
+    calls = _counted_components(monkeypatch)
+    return_map(rhs, np.geomspace(0.03, 0.45, 64), 1e-13)
+    assert calls == [sum(spectral.PAIR) * N] * 8
+
+
+def test_a_turn_off_the_chart_evaluates_the_components_once_per_sweep(monkeypatch):
+    # return_map halves the panels of a turn that leaves the chart down to single ones, at
+    # every count up to MAX_PANELS, on slices of each sweep's components (23 calls on
+    # 118,496 nodes when each half had its own)
     rhs = PolarRHS(random_field(1, 1, np.random.default_rng(0)))
-    made = []
-    span = spectral._span
-
-    def counted(block, lo, hi):
-        made.append((block, lo, hi))
-        return span(block, lo, hi)
-
-    monkeypatch.setattr(spectral, "_span", counted)
+    h = 0.9 * rhs.safe_radius()
+    calls = _counted_components(monkeypatch)
     with pytest.raises(PolarChartError):
-        return_map(rhs, 0.9 * rhs.safe_radius())
-    assert len(set(made)) > spectral._MAX_SPANS
-    assert len(spectral._SPAN_CACHE) <= spectral._MAX_SPANS
-    # the registry lists the cosines and sines of the spans kept, each under its own id
-    kept = {id(a) for out in spectral._SPAN_CACHE.values() for a in out[1:]}
-    assert set(spectral._SPANS) == kept
-    assert all(key == id(entry[0]) for key, entry in spectral._SPANS.items())
-    # the first span, dropped since, is built anew when asked for, and read from the tables
-    assert made[0] not in spectral._SPAN_CACHE
-    _, cos, _ = spectral._span(*made[0])
-    assert spectral.powers(cos)(3).tobytes() == (cos**3).tobytes()
+        return_map(rhs, h)
+    assert calls == [sum(spectral.PAIR) * N] + [count * N for count in (32, 64, 128, 256, 512, 1024)]
+    assert sum(calls) == 65_280
+    # every array listed for ``powers`` is one of a sweep's node arrays, kept by ``_nodes``
+    for key, (array, counts, which) in spectral._REGISTRY.items():
+        assert key == id(array) and array is spectral._nodes(counts)[which]
 
 
 # -- the first two panel sets swept as one, every float as two separate sweeps gave it --
@@ -337,8 +346,8 @@ def test_the_first_two_panel_sets_are_one_sweep(monkeypatch, field, steps, sizes
 
 
 def test_a_second_pass_builds_no_power(fresh_caches):
-    # a pass over survey-like fields and a return map: the tables the pair's sweeps read
-    # leave room for those of the map's spans
+    # a pass over survey-like fields and a return map: the map's sweeps read the tables of
+    # the pair as the focal values do
     fields = [random_field(p, q, np.random.default_rng(seed))
               for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)]
     fields += [field23(*c) for c in ((0.5, 1.0, -0.3, 1.0), (0.0, -0.6, 0.2, 0.0),
