@@ -236,10 +236,8 @@ def return_map(rhs: PolarRHS, h, tol: float = DEFAULT_TOL):
     if np.ndim(h) > 1:
         raise ValueError(f"h must be one radius or a 1-D array of radii, got shape {np.shape(h)}")
     radii = np.ravel(h).astype(float)
-    if not radii.size:
-        raise ValueError("h must hold at least one radius")
-    if not np.isfinite(radii).all():
-        raise ValueError(f"h must be finite, got {h!r}")
+    if not (radii.size and np.isfinite(radii).all()):
+        raise ValueError(f"h must hold one or more radii, all finite, got {h!r}")
     rhs.check_radius(max(radii.tolist(), key=abs))
 
     def run(panels: spectral.Panels, RQ: tuple, h: np.ndarray, w0: np.ndarray, lo: int, hi: int):

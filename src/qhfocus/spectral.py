@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
-from itertools import accumulate, pairwise
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -101,8 +100,8 @@ def _power(counts: tuple[int, ...], which: int, k: int) -> np.ndarray:
 
 
 def powers(x) -> Callable[[int], np.ndarray] | None:
-    """k -> x**k read from the tables where x is an array of a sweep's ``PanelSets.nodes``,
-    its cosines or sines; None for any other x, a copy or a slice of them too."""
+    """k -> x**k read from the tables where x is one of the arrays of a sweep's
+    ``PanelSets.nodes``; None for any other x, copies and slices of them included."""
     entry = _REGISTRY.get(id(x))
     return None if entry is None else partial(_power, *entry[1:])
 
@@ -155,8 +154,11 @@ class PanelSets(tuple):
 
     def split(self, f: np.ndarray) -> list[np.ndarray]:
         """f on ``nodes`` as one view per set, along its last axis."""
-        ends = accumulate((panels.count * N for panels in self), initial=0)
-        return [f[..., lo:hi] for lo, hi in pairwise(ends)]
+        out, hi = [], 0
+        for panels in self:
+            lo, hi = hi, hi + panels.count * N
+            out.append(f[..., lo:hi])
+        return out
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``Panels.integrate`` of each set on its part of f (without lanes): the integrals at
