@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -12,7 +13,7 @@ from qhfocus import Monomial, WeightedField, dop853, flow, jets, return_map, spe
 from qhfocus.errors import (NoReturnError, PolarChartError, QhfocusError, QuadratureError,
                             SingularDivisionError, StiffnessError)
 from qhfocus.fields import normalize
-from qhfocus.casestudy import eq325_field, eq329_weighted
+from qhfocus.casestudy import eq325_field, eq329_cartesian, eq329_weighted
 from qhfocus.flow import (
     DEFAULT_TOL,
     default_order,
@@ -888,6 +889,32 @@ def _check_section_return(field, x0, tol):
     assert abs(crossing.x - x) <= tol * max(1.0, abs(x))
     assert abs(crossing.time - t) <= tol * max(1.0, abs(t))
     return crossing
+
+
+def _section_parity_digest() -> str:
+    """SHA-256 of (x, y, time, nfev, steps) of the bench's damped grid, the criterion-8
+    closures and a 7-state ``dop853.solve``, each float by its hex."""
+    damped = eq329_cartesian(a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4,
+                             delta2=2.72e-2)
+    criterion_8 = eq325_field(eps1=1.22167735e-08, eps2=2.40634043e-04)
+    scale_x = normalize(criterion_8).scale_x
+    starts = [(damped, x0) for x0 in np.geomspace(0.0115, 0.43, 64).tolist()]
+    starts += [(criterion_8, h**2 * scale_x) for h in (0.0894151025039942, 0.29020388959866583)]
+    rows = []
+    for field, x0 in starts:
+        c = section_return(field, x0, tol=1e-13)
+        rows.append((c.x.hex(), c.y.hex(), c.time.hex(), c.stats.n_rhs_evals, c.stats.n_steps))
+    rhs = PolarRHS(normalize(criterion_8).field)
+    g = [1.0, 0.3, 0.0, -0.1, 0.0, 0.0, 0.0]
+    t, y, nfev, steps = dop853.solve(_jet_fun(rhs, 7), 2 * np.pi, g, 1e-12, 1e-12, "jet")
+    rows.append((t.hex(), [v.hex() for v in y], nfev, steps))
+    return hashlib.sha256(repr(rows).encode()).hexdigest()
+
+
+def test_section_returns_are_pinned():
+    # frozen from the stepper that called a generated step per attempt from a Python loop
+    assert _section_parity_digest() == (
+        "7ee0f407cbe60deee6600f1f78ab46168030ce03fa84ec1b2ce41323480cf562")
 
 
 def test_section_return_resumes_past_the_wrong_half_axis():
