@@ -20,10 +20,12 @@ Three backends:
 * Cartesian: orbit integration with event-located crossings of the positive
   x-axis section.  It takes any callable (x, y) -> velocities, and serves as
   the independent reference for the polar return map of weighted fields.
-  A weighted field's velocities are recorded once per field.
+  A weighted field's velocities are recorded once per field, and
+  ``dop853.solve`` runs those lines in the stages of its kernel.
 
 The polar chart runs on panels only, and the Cartesian section on
-``dop853.solve`` on lists of floats, bitwise as ``solve_ivp`` takes them.
+``dop853.solve``'s generated kernel on floats, bitwise as ``solve_ivp``
+takes its steps.
 So no path imports ``scipy.integrate`` or ``scipy.optimize``.
 """
 from __future__ import annotations
@@ -300,10 +302,14 @@ class SectionCrossing:
 def _cartesian_rhs(field: WeightedField) -> Callable:
     """``field(x, y)`` recorded once per field as f(t, [x, y]) -> (dx/dt, dy/dt), bitwise equal.
 
-    The recorder may swap a product's factors, which floats do not notice."""
+    Its ``velocities``, the recorded lines, are what ``dop853.solve``'s stages
+    run.  The recorder may swap a product's factors, which floats do not notice."""
     program, (u, v) = jets.record(field, "x", "y")
-    lines = ["x, y = z", *jets.source(program, (u.name, v.name)), f"return {u.name}, {v.name}"]
-    return jets.function("t, z", lines)
+    outputs = u.name, v.name
+    lines = tuple(jets.source(program, outputs))
+    fun = jets.function("t, z", ["x, y = z", *lines, f"return {u.name}, {v.name}"])
+    fun.velocities = ("x", "y"), lines, outputs
+    return fun
 
 
 _PERIOD_ANGLES = 256
@@ -348,7 +354,10 @@ def section_return(
 
     The time cap is 20 estimated periods for a weighted field, else 1e6.  A
     weighted field runs as its velocities recorded once per field, which
-    gives bitwise the values of calling it.
+    gives bitwise the values of calling it: ``dop853.solve`` runs the recorded
+    lines in its kernel's stages and calls the compiled field only outside
+    its step loop, 8 times in a return without a restart.  The crossing is
+    the terminal event (1, direction), the sign change of y.
     """
     if not 0 < x0 < math.inf:
         raise ValueError(f"section_return starts on the positive x-axis, got x0={x0!r}")
@@ -374,7 +383,7 @@ def section_return(
     t, state, nfev, steps = 0.0, [x0, 0.0], 0, 0
     while t < t_max:
         t, state, n_pre, s_pre = solve(t + dt_pre, state, t0=t)
-        t, state, n_run, s_run = solve(t_max, state, t0=t, event=(lambda t, z: z[1], direction))
+        t, state, n_run, s_run = solve(t_max, state, t0=t, event=(1, direction))
         nfev, steps = nfev + n_pre + n_run, steps + s_pre + s_run
         if t < t_max and state[0] > 0:
             stats = IntegratorStats(nfev, steps, dop853.effective_rtol(tol))

@@ -161,10 +161,24 @@ class PanelSets(tuple):
         return out
 
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``Panels.integrate`` of each set on its part of f (without lanes): the integrals at
-        the nodes, set after set, and the array of each set's int_0^{2*pi} f."""
-        parts = [panels.integrate(x) for panels, x in zip(self, self.split(f))]
-        return np.concatenate([c for c, _ in parts]), np.array([total for _, total in parts])
+        """``Panels.integrate`` of each set on its part of f (without lanes), bitwise: the
+        integrals at the nodes, set after set, and the array of each set's int_0^{2*pi} f.
+
+        Every panel runs on the finest set's matrix: a coarser set's matrix is that one times
+        a power of two (the counts double), so scaling its rows afterwards rounds nothing.  A
+        set's panels chain by one cumsum from -0.0, which leaves its first panel bitwise."""
+        counts = [panels.count for panels in self]
+        finest = max(counts)
+        local = np.einsum("pj,ij->pi", f.reshape(-1, N), _integral(finest))
+        chain, totals, lo = np.empty(len(local) + 1), [], 0
+        for count in counts:  # chain[lo:hi] the integrals up to each panel, chain[hi] the total
+            hi = lo + count
+            if count < finest:
+                local[lo:hi] *= finest // count
+            chain[lo], chain[lo + 1:hi + 1] = -0.0, local[lo:hi, N]
+            totals.append(np.cumsum(chain[lo:hi + 1], out=chain[lo:hi + 1])[-1])
+            lo = hi
+        return (local[:, :N] + chain[:-1, None]).ravel(), np.array(totals)
 
 
 def refine(sweep: Callable[[PanelSets], Iterable[tuple[np.ndarray, object]]], rtol: float,

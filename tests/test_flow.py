@@ -13,7 +13,7 @@ from qhfocus import Monomial, WeightedField, dop853, flow, jets, return_map, spe
 from qhfocus.errors import (NoReturnError, PolarChartError, QhfocusError, QuadratureError,
                             SingularDivisionError, StiffnessError)
 from qhfocus.fields import normalize
-from qhfocus.casestudy import eq325_field, eq329_cartesian, eq329_weighted
+from qhfocus.casestudy import eq325_field, eq329_cartesian, eq329_weighted, field23
 from qhfocus.flow import (
     DEFAULT_TOL,
     default_order,
@@ -31,14 +31,6 @@ from flow_identities import identity_residuals, jet_rhs_coeffs, partial_turn
 
 def leading_field(p, q):
     return WeightedField(p=p, q=q, x_terms=(), y_terms=())
-
-
-def field23(a50=1.0, a22=0.5, b41=1.0, b13=-0.3):
-    return WeightedField(
-        p=2, q=3,
-        x_terms=(Monomial(5, 0, a50), Monomial(2, 2, a22)),
-        y_terms=(Monomial(4, 1, b41), Monomial(1, 3, b13)),
-    )
 
 
 def test_default_order_by_parity():
@@ -80,7 +72,7 @@ def test_energy_conservation_on_hamiltonian_core():
 
 
 def test_jet_trajectory_reads_only_the_solved_turn():
-    traj = integrate_jet(PolarRHS(field23()), order=3, tol=1e-12)
+    traj = integrate_jet(PolarRHS(field23(0.5, 1.0, -0.3, 1.0)), order=3, tol=1e-12)
     for theta in (20.0, -1.0, [0.5, 7.0]):
         with pytest.raises(ValueError, match="outside the turn"):
             traj.at(theta)
@@ -348,7 +340,8 @@ def test_recorder_folds_a_division_of_the_zero(monkeypatch, fresh_caches):
     # z / x is z: the R_0 of a 1:1 field is structurally zero, and
     # jets.div_trunc divides it by Q_0.  Fields as the survey draws them
     fields = [random_field(p, q, np.random.default_rng(seed))
-              for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)] + [field23()]
+              for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)) for seed in range(3)]
+    fields.append(field23(0.5, 1.0, -0.3, 1.0))
 
     def programs(field, K):
         """The staged program at order K and the Taylor sweep's recording."""
@@ -599,7 +592,7 @@ def test_shifted_jet_transport_is_the_plain_solve():
 
 
 def test_scalar_and_jet_return_maps_agree():
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     traj = integrate_jet(rhs, order=7, tol=1e-13)
     for h in (0.02, 0.05, 0.1):
         scalar = return_map(rhs, h, tol=1e-13)
@@ -609,7 +602,7 @@ def test_scalar_and_jet_return_maps_agree():
 
 def test_return_map_rejects_a_2d_array_of_radii():
     # a 2x2 array gave 4 radii back, flattened, where one radius or a 1-D array is promised
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     with pytest.raises(ValueError, match=r"1-D array of radii, got shape \(2, 2\)"):
         return_map(rhs, np.full((2, 2), 0.05))
 
@@ -618,7 +611,7 @@ def test_single_radius_return_map_is_the_plain_scalar_solve():
     # DOP853 on the scalar dr/dtheta is the solve written out directly, and
     # the partial turns, of either sign, are those of the identity tests; the
     # return map, alone or as a batch of one, agrees with it to its tolerance
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     fun = lambda t, y: [rhs(t, float(y[0]))]
     for h, tol, theta1 in ((0.05, 1e-12, 2 * np.pi), (0.2, 1e-13, 2 * np.pi),
                            (0.3, 1e-10, 2 * np.pi), (0.05, 1e-12, -1.0), (0.2, 1e-13, -2.0),
@@ -722,7 +715,7 @@ def test_an_orbit_leaving_the_chart_raises_naming_its_radius():
 
 
 def test_composition_identity_residuals():
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     res = identity_residuals(rhs, 0.05, theta_samples=[1.0, -1.0, 2.0, -2.0], tol=1e-12)
     assert max(res["composition"]) < 1e-10
 
@@ -744,7 +737,7 @@ def test_flow_identities_on_random_fields(p, q, seed):
 
 
 def test_parity_identities_mixed_weights():
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     res = identity_residuals(rhs, 0.05, theta_samples=[0.7, 1.9], tol=1e-12)
     assert "reflection-pi" in res or "reflection-2pi" in res
 
@@ -768,7 +761,7 @@ def test_section_return_rejects_equilibrium_start():
 
 
 def test_section_return_weighted_field():
-    f = field23()
+    f = field23(0.5, 1.0, -0.3, 1.0)
     h = 0.25
     crossing = section_return(f, h**2, tol=1e-12)
     assert crossing.x > 0
@@ -848,7 +841,7 @@ def _section_cases():
                             delta2=2.72e-2)
     for x0 in (0.024, 0.3):
         yield pytest.param(damped, x0, id=f"damped-{x0}")
-    yield pytest.param(field23(), 0.0625, id="2:3")
+    yield pytest.param(field23(0.5, 1.0, -0.3, 1.0), 0.0625, id="2:3")
     yield pytest.param(eq329_weighted(-0.2, 1.0, 0.3, 0.1, delta0=0.02), 0.2, id="damped-1:1")
     yield pytest.param(_bean, 0.95, id="bean")
 
@@ -872,7 +865,7 @@ def test_section_return_is_solve_ivp_with_its_event(field, x0):
 def test_unnormalized_section_return_is_solve_ivp_with_its_event(unnormalized):
     # here the first step off the section is the noisy one at tol 1e-12:
     # 1615 evaluations in 106 steps against scipy's 1567 in 105
-    f = unnormalized(field23(), 0.788, 13.92)
+    f = unnormalized(field23(0.5, 1.0, -0.3, 1.0), 0.788, 13.92)
     _check_section_return(f, 0.3**2 * normalize(f).scale_x, 1e-12)
 
 
@@ -942,7 +935,7 @@ def test_section_return_names_a_failed_solve():
 
 
 def test_estimate_period_scales_with_amplitude():
-    f = field23()
+    f = field23(0.5, 1.0, -0.3, 1.0)
     t1 = estimate_period(f, 0.1)
     t2 = estimate_period(f, 0.2)
     # dtheta/dt ~ r**(2pq - p - q) so halving h multiplies the period by 2**7
@@ -982,13 +975,13 @@ def test_estimate_period_is_the_per_angle_quadrature(field):
 @pytest.mark.parametrize("tol", [0.0, -1e-12, float("nan"), float("inf")])
 def test_nonpositive_tolerance_rejected(tol):
     # tol=0 used to hang the scalar and jet solves instead of failing
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     with pytest.raises(ValueError, match="tolerance"):
         return_map(rhs, 0.1, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
         integrate_jet(rhs, tol=tol)
     with pytest.raises(ValueError, match="tolerance"):
-        section_return(field23(), 0.01, tol=tol)
+        section_return(field23(0.5, 1.0, -0.3, 1.0), 0.01, tol=tol)
 
 
 NONFINITE_STATE = "All components of the initial state `y0` must be finite."
@@ -998,7 +991,7 @@ NONFINITE_STATE = "All components of the initial state `y0` must be finite."
 def test_nonfinite_initial_state_is_rejected(bad, deadline):
     # the float stepper used to loop forever on a NaN state (its step size became NaN)
     deadline(20)
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     with pytest.raises(ValueError, match=re.escape(NONFINITE_STATE)):
         dop853.solve(_jet_fun(rhs, 7), 2 * np.pi, [bad] + [0.0] * 6, DEFAULT_TOL,
                      DEFAULT_TOL, "jet integration")
@@ -1012,7 +1005,7 @@ def test_nonfinite_initial_state_is_rejected(bad, deadline):
     with pytest.raises(ValueError, match="positive x-axis"):
         section_return(lambda x, y: (-y, x), bad)
     with pytest.raises(ValueError, match="positive x-axis"):
-        section_return(field23(), bad)
+        section_return(field23(0.5, 1.0, -0.3, 1.0), bad)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1025,6 +1018,42 @@ def test_nonfinite_span_is_rejected(bad, deadline):
         dop853.solve(lambda t, y: [-y[0]], 1.0, [1.0], 1e-12, 1e-12, "scalar integration", t0=bad)
 
 
+def test_an_empty_span_takes_no_step_as_solve_ivp_takes_none():
+    # the first step's estimate divided by the empty span's h0 = 0 (ZeroDivisionError);
+    # solve_ivp records the start twice, once as the end of its finishing call
+    fun = lambda t, y: [-y[0]]
+    for t0 in (0.0, 2.5, -1.0):
+        sol = solve_ivp(fun, (t0, t0), [1.0], method="DOP853", rtol=1e-12, atol=1e-12)
+        assert sol.success and sol.t.tolist() == [t0, t0]
+        end = dop853.solve(fun, t0, [1.0], 1e-12, 1e-12, "scalar integration", t0=t0)
+        assert end == (t0, sol.y[:, -1].tolist(), sol.nfev, 0)
+
+
+def test_a_section_return_calls_the_compiled_field_eight_times(fresh_caches, monkeypatch):
+    # the solver's stages run the field's recorded lines: fun is called once at the start,
+    # twice per solve for its first step and three times for the crossing's interpolant
+    calls, function = [], jets.function
+
+    def counted(params, lines, **scope):
+        compiled = function(params, lines, **scope)
+        if params != "t, z":
+            return compiled
+
+        def fun(t, z):
+            calls.append(t)
+            return compiled(t, z)
+
+        return fun
+
+    monkeypatch.setattr(jets, "function", counted)
+    damped = eq329_cartesian(a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4,
+                             delta2=2.72e-2)
+    for x0 in (0.0115, 0.1, 0.43):
+        calls.clear()
+        crossing = section_return(damped, x0, tol=1e-13)
+        assert len(calls) == 8 and crossing.stats.n_rhs_evals > 500
+
+
 # builders, given the ``unnormalized`` fixture, of the fields whose compiled
 # Cartesian right-hand side must be the field itself
 WEIGHTED_FIELDS = {
@@ -1033,7 +1062,7 @@ WEIGHTED_FIELDS = {
     "eq325": lambda u: eq325_field(1.22e-8, 2.41e-4),
     "damped-eq329": lambda u: eq329_weighted(a50=0.0, b41=1.0, sigma=0.1, delta0=6.70e-8,
                                              delta1=2.46e-4, delta2=2.72e-2),
-    "unnormalized": lambda u: u(field23(), 0.788, 13.92),
+    "unnormalized": lambda u: u(field23(0.5, 1.0, -0.3, 1.0), 0.788, 13.92),
 }
 
 
@@ -1056,7 +1085,7 @@ def test_section_return_on_a_weighted_field_is_the_plain_callable(name, x0, unno
 
 
 def test_section_return_unnormalized_field(unnormalized):
-    f = unnormalized(field23(), 0.788, 13.92)
+    f = unnormalized(field23(0.5, 1.0, -0.3, 1.0), 0.788, 13.92)
     n = normalize(f)
     x0 = 0.3**2 * n.scale_x
     crossing = section_return(f, x0, tol=1e-12)
@@ -1071,7 +1100,7 @@ def test_extended_jet_ends_at_the_true_two_pi():
     # 8e-21 and the extended path by at most 1.4e-21, so they agree to about
     # 1e-20; the bound leaves a factor 10 of that.  Ending at the double
     # 2*pi, 2.45e-16 short of the true one, moves nu_2 and nu_3 by 4e-17.
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     with mp.workdps(20):
         sol = mp.odefun(
             lambda theta, nu: jet_rhs_coeffs(rhs, 3, *mp.cos_sin(theta), nu),
@@ -1088,7 +1117,7 @@ def _pinned_extended_cases():
     # the values of the lazy-series Taylor integrator this one replaced, read
     # to the last bit at dps 20
     yield pytest.param(
-        field23(), 3, 20, 1825, 73,
+        field23(0.5, 1.0, -0.3, 1.0), 3, 20, 1825, 73,
         ["0.99999999999999999999915", "0.65702928855007091051142", "0.43168748601261234166846"],
         id="field23",
     )
@@ -1123,7 +1152,7 @@ def _pinned_extended_cases():
         yield pytest.param(random_field(p, q, np.random.default_rng(0)), default_order(p, q), 20,
                            evals, steps, expect, id=f"random-{p}:{q}")
     yield pytest.param(
-        field23(0.5, 1, -0.3, 1), 5, 20, 1850, 74,
+        field23(1, 0.5, 1, -0.3), 5, 20, 1850, 74,
         ["0.99999999999999999999915", "0.24091073913502600173636", "0.058037984230584548742051",
          "0.021726667403293077554191", "0.008965747282105472623881"],
         id="field23-K5",
@@ -1149,7 +1178,7 @@ def test_extended_jet_values_are_pinned(field, K, dps, n_rhs_evals, n_steps, exp
 def test_extended_jet_runs_on_a_scale_beyond_the_float_range():
     # at dps 300 the fixed-point scale 2**bits passes 2**1024: the division guard, the step
     # and the messages keep to integers, where a float of one overflows
-    rhs = PolarRHS(field23(0.5, 1, -0.3, 1))
+    rhs = PolarRHS(field23(1, 0.5, 1, -0.3))
     nu, stats = integrate_jet_extended(rhs, theta1=0.001, order=3, dps=300)
     coarse, _ = integrate_jet_extended(rhs, theta1=0.001, order=3, dps=290)
     assert stats.n_steps == 1
@@ -1175,7 +1204,7 @@ def test_return_map_refuses_no_radius_and_nonfinite_ones_before_the_chart_check(
 
 def test_jet_of_order_one_is_nu_1_alone():
     # order 1 raised IndexError, building a staged program for no level
-    rhs = PolarRHS(field23(0.5, 1, -0.3, 1))
+    rhs = PolarRHS(field23(1, 0.5, 1, -0.3))
     jet, third = integrate_jet(rhs, order=1), integrate_jet(rhs, order=3)
     assert jet.final.shape == (1,) and jet.error.shape == (0,)
     assert abs(jet.final[0] - third.final[0]) <= 1e-14
@@ -1186,7 +1215,7 @@ def test_extended_jet_refuses_a_nonfinite_end(monkeypatch, theta1):
     # mpmath raised "cannot convert inf or nan to int"; the refusal comes before the recording
     monkeypatch.setattr(jets, "record", lambda *a: pytest.fail("recorded"))
     with pytest.raises(ValueError, match=re.escape(f"theta1={theta1!r} must be finite")):
-        integrate_jet_extended(PolarRHS(field23()), theta1=theta1, order=3)
+        integrate_jet_extended(PolarRHS(field23(0.5, 1.0, -0.3, 1.0)), theta1=theta1, order=3)
 
 
 def _field_with_23_monomials() -> WeightedField:
@@ -1279,7 +1308,7 @@ def test_extended_jet_records_the_right_hand_side_once(monkeypatch):
         calls.append(1)
         return components(self, c, s)
 
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     monkeypatch.setattr(PolarRHS, "components", counted)
     _, stats = integrate_jet_extended(rhs, order=3, dps=20)
     assert stats.n_steps > 1
@@ -1301,14 +1330,14 @@ def test_both_jet_solves_reject_an_order_that_is_not_a_positive_integer(order):
     # integrate_jet raised IndexError at order 0, and focal_values(K=5.5) a
     # TypeError from inside the solve; both solves now run one check
     message = re.escape(f"order must be a positive integer, got {order!r}")
-    rhs = PolarRHS(field23())
+    rhs = PolarRHS(field23(0.5, 1.0, -0.3, 1.0))
     for solve in (integrate_jet, integrate_jet_extended):
         with pytest.raises(ValueError, match=message):
             solve(rhs, order=order)
     if order >= 3:
         for precision in ("double", "extended"):
             with pytest.raises(ValueError, match=message):
-                focal_values(field23(), K=order, precision=precision)
+                focal_values(field23(0.5, 1.0, -0.3, 1.0), K=order, precision=precision)
 
 
 @pytest.mark.parametrize("kwargs", [{"dps": 0}, {"dps": -3}, {"dps": 2.5}, {"order": 0}])
@@ -1318,7 +1347,7 @@ def test_extended_jet_rejects_bad_dps_and_order(kwargs):
     (name, value), = kwargs.items()
     message = f"{name} must be a positive integer, got {value!r}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        integrate_jet_extended(PolarRHS(field23()), **kwargs)
+        integrate_jet_extended(PolarRHS(field23(0.5, 1.0, -0.3, 1.0)), **kwargs)
     if name == "dps":
         with pytest.raises(ValueError, match=re.escape(message)):
-            focal_values(field23(), precision="extended", dps=value)
+            focal_values(field23(0.5, 1.0, -0.3, 1.0), precision="extended", dps=value)
