@@ -354,10 +354,9 @@ def section_return(
 
     The time cap is 20 estimated periods for a weighted field, else 1e6.  A
     weighted field runs as its velocities recorded once per field, which
-    gives bitwise the values of calling it: ``dop853.solve`` runs the recorded
-    lines in its kernel's stages and calls the compiled field only outside
-    its step loop, 8 times in a return without a restart.  The crossing is
-    the terminal event (1, direction), the sign change of y.
+    gives bitwise the values of calling it; ``dop853.solve``'s kernel runs the
+    recorded lines in its stages, and calls the compiled field only outside
+    its step loop.
     """
     if not 0 < x0 < math.inf:
         raise ValueError(f"section_return starts on the positive x-axis, got x0={x0!r}")
