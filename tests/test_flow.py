@@ -1029,6 +1029,15 @@ def test_an_empty_span_takes_no_step_as_solve_ivp_takes_none():
         assert end == (t0, sol.y[:, -1].tolist(), sol.nfev, 0)
 
 
+@pytest.mark.parametrize("index, direction", [(0, -1), (2, 1), (2, -1), (2, 0)])
+def test_an_event_on_any_component_is_the_written_out_solve(index, direction):
+    # the kernel's sign test reads state component ``index`` of a 3-state flow
+    fun = lambda t, z: [-z[1] - 0.1 * z[0], z[0] - 0.1 * z[1], math.cos(t + z[0])]
+    y0, g = [1.0, 0.0, -0.3], (lambda t, z: z[index], direction)
+    end = dop853.solve(fun, 20.0, y0, 1e-12, 1e-12, "event", event=(index, direction))
+    assert end == _written_out_dop853(fun, 20.0, y0, 1e-12, 1e-12, event=g) and end[0] < 20.0
+
+
 def test_a_section_return_calls_the_compiled_field_eight_times(fresh_caches, monkeypatch):
     # the solver's stages run the field's recorded lines: fun is called once at the start,
     # twice per solve for its first step and three times for the crossing's interpolant
