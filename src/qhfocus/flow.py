@@ -356,7 +356,9 @@ def section_return(
     weighted field runs as its velocities recorded once per field, which
     gives bitwise the values of calling it; ``dop853.solve``'s kernel runs the
     recorded lines in its stages, and calls the compiled field only outside
-    its step loop.
+    its step loop.  That kernel is compiled once per field, which pays where
+    one field makes many section returns, as a scan does.  NoReturnError
+    where the pre-step off the section rounds away, t + dt == t.
     """
     if not 0 < x0 < math.inf:
         raise ValueError(f"section_return starts on the positive x-axis, got x0={x0!r}")
@@ -381,6 +383,8 @@ def section_return(
     dt_pre = 1e-6 * abs(x0 / v0)
     t, state, nfev, steps = 0.0, [x0, 0.0], 0, 0
     while t < t_max:
+        if t + dt_pre == t:  # a pre-step that rounds away would leave the orbit on the section
+            raise NoReturnError(f"the pre-step {dt_pre!r} off the section rounds away at t={t!r}")
         t, state, n_pre, s_pre = solve(t + dt_pre, state, t0=t)
         t, state, n_run, s_run = solve(t_max, state, t0=t, event=(1, direction))
         nfev, steps = nfev + n_pre + n_run, steps + s_pre + s_run

@@ -117,9 +117,8 @@ class Panels:
         an array of them where f has leading axes, its lanes, each integrated as alone."""
         lanes = f.shape[:-1]
         local = np.einsum("...pj,ij->...pi", f.reshape(*lanes, -1, N), _integral(self.count))
-        ends = local[..., N].cumsum(axis=-1)
-        local[..., 1:, :N] += ends[..., :-1, None]  # each panel starts from the integral up to it
-        return local[..., :N].reshape(f.shape), ends[..., -1] if lanes else float(ends[-1])
+        values, (total,) = _chain(local, [self.count])
+        return values.reshape(f.shape), total if lanes else float(total)
 
     def interpolate(self, values: np.ndarray, theta) -> np.ndarray:
         """Rows of ``values`` (functions on the nodes) at the angles ``theta`` in [0, 2*pi]:
@@ -165,20 +164,35 @@ class PanelSets(tuple):
         integrals at the nodes, set after set, and the array of each set's int_0^{2*pi} f.
 
         Every panel runs on the finest set's matrix: a coarser set's matrix is that one times
-        a power of two (the counts double), so scaling its rows afterwards rounds nothing.  A
-        set's panels chain by one cumsum from -0.0, which leaves its first panel bitwise."""
+        a power of two, so scaling its rows afterwards rounds nothing."""
         counts = [panels.count for panels in self]
-        finest = max(counts)
+        finest, lo = max(counts), 0
         local = np.einsum("pj,ij->pi", f.reshape(-1, N), _integral(finest))
-        chain, totals, lo = np.empty(len(local) + 1), [], 0
-        for count in counts:  # chain[lo:hi] the integrals up to each panel, chain[hi] the total
-            hi = lo + count
-            if count < finest:
-                local[lo:hi] *= finest // count
-            chain[lo], chain[lo + 1:hi + 1] = -0.0, local[lo:hi, N]
-            totals.append(np.cumsum(chain[lo:hi + 1], out=chain[lo:hi + 1])[-1])
-            lo = hi
-        return (local[:, :N] + chain[:-1, None]).ravel(), np.array(totals)
+        for count in counts:
+            ratio = finest // count
+            if finest % count or ratio & (ratio - 1):
+                raise ValueError(f"panel counts {counts} are not a power of two apart")
+            if ratio > 1:
+                local[lo:lo + count] *= ratio
+            lo += count
+        values, totals = _chain(local, counts)
+        return values.ravel(), np.array(totals)
+
+
+def _chain(local: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, list]:
+    """Chain panels run by run: ``local`` holds each panel's integrals from its start, at its
+    nodes and then over it (..., panels, N + 1), and runs of ``counts`` panels follow one
+    another.  Returns the integrals from each run's start at the nodes (..., panels, N) and
+    the list of the runs' totals.  A run's sums start from -0.0, which adds to its first
+    panel bitwise nothing: ``Panels`` and ``PanelSets`` integrate through this one chain."""
+    chain, totals, lo = np.empty(local.shape[:-2] + (local.shape[-2] + 1,)), [], 0
+    for count in counts:  # chain[..., lo:hi] the integrals up to each panel of the run
+        hi = lo + count
+        chain[..., lo], chain[..., lo + 1:hi + 1] = -0.0, local[..., lo:hi, N]
+        run = np.cumsum(chain[..., lo:hi + 1], axis=-1, out=chain[..., lo:hi + 1])
+        totals.append(run[..., -1].copy())  # the next run's -0.0 takes its slot
+        lo = hi
+    return local[..., :N] + chain[..., :-1, None], totals
 
 
 def refine(sweep: Callable[[PanelSets], Iterable[tuple[np.ndarray, object]]], rtol: float,

@@ -923,6 +923,15 @@ def test_section_return_without_a_crossing_raises():
         section_return(lambda x, y: (0.0, 1.0), 0.5)
 
 
+@pytest.mark.parametrize("x0, t", [(5e-324, 0.0), (1e-10, 2 * np.pi)])
+def test_a_pre_step_that_rounds_away_raises(x0, t):
+    # x' = -1, y' = cos x: from (x0, 0) the orbit next crosses upward at x0 - 2*pi, on the
+    # wrong half-axis, where t + 1e-16 == t; a pre-step of 5e-330 underflows to 0 at t = 0
+    with pytest.raises(NoReturnError, match="rounds away at t=") as err:
+        section_return(lambda x, y: (-1.0, math.cos(x)), x0)
+    assert float(str(err.value).rsplit("=", 1)[1]) == pytest.approx(t, abs=1e-9)
+
+
 def test_section_return_names_a_failed_solve():
     # y' = 1 + y**2 leaves every bound at t = pi/2 before crossing the section again
     blowup = lambda t, z: [0.0, 1.0 + z[1] * z[1]]

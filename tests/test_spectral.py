@@ -36,6 +36,21 @@ def test_panels_integrate_and_interpolate_to_rounding():
         panels.interpolate(values, 7.0)
 
 
+def test_panel_sets_integrate_each_set_as_alone():
+    # each set runs on the finest set's matrix times a power of two: bitwise its own integral
+    rng = np.random.default_rng(0)
+    for counts in (spectral.PAIR, (8, 32), (16, 8, 64), (32,)):
+        sets = PanelSets(map(Panels, counts))
+        f = rng.standard_normal(sum(counts) * N)
+        f[:N] = -0.0  # a first panel of zeros keeps its signs
+        values, totals = sets.integrate(f)
+        alone = [panels.integrate(part) for panels, part in zip(sets, sets.split(f))]
+        assert values.tobytes() == np.concatenate([c for c, _ in alone]).tobytes()
+        assert totals.tobytes() == np.array([total for _, total in alone]).tobytes()
+    with pytest.raises(ValueError, match="not a power of two apart"):
+        PanelSets(map(Panels, (8, 24))).integrate(np.zeros(32 * N))
+
+
 @pytest.fixture(scope="module")
 def criterion_8():
     """The criterion-8 field, its double report and its dps-30 solve at K = 7."""
