@@ -5,10 +5,12 @@ scipy's step control.  ``solve`` is the driver: on a list of floats it runs
 one kernel generated as code per state size, and per field whose velocities
 come as recorded lines, holding scipy's whole step loop in locals, so it
 takes ``solve_ivp``'s steps to the bit; it locates a crossing on the last
-step's dense interpolant.  The polar chart runs on Chebyshev panels
-instead.  ``brentq`` is scipy's.  The package reads two files from scipy,
-the tableau and the compiled Brent routine, each loaded alone by its file
-path, so it imports neither ``scipy.integrate`` nor ``scipy.optimize``.
+step's dense interpolant.  A field's own kernel costs one compile per
+field, which pays back over many solves of that field.  The polar chart
+runs on Chebyshev panels instead.  ``brentq`` is scipy's.  The package
+reads two files from scipy, the tableau and the compiled Brent routine,
+each loaded alone by its file path, so it imports neither
+``scipy.integrate`` nor ``scipy.optimize``.
 """
 from __future__ import annotations
 
