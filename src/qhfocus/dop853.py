@@ -173,11 +173,11 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, t0: float = 0.0
     ``event`` = (index, direction) is a terminal event, state component
     ``index`` changing sign, located as scipy's ODE solvers locate one: after
     each step, the sign test of ``find_active_events``; on a hit, ``brentq``
-    at xtol = rtol = 4 eps along the step's dense interpolant (3 more
-    evaluations), whose value at the root is the end state.  Returns the end
-    time (t1 or the event's root), the end state, nfev and the number of
-    steps.  An empty span, t1 = t0, takes no step, as ``solve_ivp`` takes
-    none: the start state, after one evaluation."""
+    at xtol = rtol = 4 eps along component ``index`` of the step's dense
+    interpolant (3 more evaluations), whose full value at the root is the end
+    state.  Returns the end time (t1 or the event's root), the end state,
+    nfev and the number of steps.  An empty span, t1 = t0, takes no step, as
+    ``solve_ivp`` takes none: the start state, after one evaluation."""
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"{what}: the span ({t0!r}, {t1!r}) must be finite")
     if not all(map(math.isfinite, y)):
@@ -190,10 +190,10 @@ def solve(fun, t1: float, y, tol: float, atol: float, what: str, t0: float = 0.0
     t, y, nfev, steps, crossed = kernel(fun, t0, t1, h_abs, y, f, rtol, atol, what, event)
     if crossed is not None:
         t_old, h, y_old, k = crossed
-        rows = _code(n, dense=True)(fun, t_old, h, y_old, y, k)
-        sol = partial(_interpolate, t_old, t, y_old, rows)
-        t = brentq(lambda s: sol(s)[event[0]], t_old, t, xtol=_FOUR_EPS)
-        y, nfev = sol(t), nfev + 3
+        rows, i = _code(n, dense=True)(fun, t_old, h, y_old, y, k), event[0]
+        sol, rows_i = partial(_interpolate, t_old, t), [[row[i]] for row in rows]
+        t = brentq(lambda s: sol([y_old[i]], rows_i, s)[0], t_old, t, xtol=_FOUR_EPS)
+        y, nfev = sol(y_old, rows, t), nfev + 3
     return t, y, nfev + 2, steps
 
 

@@ -16,10 +16,19 @@ nu_1(2*pi) stays 1.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
 from .errors import InvalidFieldError
+
+
+def _integers(obj, **values) -> None:
+    """Set the named fields of the frozen ``obj`` to their values, integers, as int."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(obj, name, int(value))
 
 
 @dataclass(frozen=True)
@@ -31,10 +40,12 @@ class Monomial:
     c: float
 
     def __post_init__(self):
+        _integers(self, k=self.k, j=self.j)
         if self.k < 0 or self.j < 0:
             raise ValueError(f"negative exponent in monomial ({self.k},{self.j})")
         if not math.isfinite(self.c):
             raise ValueError("monomial coefficient must be finite")
+        object.__setattr__(self, "c", float(self.c))
 
     def weight(self, p: int, q: int) -> int:
         return self.k * p + self.j * q
@@ -61,14 +72,15 @@ class WeightedField:
     y_terms: tuple[Monomial, ...] = ()
 
     def __post_init__(self):
+        _integers(self, p=self.p, q=self.q)
         if self.p < 1 or self.q < 1:
             raise ValueError("weights p, q must be positive integers")
-        if self.lambda1 is None:
-            object.__setattr__(self, "lambda1", float(self.p))
-        if self.lambda2 is None:
-            object.__setattr__(self, "lambda2", float(self.q))
-        if not (math.isfinite(self.lambda1) and math.isfinite(self.lambda2)):
-            raise ValueError(f"lambda1, lambda2 must be finite, got ({self.lambda1}, {self.lambda2})")
+        lam = [float(pq) if x is None else x  # None: the weight
+               for x, pq in ((self.lambda1, self.p), (self.lambda2, self.q))]
+        if not all(map(math.isfinite, lam)):
+            raise ValueError(f"lambda1, lambda2 must be finite, got ({lam[0]}, {lam[1]})")
+        object.__setattr__(self, "lambda1", float(lam[0]))
+        object.__setattr__(self, "lambda2", float(lam[1]))
         object.__setattr__(self, "x_terms", _dedupe(self.x_terms))
         object.__setattr__(self, "y_terms", _dedupe(self.y_terms))
 

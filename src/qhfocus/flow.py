@@ -202,15 +202,15 @@ def integrate_jet(rhs: PolarRHS, tol: float = DEFAULT_TOL,
         zero = tuple(not x.any() for x in R + Q)
         log_nu1, total = sets.integrate(R[0] / Q[0])
         nu = [np.exp(log_nu1)]
-        final = [np.array([math.exp(t) for t in total])]
+        final = [[math.exp(t)] for t in total]  # set by set, nu_1(2*pi)..nu_k(2*pi) as floats
         if K > 1:  # P_2..P_K; nu_1 alone needs none
             program = _staged_levels(K, zero)(*(x for x, zr in zip(R + Q, zero) if not zr), nu[0])
         for k in range(2, K + 1):
             P = next(program) if k == 2 else program.send(nu[-1])
             lift, total = sets.integrate(P / nu[0])
             nu.append(nu[0] * lift)
-            final.append(final[0] * total)
-        return list(zip(np.stack(final, axis=1), sets.split(np.array(nu))))
+            final = [row + [row[0] * t] for row, t in zip(final, total)]
+        return list(zip(np.array(final), sets.split(np.array(nu))))
 
     panels, final, error, on_nodes, evals = spectral.refine(
         sweep, dop853.effective_rtol(tol), [f"nu_{k}" for k in range(1, K + 1)])

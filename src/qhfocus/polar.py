@@ -9,17 +9,17 @@ where R_k / Q_k collect the weighted-homogeneous components of weight
 part and any terms at its weight.
 
 The package reads the components on a sweep's Chebyshev nodes, one
-``spectral.PanelSets.nodes`` array per sweep, where the powers of cos(theta)
-and sin(theta) come from ``spectral``'s tables, bitwise as ``**`` gives
-them.  The scalar dr/dtheta, the tests' reference, is compiled
-once per ``PolarRHS`` from its components, recorded with the coefficients
-as float literals.
+``spectral.PanelSets.nodes`` array per sweep: the powers of cos(theta) and
+sin(theta) from ``spectral``'s tables, and the terms of p, q and theta alone
+from a read-only table per array and (p, q), bitwise as computed afresh.  The
+scalar dr/dtheta, the tests' reference, is compiled once per ``PolarRHS`` from
+its components, recorded with the coefficients as float literals.
 """
 from __future__ import annotations
 
 import math
 import operator
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -69,16 +69,16 @@ class PolarRHS:
 
     # -- component evaluation ------------------------------------------------
 
-    def components(self, cos_t, sin_t) -> tuple[list, list]:
-        """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type.  The powers
-        of the cosines and sines of a ``spectral.PanelSets.nodes`` come from ``spectral``'s
-        tables, bitwise as ``**`` takes them, and of anything else from ``**``."""
+    def components(self, c, s) -> tuple[list, list]:
+        """Lists [R_0..R_kmax], [Q_0..Q_kmax]; generic over the numeric type.  On the cosines
+        and sines c, s of a ``spectral.PanelSets.nodes`` the powers come from ``spectral``'s
+        tables and ``_weight_only`` from its table, which nothing writes, bitwise as on a copy."""
         p, q = self.field.p, self.field.q
-        c, s = cos_t, sin_t
-        cp, sp = (spectral.powers(x) or partial(operator.pow, x) for x in (c, s))
-        zero = 0 * c
-        R = [c * s * (q * cp(2 * q - 2) - p * sp(2 * p - 2))]
-        Q = [p * q * (cp(2 * q) + sp(2 * p))]
+        tables = spectral.powers(c), spectral.powers(s)
+        cp, sp = (f or partial(operator.pow, x) for f, x in zip(tables, (c, s)))
+        zero, R0, Q0, qs, pc = (_weight_only_table(p, q, cp, sp) if all(tables)
+                                else _weight_only(p, q, c, s, cp, sp))
+        R, Q = [R0], [Q0]
         for xs, ys in self._levels:
             xm = ym = zero
             for a, k, j in xs:
@@ -86,10 +86,10 @@ class PolarRHS:
             for a, k, j in ys:
                 ym = ym + a * cp(k) * sp(j)
             R.append(c * xm + s * ym)
-            Q.append(-q * s * xm + p * c * ym)
-        if self._level0:
-            R[0] += R.pop(1)
-            Q[0] += Q.pop(1)
+            Q.append(qs * xm + pc * ym)
+        if self._level0:  # not in place: R_0 and Q_0 may be the table's
+            R[0] = R[0] + R.pop(1)
+            Q[0] = Q[0] + Q.pop(1)
         return R, Q
 
     def __call__(self, theta: float, r: float) -> float:
@@ -171,6 +171,21 @@ class PolarRHS:
                 f"radius {r!r} outside the valid polar neighborhood "
                 f"(limit {self.safe_radius()!r})"
             )
+
+
+def _weight_only(p: int, q: int, c, s, cp, sp) -> tuple:
+    """0 * c, the leading R_0 and Q_0, -q s and p c: ``components``' terms of p, q and c, s."""
+    return (0 * c, c * s * (q * cp(2 * q - 2) - p * sp(2 * p - 2)),
+            p * q * (cp(2 * q) + sp(2 * p)), -q * s, p * c)
+
+
+@lru_cache(maxsize=16)
+def _weight_only_table(p: int, q: int, cp, sp) -> tuple[np.ndarray, ...]:
+    """``_weight_only``, read-only, on the nodes of the power tables cp, sp (cp(1) is c bitwise)."""
+    out = _weight_only(p, q, cp(1), sp(1), cp, sp)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _breakdown(theta, r, den) -> PolarChartError:

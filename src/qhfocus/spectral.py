@@ -3,30 +3,32 @@
 The turn is cut into P equal panels, each holding N = 32 first-kind
 Chebyshev points.  On a panel a function is the polynomial of degree N - 1
 through its values at the points, and integrating that polynomial gives a
-fixed N x N cumulative-integral matrix and a row of end weights
-(spectral integration, L. Greengard, SIAM J. Numer. Anal. 28, 1991); the
-panels chain by their end integrals.  Both are built in closed form, from
-the discrete cosine transform to Chebyshev coefficients, (2/N) T^T f with
-the first halved, and the antiderivatives of T_m.  The error falls
-geometrically in N for a function analytic near the panel (L. N.
-Trefethen, Approximation Theory and Approximation Practice, SIAM 2013), and
-doubling P shows how far it has fallen.  Barycentric interpolation on the
-same points gives the function between the nodes.  ``flow`` runs its focal
-values and its return map (radii as lanes) on these panels.  ``refine``
-sweeps the first two panel sets, 8 and 16 panels, as one (``PanelSets``):
-one evaluation on their nodes together, each set integrated on its own.
+fixed N x N cumulative-integral matrix and a row of end weights (spectral
+integration, L. Greengard, SIAM J. Numer. Anal. 28, 1991); the panels chain
+by their end integrals, summed in order, as floats where there are no lanes.
+Both are built in closed form, from the discrete cosine transform to
+Chebyshev coefficients, (2/N) T^T f with the first halved, and the
+antiderivatives of T_m.  The error falls geometrically in N for a function
+analytic near the panel (L. N. Trefethen, Approximation Theory and
+Approximation Practice, SIAM 2013), and doubling P shows how far it has
+fallen.  Barycentric interpolation on the same points gives the function
+between the nodes.  ``flow`` runs its focal values and its return map (radii
+as lanes) on these panels.  ``refine`` sweeps the first two panel sets, 8 and
+16 panels, as one (``PanelSets``): one evaluation on their nodes together,
+each set integrated on its own.
 
 The nodes never change, so each sweep's panel counts, the pair of 8 and 16
 panels or a count alone, keep one array of nodes, ``PanelSets.nodes``, and
 read-only tables of the powers of its cosines and sines, built once by the
-same ``**`` that a sweep would take and bounded as a cache.  ``powers``
-reads the tables for those arrays, and for no other, which
-``polar.PolarRHS.components`` does in place of ``**``.
+same ``**`` that a sweep would take and bounded as a cache.  ``powers`` gives
+each of those arrays, and no other, one function reading its tables, which
+``polar.PolarRHS.components`` calls in place of ``**``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate, islice
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -69,9 +71,9 @@ def _integral(count: int) -> np.ndarray:
     return _reference()[1] * (np.pi / count)
 
 
-# the arrays of every ``_nodes`` call, by id: (the array, its counts, its place in the call's
-# output: 0 the nodes, 1 the cosines, 2 the sines); ``_nodes`` keeps them, so no id is reused
-_REGISTRY: dict[int, tuple[np.ndarray, tuple[int, ...], int]] = {}
+# the arrays of every ``_nodes`` call, by id: (the array, k -> its power k from the tables);
+# ``_nodes`` keeps them, so no id is reused, and each array has one power function
+_REGISTRY: dict[int, tuple[np.ndarray, Callable[[int], np.ndarray]]] = {}
 
 
 @lru_cache(maxsize=None)
@@ -84,7 +86,7 @@ def _nodes(counts: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     out = theta, np.cos(theta), np.sin(theta)
     for which, a in enumerate(out):  # every caller shares them
         a.setflags(write=False)
-        _REGISTRY[id(a)] = (a, counts, which)
+        _REGISTRY[id(a)] = (a, partial(_power, counts, which))
     return out
 
 
@@ -103,7 +105,7 @@ def powers(x) -> Callable[[int], np.ndarray] | None:
     """k -> x**k read from the tables where x is one of the arrays of a sweep's
     ``PanelSets.nodes``; None for any other x, copies and slices of them included."""
     entry = _REGISTRY.get(id(x))
-    return None if entry is None else partial(_power, *entry[1:])
+    return None if entry is None else entry[1]
 
 
 @dataclass(frozen=True)
@@ -115,10 +117,9 @@ class Panels:
     def integrate(self, f: np.ndarray) -> tuple[np.ndarray, float | np.ndarray]:
         """int_0^theta f at every node, and int_0^{2*pi} f, from f on the nodes: a float, or
         an array of them where f has leading axes, its lanes, each integrated as alone."""
-        lanes = f.shape[:-1]
-        local = np.einsum("...pj,ij->...pi", f.reshape(*lanes, -1, N), _integral(self.count))
+        local = np.einsum("...pj,ij->...pi", f.reshape(*f.shape[:-1], -1, N), _integral(self.count))
         values, (total,) = _chain(local, [self.count])
-        return values.reshape(f.shape), total if lanes else float(total)
+        return values.reshape(f.shape), total
 
     def interpolate(self, values: np.ndarray, theta) -> np.ndarray:
         """Rows of ``values`` (functions on the nodes) at the angles ``theta`` in [0, 2*pi]:
@@ -159,24 +160,26 @@ class PanelSets(tuple):
             out.append(f[..., lo:hi])
         return out
 
-    def integrate(self, f: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrate(self, f: np.ndarray) -> tuple[np.ndarray, list[float]]:
         """``Panels.integrate`` of each set on its part of f (without lanes), bitwise: the
-        integrals at the nodes, set after set, and the array of each set's int_0^{2*pi} f.
+        integrals at the nodes, set after set, and the list of each set's int_0^{2*pi} f.
 
         Every panel runs on the finest set's matrix: a coarser set's matrix is that one times
         a power of two, so scaling its rows afterwards rounds nothing."""
-        counts = [panels.count for panels in self]
-        finest, lo = max(counts), 0
-        local = np.einsum("pj,ij->pi", f.reshape(-1, N), _integral(finest))
-        for count in counts:
-            ratio = finest // count
-            if finest % count or ratio & (ratio - 1):
-                raise ValueError(f"panel counts {counts} are not a power of two apart")
-            if ratio > 1:
-                local[lo:lo + count] *= ratio
-            lo += count
+        counts = tuple(panels.count for panels in self)
+        finest, ratios = _scaling(counts)
+        local = np.einsum("pj,ij->pi", f.reshape(-1, N), _integral(finest)) * ratios
         values, totals = _chain(local, counts)
-        return values.ravel(), np.array(totals)
+        return values.ravel(), totals
+
+
+@lru_cache(maxsize=None)
+def _scaling(counts: tuple[int, ...]) -> tuple[int, np.ndarray]:
+    """The finest of ``counts``, and as a column each panel's ratio of it to its own count."""
+    finest = max(counts)
+    if any(finest % count or (finest // count) & (finest // count - 1) for count in counts):
+        raise ValueError(f"panel counts {list(counts)} are not a power of two apart")
+    return finest, np.repeat([float(finest // count) for count in counts], counts)[:, None]
 
 
 def _chain(local: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, list]:
@@ -184,7 +187,13 @@ def _chain(local: np.ndarray, counts: Sequence[int]) -> tuple[np.ndarray, list]:
     nodes and then over it (..., panels, N + 1), and runs of ``counts`` panels follow one
     another.  Returns the integrals from each run's start at the nodes (..., panels, N) and
     the list of the runs' totals.  A run's sums start from -0.0, which adds to its first
-    panel bitwise nothing: ``Panels`` and ``PanelSets`` integrate through this one chain."""
+    panel bitwise nothing, and run panel by panel, in floats without lanes and by np.cumsum
+    with them: ``Panels`` and ``PanelSets`` integrate through this one chain."""
+    if local.ndim == 2:  # no lanes: a few dozen panel totals, cheaper as floats than arrays
+        ends = iter(local[:, N].tolist())
+        runs = [list(accumulate(islice(ends, count), initial=-0.0)) for count in counts]
+        starts = np.array([x for run in runs for x in run[:-1]])
+        return local[:, :N] + starts[:, None], [run[-1] for run in runs]
     chain, totals, lo = np.empty(local.shape[:-2] + (local.shape[-2] + 1,)), [], 0
     for count in counts:  # chain[..., lo:hi] the integrals up to each panel of the run
         hi = lo + count

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from qhfocus import Monomial, casestudy, dop853, flow, spectral
+from qhfocus import Monomial, casestudy, dop853, flow, polar, spectral
 
 
 @pytest.fixture(scope="session")
@@ -50,13 +50,14 @@ def deadline():
 @pytest.fixture
 def fresh_caches():
     """Empties the caches of compiled programs and solver kernels, of period models, of
-    reference integrals and of the panels' power tables.
+    reference integrals, and of the panels' power and weight-only tables.
 
     A test that counts recordings, compilations, builds or quadratures starts
     from empty caches, so the tests run before it cannot change its counts;
     they are emptied again after it, so no test reads what one patched in."""
     caches = (flow._staged_levels, flow._period_model, flow._cartesian_rhs,
-              casestudy._reference_quadrature, spectral._power, dop853._code)
+              casestudy._reference_quadrature, spectral._power, polar._weight_only_table,
+              dop853._code)
     for cache in caches:
         cache.cache_clear()
     yield

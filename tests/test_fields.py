@@ -1,10 +1,12 @@
 import math
 from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qhfocus import Monomial, WeightedField
+from qhfocus.casestudy import eq325_field
 from qhfocus.errors import InvalidFieldError
 from qhfocus.fields import (
     RULE_LEADING_DEGENERACY,
@@ -113,6 +115,40 @@ def test_a_non_finite_lambda_is_rejected(line):
     # lambda2 inf made normalize scale every term to 0: a bare center candidate
     with pytest.raises(ValueError, match=r"lambda1, lambda2 must be finite, got \("):
         parse_system(f"p 2\nq 3\n{line}\ny 1 3 0.3\n")
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: WeightedField(2.5, 3), "p"),
+    (lambda: WeightedField(2.0, 3.0), "p"),  # an integral float is a float all the same
+    (lambda: WeightedField(2, np.float64(3.0)), "q"),
+    (lambda: Monomial(1.5, 0, 1.0), "k"),
+    (lambda: Monomial(1, "2", 1.0), "j"),
+], ids=["p-2.5", "p-2.0", "q-float64", "k-1.5", "j-str"])
+def test_a_non_integer_weight_or_exponent_is_refused_by_name(make, name):
+    # once, 2.5 reached focal_values' jet division and 2.0 default_order before raising
+    with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
+        make()
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightedField(2, 3, lambda1="2.0"), lambda: Monomial(1, 0, "0.5"),
+], ids=["lambda1", "c"])
+def test_a_coefficient_given_as_text_is_not_read_as_a_number(make):
+    # the finiteness checks come before the conversion to float, which would read "2.0"
+    with pytest.raises(TypeError):
+        make()
+
+
+def test_numpy_numbers_are_stored_as_python_ones():
+    f = WeightedField(np.int64(2), np.int32(3), lambda1=np.float64(2.0),
+                      x_terms=(Monomial(np.int64(5), np.uint8(0), np.float32(0.5)),))
+    assert [type(x) for x in (f.p, f.q, f.lambda1, f.lambda2)] == [int, int, float, float]
+    (t,) = f.x_terms
+    assert (type(t.k), type(t.j), type(t.c)) == (int, int, float)
+    # eq325_field builds its coefficients in numpy: its repr shows plain numbers
+    field = eq325_field(np.float64(1.22e-08), np.float64(2.41e-04))
+    assert "np." not in repr(field) and "float64" not in repr(field)
+    assert all(type(t.c) is float for t in field.x_terms + field.y_terms)
 
 
 def test_validate_names_every_violated_rule():

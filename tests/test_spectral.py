@@ -4,7 +4,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from qhfocus import Monomial, WeightedField, flow, focal_values, jets, spectral
+from qhfocus import Monomial, WeightedField, flow, focal_values, jets, polar, spectral
 from qhfocus.casestudy import eq325_field, eq329_weighted, f2_integrand, field23
 from qhfocus.errors import PolarChartError, QuadratureError
 from qhfocus.fields import normalize
@@ -46,9 +46,35 @@ def test_panel_sets_integrate_each_set_as_alone():
         values, totals = sets.integrate(f)
         alone = [panels.integrate(part) for panels, part in zip(sets, sets.split(f))]
         assert values.tobytes() == np.concatenate([c for c, _ in alone]).tobytes()
-        assert totals.tobytes() == np.array([total for _, total in alone]).tobytes()
+        assert np.array(totals).tobytes() == np.array([total for _, total in alone]).tobytes()
     with pytest.raises(ValueError, match="not a power of two apart"):
         PanelSets(map(Panels, (8, 24))).integrate(np.zeros(32 * N))
+
+
+@pytest.mark.parametrize("count", [8, 16, 32, 1024])
+def test_the_chain_with_lanes_and_without_agrees_bitwise(count):
+    # lanes chain by np.cumsum, a lone row and every PanelSets by float sums: the same
+    # sequential IEEE sums, so each lane is bitwise its row alone
+    rng = np.random.default_rng(count)
+    f = rng.standard_normal((3, count * N)) * [[1.0], [1e-300], [1e300]]
+    f[0, :N] = -0.0  # a first panel of zeros keeps its signs
+    panels = Panels(count)
+    values, totals = panels.integrate(f)
+    for row, lane, total in zip(f, values, totals):
+        alone, alone_total = panels.integrate(row)
+        assert type(alone_total) is float
+        assert lane.tobytes() == alone.tobytes()
+        assert total.tobytes() == np.float64(alone_total).tobytes()
+
+
+def test_panel_sets_chain_as_lanes_do():
+    sets = PanelSets(map(Panels, spectral.PAIR))
+    f = np.random.default_rng(1).standard_normal(sum(spectral.PAIR) * N)
+    values, totals = sets.integrate(f)
+    lanes = [panels.integrate(part[None]) for panels, part in zip(sets, sets.split(f))]
+    assert values.tobytes() == np.concatenate([v[0] for v, _ in lanes]).tobytes()
+    assert [type(t) for t in totals] == [float, float]
+    assert np.array(totals).tobytes() == np.concatenate([t for _, t in lanes]).tobytes()
 
 
 @pytest.fixture(scope="module")
@@ -167,7 +193,7 @@ def _table_fields():
     for p, q in ((1, 1), (1, 2), (2, 3), (3, 4)):
         yield pytest.param(random_field(p, q, np.random.default_rng(0)), id=f"{p}:{q}")
     yield pytest.param(eq325_field(1.22e-08, 2.41e-04), id="eq325")
-    # terms at the leading weight: R_0 += R.pop(1) adds level 0 in place
+    # terms at the leading weight: R_0 and Q_0 take level 0, apart from the table's
     yield pytest.param(_near_monodromy_limit(0.5), id="leading-weight")
 
 
@@ -205,6 +231,26 @@ def test_a_second_field_of_a_support_builds_no_power(fresh_caches):
     assert spectral._power.cache_info().hits > read
 
 
+def test_components_never_write_the_weight_only_tables(fresh_caches):
+    # the damped field's terms at the leading weight add to R_0 and Q_0: were that in place,
+    # the plain field of the same weights, evaluated after it, would read the sums
+    damped = PolarRHS(eq329_weighted(0.0, 1.0, sigma=0.1, delta0=6.70e-8, delta1=2.46e-4,
+                                     delta2=2.72e-2))
+    plain = PolarRHS(eq329_weighted(0.0, 1.0, sigma=0.1, delta1=2.46e-4, delta2=2.72e-2))
+    assert damped._level0 and not plain._level0
+    for counts in (spectral.PAIR, (32,)):
+        _, cos, sin = PanelSets(map(Panels, counts)).nodes
+        for rhs in (damped, plain, damped):
+            R, Q = rhs.components(cos, sin)
+            uncached = rhs.components(np.array(cos), np.array(sin))
+            assert [x.tobytes() for x in R + Q] == [x.tobytes() for x in uncached[0] + uncached[1]]
+        table = polar._weight_only_table(1, 1, spectral.powers(cos), spectral.powers(sin))
+        assert all(not a.flags.writeable for a in table)
+        with pytest.raises(ValueError, match="read-only"):
+            table[1][0] = 0.0
+    assert polar._weight_only_table.cache_info().misses == 2
+
+
 def _counted_components(monkeypatch) -> list[int]:
     """The sizes of the cosine arrays of the ``components`` calls made from here on."""
     calls, components = [], PolarRHS.components
@@ -234,9 +280,12 @@ def test_a_turn_off_the_chart_evaluates_the_components_once_per_sweep(monkeypatc
         return_map(rhs, h)
     assert calls == [sum(spectral.PAIR) * N] + [count * N for count in (32, 64, 128, 256, 512, 1024)]
     assert sum(calls) == 65_280
-    # every array listed for ``powers`` is one of a sweep's node arrays, kept by ``_nodes``
-    for key, (array, counts, which) in spectral._REGISTRY.items():
+    # every array listed for ``powers`` is one of a sweep's node arrays, kept by ``_nodes``,
+    # with the power function of its own tables
+    for key, (array, power) in spectral._REGISTRY.items():
+        counts, which = power.args
         assert key == id(array) and array is spectral._nodes(counts)[which]
+        assert spectral.powers(array) is power
 
 
 # -- the first two panel sets swept as one, every float as two separate sweeps gave it --
@@ -375,6 +424,8 @@ def test_a_second_pass_builds_no_power(fresh_caches):
         return_map(rhs, np.geomspace(0.03, 0.45, 16), 1e-13)
 
     one_pass()
-    built = spectral._power.cache_info().misses
+    built = spectral._power.cache_info().misses, polar._weight_only_table.cache_info().misses
+    assert built[1] > 0
     one_pass()
-    assert spectral._power.cache_info().misses == built
+    assert (spectral._power.cache_info().misses,
+            polar._weight_only_table.cache_info().misses) == built
