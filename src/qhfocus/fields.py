@@ -16,7 +16,7 @@ nu_1(2*pi) stays 1.
 from __future__ import annotations
 
 import math
-import numbers
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Iterable
 
@@ -26,9 +26,10 @@ from .errors import InvalidFieldError
 def _integers(obj, **values) -> None:
     """Set the named fields of the frozen ``obj`` to their values, integers, as int."""
     for name, value in values.items():
-        if not isinstance(value, numbers.Integral):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(obj, name, int(value))
+        try:
+            object.__setattr__(obj, name, operator.index(value))
+        except TypeError:
+            raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -40,12 +41,14 @@ class Monomial:
     c: float
 
     def __post_init__(self):
-        _integers(self, k=self.k, j=self.j)
+        if not type(self.k) is type(self.j) is int:  # a numpy integer as int, a float refused
+            _integers(self, k=self.k, j=self.j)
         if self.k < 0 or self.j < 0:
             raise ValueError(f"negative exponent in monomial ({self.k},{self.j})")
         if not math.isfinite(self.c):
             raise ValueError("monomial coefficient must be finite")
-        object.__setattr__(self, "c", float(self.c))
+        if type(self.c) is not float:
+            object.__setattr__(self, "c", float(self.c))
 
     def weight(self, p: int, q: int) -> int:
         return self.k * p + self.j * q
@@ -75,8 +78,8 @@ class WeightedField:
         _integers(self, p=self.p, q=self.q)
         if self.p < 1 or self.q < 1:
             raise ValueError("weights p, q must be positive integers")
-        lam = [float(pq) if x is None else x  # None: the weight
-               for x, pq in ((self.lambda1, self.p), (self.lambda2, self.q))]
+        lam = (float(self.p) if self.lambda1 is None else self.lambda1,
+               float(self.q) if self.lambda2 is None else self.lambda2)
         if not all(map(math.isfinite, lam)):
             raise ValueError(f"lambda1, lambda2 must be finite, got ({lam[0]}, {lam[1]})")
         object.__setattr__(self, "lambda1", float(lam[0]))

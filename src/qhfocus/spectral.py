@@ -104,8 +104,7 @@ def _power(counts: tuple[int, ...], which: int, k: int) -> np.ndarray:
 def powers(x) -> Callable[[int], np.ndarray] | None:
     """k -> x**k read from the tables where x is one of the arrays of a sweep's
     ``PanelSets.nodes``; None for any other x, copies and slices of them included."""
-    entry = _REGISTRY.get(id(x))
-    return None if entry is None else entry[1]
+    return _REGISTRY.get(id(x), (None, None))[1]
 
 
 @dataclass(frozen=True)
