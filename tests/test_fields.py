@@ -125,7 +125,7 @@ def test_a_non_finite_lambda_is_rejected(line):
     (lambda: Monomial(1, "2", 1.0), "j"),
 ], ids=["p-2.5", "p-2.0", "q-float64", "k-1.5", "j-str"])
 def test_a_non_integer_weight_or_exponent_is_refused_by_name(make, name):
-    # once, 2.5 reached focal_values' jet division and 2.0 default_order before raising
+    # refused at construction, before a float weight reaches default_order or a jet division
     with pytest.raises(ValueError, match=rf"^{name} must be an integer, got "):
         make()
 
